@@ -26,6 +26,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import os
 import sqlite3
 import time
 from typing import (
@@ -193,6 +194,88 @@ def _is_transient_sqlite(exc: sqlite3.OperationalError) -> bool:
     return any(marker in text for marker in _TRANSIENT_SQLITE_MARKERS)
 
 
+def _open_store(path: str, busy_timeout: float) -> sqlite3.Connection:
+    """Connect to ``path`` as a campaign store: WAL, busy timeout, schema."""
+    conn = sqlite3.connect(path, timeout=busy_timeout)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute("PRAGMA synchronous=NORMAL")
+    # The connect-time ``timeout`` installs a busy handler for this
+    # Python wrapper; the PRAGMA makes the same budget explicit at the
+    # engine level so *every* statement — including ones issued by
+    # ATTACH-ed merge work — waits for a lock instead of failing
+    # instantly.
+    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
+    conn.executescript(_CAMPAIGN_SCHEMA)
+    # Migrate pre-`attempts` stores in place: every checkpointed cell in
+    # an old store ran exactly once as far as the retry budget is
+    # concerned, so the column backfills to 1.
+    cols = {row[1] for row in conn.execute("PRAGMA table_info(cells)")}
+    if "attempts" not in cols:
+        conn.execute(
+            "ALTER TABLE cells ADD COLUMN attempts INTEGER NOT NULL DEFAULT 1"
+        )
+    conn.commit()
+    return conn
+
+
+def _file_id(path: str) -> Optional[Tuple[int, int]]:
+    """``(st_dev, st_ino)`` of the file ``path`` names, if it exists."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+class _RoundWriter:
+    """The one store connection a process keeps for round-writing sinks.
+
+    Every :class:`SqliteSink` with a ``cell_seed`` writes through it, so
+    a worker running cell after cell against one store pays connect,
+    PRAGMAs and the schema script once, not once per cell.  The rules
+    that make sharing one connection safe:
+
+    * it is closed before any fork (``os.register_at_fork``), so it
+      never crosses into a child process;
+    * it is reopened when its path no longer names the file it was
+      opened on (``st_dev``/``st_ino`` are compared on every use), so a
+      store deleted and recreated in place never swallows rows into the
+      unlinked file;
+    * a process holds at most one: asking for another path or busy
+      timeout closes the current connection first;
+    * :meth:`SqliteSink._guarded` rolls it back after any failed
+      operation, so it never carries a half-written transaction into
+      the next cell.
+
+    Store-only sinks (runner, report, merge) never use it; they keep
+    their own connections, and the campaign runner drops its store's
+    before every worker spawn (``pre_fork=store.disconnect``).
+    """
+
+    def __init__(self) -> None:
+        self.conn: Optional[sqlite3.Connection] = None
+        self._key: Optional[Tuple[Any, ...]] = None
+        os.register_at_fork(before=self.close)
+
+    def connection(self, path: str, busy_timeout: float) -> sqlite3.Connection:
+        if (
+            self.conn is None
+            or self._key != (path, busy_timeout, _file_id(path))
+        ):
+            self.close()
+            self.conn = _open_store(path, busy_timeout)
+            self._key = (path, busy_timeout, _file_id(path))
+        return self.conn
+
+    def close(self) -> None:
+        if self.conn is not None:
+            conn, self.conn, self._key = self.conn, None, None
+            conn.close()
+
+
+_ROUND_WRITER = _RoundWriter()
+
+
 class SqliteSink:
     """A round observer backed by one sqlite ``campaign.db``.
 
@@ -212,8 +295,15 @@ class SqliteSink:
     ``PRAGMA busy_timeout``), so parallel campaign workers (each holding
     its *own* sink — sqlite connections must never cross process
     boundaries) can append round summaries to one shared ``campaign.db``
-    while the parent checkpoints cell rows.  Each write commits
-    immediately: a killed campaign loses at most the in-flight row.
+    while the parent checkpoints cell rows.
+
+    Durability: observed rounds are buffered in memory and written by
+    :meth:`flush` (which :meth:`close` calls) as one ``executemany`` in
+    one transaction, so a cell killed mid-run leaves none of its rows
+    and a cell that closes its sink leaves all of them.  Every
+    round-writing sink in a process shares one connection per store
+    path (:class:`_RoundWriter`); store-only sinks open their own, and
+    every other write commits immediately.
 
     Resilience: every store write runs inside a guarded retry loop —
     a *transient* ``OperationalError`` (``database is locked``/``busy``,
@@ -233,6 +323,7 @@ class SqliteSink:
     and the sink is a context manager.  Writing rounds requires a
     ``cell_seed`` (the key rounds are filed under); store-only callers
     (the campaign runner, report generators) may omit it.
+    ``rounds_written`` counts the rounds observed, flushed or not.
     """
 
     #: Attempts per guarded store write, first try included.
@@ -253,6 +344,7 @@ class SqliteSink:
         self.busy_timeout = busy_timeout
         self._conn: Optional[sqlite3.Connection] = None
         self._closed = False
+        self._pending: List[Tuple[int, int, int, str, str]] = []
         self.rounds_written = 0
         self._fault_plan = fault_plan
         self._plan_cache: Optional[Any] = None
@@ -295,7 +387,10 @@ class SqliteSink:
         transient one is retried ``MAX_SQLITE_ATTEMPTS`` times and then
         converted to a :class:`ConfigurationError` naming the usual
         suspect, because a lock that outlives the whole backoff budget
-        is a deployment problem, not a hiccup.
+        is a deployment problem, not a hiccup.  Whatever ``fn`` raises,
+        the connection is rolled back first, so neither a retry nor the
+        next cell sharing the connection builds on a half-written
+        transaction.
         """
         plan = self._plan()
         last_exc: Optional[sqlite3.OperationalError] = None
@@ -305,11 +400,15 @@ class SqliteSink:
                     plan.sqlite_check(op)
                 return fn()
             except sqlite3.OperationalError as exc:
+                self._rollback()
                 if not _is_transient_sqlite(exc):
                     raise
                 last_exc = exc
                 if attempt < self.MAX_SQLITE_ATTEMPTS:
                     time.sleep(self._backoff_delay(op, attempt))
+            except BaseException:
+                self._rollback()
+                raise
         raise ConfigurationError(
             f"sqlite store {self.path!r} still failing after "
             f"{self.MAX_SQLITE_ATTEMPTS} attempts ({last_exc}) — another "
@@ -324,33 +423,17 @@ class SqliteSink:
             raise ConfigurationError(
                 f"SqliteSink({self.path!r}) is closed; cannot touch the store"
             )
+        if self.cell_seed is not None:
+            return _ROUND_WRITER.connection(self.path, self.busy_timeout)
         if self._conn is None:
-            conn = sqlite3.connect(self.path, timeout=self.busy_timeout)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            # The connect-time ``timeout`` installs a busy handler for
-            # this Python wrapper; the PRAGMA makes the same budget
-            # explicit at the engine level so *every* statement —
-            # including ones issued by ATTACH-ed merge work — waits for
-            # a lock instead of failing instantly.
-            conn.execute(
-                f"PRAGMA busy_timeout={int(self.busy_timeout * 1000)}"
-            )
-            conn.executescript(_CAMPAIGN_SCHEMA)
-            # Migrate pre-`attempts` stores in place: every checkpointed
-            # cell in an old store ran exactly once as far as the retry
-            # budget is concerned, so the column backfills to 1.
-            cols = {
-                row[1] for row in conn.execute("PRAGMA table_info(cells)")
-            }
-            if "attempts" not in cols:
-                conn.execute(
-                    "ALTER TABLE cells ADD COLUMN attempts "
-                    "INTEGER NOT NULL DEFAULT 1"
-                )
-            conn.commit()
-            self._conn = conn
+            self._conn = _open_store(self.path, self.busy_timeout)
         return self._conn
+
+    def _rollback(self) -> None:
+        """Undo whatever a failed operation left open on our connection."""
+        conn = self._conn if self.cell_seed is None else _ROUND_WRITER.conn
+        if conn is not None and conn.in_transaction:
+            conn.rollback()
 
     def disconnect(self) -> None:
         """Drop the underlying connection; the sink reopens lazily.
@@ -359,14 +442,43 @@ class SqliteSink:
         must never cross a fork — the child's inherited descriptor can
         release the parent's POSIX locks and corrupt WAL recovery.  The
         campaign runner disconnects its store before every fan-out.
+        Round-writing sinks share the process's :class:`_RoundWriter`
+        connection instead, which closes itself before every fork.
         """
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
+    def flush(self) -> None:
+        """Write the buffered round rows in one transaction.
+
+        The rows leave the buffer before the write: if it fails even
+        after the retry budget, the error propagates (failing the cell,
+        whose rows the campaign runner then clears) and a later flush or
+        :meth:`close` does not retry them.
+        """
+        if not self._pending:
+            return
+        rows, self._pending = self._pending, []
+
+        def write() -> None:
+            conn = self._connect()
+            conn.executemany(
+                "INSERT OR REPLACE INTO round_summaries "
+                "(cell_seed, round, broadcast_count, crashed_during, "
+                "decided_during) VALUES (?, ?, ?, ?, ?)",
+                rows,
+            )
+            conn.commit()
+
+        self._guarded("write-round", write)
+
     def close(self) -> None:
-        self.disconnect()
-        self._closed = True
+        try:
+            self.flush()
+        finally:
+            self.disconnect()
+            self._closed = True
 
     def __enter__(self) -> "SqliteSink":
         return self
@@ -376,12 +488,16 @@ class SqliteSink:
 
     # -- the observer protocol -----------------------------------------
     def __call__(self, artifact: Union["RoundRecord", "RoundSummary"]) -> None:
+        if self._closed:
+            raise ConfigurationError(
+                f"SqliteSink({self.path!r}) is closed; cannot stream rounds"
+            )
         if self.cell_seed is None:
             raise ConfigurationError(
                 "SqliteSink needs a cell_seed to file round summaries "
                 "under; construct it as SqliteSink(path, cell_seed=...)"
             )
-        row = (
+        self._pending.append((
             self.cell_seed,
             artifact.round,
             artifact.broadcast_count,
@@ -396,19 +512,7 @@ class SqliteSink:
                 sort_keys=True,
                 default=str,
             ),
-        )
-
-        def write() -> None:
-            conn = self._connect()
-            conn.execute(
-                "INSERT OR REPLACE INTO round_summaries "
-                "(cell_seed, round, broadcast_count, crashed_during, "
-                "decided_during) VALUES (?, ?, ?, ?, ?)",
-                row,
-            )
-            conn.commit()
-
-        self._guarded("write-round", write)
+        ))
         self.rounds_written += 1
 
     def clear_rounds(self, cell_seed: int) -> None:
@@ -416,8 +520,11 @@ class SqliteSink:
 
         The campaign runner calls this before (re-)running a cell, so
         rounds streamed by a killed or failed earlier attempt can never
-        linger past the new attempt's final round.
+        linger past the new attempt's final round.  Rows this sink still
+        buffers are flushed first, so they are cleared too.
         """
+        self.flush()
+
         def write() -> None:
             conn = self._connect()
             conn.execute(
@@ -435,13 +542,15 @@ class SqliteSink:
 
         Values round-trip through JSON, so non-JSON message/value
         payloads come back as their ``str`` forms (the same reduction
-        :class:`JsonlSink` applies on the way out).
+        :class:`JsonlSink` applies on the way out).  Buffered rows are
+        flushed first, so a sink reads its own writes.
         """
         key = self.cell_seed if cell_seed is None else int(cell_seed)
         if key is None:
             raise ConfigurationError(
                 "read_summaries needs a cell_seed (none bound to this sink)"
             )
+        self.flush()
         rows = self._connect().execute(
             "SELECT round, broadcast_count, crashed_during, decided_during "
             "FROM round_summaries WHERE cell_seed = ? ORDER BY round",
@@ -469,7 +578,9 @@ class SqliteSink:
         cell that streamed at least one round into the store — the
         backbone of the campaign's table report, computed inside sqlite
         so a million-round store never materialises its rows in Python.
+        Buffered rows are flushed first, as in :meth:`read_summaries`.
         """
+        self.flush()
         rows = self._connect().execute(
             "SELECT cell_seed, COUNT(*), AVG(broadcast_count) "
             "FROM round_summaries GROUP BY cell_seed"

@@ -90,13 +90,13 @@ Example::
         n=[4, 16], detector=["0-OAC", "maj-OAC"], loss_rate=[0.1, 0.3],
         trial=range(5),
     )                       # second call: all cells checkpointed, no work
+    print(runner.report(n=[4, 16], ...))   # canonical JSON, byte-stable
 
 (Replicates sweep as a ``trial`` axis, which folds into each cell's
 *derived* seed; a literal ``seed`` axis would override the derived seed
 inside ``consensus_sweep_cell`` and make cells sharing a seed value
 clobber each other's ``(cell_seed, round)`` rows in the shared
 ``round_summaries`` table.)
-    print(runner.report(n=[4, 16], ...))   # canonical JSON, byte-stable
 """
 
 from __future__ import annotations
@@ -529,9 +529,11 @@ class CampaignRunner:
         one :meth:`CampaignDispatcher.run` call.  ``pre_fork`` points at
         ``store.disconnect``: the dispatcher invokes it immediately
         before *every* worker spawn (first fill and replacements alike),
-        which is the single place the "never fork with a live sqlite
-        connection" invariant is enforced — checkpointing between
-        completions reopens the store lazily.
+        which is where the "never fork with a live sqlite connection"
+        invariant is enforced for the runner's store — checkpointing
+        between completions reopens it lazily.  (The connection that
+        in-process cells write their rounds through closes itself
+        before any fork.)
         """
         attempts = {
             cell.index: prior_attempts.get(cell.index, 0) + 1

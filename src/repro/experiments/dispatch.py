@@ -57,8 +57,9 @@ Contract highlights:
 * **Fork hygiene** — the ``pre_fork`` callback passed to ``run`` is
   invoked immediately before *every* worker spawn (first fill and
   replacements alike).  The campaign runner points it at
-  ``store.disconnect``, making this the single place the "never fork
-  with a live sqlite connection" invariant is enforced.
+  ``store.disconnect``, so its store connection never crosses a fork;
+  the per-process round-writer connection of
+  :mod:`repro.core.records` closes itself in a fork hook.
 * **Stall watchdog** — with ``stall_timeout`` set, busy workers send
   periodic heartbeats over their existing result pipes; a worker that
   goes silent past the timeout (SIGSTOPped, wedged in GIL-holding C

@@ -397,10 +397,11 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     excluded — so cells sharing an explicit ``seed`` axis value still
     get distinct files and parallel workers never clobber each other,
     while the name itself is machine-independent), and ``sqlite_db`` (a
-    database path: stream the same per-round summaries into the shared
+    database path: write the same per-round summaries into the shared
     campaign store's ``round_summaries`` table via a
-    :class:`~repro.core.records.SqliteSink` keyed on this cell's seed —
-    WAL mode makes the concurrent appends of parallel workers safe).
+    :class:`~repro.core.records.SqliteSink` keyed on this cell's seed,
+    in one transaction when the cell ends — WAL mode makes the
+    concurrent appends of parallel workers safe).
     Both sinks open lazily, so a cell that raises before round 1 leaves
     no empty file (and no spurious rows) behind.  Returns a picklable
     dict with decisions, decision rounds, round count, and the consensus

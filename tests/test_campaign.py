@@ -5,6 +5,10 @@ Covers the PR's durability contract end to end:
 * ``SqliteSink`` round-trips round summaries (write, reopen, read back
   ordered by round) and survives two processes appending to one
   database (WAL mode);
+* a cell's rounds reach the store in one transaction when its sink
+  closes, through one connection per process that survives a store
+  recreated in place, a transient error at flush, and a failed flush
+  in the cell before; no sqlite connection is open when a worker forks;
 * ``JsonlSink``/``SqliteSink`` open lazily, so a cell that raises
   before round 1 leaves nothing on disk (the ``consensus_sweep_cell``
   exception path);
@@ -32,6 +36,7 @@ Covers the PR's durability contract end to end:
 
 from __future__ import annotations
 
+import collections
 import json
 import multiprocessing
 import os
@@ -41,11 +46,13 @@ import time
 
 import pytest
 
+from repro.core import records
 from repro.core.errors import ConfigurationError
 from repro.core.records import JsonlSink, RecordPolicy, RoundSummary, SqliteSink
 from repro.experiments.campaign import CampaignRunner, cell_tag
 from repro.experiments.dispatch import CampaignDispatcher
 from repro.experiments.harness import SweepRunner, consensus_sweep_cell
+from repro.testing import faultline
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +119,10 @@ def test_sqlite_sink_write_is_idempotent_per_round(tmp_path):
         sink(_summary(1, bc=1))
         sink(_summary(1, bc=4))  # replayed round overwrites, no dup key
         assert [s.broadcast_count for s in sink.read_summaries()] == [4]
+        sink(_summary(2))
+        sink.clear_rounds(5)  # clears the still-buffered round 2 too
+    with SqliteSink(db) as sink:
+        assert sink.read_summaries(cell_seed=5) == []
 
 
 def test_sqlite_sink_streams_from_engine(tmp_path):
@@ -166,6 +177,83 @@ def test_sqlite_sink_concurrent_two_process_append(tmp_path):
             rows = sink.read_summaries(cell_seed=seed)
             assert [s.round for s in rows] == list(range(1, 41))
             assert all(s.broadcast_count == seed for s in rows)
+
+
+def test_cell_writes_its_rounds_in_one_store_visit(tmp_path):
+    db = str(tmp_path / "campaign.db")
+    # Armed, so every sqlite visit ticks its clock, but never fires.
+    plan = faultline.FaultPlan([
+        faultline.FaultRule(site="merge", match="no-such-shard",
+                            action={"kind": "error"}),
+    ])
+    previous = faultline.installed()
+    faultline.install(plan)
+    try:
+        payload = consensus_sweep_cell(
+            {"n": 4, "values": 8, "sqlite_db": db}, seed=77
+        )
+    finally:
+        faultline.install(previous)
+    assert payload["rounds"] > 1
+    assert plan.clock.count("sqlite", "write-round") == 1
+    with SqliteSink(db) as sink:
+        assert len(sink.read_summaries(cell_seed=77)) == payload["rounds"]
+
+
+def test_transient_error_at_flush_still_lands_every_round(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(time, "sleep", lambda _s: None)
+    plan = faultline.FaultPlan([
+        faultline.FaultRule(
+            site="sqlite", match="write-round", count_in=(1,),
+            action={"kind": "operational-error", "flavor": "locked"},
+        ),
+    ])
+    db = str(tmp_path / "campaign.db")
+    with SqliteSink(db, cell_seed=5, fault_plan=plan) as sink:
+        for r in range(1, 8):
+            sink(_summary(r))
+    assert [(e["key"], e["count"]) for e in plan.log] == [("write-round", 1)]
+    with SqliteSink(db) as sink:
+        assert [s.round for s in sink.read_summaries(cell_seed=5)] == list(
+            range(1, 8)
+        )
+
+
+class _CommitFails:
+    """A connection whose ``commit`` raises after the rows went in."""
+
+    def __init__(self, conn: sqlite3.Connection) -> None:
+        self._conn = conn
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def commit(self) -> None:
+        raise sqlite3.OperationalError("disk I/O error")
+
+
+def test_failed_flush_never_leaks_into_the_next_cell(tmp_path, monkeypatch):
+    """The shared writer is rolled back when a flush fails, so the next
+    cell's commit cannot publish the failed cell's half-written rows."""
+    db = str(tmp_path / "campaign.db")
+    connection = records._RoundWriter.connection
+    monkeypatch.setattr(
+        records._RoundWriter, "connection",
+        lambda writer, *args: _CommitFails(connection(writer, *args)),
+    )
+    failed = SqliteSink(db, cell_seed=1)
+    for r in range(1, 4):
+        failed(_summary(r))
+    with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+        failed.close()
+    monkeypatch.undo()
+    with SqliteSink(db, cell_seed=2) as sink:
+        sink(_summary(1))
+    with SqliteSink(db) as sink:
+        assert sink.read_summaries(cell_seed=1) == []
+        assert len(sink.read_summaries(cell_seed=2)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +422,106 @@ def test_campaign_streams_round_summaries_into_the_same_db(tmp_path):
     # extra_params stay out of cell identity: tags only hold grid coords.
     assert "sqlite_db" not in cell_tag(outcomes[0].cell)
     assert "sqlite_db" not in runner.report(**AXES)
+
+
+def _assert_rounds_stored(db: str, outcomes) -> None:
+    assert outcomes and all(o.status == "done" for o in outcomes)
+    with SqliteSink(db) as sink:
+        for outcome in outcomes:
+            rows = sink.read_summaries(cell_seed=outcome.cell.seed)
+            assert len(rows) == outcome.payload["rounds"]
+
+
+def test_pooled_workers_connect_to_the_store_once_each(
+    tmp_path, make_runner, monkeypatch
+):
+    log = tmp_path / "connects.log"
+    connect = sqlite3.connect
+
+    def logged_connect(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", logged_connect)
+    db = str(tmp_path / "campaign.db")
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=3, processes=2,
+        extra_params={"sqlite_db": db},
+    )
+    outcomes = runner.resume(**AXES)
+    assert len(outcomes) == 8
+    workers = set(runner.dispatcher.worker_pids())
+    connects = collections.Counter(int(pid) for pid in log.read_text().split())
+    worker_connects = {p: n for p, n in connects.items() if p != os.getpid()}
+    assert worker_connects and set(worker_connects) <= workers
+    assert max(worker_connects.values()) == 1
+    _assert_rounds_stored(db, outcomes)
+
+
+def test_store_recreated_in_place_gets_the_next_runs_rows(tmp_path):
+    """The per-process writer connection notices the path now names a
+    new file and reopens, instead of writing into the unlinked one."""
+    db = str(tmp_path / "campaign.db")
+    for _ in range(2):
+        runner = _serial_runner(db, extra_params={"sqlite_db": db})
+        _assert_rounds_stored(db, runner.resume(max_cells=3, **AXES))
+        for suffix in ("", "-wal", "-shm"):
+            if os.path.exists(db + suffix):
+                os.remove(db + suffix)
+
+
+def test_no_sqlite_connection_is_open_when_a_worker_forks(
+    tmp_path, make_runner, monkeypatch
+):
+    """Never fork with a live sqlite connection: the runner's store is
+    dropped by the dispatcher's ``pre_fork=store.disconnect`` and the
+    per-process round writer closes itself in a fork hook."""
+    tracked = []
+    connect = sqlite3.connect
+
+    def tracking_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        tracked.append(conn)
+        return conn
+
+    def open_connections():
+        alive = []
+        for conn in tracked:
+            try:
+                conn.total_changes
+            except sqlite3.ProgrammingError:  # closed
+                continue
+            alive.append(conn)
+        return alive
+
+    monkeypatch.setattr(sqlite3, "connect", tracking_connect)
+    db = str(tmp_path / "campaign.db")
+    _serial_runner(db, extra_params={"sqlite_db": db}).resume(
+        max_cells=4, **AXES
+    )
+    # The in-process cells left the shared round writer open.
+    assert open_connections() == [records._ROUND_WRITER.conn]
+
+    fork = os.fork
+    open_at_fork = []
+
+    def audited_fork():
+        pid = fork()
+        if pid:  # parent: the fork hooks ran, nothing else has since
+            open_at_fork.append(len(open_connections()))
+        return pid
+
+    monkeypatch.setattr(os, "fork", audited_fork)
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=3, processes=2,
+        extra_params={"sqlite_db": db},
+    )
+    outcomes = runner.resume(**AXES)
+    assert len(outcomes) == 8
+    # The capability probe plus two workers.
+    assert len(open_at_fork) >= 3 and set(open_at_fork) == {0}
+    _assert_rounds_stored(db, outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -340,7 +340,8 @@ def test_sink_absorbs_injected_transient_errors(tmp_path, monkeypatch):
     ], seed=9)
     db = str(tmp_path / "c.db")
     with SqliteSink(db, cell_seed=11, fault_plan=plan) as sink:
-        sink(_summary(1))  # two injected failures, third attempt lands
+        sink(_summary(1))
+        sink.flush()  # two injected failures, third attempt lands
         assert [
             (e["key"], e["count"]) for e in plan.log
         ] == [("write-round", 1), ("write-round", 2)]
@@ -358,13 +359,13 @@ def test_sink_exhausted_retry_budget_raises_loudly(tmp_path, monkeypatch):
         FaultRule(site="sqlite", match="write-round",
                   action={"kind": "operational-error", "flavor": "busy"}),
     ])
-    with SqliteSink(str(tmp_path / "c.db"), cell_seed=1,
-                    fault_plan=plan) as sink:
-        # Never a raw "database is busy": the exhausted budget names
-        # the deployment mistake that causes persistent lock-outs.
-        with pytest.raises(ConfigurationError,
-                           match="give each run its own store path"):
-            sink(_summary(1))
+    sink = SqliteSink(str(tmp_path / "c.db"), cell_seed=1, fault_plan=plan)
+    sink(_summary(1))
+    # Never a raw "database is busy": the exhausted budget names the
+    # deployment mistake that causes persistent lock-outs.
+    with pytest.raises(ConfigurationError,
+                       match="give each run its own store path"):
+        sink.close()
     assert plan.clock.count("sqlite", "write-round") \
         == SqliteSink.MAX_SQLITE_ATTEMPTS
 
