@@ -1,6 +1,6 @@
 """Quick-mode E11 smoke benchmark: engine rounds/sec per record policy
 (vectorised kernel vs pure-python scalar path), plus per-adversary
-batched-vs-legacy loss-resolution throughput.
+loss-resolution throughput.
 
 Writes a small JSON artifact (default ``BENCH_e11.json``) so CI can track
 the engine's throughput trajectory from PR to PR without the full
@@ -22,14 +22,13 @@ scalar, with per-n ``kernel_speedup``.  Round counts shrink as n grows
 so the block stays CI-sized; the per-n speedups are same-run ratios and
 therefore machine-independent.
 
-The per-adversary section runs every built-in loss adversary three ways
-under ``RecordPolicy.NONE``: batched resolution on the array kernel
-(``batched_rounds_per_second``), batched resolution with the kernel
-forced off (``scalar_kernel_rounds_per_second``), and the per-receiver
-base-class fallback with the kernel off (``legacy_rounds_per_second`` —
-the path a third-party adversary without a batched override still
-takes).  CI gates on the ``capture`` row: the vectorised block-substream
-rework must hold >= 2x the pre-rework 829 rounds/sec figure.
+The per-adversary section runs every built-in loss adversary two ways
+under ``RecordPolicy.NONE``: on the array kernel
+(``batched_rounds_per_second``) and with the kernel forced off
+(``scalar_kernel_rounds_per_second``), with their ratio as
+``kernel_speedup``.  CI gates on the committed ``capture`` row: the
+vectorised block-substream rework must hold >= 2x the pre-rework 829
+rounds/sec figure.
 """
 
 from __future__ import annotations
@@ -57,28 +56,6 @@ from repro.core.execution import ExecutionEngine
 from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy
 from repro.detectors.classes import ZERO_AC
-
-
-class PerReceiverFallback(LossAdversary):
-    """Force the base-class per-receiver fallback for any adversary.
-
-    Delegates ``losses`` but deliberately does not override
-    ``losses_for_round``, so the engine exercises the legacy resolution
-    path — the baseline every batched override is measured against.
-    """
-
-    def __init__(self, inner: LossAdversary) -> None:
-        self.inner = inner
-
-    def losses(self, round_index, senders, receiver):
-        return self.inner.losses(round_index, senders, receiver)
-
-    def reset(self) -> None:
-        self.inner.reset()
-
-    @property
-    def r_cf(self):
-        return self.inner.r_cf
 
 
 def _adversary_matrix(n: int):
@@ -222,16 +199,16 @@ def main() -> None:
             f"{row['kernel_speedup']:7.2f}x"
         )
 
-    # Per-adversary batched vs scalar-kernel vs per-receiver-fallback
-    # throughput (NONE mode: the loss resolution dominates, so the
-    # ratios isolate the batching and kernel wins per adversary).
+    # Per-adversary kernel vs scalar throughput (NONE mode: the loss
+    # resolution dominates, so the ratio isolates each adversary's
+    # kernel win).
     # Quick mode still takes min-of-3: the CI regression guard gates on
     # these rows, and a single scheduling stall must not be able to
     # masquerade as a >20% per-row regression.
     adv_reps = 3 if args.quick else 4
     adv_rounds = max(50, args.rounds // 2)
     print(f"\n{'adversary':10s} {'batched r/s':>12s} {'scalar r/s':>12s} "
-          f"{'legacy r/s':>12s} {'speedup':>8s}")
+          f"{'kernel':>8s}")
     for name, factory in _adversary_matrix(args.n).items():
         batched = min(
             run_rounds(args.n, adv_rounds, RecordPolicy.NONE, factory())
@@ -244,26 +221,16 @@ def main() -> None:
             )
             for _ in range(adv_reps)
         )
-        legacy = min(
-            run_rounds(
-                args.n, adv_rounds, RecordPolicy.NONE,
-                PerReceiverFallback(factory()), use_array_kernel=False,
-            )
-            for _ in range(adv_reps)
-        )
         entry = {
             "batched_rounds_per_second": adv_rounds / batched,
             "scalar_kernel_rounds_per_second": adv_rounds / scalar,
-            "legacy_rounds_per_second": adv_rounds / legacy,
-            "speedup": legacy / batched,
             "kernel_speedup": scalar / batched,
         }
         report["adversaries"][name] = entry
         print(
             f"{name:10s} {entry['batched_rounds_per_second']:12.0f} "
             f"{entry['scalar_kernel_rounds_per_second']:12.0f} "
-            f"{entry['legacy_rounds_per_second']:12.0f} "
-            f"{entry['speedup']:7.2f}x"
+            f"{entry['kernel_speedup']:7.2f}x"
         )
 
     with open(args.out, "w") as fh:

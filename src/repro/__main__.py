@@ -58,10 +58,11 @@ def _campaign_merge_main(argv: list) -> int:
             "store whose report is byte-identical to an uninterrupted "
             "single-host run of the same grid.  The merge validates "
             "before copying a row: every input must carry shard "
-            "metadata, all inputs must share one base_seed and one "
-            "shard count, and the shard indices must cover exactly "
-            "{0..k-1} — mismatched base_seeds, overlapping shards, "
-            "and missing shards are all rejected loudly."
+            "metadata, all inputs must share one base_seed, one RNG "
+            "backend and one shard count, and the shard indices must "
+            "cover exactly {0..k-1} — mismatched base_seeds or "
+            "backends, overlapping shards, and missing shards are all "
+            "rejected loudly."
         ),
         epilog=(
             "example: python -m repro campaign merge --out merged.db "

@@ -34,7 +34,6 @@ from .crash import (
 )
 from .loss import (
     AlphaLoss,
-    ArrayRoundLosses,
     CaptureEffectLoss,
     ComposedLoss,
     EventualCollisionFreedom,
@@ -42,15 +41,14 @@ from .loss import (
     LossAdversary,
     PartitionLoss,
     ReliableDelivery,
-    ResolvedRoundLosses,
+    RoundLosses,
     ScriptedLoss,
     SilenceLoss,
 )
 
 __all__ = [
     "LossAdversary",
-    "ResolvedRoundLosses",
-    "ArrayRoundLosses",
+    "RoundLosses",
     "ReliableDelivery",
     "SilenceLoss",
     "IIDLoss",

@@ -2,67 +2,49 @@
 
 The model allows any process to lose any subset of the messages broadcast
 by *other* processes in any round (broadcasters always receive their own
-message — constraint 5, which the engine enforces regardless of what an
-adversary says).  A loss adversary answers one question per (round,
-receiver): *which senders' messages are dropped here?*
+message — constraint 5).  A loss adversary makes that choice once per
+round: :meth:`LossAdversary.losses_for_round` is its only method, and it
+answers with a :class:`RoundLosses` on every backend.
 
-The per-receiver :meth:`LossAdversary.losses` interface is deliberately
-fine-grained so adversaries can create the non-uniform receive sets the
-paper motivates with the capture effect (Section 1.1): two listeners
-within range of the same two broadcasters may receive different messages.
+The contract
+------------
 
-The batched contract
---------------------
+A :class:`RoundLosses` is *normalized*: receiver ``i``'s drop set names
+only this round's senders and never ``i`` itself, so its size is the
+number of messages ``i`` loses.  It offers three views of the same drops:
 
-The engine's hot path asks one question per *round*, not per receiver:
-:meth:`LossAdversary.losses_for_round` returns a mapping from every
-receiver to its drop set.  The base class provides a fallback that loops
-over :meth:`losses`, so third-party adversaries keep working unchanged;
-every built-in overrides it with a genuinely batched resolution.  Two
-conventions let the engine amortise work across receivers:
+* ``drop_counts`` — per-receiver drop counts aligned with ``receivers``
+  (an int array on the numpy backend, a list otherwise), ready at once,
+  which is all the engine's array kernel needs in single-message rounds;
+* the drop sets, through the ``Mapping`` interface, built lazily on first
+  access;
+* :meth:`RoundLosses.drop_pairs` — the dropped ``(receiver, sender)``
+  position pairs, from the producer's cheaper form when it has one and
+  from the sets otherwise, which the kernel turns into per-code keep
+  counts in multi-message rounds.
 
-* **Shared-set aliasing** — a batched adversary may map *several*
-  receivers to the *same* set object (e.g. :class:`SilenceLoss` returns
-  one interned frozenset for everyone).  The engine detects aliasing by
-  object identity and computes the surviving multiset once per distinct
-  set.  A shared set may contain a receiver that is itself a sender; the
-  engine restores self-delivery per receiver (constraint 5), so sharing
-  never changes semantics.  Corollary for implementers: never mutate a
-  drop set after returning it, and only alias sets whose *pre-exemption*
-  content is identical for all aliased receivers.
-* **Normalized mappings** — an adversary that guarantees every drop set
-  is already a subset of ``senders`` *excluding the receiver itself*
-  returns a :class:`ResolvedRoundLosses` mapping.  The engine then skips
-  the per-element sender/self filtering and treats a receiver appearing
-  in its own drop set as a model violation (a self-delivery breach,
-  surfaced as :class:`~repro.core.errors.ModelViolation`).
-* **Array-backed mappings** — the numpy legs of the randomised built-ins
-  (and both substrate layers) return an :class:`ArrayRoundLosses`:
-  normalized like above, but with the per-receiver *drop counts*
-  precomputed as an int array and the drop sets materialised lazily on
-  first mapping access.  The engine's array round kernel consumes the
-  counts directly and, in single-message rounds, never touches the sets
-  at all.  Adversaries that can cheaply name the dropped *(receiver,
-  sender)* pairs as position arrays additionally provide
-  :meth:`ArrayRoundLosses.drop_pairs`; with interned message codes the
-  kernel then resolves multi-message rounds as one (receivers x codes)
-  count matrix instead of per-receiver decrement loops, again without
-  ever materialising a python set.
+The engine checks the sets against the counts on its scalar path and the
+pairs against the counts on its kernel path; any disagreement, a drop
+set naming a non-sender or its own receiver, an omitted receiver, or any
+return type but :class:`RoundLosses` raises
+:class:`~repro.core.errors.ModelViolation`.
+
+A per-receiver law ``fn(round_index, senders, receiver)`` — a third-party
+adversary, or a lower-bound construction prescribing exact receive sets —
+plugs in as ``ScriptedLoss(fn=...)``.  :class:`ScriptedLoss` is the one
+place untrusted drop sets are normalized: each is intersected with the
+senders the script was handed, and the receiver is removed.  Per-receiver
+sets keep the non-uniform receive sets the paper motivates with the
+capture effect (Section 1.1) expressible: two listeners within range of
+the same two broadcasters may receive different messages.
 
 Determinism guarantees: the same seed and the same call sequence replay
 the same execution (the engine always enumerates receivers in index
-order, so engine-driven runs are reproducible end to end).  For the
-RNG-free adversaries the batched and per-receiver paths produce
-*identical* executions.  :class:`CaptureEffectLoss`'s per-receiver draws
-are a pure function of ``(seed, round, receiver)``, so its per-receiver
-pattern is independent of how callers enumerate receivers; its batched
-numpy path draws one vectorised substream block per ``(seed, round)``
-instead — same capture law, different (still fully deterministic)
-pattern.  :class:`IIDLoss`'s batched path consumes its stream in
-receiver-enumeration order: it draws a different (but equally seeded)
-stream than the per-receiver path, with the exact same Bernoulli(p)
-per-pair law, spending O(#losses) draws per round instead of O(n^2)
-(vectorised when numpy is available, geometric gap-skipping otherwise).
+order, so engine-driven runs are reproducible end to end).
+:class:`IIDLoss` and :class:`CaptureEffectLoss` draw one stream on the
+numpy backend and another on pure python — the same law, different
+patterns — so executions are byte-identical only within one backend;
+:func:`rng_backend` names the active one, and campaign stores record it.
 
 :class:`EventualCollisionFreedom` is the Property 1 wrapper: it delegates
 to an inner adversary until ``r_cf`` and thereafter forces delivery in
@@ -92,7 +74,7 @@ from typing import (
 )
 
 from ..core.arrays import numpy_or_none
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ModelViolation
 from ..core.types import ProcessId
 
 #: Optional acceleration for whole-round loss resolution.  Shared gating
@@ -106,6 +88,27 @@ _NO_LOSS: FrozenSet[ProcessId] = frozenset()
 
 #: One-slot pid -> row cache: ``(receivers tuple, positions dict)``.
 _RposCache = Optional[Tuple[tuple, Dict[ProcessId, int]]]
+
+
+def rng_backend() -> str:
+    """The stream family the randomised adversaries draw from.
+
+    ``"numpy"`` when the gated numpy legs are active, ``"pure"``
+    otherwise.  Executions replay byte for byte only within one backend,
+    which is why campaign stores are stamped with this value.
+    """
+    return "pure" if _np is None else "numpy"
+
+
+def _as_tuple(receivers: Sequence[ProcessId]) -> Tuple[ProcessId, ...]:
+    return receivers if type(receivers) is tuple else tuple(receivers)
+
+
+def _counts(values: List[int]):
+    """Per-receiver drop counts in the active backend's representation."""
+    if _np is not None:
+        return _np.asarray(values, dtype=_np.int64)
+    return values
 
 
 def _cached_receiver_positions(
@@ -124,64 +127,37 @@ def _cached_receiver_positions(
     return rpos, (receivers, rpos)
 
 
-class ResolvedRoundLosses(Dict[ProcessId, AbstractSet[ProcessId]]):
-    """A *normalized* whole-round loss mapping.
+class RoundLosses(_MappingABC):
+    """One round's losses: the only thing a loss adversary returns.
 
-    Returning this type from :meth:`LossAdversary.losses_for_round` is a
-    promise that every drop set is a subset of this round's senders and
-    never contains the receiver it is keyed under.  The engine exploits
-    the promise (``|lost|`` *is* the number of dropped messages) and
-    enforces it: a receiver found in its own drop set, or a non-sender in
-    any drop set, raises :class:`~repro.core.errors.ModelViolation`
-    instead of silently corrupting receive counts.
-    """
-
-
-class ArrayRoundLosses(_MappingABC):
-    """A normalized whole-round loss resolution backed by arrays.
-
-    The counts-first sibling of :class:`ResolvedRoundLosses`, returned by
-    the numpy legs of the built-in randomised adversaries.  It makes the
-    same normalization promise — every drop set is a subset of this
-    round's senders, excluding its receiver — but carries the
-    *per-receiver drop counts* as a ready-made int array
-    (:attr:`drop_counts`, aligned with :attr:`receivers`), which is all
-    the engine's array round kernel needs to derive receive counts and
-    feed array detector advice; single-message rounds resolve from the
-    counts alone, multi-message rounds additionally read
-    :meth:`drop_pairs` when the adversary provides ``pairs``.
-
-    The mapping interface is intact for every other consumer
-    (:class:`ComposedLoss`, the engine's pure-python path, tests): the
-    actual drop *sets* are materialised lazily, all at once, on first
-    mapping access, from the same arrays the counts came from — so the
-    sets and the counts can never disagree, and a kernel round that only
-    reads counts skips the per-receiver set construction entirely.
-    Construction-side contract: ``drop_counts[i]`` **must** equal the
-    size of receiver ``i``'s materialised drop set, and materialisation
-    must not consume randomness any later draw depends on (the built-ins
-    use one per-round substream whose tail is reserved for the sets).
-
-    ``pairs``, when given, is the multi-message acceleration hook: a
-    lazy producer of the dropped *(receiver, sender)* position pairs
-    (see :meth:`drop_pairs`).  It must describe exactly the same drops
-    as the sets and the counts — same per-round substream rules as
-    ``materialise`` — and self pairs (a sender appearing in its own
-    row) must already be excluded.
+    ``senders`` is the round's sender sequence and ``receivers`` the
+    receiver tuple; ``drop_counts[k]`` is how many messages
+    ``receivers[k]`` loses.  ``materialise`` builds the receiver -> drop
+    set dict on first mapping access, and ``pairs``, when given, produces
+    :meth:`drop_pairs` more cheaply than the sets can.  Both are lazy and
+    memoised; they must describe exactly the drops the counts describe,
+    and must not consume randomness any later draw depends on (the
+    randomised built-ins reserve the tail of a per-round substream for
+    them).  Every drop set is a subset of ``senders`` that excludes its
+    receiver — the normalization the module docstring states.
     """
 
     __slots__ = (
-        "receivers", "drop_counts", "_sets", "_materialise",
+        "senders", "receivers", "drop_counts", "_sets", "_materialise",
         "_pairs", "_pairs_fn",
     )
 
     def __init__(
         self,
+        senders: Sequence[ProcessId],
         receivers: Tuple[ProcessId, ...],
         drop_counts,
-        materialise: Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]],
+        materialise: Optional[
+            Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]]
+        ],
         pairs: Optional[Callable[[], Tuple]] = None,
     ) -> None:
+        self.senders = senders
         self.receivers = receivers
         self.drop_counts = drop_counts
         self._sets: Optional[Dict[ProcessId, AbstractSet[ProcessId]]] = None
@@ -189,27 +165,96 @@ class ArrayRoundLosses(_MappingABC):
         self._pairs: Optional[Tuple] = None
         self._pairs_fn = pairs
 
-    def drop_pairs(self) -> Optional[Tuple]:
-        """``(rows, cols)`` position arrays of every dropped pair, or ``None``.
+    @classmethod
+    def from_sets(
+        cls,
+        senders: Sequence[ProcessId],
+        receivers: Tuple[ProcessId, ...],
+        sets: Dict[ProcessId, AbstractSet[ProcessId]],
+    ) -> "RoundLosses":
+        """Wrap eagerly built, normalized drop sets (one per receiver)."""
+        out = cls(
+            senders, receivers, _counts([len(sets[pid]) for pid in receivers]),
+            None,
+        )
+        out._sets = sets
+        return out
 
-        ``rows[k]`` is the *receiver's* position in :attr:`receivers` and
-        ``cols[k]`` the dropped *sender's* position in this round's
-        sender sequence, one entry per dropped (receiver, sender) pair in
-        any order; self pairs are excluded.  ``None`` means the producer
-        did not provide a pairs representation and the consumer must fall
-        back to the materialised drop sets.  Lazy and memoised, like the
-        sets — the engine only asks in multi-message kernel rounds.
+    @classmethod
+    def lossless(
+        cls, senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
+    ) -> "RoundLosses":
+        """Every receiver gets every message."""
+        receivers = _as_tuple(receivers)
+        n = len(receivers)
+        counts = (
+            _np.zeros(n, dtype=_np.int64) if _np is not None else [0] * n
+        )
+        return cls(
+            senders, receivers, counts,
+            lambda: dict.fromkeys(receivers, _NO_LOSS),
+        )
+
+    @classmethod
+    def silence(
+        cls, senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
+    ) -> "RoundLosses":
+        """Every receiver loses every message but its own."""
+        receivers = _as_tuple(receivers)
+        everyone = frozenset(senders)
+        n_senders = len(senders)
+        sent = [pid in everyone for pid in receivers]
+
+        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+            return {
+                pid: everyone - {pid} if own else everyone
+                for pid, own in zip(receivers, sent)
+            }
+
+        return cls(
+            senders, receivers, _counts([n_senders - own for own in sent]),
+            materialise,
+        )
+
+    def drop_pairs(self) -> Tuple:
+        """``(rows, cols)`` positions of every dropped (receiver, sender) pair.
+
+        ``rows[k]`` indexes :attr:`receivers` and ``cols[k]`` the dropped
+        sender in :attr:`senders`, one entry per dropped pair in any
+        order, as int arrays or lists.  Lazy and memoised, like the sets;
+        the engine only asks in multi-message kernel rounds.
         """
-        if self._pairs_fn is not None:
-            self._pairs = self._pairs_fn()
+        pairs = self._pairs
+        if pairs is None:
+            fn = self._pairs_fn
+            pairs = self._pairs = (
+                fn() if fn is not None else self._pairs_from_sets()
+            )
             self._pairs_fn = None
-        return self._pairs
+        return pairs
+
+    def _pairs_from_sets(self) -> Tuple[List[int], List[int]]:
+        spos = {s: j for j, s in enumerate(self.senders)}
+        sets = self._ensure()
+        rows: List[int] = []
+        cols: List[int] = []
+        for k, pid in enumerate(self.receivers):
+            for s in sets[pid]:
+                j = spos.get(s)
+                if j is None or s == pid:
+                    raise ModelViolation(
+                        f"drop set for {pid!r} names {s!r}, which is not "
+                        "another sender of this round"
+                    )
+                rows.append(k)
+                cols.append(j)
+        return rows, cols
 
     def _ensure(self) -> Dict[ProcessId, AbstractSet[ProcessId]]:
         sets = self._sets
         if sets is None:
             sets = self._sets = self._materialise()
-            self._materialise = None  # type: ignore[assignment]
+            self._materialise = None
         return sets
 
     def __getitem__(self, pid: ProcessId) -> AbstractSet[ProcessId]:
@@ -229,53 +274,110 @@ class ArrayRoundLosses(_MappingABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "materialised" if self._sets is not None else "lazy"
-        return (
-            f"ArrayRoundLosses({len(self.receivers)} receivers, {state})"
+        return f"RoundLosses({len(self.receivers)} receivers, {state})"
+
+
+def resolve_round(
+    adversary: "LossAdversary",
+    round_index: int,
+    senders: Sequence[ProcessId],
+    receivers: Sequence[ProcessId],
+) -> RoundLosses:
+    """``adversary.losses_for_round``, held to the contract's shape.
+
+    Raises :class:`~repro.core.errors.ModelViolation` unless the answer
+    is a :class:`RoundLosses` over exactly ``receivers``, in order.  The
+    engine resolves every round through here, and so does every built-in
+    that delegates to another adversary.
+    """
+    out = adversary.losses_for_round(round_index, senders, receivers)
+    if type(out) is not RoundLosses:
+        raise ModelViolation(
+            f"{type(adversary).__name__}.losses_for_round returned "
+            f"{type(out).__name__}, not RoundLosses"
         )
+    got = out.receivers
+    if got is not receivers and tuple(got) != tuple(receivers):
+        present = set(got)
+        missing = [pid for pid in receivers if pid not in present]
+        raise ModelViolation(
+            f"loss adversary omitted receiver {missing[0]!r} from its round "
+            "resolution" if missing else
+            f"loss adversary resolved receivers {tuple(got)!r} instead of "
+            f"{tuple(receivers)!r}"
+        )
+    return out
+
+
+def grouped_losses(
+    round_index: int,
+    senders: Sequence[ProcessId],
+    receivers: Sequence[ProcessId],
+    groups: Iterable[Tuple[List[ProcessId], List[ProcessId]]],
+    inner: Optional["LossAdversary"],
+) -> RoundLosses:
+    """A round whose receivers fall into groups by the senders they hear.
+
+    ``groups`` lists ``(local, members)`` pairs, ordered by each group's
+    first member in ``receivers``: every member hears only the senders in
+    ``local`` (a list holding the member itself whenever it sent) and
+    loses every other sender's message.  Within ``local`` it loses what
+    ``inner`` says (nothing when ``inner`` is ``None``) — one inner
+    resolution per group, in group order, so the inner adversary's
+    randomness is consumed identically whichever view a consumer reads.
+    Counts are each group's cross-group size plus the inner counts; the
+    sets (cross-group set union inner set) and pairs resolve lazily.
+    """
+    receivers_t = _as_tuple(receivers)
+    rpos = {pid: k for k, pid in enumerate(receivers_t)}
+    n_senders = len(senders)
+    counts = [0] * len(receivers_t)
+    resolved = []
+    for local, members in groups:
+        cross = n_senders - len(local)
+        if inner is None:
+            inner_map = None
+            for pid in members:
+                counts[rpos[pid]] = cross
+        else:
+            inner_map = resolve_round(inner, round_index, local, members)
+            inner_counts = inner_map.drop_counts
+            if type(inner_counts) is not list:
+                inner_counts = inner_counts.tolist()
+            for pid, extra in zip(members, inner_counts):
+                counts[rpos[pid]] = cross + extra
+        resolved.append((local, members, inner_map))
+
+    def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+        everyone = frozenset(senders)
+        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        for local, members, inner_map in resolved:
+            cross = everyone.difference(local)
+            for pid in members:
+                extra = inner_map[pid] if inner_map is not None else None
+                out[pid] = cross | extra if extra else cross
+        return out
+
+    return RoundLosses(senders, receivers_t, _counts(counts), materialise)
 
 
 class LossAdversary(abc.ABC):
-    """Chooses, per round and receiver, which senders' messages are lost."""
+    """Chooses, once per round, which messages each receiver loses."""
 
     @abc.abstractmethod
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        """Senders whose message ``receiver`` loses in ``round_index``.
-
-        ``senders`` lists every process that broadcast this round.  The
-        returned set may include ``receiver`` itself but the engine ignores
-        that entry: self-delivery is unconditional in the model.
-        """
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        """Resolve the whole round at once: receiver -> dropped senders.
+    ) -> RoundLosses:
+        """Resolve round ``round_index`` for every receiver at once.
 
-        The default falls back to one :meth:`losses` call per receiver,
-        so adversaries written against the per-receiver interface keep
-        working.  Built-ins override this with batched implementations
-        (see the module docstring for the aliasing and normalization
-        conventions batched mappings may use).
+        ``senders`` lists every process that broadcast this round, in
+        index order; ``receivers`` every process the engine asks about.
+        The answer covers exactly ``receivers``, normalized as the module
+        docstring states.
         """
-        losses = self.losses
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for receiver in receivers:
-            lost = losses(round_index, senders, receiver)
-            if type(lost) is not set and not isinstance(lost, frozenset):
-                # Coerce annotation-violating adversaries (e.g. a
-                # ScriptedLoss callback returning a list) so downstream
-                # decrement loops never double-count duplicates.
-                lost = set(lost)
-            out[receiver] = lost
-        return out
 
     def reset(self) -> None:
         """Forget internal state before a fresh execution (default: none)."""
@@ -292,21 +394,13 @@ class ReliableDelivery(LossAdversary):
     Trivially satisfies ECF with ``r_cf = 1``.
     """
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        return _NO_LOSS
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        return dict.fromkeys(receivers, _NO_LOSS)
+    ) -> RoundLosses:
+        return RoundLosses.lossless(senders, receivers)
 
     @property
     def r_cf(self) -> int:
@@ -320,26 +414,13 @@ class SilenceLoss(LossAdversary):
     the backdrop of Theorem 9's ``NOCF`` setting.
     """
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        return frozenset(s for s in senders if s != receiver)
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # One interned drop set for everyone; the engine exempts each
-        # receiver's own message (constraint 5), so sharing the full
-        # sender set is exact.
-        if not senders:
-            return dict.fromkeys(receivers, _NO_LOSS)
-        return dict.fromkeys(receivers, frozenset(senders))
+    ) -> RoundLosses:
+        return RoundLosses.silence(senders, receivers)
 
 
 class IIDLoss(LossAdversary):
@@ -347,6 +428,10 @@ class IIDLoss(LossAdversary):
 
     Models the 20-50% loss regime the empirical studies in Section 1.1
     report.  Fully seeded: the same seed replays the same loss pattern.
+    The whole round is one pass over the (receiver x sender) grid in
+    receiver-major order — vectorised when numpy is available, geometric
+    gap-skipping otherwise (one draw per *loss* instead of one per pair)
+    — with the exact Bernoulli(p) law per non-self pair on both.
     """
 
     def __init__(self, p: float, seed: int = 0) -> None:
@@ -354,11 +439,8 @@ class IIDLoss(LossAdversary):
             raise ConfigurationError(f"loss probability must be in [0,1]: {p}")
         self.p = p
         self.seed = seed
-        self._rng = random.Random(seed)
-        # Lazily created streams for the batched paths (PCG64 when numpy
-        # is available, a dedicated stdlib stream otherwise); kept
-        # separate from the legacy stream so per-receiver callers are
-        # unaffected by whether batched rounds ran in between.
+        # Lazily created streams: PCG64 on the numpy backend, a
+        # dedicated stdlib stream otherwise.
         self._np_gen = None
         self._batch_rng: Optional[random.Random] = None
         self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
@@ -366,40 +448,18 @@ class IIDLoss(LossAdversary):
         # revalidated per round by identity + list equality.
         self._self_cache: Optional[tuple] = None
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        # Legacy per-receiver path: one RNG draw per (sender, receiver)
-        # pair.  Locals avoid re-resolving attributes per iteration.
-        rand = self._rng.random
-        p = self.p
-        return {s for s in senders if s != receiver and rand() < p}
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # Geometric gap-skipping over the (receiver x sender) grid: the
-        # flat grid is an iid Bernoulli(p) stream, so the gap to the next
-        # loss is geometric and one RNG draw per *loss* replaces one draw
-        # per *pair* — O(p·n²) instead of O(n²), the exact same law.
-        # Self pairs are part of the grid and simply discarded, keeping
-        # index arithmetic trivial without changing any other pair's law.
+    ) -> RoundLosses:
         p = self.p
         n_senders = len(senders)
         if p <= 0.0 or n_senders == 0:
-            return ResolvedRoundLosses(
-                (pid, _NO_LOSS) for pid in receivers
-            )
+            return RoundLosses.lossless(senders, receivers)
         if p >= 1.0:
-            # Everyone loses everything (self-delivery restored by the
-            # engine): one shared interned set.
-            return dict.fromkeys(receivers, frozenset(senders))
+            return RoundLosses.silence(senders, receivers)
         if _np is not None:
             return self._losses_for_round_np(senders, receivers)
         log_q = math.log1p(-p)
@@ -408,19 +468,14 @@ class IIDLoss(LossAdversary):
             # chance of even one loss in a round is < n^2 * 1e-16 —
             # indistinguishable from lossless at any statistical
             # tolerance.
-            return ResolvedRoundLosses(
-                (pid, _NO_LOSS) for pid in receivers
-            )
-        receiver_list = list(receivers)
+            return RoundLosses.lossless(senders, receivers)
+        receivers_t = _as_tuple(receivers)
         senders_t = tuple(senders)
-        total = n_senders * len(receiver_list)
-        out = ResolvedRoundLosses()
-        if not receiver_list:
-            return out
+        total = n_senders * len(receivers_t)
+        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        if not receivers_t:
+            return RoundLosses.from_sets(senders, receivers_t, out)
         if self._batch_rng is None:
-            # A dedicated stream (seeded from the adversary's seed) so
-            # interleaving batched and per-receiver calls never shifts
-            # either stream.
             self._batch_rng = random.Random(f"{self.seed}|batched")
         rand = self._batch_rng.random
         log1p = math.log1p
@@ -428,11 +483,13 @@ class IIDLoss(LossAdversary):
         # Losses arrive in flat-index order, i.e. receiver-major: walk the
         # current row alongside the skip sequence so each loss costs one
         # subtraction instead of a divmod, and each row's drop set is
-        # created exactly once, when its first loss appears.
+        # created exactly once, when its first loss appears.  Self pairs
+        # are part of the grid and simply discarded, keeping index
+        # arithmetic trivial without changing any other pair's law.
         row = 0
         row_start = 0
         row_end = n_senders
-        pid = receiver_list[0]
+        pid = receivers_t[0]
         lost: Optional[Set[ProcessId]] = None
         idx = -1
         while True:
@@ -448,7 +505,7 @@ class IIDLoss(LossAdversary):
                 break
             if idx >= row_end:
                 row = idx // n_senders
-                pid = receiver_list[row]
+                pid = receivers_t[row]
                 row_start = row * n_senders
                 row_end = row_start + n_senders
                 lost = None
@@ -459,16 +516,16 @@ class IIDLoss(LossAdversary):
                 out[pid] = lost = {s}
             else:
                 lost.add(s)
-        for pid in receiver_list:
+        for pid in receivers_t:
             if pid not in out:
                 out[pid] = _NO_LOSS
-        return out
+        return RoundLosses.from_sets(senders, receivers_t, out)
 
     def _losses_for_round_np(
         self,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> "ArrayRoundLosses":
+    ) -> RoundLosses:
         """Vectorised whole-round resolution (numpy available).
 
         Draws the full (receiver x sender) Bernoulli grid in one C call
@@ -476,20 +533,17 @@ class IIDLoss(LossAdversary):
         implementation consumed, so executions replay across versions —
         and reduces it to per-receiver drop *counts* in one vectorised
         pass (row sums minus the self pairs, which the model exempts).
-        The result is an :class:`ArrayRoundLosses`: the engine's array
-        kernel reads only the counts, while any consumer that needs the
+        The engine's array kernel reads only the counts (and, in
+        multi-message rounds, the pairs); any consumer that needs the
         actual drop sets materialises all of them lazily from the same
-        grid positions.  Same iid Bernoulli(p) law as the scalar paths,
-        deterministic per seed.
+        grid positions.
         """
         gen = self._np_gen
         if gen is None:
             self._np_gen = gen = _np.random.Generator(
                 _np.random.PCG64(self.seed)
             )
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
+        receivers_t = _as_tuple(receivers)
         n_senders = len(senders)
         n_receivers = len(receivers_t)
         hits = gen.random(n_senders * n_receivers) < self.p
@@ -570,12 +624,11 @@ class IIDLoss(LossAdversary):
                 out[pid] = lost if lost else _NO_LOSS
             return out
 
-        return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise, pairs=pairs
+        return RoundLosses(
+            senders, receivers_t, drop_counts, materialise, pairs=pairs
         )
 
     def reset(self) -> None:
-        self._rng = random.Random(self.seed)
         self._np_gen = None
         self._batch_rng = None
         self._self_cache = None
@@ -600,30 +653,28 @@ class CaptureEffectLoss(LossAdversary):
     replays the same execution and ``reset()`` has nothing to forget.
     Concretely there are two equal-law draw schemes, chosen by backend:
 
-    * **Per-receiver substreams** (the reference; also the per-receiver
-      :meth:`losses` interface on every backend): a fresh stdlib stream
+    * **Per-receiver substreams** (pure python): a fresh stdlib stream
       seeded from ``(seed, round_index, receiver)`` per pair, so the
       pattern is independent of the order in which callers enumerate
       receivers.
-    * **One vectorised substream block per round** (the batched path
-      when numpy is available): a fresh PCG64 substream seeded from
-      ``(seed, round_index, senders, receivers)`` serves the whole
-      call — first the per-receiver capture-count draws (one vectorised
-      call), then, lazily, the capture-subset permutations.  The block
-      is a pure function of those four inputs, so engine executions
-      (which always enumerate receivers in index order) are
-      deterministic end to end, and distinct delegated calls within one
-      round — partition groups, multihop neighbourhoods — draw
-      *independent* blocks rather than replaying a shared one.
+    * **One vectorised substream block per round** (numpy): a fresh
+      PCG64 substream seeded from ``(seed, round_index, senders,
+      receivers)`` serves the whole call — first the per-receiver
+      capture-count draws (one vectorised call), then, lazily, the
+      capture-subset permutations.  The block is a pure function of
+      those four inputs, so engine executions (which always enumerate
+      receivers in index order) are deterministic end to end, and
+      distinct delegated calls within one round — partition groups,
+      multihop neighbourhoods — draw *independent* blocks rather than
+      replaying a shared one.
 
     Both schemes sample the same law — capture counts uniform on
     ``{0..min(capture_limit, |others|)}`` and capture subsets uniform
     without replacement — but their concrete patterns differ, exactly as
-    :class:`IIDLoss`'s batched stream differs from its per-receiver
-    stream.  Within one backend, batched executions replay bit-for-bit;
-    the equivalence suite asserts the engine's array kernel and its
-    pure-python fallback see identical patterns because both consume
-    this same batched resolution.
+    :class:`IIDLoss`'s two streams do.  Within one backend, executions
+    replay bit-for-bit; the equivalence suite asserts the engine's array
+    kernel and its pure-python path see identical patterns because both
+    consume this same resolution.
     """
 
     def __init__(
@@ -676,47 +727,42 @@ class CaptureEffectLoss(LossAdversary):
             _np.random.PCG64(_np.random.SeedSequence(entropy))
         )
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        others = [s for s in senders if s != receiver]
-        if not others:
-            return _NO_LOSS
-        rng = self._pair_rng(round_index, receiver)
-        if len(senders) == 1:
-            if rng.random() < self.p_single_loss:
-                return frozenset(others)
-            return _NO_LOSS
-        captured_count = rng.randint(0, min(self.capture_limit, len(others)))
-        captured = set(rng.sample(others, captured_count))
-        return {s for s in others if s not in captured}
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        if _np is not None and senders:
+    ) -> RoundLosses:
+        if not senders:
+            return RoundLosses.lossless(senders, receivers)
+        if _np is not None:
             return self._losses_for_round_np(round_index, senders, receivers)
-        # Reference path: each receiver's substream is independent, so
-        # the batched resolution is just the per-receiver one — already
-        # normalized (drop sets are subsets of senders minus the
-        # receiver by construction).
-        losses = self.losses
-        return ResolvedRoundLosses(
-            (pid, losses(round_index, senders, pid)) for pid in receivers
-        )
+        receivers_t = _as_tuple(receivers)
+        single = len(senders) == 1
+        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        for pid in receivers_t:
+            others = [s for s in senders if s != pid]
+            if not others:
+                out[pid] = _NO_LOSS
+                continue
+            rng = self._pair_rng(round_index, pid)
+            if single:
+                lose = rng.random() < self.p_single_loss
+                out[pid] = frozenset(others) if lose else _NO_LOSS
+                continue
+            captured_count = rng.randint(
+                0, min(self.capture_limit, len(others))
+            )
+            captured = set(rng.sample(others, captured_count))
+            out[pid] = {s for s in others if s not in captured}
+        return RoundLosses.from_sets(senders, receivers_t, out)
 
     def _losses_for_round_np(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> "ArrayRoundLosses":
+    ) -> RoundLosses:
         """Whole-round resolution from one vectorised substream block.
 
         The round's substream (:meth:`_round_gen`) is consumed in a
@@ -729,9 +775,7 @@ class CaptureEffectLoss(LossAdversary):
         reproduces ``rng.sample``'s law exactly).  Laziness is safe
         because nothing else ever draws from the round's substream.
         """
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
+        receivers_t = _as_tuple(receivers)
         n_receivers = len(receivers_t)
         n_senders = len(senders)
         rpos, self._rpos_cache = _cached_receiver_positions(
@@ -753,8 +797,8 @@ class CaptureEffectLoss(LossAdversary):
                     for pid, flag in zip(receivers_t, lose.tolist())
                 }
 
-            return ArrayRoundLosses(
-                receivers_t, drop_counts, materialise_single
+            return RoundLosses(
+                senders, receivers_t, drop_counts, materialise_single
             )
         own = _np.zeros(n_receivers, dtype=bool)
         self_rows: List[int] = []
@@ -817,8 +861,9 @@ class CaptureEffectLoss(LossAdversary):
                 out[pid] = set(sender_arr[order[i, ki:mi]].tolist())
             return out
 
-        return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise_multi, pairs=pairs_multi
+        return RoundLosses(
+            senders, receivers_t, drop_counts, materialise_multi,
+            pairs=pairs_multi,
         )
 
 
@@ -851,64 +896,27 @@ class PartitionLoss(LossAdversary):
         self.intra = intra or ReliableDelivery()
         self.until_round = until_round
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if self.until_round is not None and round_index > self.until_round:
-            return _NO_LOSS
-        my_group = self._group_of.get(receiver)
-        cross = {
-            s
-            for s in senders
-            if s != receiver and self._group_of.get(s) != my_group
-        }
-        same_group = [
-            s for s in senders if self._group_of.get(s) == my_group
-        ]
-        intra_lost = self.intra.losses(round_index, same_group, receiver)
-        return cross | set(intra_lost)
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> RoundLosses:
         if self.until_round is not None and round_index > self.until_round:
-            return dict.fromkeys(receivers, _NO_LOSS)
+            return RoundLosses.lossless(senders, receivers)
         group_of = self._group_of
         by_group: Dict[Optional[int], List[ProcessId]] = {}
         for pid in receivers:
             by_group.setdefault(group_of.get(pid), []).append(pid)
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for group, members in by_group.items():
-            # One cross-group drop set per group, shared by all its
-            # members (a receiver's own group is its own, so the shared
-            # set never needs a self exemption), and one delegated intra
-            # resolution per group instead of one per receiver.
-            cross = frozenset(
-                s for s in senders if group_of.get(s) != group
-            )
-            same_group = [
-                s for s in senders if group_of.get(s) == group
-            ]
-            intra_map = self.intra.losses_for_round(
-                round_index, same_group, members
-            )
-            for pid in members:
-                intra_lost = intra_map[pid]
-                if intra_lost:
-                    combined = set(cross)
-                    combined.update(
-                        s for s in intra_lost if s != pid
-                    )
-                    out[pid] = combined
-                else:
-                    out[pid] = cross
-        return out
+        # Processes outside every group form one more group (key None).
+        return grouped_losses(
+            round_index, senders, receivers,
+            [
+                ([s for s in senders if group_of.get(s) == group], members)
+                for group, members in by_group.items()
+            ],
+            self.intra,
+        )
 
     def reset(self) -> None:
         self.intra.reset()
@@ -930,27 +938,15 @@ class AlphaLoss(LossAdversary):
     Satisfies ECF from round 1 by construction.
     """
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if len(senders) <= 1:
-            return _NO_LOSS
-        return {s for s in senders if s != receiver}
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> RoundLosses:
         if len(senders) <= 1:
-            return dict.fromkeys(receivers, _NO_LOSS)
-        # Contention: everyone keeps only its own message.  Share the full
-        # sender set; the engine restores each sender's self-delivery.
-        return dict.fromkeys(receivers, frozenset(senders))
+            return RoundLosses.lossless(senders, receivers)
+        return RoundLosses.silence(senders, receivers)
 
     @property
     def r_cf(self) -> int:
@@ -961,12 +957,17 @@ class ScriptedLoss(LossAdversary):
     """Loss driven by an explicit callable — the fully general adversary.
 
     ``fn(round_index, senders, receiver)`` returns the senders dropped at
-    ``receiver``.  Lower-bound constructions use this to realise exactly
-    the receive behaviour their proofs prescribe.
+    ``receiver``: the per-receiver form, and the way to plug in any
+    third-party per-receiver law.  Lower-bound constructions use it to
+    realise exactly the receive behaviour their proofs prescribe.
 
-    ``round_fn(round_index, senders, receivers)``, if given instead, is
-    the batched analogue: it returns the whole round's receiver -> drop
-    set mapping in one call.  Exactly one of the two must be provided.
+    ``round_fn(round_index, senders, receivers)``, if given instead,
+    returns the whole round's receiver -> drop set mapping in one call.
+    Exactly one of the two must be provided.  Either way the script's
+    drop sets are untrusted: each is intersected with ``senders`` and
+    loses its receiver, so a script may name non-senders or the receiver
+    itself (self-delivery is unconditional), but must answer for every
+    receiver.
     """
 
     def __init__(
@@ -990,38 +991,34 @@ class ScriptedLoss(LossAdversary):
         self._round_fn = round_fn
         self._r_cf = r_cf
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if self._fn is not None:
-            return self._fn(round_index, senders, receiver)
-        return self._round_fn(round_index, senders, [receiver])[receiver]
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        if self._round_fn is not None:
-            return dict(self._round_fn(round_index, senders, receivers))
-        # Per-receiver script, batched by interning: scripts typically
-        # prescribe group-structured drop sets (the gamma compositions),
-        # so value-identical sets collapse to one shared object and the
-        # engine computes each group's surviving multiset once.
-        fn = self._fn
-        interned: Dict[FrozenSet[ProcessId], FrozenSet[ProcessId]] = {}
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for pid in receivers:
-            lost = frozenset(fn(round_index, senders, pid))
-            if not lost:
-                out[pid] = _NO_LOSS
-                continue
-            out[pid] = interned.setdefault(lost, lost)
-        return out
+    ) -> RoundLosses:
+        receivers_t = _as_tuple(receivers)
+        if self._fn is not None:
+            fn = self._fn
+            script = {pid: fn(round_index, senders, pid) for pid in receivers_t}
+        else:
+            script = self._round_fn(round_index, senders, receivers)
+            for pid in receivers_t:
+                if pid not in script:
+                    raise ModelViolation(
+                        f"loss adversary omitted receiver {pid!r} from its "
+                        "round resolution"
+                    )
+        everyone = frozenset(senders)
+        sets: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        for pid in receivers_t:
+            lost = script[pid]
+            if lost:
+                lost = everyone.intersection(lost)
+                if pid in lost:
+                    lost = lost - {pid}
+            sets[pid] = lost or _NO_LOSS
+        return RoundLosses.from_sets(senders, receivers_t, sets)
 
     @property
     def r_cf(self) -> Optional[int]:
@@ -1038,64 +1035,30 @@ class ComposedLoss(LossAdversary):
             raise ConfigurationError("ComposedLoss needs at least one component")
         self.components = list(components)
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        dropped: Set[ProcessId] = set()
-        for component in self.components:
-            dropped.update(component.losses(round_index, senders, receiver))
-        return dropped
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # Delegate once per component per round, then union per receiver.
-        # When exactly one component drops anything at a receiver, its set
-        # object is passed through unchanged, preserving any aliasing the
-        # component established.
+    ) -> RoundLosses:
+        # One resolution per component per round; a receiver whose drops
+        # come from one component alone shares that component's set.
         maps = [
-            c.losses_for_round(round_index, senders, receivers)
+            resolve_round(c, round_index, senders, receivers)
             for c in self.components
         ]
         if len(maps) == 1:
             return maps[0]
+        receivers_t = maps[0].receivers
         out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for pid in receivers:
-            first: Optional[AbstractSet[ProcessId]] = None
-            union: Optional[Set[ProcessId]] = None
-            omitted = False
+        for pid in receivers_t:
+            lost: AbstractSet[ProcessId] = _NO_LOSS
             for m in maps:
-                lost = m.get(pid)
-                if lost is None:
-                    # A component broke the batched contract by omitting
-                    # this receiver; propagate the omission so the
-                    # engine reports it as a ModelViolation instead of
-                    # crashing here with a bare KeyError.
-                    omitted = True
-                    break
-                if not lost:
-                    continue
-                if first is None:
-                    first = lost
-                else:
-                    if union is None:
-                        union = set(first)
-                    union.update(lost)
-            if omitted:
-                continue
-            if union is not None:
-                out[pid] = union
-            elif first is not None:
-                out[pid] = first
-            else:
-                out[pid] = _NO_LOSS
-        return out
+                extra = m[pid]
+                if extra:
+                    lost = lost | extra if lost else extra
+            out[pid] = lost
+        return RoundLosses.from_sets(senders, receivers_t, out)
 
     def reset(self) -> None:
         for component in self.components:
@@ -1117,24 +1080,14 @@ class EventualCollisionFreedom(LossAdversary):
         self.inner = inner
         self._r_cf = r_cf
 
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        if round_index >= self._r_cf and len(senders) == 1:
-            return _NO_LOSS
-        return self.inner.losses(round_index, senders, receiver)
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
+    ) -> RoundLosses:
         if round_index >= self._r_cf and len(senders) == 1:
-            return dict.fromkeys(receivers, _NO_LOSS)
+            return RoundLosses.lossless(senders, receivers)
         return self.inner.losses_for_round(round_index, senders, receivers)
 
     def reset(self) -> None:

@@ -12,14 +12,13 @@ One engine round performs, in order:
 3. every live, non-halted process produces its message via ``msg_A``
    (processes crashing *after send* still broadcast; *before send* they
    are silent — both timings are legal resolutions of constraint 2);
-4. the loss adversary resolves the whole round's losses in one batched
-   ``losses_for_round`` call (receiver -> dropped senders; the base class
-   falls back to per-receiver ``losses`` for third-party adversaries);
-   self-delivery is unconditional (constraint 5).  Receivers aliased to
-   the same drop-set object share one surviving-multiset computation,
-   and normalized (``ResolvedRoundLosses``) mappings skip per-element
-   sender/self filtering — see :mod:`repro.adversary.loss` for the
-   batched contract;
+4. the loss adversary resolves the whole round in one
+   ``losses_for_round`` call, answering with a normalized
+   :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop counts,
+   lazy drop sets that name only other senders, lazy dropped pairs — see
+   :mod:`repro.adversary.loss` for the contract); self-delivery is
+   unconditional (constraint 5), and every loss-free receiver shares the
+   round's full broadcast multiset;
 5. the collision detector, seeing only the counts ``(c, T)`` exactly as
    Definition 6 prescribes, issues per-process advice;
 6. surviving processes transition on ``(N_r[i], D_r[i], W_r[i])``;
@@ -36,9 +35,7 @@ The array round kernel
 Steps (4)-(6) have a vectorised fast path, gated on
 :func:`~repro.core.environment.array_kernel_module` (numpy present,
 ``REPRO_PURE_PYTHON`` unset) and the engine's ``use_array_kernel``
-knob.  When a batched adversary resolves the round as an
-:class:`~repro.adversary.loss.ArrayRoundLosses` — per-receiver drop
-counts as an int array, drop sets lazy — the kernel derives every
+knob.  The kernel reads the round's drop counts, derives every
 receive count with one array subtraction, validates drop budgets
 against a sender-membership array, and hands the detector the counts
 *array* through the ``advise_array`` hook (whose default round-trips
@@ -49,13 +46,11 @@ single-message round shares one multiset per distinct keep count
 (never touching the drop sets at all), and a *multi-message* round —
 distinct payloads in flight — goes through the message interning
 table (:class:`~repro.core.arrays.MessageInterner` maps payloads to
-small int codes per execution): the adversary's dropped (receiver,
-sender) position pairs (``ArrayRoundLosses.drop_pairs``) turn into a
+small int codes per execution): the round's dropped (receiver,
+sender) position pairs (``RoundLosses.drop_pairs``) turn into a
 (receivers x codes) kept-count matrix via ``bincount``, and each
 *distinct* row materialises exactly one multiset
-(:meth:`~repro.core.multiset.Multiset.from_code_row`).  Adversaries
-that provide counts but no pairs fall back to per-receiver decrement
-loops over their materialised drop sets.
+(:meth:`~repro.core.multiset.Multiset.from_code_row`).
 
 Transitions batch too: when every active process shares one class
 whose ``transition_array`` is trusted (the same MRO-guard +
@@ -68,12 +63,14 @@ per-process loop, call-for-call.
 
 The pure-python path remains the reference: both paths produce
 indistinguishable executions under every record policy, including
-crash and halting rounds (``tests/test_array_kernel.py``).  Rounds
-with a pending churn *event* (a leave or join firing this round) take
-the scalar reference path (the *fallback gate*): the scalar loop
-treats ``ArrayRoundLosses`` as a normalized mapping, so no adversary
-randomness is disturbed and kernel-on vs kernel-off byte-identity
-extends to churned executions.  Event-free rounds — including rounds
+crash and halting rounds (``tests/test_array_kernel.py``), and both
+match the paper-literal round spec in ``tests/spec_round.py``.  With
+the kernel on, a round leaves it for exactly one reason: a pending
+churn *event* (a leave or join firing this round) takes the scalar
+reference path (the *fallback gate*), which reads the same
+``RoundLosses``, so no adversary randomness is disturbed and kernel-on
+vs kernel-off byte-identity extends to churned executions.  Event-free
+rounds — including rounds
 where pids are merely *absent* after an earlier leave — ride the
 kernel: the loss adversary is consulted over the full index set on
 both paths, so absence only gates the per-process bookkeeping, not the
@@ -101,7 +98,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..adversary.churn import NoChurn
-from ..adversary.loss import ArrayRoundLosses, ResolvedRoundLosses
+from ..adversary.loss import resolve_round
 from ..core.errors import ConfigurationError, ModelViolation
 from .algorithm import Algorithm, ConsensusAlgorithm
 from .arrays import MessageInterner
@@ -376,28 +373,16 @@ class ExecutionEngine:
                     senders.append(pid)
                     base_counts[m] = base_get(m, 0) + 1
 
-        # (4) Loss resolution and receive multisets.  One batched
-        # ``losses_for_round`` call resolves the whole round (the base
-        # class falls back to per-receiver ``losses`` for third-party
-        # adversaries).  The round's full broadcast multiset is built
+        # (4) Loss resolution and receive multisets.  One
+        # ``losses_for_round`` call resolves the whole round as a
+        # normalized ``RoundLosses`` (any other answer is a
+        # ModelViolation).  The round's full broadcast multiset is built
         # once; loss-free receivers share it outright (Multiset is
-        # immutable, so sharing is safe).  Receivers mapped to the *same*
-        # drop-set object (shared-set aliasing, e.g. SilenceLoss) have
-        # their surviving multiset computed once and reused, with
-        # self-delivery restored per receiver.  Normalized mappings
-        # (``ResolvedRoundLosses``: drop sets already exclude the
-        # receiver and contain only senders) skip per-element filtering
-        # entirely — ``len(lost)`` is the loss count — and any breach of
-        # that promise (a receiver dropping its own message, a non-sender
-        # in a drop set) raises ModelViolation.  The fast path skips
-        # multiset construction for processes that will not transition —
-        # the detector only ever needs the counts (Definition 6).
-        lost_map = env.loss.losses_for_round(r, senders, indices)
+        # immutable, so sharing is safe).  Processes that will not
+        # transition get no multiset outside FULL records — the detector
+        # only ever needs the counts (Definition 6).
+        lost_map = resolve_round(env.loss, r, senders, indices)
         np_mod = self._np
-        lm_type = type(lost_map)
-        normalized = (
-            lm_type is ResolvedRoundLosses or lm_type is ArrayRoundLosses
-        )
         counts: Dict[ProcessId, int] = {}
         received: Dict[ProcessId, Multiset] = {}
         total = len(senders)
@@ -408,56 +393,34 @@ class ExecutionEngine:
         always_multiset = full or not inactive
         counts_arr = None
         received_list: Optional[list] = None
-        if (np_mod is not None and lm_type is ArrayRoundLosses
-                and not event_round):
-            # Array fast path (never on churn *event* rounds: a firing
-            # leave or join takes the scalar reference path below, which
-            # already treats ``ArrayRoundLosses`` as a normalized
-            # mapping, so the adversary's RNG stream — and the
-            # execution — stay byte-identical across the gate): the
-            # adversary delivered per-receiver drop
-            # counts as an int array, so receive counts are one
-            # vectorised subtraction and the drop *sets* are only
-            # materialised when distinct message payloads force
-            # per-receiver multiset decrements — and even then only for
-            # adversaries that provide no dropped-pair arrays.
-            # Validation stays whole-
-            # array too: every count must fit inside the receiver's
-            # droppable budget (the sender membership array realises the
-            # self-delivery exemption of constraint 5).
-            receivers_t = lost_map.receivers
-            if receivers_t is not indices and tuple(receivers_t) != indices:
-                missing = sorted(
-                    set(indices) - set(receivers_t), key=repr
-                )
-                raise ModelViolation(
-                    f"loss adversary omitted receiver "
-                    f"{missing[0] if missing else receivers_t!r} from its "
-                    "round resolution"
-                )
-            drop = lost_map.drop_counts
-            if total == len(indices):
-                # Everyone broadcast, so every budget is ``total - 1``
-                # and the sender-membership array is a constant — skip
-                # building it.
-                own = None
-                bad = (drop < 0) | (drop > total - 1)
-            else:
-                own = np_mod.zeros(len(indices), dtype=bool)
-                if senders:
-                    pid_pos = self._pid_pos
-                    own[[pid_pos[s] for s in senders]] = True
-                bad = (drop < 0) | (drop > (total - own))
-            if bad.any():
-                k = int(bad.argmax())
-                budget = total - (1 if own is None else int(own[k]))
-                raise ModelViolation(
-                    f"array loss resolution claims {int(drop[k])} drops "
-                    f"at {indices[k]}, outside its droppable budget of "
-                    f"{budget}"
-                )
-            counts_arr = total - drop
+        if np_mod is not None and not event_round:
+            # Array kernel (a churn *event* round takes the scalar path
+            # below instead, which reads the same RoundLosses, so the
+            # adversary's randomness — and the execution — are identical
+            # across the gate): receive counts are one vectorised
+            # subtraction.
+            counts_arr = total - np_mod.asarray(
+                lost_map.drop_counts, dtype=np_mod.int64
+            )
             counts_list = counts_arr.tolist()
+            # Every receiver keeps between none and all ``total``
+            # messages, and a sender at least its own (constraint 5).
+            low = min(counts_list, default=0)
+            pid_pos = self._pid_pos
+            if (low < 0 or max(counts_list, default=0) > total
+                    or (low == 0 and any(
+                        counts_list[pid_pos[s]] == 0 for s in senders
+                    ))):
+                sent = {pid_pos[s] for s in senders}
+                k = next(
+                    k for k, kept in enumerate(counts_list)
+                    if kept < (k in sent) or kept > total
+                )
+                raise ModelViolation(
+                    f"loss resolution claims {total - counts_list[k]} "
+                    f"drops at {indices[k]}, outside its droppable budget "
+                    f"of {total - (k in sent)}"
+                )
             # Receive multisets live in a list aligned with the index
             # tuple (the ``received`` dict is only materialised for FULL
             # records).  Single-message rounds share one multiset per
@@ -485,101 +448,71 @@ class ExecutionEngine:
                         map(buckets.__getitem__, counts_list)
                     )
             else:
-                # Multi-message round.  With dropped (receiver, sender)
-                # position pairs available, interned message codes turn
-                # the whole round into one (receivers x codes)
-                # kept-count matrix — one bincount for the drops, one
-                # subtraction — and each *distinct* row builds exactly
-                # one multiset.  Sharing rows is exact because multiset
-                # equality is counts-based, insertion-order-free.
-                pairs = lost_map.drop_pairs()
-                if pairs is not None:
-                    interner = self._interner
-                    if interner is None:
-                        interner = self._interner = MessageInterner()
-                    codes = interner.codes(messages[s] for s in senders)
-                    width = len(interner.payloads)
-                    codes_arr = np_mod.asarray(codes, dtype=np_mod.int64)
-                    rows, cols = pairs
-                    drop2d = np_mod.bincount(
-                        rows * width + codes_arr[cols],
-                        minlength=len(indices) * width,
-                    ).reshape(len(indices), width)
-                    kept2d = np_mod.bincount(
-                        codes_arr, minlength=width
-                    ) - drop2d
-                    if not np_mod.array_equal(
-                        kept2d.sum(axis=1), counts_arr
-                    ):
-                        raise ModelViolation(
-                            "array loss resolution's drop pairs disagree "
-                            "with its drop counts"
+                # Multi-message round: interned message codes turn the
+                # dropped (receiver, sender) position pairs into one
+                # (receivers x codes) kept-count matrix — one bincount
+                # for the drops, one subtraction — and each *distinct*
+                # row builds exactly one multiset.  Sharing rows is exact
+                # because multiset equality is counts-based,
+                # insertion-order-free.
+                interner = self._interner
+                if interner is None:
+                    interner = self._interner = MessageInterner()
+                codes = interner.codes(messages[s] for s in senders)
+                width = len(interner.payloads)
+                codes_arr = np_mod.asarray(codes, dtype=np_mod.int64)
+                rows, cols = lost_map.drop_pairs()
+                rows = np_mod.asarray(rows, dtype=np_mod.intp)
+                cols = np_mod.asarray(cols, dtype=np_mod.intp)
+                drop2d = np_mod.bincount(
+                    rows * width + codes_arr[cols],
+                    minlength=len(indices) * width,
+                ).reshape(len(indices), width)
+                kept2d = np_mod.bincount(
+                    codes_arr, minlength=width
+                ) - drop2d
+                if not np_mod.array_equal(kept2d.sum(axis=1), counts_arr):
+                    raise ModelViolation(
+                        "loss resolution's drop pairs disagree with its "
+                        "drop counts"
+                    )
+                payloads = interner.payloads
+                rows_list = kept2d.tolist()
+                row_cache: Dict[tuple, Multiset] = {}
+                received_list = []
+                for k, pid in enumerate(indices):
+                    if not always_multiset and pid in inactive:
+                        received_list.append(None)
+                        continue
+                    kept = counts_list[k]
+                    if kept == total:
+                        received_list.append(full_round_ms)
+                        continue
+                    row = rows_list[k]
+                    key = tuple(row)
+                    ms = row_cache.get(key)
+                    if ms is None:
+                        ms = row_cache[key] = Multiset.from_code_row(
+                            payloads, row, kept
                         )
-                    payloads = interner.payloads
-                    rows_list = kept2d.tolist()
-                    row_cache: Dict[tuple, Multiset] = {}
-                    received_list = []
-                    for k, pid in enumerate(indices):
-                        if not always_multiset and pid in inactive:
-                            received_list.append(None)
-                            continue
-                        kept = counts_list[k]
-                        if kept == total:
-                            received_list.append(full_round_ms)
-                            continue
-                        row = rows_list[k]
-                        key = tuple(row)
-                        ms = row_cache.get(key)
-                        if ms is None:
-                            ms = row_cache[key] = Multiset.from_code_row(
-                                payloads, row, kept
-                            )
-                        received_list.append(ms)
-                else:
-                    # No pairs representation (a third-party
-                    # ArrayRoundLosses): decrement per receiver from the
-                    # materialised drop sets — still counts-gated, so
-                    # loss-free receivers share the round multiset.
-                    received_list = []
-                    for k, pid in enumerate(indices):
-                        if not always_multiset and pid in inactive:
-                            received_list.append(None)
-                            continue
-                        kept = counts_list[k]
-                        if kept == total:
-                            received_list.append(full_round_ms)
-                            continue
-                        cnt = dict(base_counts)
-                        for s in lost_map[pid]:
-                            m = messages[s]
-                            left = cnt[m] - 1
-                            if left:
-                                cnt[m] = left
-                            else:
-                                del cnt[m]
-                        received_list.append(
-                            Multiset._from_counts_unchecked(cnt, kept)
-                        )
+                    received_list.append(ms)
             if full:
                 received = dict(zip(indices, received_list))
-            counts = None  # type: ignore[assignment]
             self.kernel_rounds += 1
-        if counts is not None:
+        else:
             self._resolve_losses_scalar(
-                lost_map, normalized, counts, received, base_counts,
-                senders, messages, inactive, total, full_round_ms,
-                single, only_message if single else None, always_multiset,
+                lost_map, counts, received, base_counts, senders, messages,
+                inactive, total, full_round_ms,
+                only_message if single else None, always_multiset,
             )
 
         # (5) Collision-detector advice from counts only.  Kernel rounds
         # hand the detector the counts *array* through the
         # ``advise_array`` hook (whose default round-trips through dict
         # ``advise``, so third-party detectors keep working); rounds
-        # that resolved through the scalar loop keep the dict path — its
-        # per-distinct-t memoisation already beats an array detour for
-        # the shared-drop-set adversaries that take it.  The defensive
-        # copy is only needed when the map outlives the round (FULL
-        # retains it in the record).
+        # that resolved through the scalar loop keep the dict path.  The
+        # defensive copy is only needed when the map outlives the round
+        # (FULL retains it in the record).
         if counts_arr is not None:
             advice_list = env.detector.advise_array(
                 r, total, counts_arr, indices
@@ -825,7 +758,6 @@ class ExecutionEngine:
     def _resolve_losses_scalar(
         self,
         lost_map,
-        normalized: bool,
         counts: Dict[ProcessId, int],
         received: Dict[ProcessId, Multiset],
         base_counts: Dict[Message, int],
@@ -834,153 +766,71 @@ class ExecutionEngine:
         inactive: set,
         total: int,
         full_round_ms: Multiset,
-        single: bool,
         only_message: Optional[Message],
         always_multiset: bool,
     ) -> None:
         """The reference per-receiver loss resolution (pure-python path).
 
-        Fills ``counts`` and ``received`` in index order; byte-for-byte
-        the behaviour the array kernel must reproduce.
+        Fills ``counts`` and ``received`` in index order — byte for byte
+        what the array kernel must reproduce — from the round's drop
+        sets, and holds each set to the contract before any count is
+        derived from it: senders only, never its own receiver, and
+        exactly as many as the drop count says.  In a single-message
+        round (``only_message`` set) a receive multiset depends on the
+        keep count alone, so one is built per distinct count.
         """
         indices = self.environment.indices
-        sender_set = set(senders)
-        # Per-round memo tables for shared work.  ``shared_cache`` maps
-        # id(drop set) -> (set, kept, counts-dict, lazily built multiset)
-        # computed *without* any self exemption; ``plus_cache`` and
-        # ``single_cache`` memoise the small per-receiver adjustments
-        # (restoring one own message / one kept-count bucket).  Keying by
-        # id() is safe because ``lost_map`` keeps every set alive for the
-        # duration of the loop.
-        shared_cache: Dict[int, list] = {}
-        plus_cache: Dict[Tuple[int, Message], Multiset] = {}
-        single_cache: Dict[int, Multiset] = {}
-        for pid in indices:
-            lost = lost_map.get(pid)
-            if lost is None:
-                raise ModelViolation(
-                    f"loss adversary omitted receiver {pid} from its "
-                    "round resolution"
-                )
-            needs_multiset = always_multiset or pid not in inactive
-            if not lost:
-                counts[pid] = total
-                if needs_multiset:
-                    received[pid] = full_round_ms
-                continue
-            if normalized:
-                # Trusted shape: lost is a subset of senders excluding
-                # pid.  Both halves of the promise are enforced before
-                # any count is derived from len(lost), so a breach is
-                # loud in every branch (single- or multi-message,
-                # multiset needed or not).
+        sender_set = frozenset(senders)
+        drops = lost_map.drop_counts
+        if type(drops) is not list:
+            drops = drops.tolist()
+        by_kept: Dict[int, Multiset] = {}
+        for k, pid in enumerate(indices):
+            lost = lost_map[pid]
+            dropped = drops[k]
+            if lost:
                 if pid in lost:
                     raise ModelViolation(
-                        f"batched loss adversary dropped {pid}'s own "
-                        f"message at itself (self-delivery is "
-                        "unconditional)"
+                        f"loss adversary dropped {pid}'s own message at "
+                        "itself (self-delivery is unconditional)"
                         if messages[pid] is not None
-                        else f"batched loss adversary listed non-sender "
-                        f"{pid} in its own drop set"
+                        else f"loss adversary listed non-sender {pid} in "
+                        "its own drop set"
                     )
-                if not lost <= sender_set:
+                if not sender_set.issuperset(lost):
                     raise ModelViolation(
-                        f"normalized drop set for {pid} contains "
-                        f"non-senders {sorted(set(lost) - sender_set, key=repr)}"
+                        f"drop set for {pid} contains non-senders "
+                        f"{sorted(set(lost) - sender_set, key=repr)}"
                     )
-                kept = total - len(lost)
-                counts[pid] = kept
-                if not needs_multiset:
-                    continue
-                if single:
-                    ms = single_cache.get(kept)
-                    if ms is None:
-                        ms = Multiset._from_counts_unchecked(
-                            {only_message: kept} if kept else {}, kept
-                        )
-                        single_cache[kept] = ms
-                    received[pid] = ms
-                    continue
-                cnt = dict(base_counts)
-                for s in lost:
-                    m = messages[s]
-                    left = cnt[m] - 1
-                    if left:
-                        cnt[m] = left
-                    else:
-                        del cnt[m]
-                received[pid] = Multiset._from_counts_unchecked(cnt, kept)
+            if len(lost) != dropped:
+                raise ModelViolation(
+                    f"loss resolution claims {dropped} drops at {pid}, but "
+                    f"its drop set names {len(lost)} senders"
+                )
+            kept = total - dropped
+            counts[pid] = kept
+            if not always_multiset and pid in inactive:
                 continue
-            # Untrusted mapping: resolve via the shared-set cache.  The
-            # cached entry drops *every* sender in the set (no self
-            # exemption), so it is receiver-independent and reusable
-            # across aliases; each receiver then restores its own
-            # message if needed.
-            if type(lost) is not set and not isinstance(lost, frozenset):
-                lost = set(lost)
-            key = id(lost)
-            entry = shared_cache.get(key)
-            if entry is None:
-                if single:
-                    kept_excl = total
-                    for s in lost:
-                        if s in sender_set:
-                            kept_excl -= 1
-                    entry = [lost, kept_excl, None, None]
+            if not dropped:
+                received[pid] = full_round_ms
+                continue
+            if only_message is not None:
+                ms = by_kept.get(kept)
+                if ms is None:
+                    ms = by_kept[kept] = Multiset._from_counts_unchecked(
+                        {only_message: kept} if kept else {}, kept
+                    )
+                received[pid] = ms
+                continue
+            cnt = dict(base_counts)
+            for s in lost:
+                m = messages[s]
+                left = cnt[m] - 1
+                if left:
+                    cnt[m] = left
                 else:
-                    cnt_excl = dict(base_counts)
-                    kept_excl = total
-                    for s in lost:
-                        if s not in sender_set:
-                            continue
-                        m = messages[s]
-                        left = cnt_excl[m] - 1
-                        if left:
-                            cnt_excl[m] = left
-                        else:
-                            del cnt_excl[m]
-                        kept_excl -= 1
-                    entry = [lost, kept_excl, cnt_excl, None]
-                shared_cache[key] = entry
-            kept_excl = entry[1]
-            own = messages[pid]
-            if own is not None and pid in entry[0]:
-                # This receiver broadcast and the (shared) drop set names
-                # it: self-delivery is unconditional, so add its own
-                # message back.
-                kept = kept_excl + 1
-                counts[pid] = kept
-                if needs_multiset:
-                    pkey = (key, own)
-                    ms = plus_cache.get(pkey)
-                    if ms is None:
-                        if single:
-                            ms = Multiset._from_counts_unchecked(
-                                {only_message: kept}, kept
-                            )
-                        else:
-                            cnt = dict(entry[2])
-                            cnt[own] = cnt.get(own, 0) + 1
-                            ms = Multiset._from_counts_unchecked(cnt, kept)
-                        plus_cache[pkey] = ms
-                    received[pid] = ms
-            else:
-                counts[pid] = kept_excl
-                if needs_multiset:
-                    ms = entry[3]
-                    if ms is None:
-                        if single:
-                            ms = Multiset._from_counts_unchecked(
-                                {only_message: kept_excl}
-                                if kept_excl else {},
-                                kept_excl,
-                            )
-                        else:
-                            ms = Multiset._from_counts_unchecked(
-                                entry[2], kept_excl
-                            )
-                        entry[3] = ms
-                    received[pid] = ms
+                    del cnt[m]
+            received[pid] = Multiset._from_counts_unchecked(cnt, kept)
 
     # ------------------------------------------------------------------
     def run(

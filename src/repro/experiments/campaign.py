@@ -119,6 +119,7 @@ from typing import (
     Tuple,
 )
 
+from ..adversary.loss import rng_backend
 from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
@@ -291,9 +292,10 @@ class CampaignRunner:
         :func:`shard_cells`.  The default ``0``/``1`` *is* the
         single-host campaign (one shard owning everything), so sharding
         adds no fourth code path.  The store is stamped with the shard
-        spec (and ``base_seed``) on first use and every reopen
-        validates it, so a shard database can never silently absorb
-        another shard's — or an unsharded run's — cells.
+        spec (and ``base_seed`` and the RNG backend) on first use and
+        every reopen validates it, so a shard database can never
+        silently absorb another shard's — or an unsharded run's, or
+        another backend's — cells.
     """
 
     def __init__(
@@ -454,14 +456,17 @@ class CampaignRunner:
     def _check_store_identity(self, store: SqliteSink) -> None:
         """Stamp (first use) or validate (reopen) the store's identity.
 
-        One database is one (campaign, shard): its ``base_seed`` and
-        shard spec are written into ``campaign_meta`` the first time a
-        runner touches it and must match exactly on every later open —
-        a shard store can never silently absorb another shard's cells,
-        and an unsharded resume can never backfill a shard store into a
-        corrupt "almost full" grid.  Stores that predate the metadata
-        (or were produced by :func:`merge_campaign_stores`, which stamps
-        shard 0/1) are stamped with the current spec in place.
+        One database is one (campaign, shard, RNG backend): its
+        ``base_seed``, shard spec and ``rng_backend`` are written into
+        ``campaign_meta`` the first time a runner touches it and must
+        match exactly on every later open — a shard store can never
+        silently absorb another shard's cells, an unsharded resume can
+        never backfill a shard store into a corrupt "almost full" grid,
+        and a host whose loss adversaries draw the other backend's
+        streams can never add cells from a different execution.  Stores
+        that predate a stamp (or were produced by
+        :func:`merge_campaign_stores`, which stamps shard 0/1) are
+        stamped with the current value in place.
         """
         stored_seed = store.get_meta("base_seed")
         if stored_seed is not None and stored_seed != self.base_seed:
@@ -482,10 +487,23 @@ class CampaignRunner:
                 "merge_campaign_stores to combine shards instead of "
                 "resuming across specs"
             )
+        backend = rng_backend()
+        stored_backend = store.get_meta("rng_backend")
+        if stored_backend is not None and stored_backend != backend:
+            raise ConfigurationError(
+                f"campaign db {self.db_path!r} was filled on the "
+                f"{stored_backend!r} RNG backend, but this process draws "
+                f"from the {backend!r} one — IIDLoss and CaptureEffectLoss "
+                "streams differ between the two, so its cells would come "
+                "from a different execution; reopen it where numpy "
+                "availability and REPRO_PURE_PYTHON match the store"
+            )
         if stored_seed is None:
             store.set_meta("base_seed", self.base_seed)
         if stored_shard is None:
             store.set_meta("shard", mine)
+        if stored_backend is None:
+            store.set_meta("rng_backend", backend)
 
     # ------------------------------------------------------------------
     def _checkpoint(
@@ -778,7 +796,10 @@ def merge_campaign_stores(
     * every input must be a stamped campaign store (``base_seed`` plus
       shard spec in ``campaign_meta``);
     * all shards must share one ``base_seed`` (different seeds are
-      different campaigns whose cells merely look alike);
+      different campaigns whose cells merely look alike) and one
+      ``rng_backend`` (numpy and pure-python shards hold different
+      executions of the same cells; an unstamped legacy shard counts as
+      its own backend until a resume stamps it);
     * all shards must share one shard count K, carry indices inside
       ``[0, K)``, and cover **exactly** the set ``{0, …, K-1}`` — a
       duplicated index is an overlapping shard, an absent one a missing
@@ -839,6 +860,7 @@ def merge_campaign_stores(
         with SqliteSink(path) as store:
             base_seed = store.get_meta("base_seed")
             shard = store.get_meta("shard")
+            backend = store.get_meta("rng_backend")
             cells = store.cell_count()
         if base_seed is None or shard is None:
             raise ConfigurationError(
@@ -849,7 +871,7 @@ def merge_campaign_stores(
         infos.append({
             "path": path, "base_seed": base_seed,
             "index": shard["index"], "count": shard["count"],
-            "cells": cells,
+            "rng_backend": backend, "cells": cells,
         })
 
     base_seeds = sorted({info["base_seed"] for info in infos})
@@ -857,6 +879,15 @@ def merge_campaign_stores(
         raise ConfigurationError(
             f"shard stores disagree on base_seed ({base_seeds}) — they "
             "are shards of different campaigns and must not be merged"
+        )
+    backends = sorted({info["rng_backend"] for info in infos}, key=repr)
+    if len(backends) > 1:
+        raise ConfigurationError(
+            f"shard stores disagree on rng_backend ({backends}) — shards "
+            "filled on the numpy and the pure-python backend hold "
+            "different executions of the same cells and must not be "
+            "merged (None marks a store from before the stamp: resume it "
+            "once on the host that filled it)"
         )
     counts = sorted({info["count"] for info in infos})
     if len(counts) > 1:
@@ -920,6 +951,8 @@ def merge_campaign_stores(
             out.set_meta("base_seed", base_seeds[0])
             out.set_meta("shard", {"count": 1, "index": 0})
             out.set_meta("merged_from", k)
+            if backends[0] is not None:
+                out.set_meta("rng_backend", backends[0])
             # Fold the WAL so the rename moves one complete database,
             # not a main file whose recent history lives in sidecars
             # os.replace would leave behind.

@@ -10,7 +10,8 @@ the clean reference bytes:
 * ``PRAGMA integrity_check`` — the database file itself;
 * schema validation — the three campaign tables with the exact column
   sets the current code writes;
-* metadata validation — the ``base_seed`` stamp and shard spec shape;
+* metadata validation — the ``base_seed`` stamp, the shard spec shape
+  and the ``rng_backend`` stamp;
 * per-cell validation — a legal status, a parseable payload for every
   ``done`` cell, a sane attempts count, and **re-derived identity**:
   the row's coordinate tag and seed are recomputed from its stored
@@ -182,6 +183,13 @@ def verify_campaign_store(
             findings.append({
                 "kind": "meta",
                 "detail": f"malformed shard spec {shard!r}",
+                "action": "report-only",
+            })
+        backend = _read_meta(conn, "rng_backend")
+        if backend is not None and backend not in ("numpy", "pure"):
+            findings.append({
+                "kind": "meta",
+                "detail": f"malformed rng_backend stamp {backend!r}",
                 "action": "report-only",
             })
 

@@ -22,11 +22,7 @@ import dataclasses
 from typing import AbstractSet, Dict, Mapping, Optional, Sequence
 
 from ..adversary.crash import CrashAdversary, NoCrashes
-from ..adversary.loss import (
-    ArrayRoundLosses,
-    LossAdversary,
-    ResolvedRoundLosses,
-)
+from ..adversary.loss import LossAdversary, RoundLosses
 from ..contention.backoff import BackoffContentionManager
 from ..core.algorithm import ConsensusAlgorithm
 from ..core.arrays import numpy_or_none
@@ -77,60 +73,37 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         return self._round_cache[round_index]
 
     # -- LossAdversary interface ----------------------------------------
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        outcomes = self._outcomes(round_index, senders)
-        decoded = set(outcomes[receiver].decoded)
-        return {s for s in senders if s != receiver and s not in decoded}
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ) -> Mapping[ProcessId, AbstractSet[ProcessId]]:
-        # One radio arbitration per round (already memoised for the
-        # detector's benefit); the per-receiver drop sets fall out of the
-        # cached outcomes without re-scanning state per call.  Each set is
-        # a subset of senders minus the receiver, so the mapping is
-        # normalized.  With numpy present the round resolves as an
-        # :class:`ArrayRoundLosses` — counts and dropped pairs derived
-        # from the already-arbitrated outcomes (no randomness consumed),
-        # sets only on demand — so testbed rounds ride the engine's
-        # array kernel; the pure-python branch below stays the
-        # byte-identical reference.
+    ) -> RoundLosses:
+        # One radio arbitration per round (memoised for the detector's
+        # benefit); every view of the losses derives from the cached
+        # outcomes, so none of them consumes randomness.
         outcomes = self._outcomes(round_index, senders)
-        if _np is not None:
-            receivers_t = (
-                receivers if type(receivers) is tuple else tuple(receivers)
-            )
-            drop_counts, pairs = outcome_drop_arrays(
-                _np, outcomes, senders, receivers_t
-            )
+        receivers_t = (
+            receivers if type(receivers) is tuple else tuple(receivers)
+        )
 
-            def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-                out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-                for pid in receivers_t:
-                    decoded = set(outcomes[pid].decoded)
-                    out[pid] = {
-                        s for s in senders if s != pid and s not in decoded
-                    }
-                return out
+        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
+            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+            for pid in receivers_t:
+                decoded = set(outcomes[pid].decoded)
+                out[pid] = {
+                    s for s in senders if s != pid and s not in decoded
+                }
+            return out
 
-            return ArrayRoundLosses(
-                receivers_t, drop_counts, materialise, pairs=pairs
-            )
-        out = ResolvedRoundLosses()
-        for pid in receivers:
-            decoded = set(outcomes[pid].decoded)
-            out[pid] = {
-                s for s in senders if s != pid and s not in decoded
-            }
-        return out
+        if _np is None:
+            return RoundLosses.from_sets(senders, receivers_t, materialise())
+        drop_counts, pairs = outcome_drop_arrays(
+            _np, outcomes, senders, receivers_t
+        )
+        return RoundLosses(
+            senders, receivers_t, drop_counts, materialise, pairs=pairs
+        )
 
     # -- CollisionDetector interface --------------------------------------
     def advise(

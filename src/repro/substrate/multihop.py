@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 import networkx as nx
 
-from ..adversary.loss import ArrayRoundLosses, LossAdversary
+from ..adversary.loss import LossAdversary, RoundLosses, grouped_losses
 from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError
 from ..core.types import CollisionAdvice, ProcessId
@@ -171,59 +171,25 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         self.r_acc = r_acc
         self.policy = policy or BenignPolicy()
         self._senders_by_round: Dict[int, Sequence[ProcessId]] = {}
-        self._losses_by_round: Dict[int, Dict[ProcessId, Set[ProcessId]]] = {}
         # Closed-neighbourhood incidence matrix + index positions, built
         # lazily per index tuple for the array advice path.
         self._nbhd_cache: Optional[tuple] = None
 
     # -- LossAdversary ------------------------------------------------------
-    def losses(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receiver: ProcessId,
-    ) -> AbstractSet[ProcessId]:
-        self._senders_by_round[round_index] = list(senders)
-        neighborhood = self.network.closed_neighborhood(receiver)
-        lost = {s for s in senders if s not in neighborhood}
-        local_senders = [s for s in senders if s in neighborhood]
-        if self.inner is not None:
-            lost |= {
-                s
-                for s in self.inner.losses(
-                    round_index, local_senders, receiver
-                )
-                if s != receiver
-            }
-        self._losses_by_round.setdefault(round_index, {})[receiver] = lost
-        return lost
-
     def losses_for_round(
         self,
         round_index: int,
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
-    ):
+    ) -> RoundLosses:
         """Whole-round resolution: one inner delegation per neighbourhood.
 
         Receivers whose closed neighbourhoods see the *same* local sender
-        list share both the cross-neighbourhood drop set (``senders``
-        minus the local ones — receiver-independent, so one frozenset per
-        group) and a single batched call into the inner adversary.  On
-        uniform topologies (cliques, dense grids) this collapses the
-        per-receiver work of the legacy path to a handful of group-level
-        resolutions per round.
-
-        With numpy present the round resolves as an
-        :class:`ArrayRoundLosses`: per-receiver drop counts come from the
-        group sizes (``|cross|`` plus the inner adversary's own batched
-        counts), the drop sets and dropped pairs only on demand.  The
-        inner delegations happen *here*, before the representation
-        branches, in group order — so the inner adversary's randomness is
-        consumed identically whichever representation is served and
-        whether or not the engine's kernel consumes it.  Inner drop sets
-        must stay within the local sender list (minus the receiver);
-        normalized inner mappings guarantee that already.
+        list form one group: they lose every message from outside it and,
+        within it, what one resolution of the inner adversary says
+        (:func:`~repro.adversary.loss.grouped_losses`).  On uniform
+        topologies (cliques, dense grids) a round is a handful of group
+        resolutions.
         """
         self._senders_by_round[round_index] = list(senders)
         network = self.network
@@ -232,118 +198,10 @@ class MultihopLayer(LossAdversary, CollisionDetector):
             neighborhood = network.closed_neighborhood(pid)
             local = tuple(s for s in senders if s in neighborhood)
             groups.setdefault(local, []).append(pid)
-        inner = self.inner
-        inner_maps: Dict[tuple, Mapping] = {}
-        if inner is not None:
-            for local, members in groups.items():
-                inner_maps[local] = inner.losses_for_round(
-                    round_index, list(local), members
-                )
-        senders_fs = frozenset(senders)
-        if _np is not None:
-            return self._losses_round_array(
-                round_index, senders, receivers, groups, inner_maps,
-                senders_fs,
-            )
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        by_round = self._losses_by_round.setdefault(round_index, {})
-        for local, members in groups.items():
-            cross = senders_fs - frozenset(local)
-            inner_map = inner_maps.get(local)
-            for pid in members:
-                inner_lost = inner_map[pid] if inner_map else None
-                if inner_lost:
-                    lost: AbstractSet[ProcessId] = set(cross)
-                    lost.update(s for s in inner_lost if s != pid)
-                else:
-                    lost = cross
-                out[pid] = lost
-                by_round[pid] = set(lost)
-        return out
-
-    def _losses_round_array(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-        groups: Dict[tuple, List[ProcessId]],
-        inner_maps: Dict[tuple, Mapping],
-        senders_fs: frozenset,
-    ) -> ArrayRoundLosses:
-        """Array representation of one resolved round (numpy present).
-
-        Counts are assembled per group: the receiver-independent
-        ``|cross|`` plus the inner adversary's drop count — read straight
-        off the inner :class:`ArrayRoundLosses` when it produced one, so
-        an inner ``IIDLoss`` contributes counts without ever
-        materialising a python set.  Sets (and the round bookkeeping
-        they feed) and dropped pairs resolve lazily, sharing one memo.
-        """
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
-        rpos = {pid: k for k, pid in enumerate(receivers_t)}
-        n_senders = len(senders)
-        drop_counts = _np.zeros(len(receivers_t), dtype=_np.int64)
-        for local, members in groups.items():
-            cross_count = n_senders - len(local)
-            inner_map = inner_maps.get(local)
-            if inner_map is None:
-                for pid in members:
-                    drop_counts[rpos[pid]] = cross_count
-            elif (type(inner_map) is ArrayRoundLosses
-                    and list(inner_map.receivers) == members):
-                inner_counts = inner_map.drop_counts.tolist()
-                for i, pid in enumerate(members):
-                    drop_counts[rpos[pid]] = cross_count + inner_counts[i]
-            else:
-                for pid in members:
-                    inner_lost = inner_map[pid] if inner_map else None
-                    extra = (
-                        sum(1 for s in inner_lost if s != pid)
-                        if inner_lost else 0
-                    )
-                    drop_counts[rpos[pid]] = cross_count + extra
-        spos = {s: j for j, s in enumerate(senders)}
-        sets_cell: List[Dict[ProcessId, AbstractSet[ProcessId]]] = []
-
-        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            # Shared by the mapping interface and ``pairs`` below —
-            # whichever view resolves first builds the sets (and the
-            # per-round bookkeeping) exactly once.
-            if not sets_cell:
-                by_round = self._losses_by_round.setdefault(round_index, {})
-                out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-                for local, members in groups.items():
-                    cross = senders_fs - frozenset(local)
-                    inner_map = inner_maps.get(local)
-                    for pid in members:
-                        inner_lost = inner_map[pid] if inner_map else None
-                        if inner_lost:
-                            lost: AbstractSet[ProcessId] = set(cross)
-                            lost.update(s for s in inner_lost if s != pid)
-                        else:
-                            lost = cross
-                        out[pid] = lost
-                        by_round[pid] = set(lost)
-                sets_cell.append(out)
-            return sets_cell[0]
-
-        def pairs():
-            sets = materialise()
-            rows: List[int] = []
-            cols: List[int] = []
-            for k, pid in enumerate(receivers_t):
-                for s in sets[pid]:
-                    rows.append(k)
-                    cols.append(spos[s])
-            return (
-                _np.asarray(rows, dtype=_np.intp),
-                _np.asarray(cols, dtype=_np.intp),
-            )
-
-        return ArrayRoundLosses(
-            receivers_t, drop_counts, materialise, pairs=pairs
+        return grouped_losses(
+            round_index, senders, receivers,
+            [(list(local), members) for local, members in groups.items()],
+            self.inner,
         )
 
     # -- CollisionDetector ----------------------------------------------------
@@ -463,7 +321,6 @@ class MultihopLayer(LossAdversary, CollisionDetector):
 
     def reset(self) -> None:
         self._senders_by_round = {}
-        self._losses_by_round = {}
         self._nbhd_cache = None
         if self.inner is not None:
             self.inner.reset()

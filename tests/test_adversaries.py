@@ -24,26 +24,31 @@ from repro.core.errors import ConfigurationError
 SENDERS = [0, 1, 2]
 
 
+def lost_at(adv, round_index, senders, receiver):
+    """``receiver``'s drop set, resolved through the one contract method."""
+    return adv.losses_for_round(round_index, senders, (receiver,))[receiver]
+
+
 # ----------------------------------------------------------------------
 # Loss adversaries
 # ----------------------------------------------------------------------
 def test_reliable_delivery_drops_nothing():
     adv = ReliableDelivery()
-    assert adv.losses(1, SENDERS, 5) == frozenset()
+    assert lost_at(adv, 1, SENDERS, 5) == frozenset()
     assert adv.r_cf == 1
 
 
 def test_silence_drops_everything():
     adv = SilenceLoss()
-    assert adv.losses(1, SENDERS, 5) == frozenset(SENDERS)
+    assert lost_at(adv, 1, SENDERS, 5) == frozenset(SENDERS)
     assert adv.r_cf is None
 
 
 def test_iid_loss_is_seeded_and_bounded():
     adv = IIDLoss(0.5, seed=3)
-    runs1 = [adv.losses(r, SENDERS, 9) for r in range(30)]
+    runs1 = [lost_at(adv, r, SENDERS, 9) for r in range(30)]
     adv.reset()
-    runs2 = [adv.losses(r, SENDERS, 9) for r in range(30)]
+    runs2 = [lost_at(adv, r, SENDERS, 9) for r in range(30)]
     assert runs1 == runs2
     assert any(runs1)          # some losses at p=0.5
     assert not all(len(l) == 3 for l in runs1)
@@ -51,7 +56,7 @@ def test_iid_loss_is_seeded_and_bounded():
 
 def test_iid_loss_never_drops_own_message():
     adv = IIDLoss(1.0, seed=0)
-    assert 1 not in adv.losses(1, SENDERS, 1)
+    assert 1 not in lost_at(adv, 1, SENDERS, 1)
 
 
 def test_iid_loss_validates_probability():
@@ -61,25 +66,25 @@ def test_iid_loss_validates_probability():
 
 def test_alpha_loss_single_broadcaster_delivers():
     adv = AlphaLoss()
-    assert adv.losses(1, [2], 0) == frozenset()
+    assert lost_at(adv, 1, [2], 0) == frozenset()
 
 
 def test_alpha_loss_contention_keeps_only_own():
     adv = AlphaLoss()
-    assert adv.losses(1, SENDERS, 1) == {0, 2}
-    assert adv.losses(1, SENDERS, 9) == {0, 1, 2}
+    assert lost_at(adv, 1, SENDERS, 1) == {0, 2}
+    assert lost_at(adv, 1, SENDERS, 9) == {0, 1, 2}
 
 
 def test_partition_loss_blocks_cross_group():
     adv = PartitionLoss([(0, 1), (2, 3)])
-    assert adv.losses(1, [0, 2], 1) == {2}
-    assert adv.losses(1, [0, 2], 3) == {0}
+    assert lost_at(adv, 1, [0, 2], 1) == {2}
+    assert lost_at(adv, 1, [0, 2], 3) == {0}
 
 
 def test_partition_loss_until_round_then_clean():
     adv = PartitionLoss([(0, 1), (2, 3)], until_round=5)
-    assert adv.losses(5, [0, 2], 3) == {0}
-    assert adv.losses(6, [0, 2], 3) == frozenset()
+    assert lost_at(adv, 5, [0, 2], 3) == {0}
+    assert lost_at(adv, 6, [0, 2], 3) == frozenset()
     assert adv.r_cf == 6
 
 
@@ -91,23 +96,23 @@ def test_partition_loss_rejects_overlapping_groups():
 def test_partition_intra_adversary_composes():
     adv = PartitionLoss([(0, 1), (2,)], intra=SilenceLoss())
     # Cross-group AND in-group messages are lost (except self).
-    assert adv.losses(1, [0, 1, 2], 0) == {1, 2}
+    assert lost_at(adv, 1, [0, 1, 2], 0) == {1, 2}
 
 
 def test_capture_effect_limits_decoding_under_contention():
     adv = CaptureEffectLoss(capture_limit=1, seed=0)
-    losses = adv.losses(1, SENDERS, 9)
+    losses = lost_at(adv, 1, SENDERS, 9)
     assert len(losses) >= len(SENDERS) - 1   # at most one captured
 
 
 def test_capture_effect_single_broadcast_delivers_by_default():
     adv = CaptureEffectLoss(seed=0)
-    assert adv.losses(1, [0], 9) == frozenset()
+    assert lost_at(adv, 1, [0], 9) == frozenset()
 
 
 def test_scripted_loss_delegates():
     adv = ScriptedLoss(lambda r, s, recv: {s[0]} if s else set(), r_cf=4)
-    assert adv.losses(1, SENDERS, 9) == {0}
+    assert lost_at(adv, 1, SENDERS, 9) == {0}
     assert adv.r_cf == 4
 
 
@@ -116,7 +121,7 @@ def test_composed_loss_unions_drops():
         ScriptedLoss(lambda r, s, recv: {0}),
         ScriptedLoss(lambda r, s, recv: {2}),
     ])
-    assert adv.losses(1, SENDERS, 9) == {0, 2}
+    assert lost_at(adv, 1, SENDERS, 9) == {0, 2}
     with pytest.raises(ConfigurationError):
         ComposedLoss([])
 
@@ -124,12 +129,12 @@ def test_composed_loss_unions_drops():
 def test_ecf_wrapper_forces_single_broadcaster_delivery():
     adv = EventualCollisionFreedom(SilenceLoss(), r_cf=3)
     # Before r_cf the inner adversary rules.
-    assert adv.losses(2, [0], 1) == {0}
+    assert lost_at(adv, 2, [0], 1) == {0}
     # From r_cf on, single-broadcaster rounds deliver...
-    assert adv.losses(3, [0], 1) == frozenset()
+    assert lost_at(adv, 3, [0], 1) == frozenset()
     # ...but contention rounds still defer to the inner adversary
     # (which drops everything from the other senders).
-    assert adv.losses(3, SENDERS, 1) == {0, 2}
+    assert lost_at(adv, 3, SENDERS, 1) == {0, 2}
     assert adv.r_cf == 3
 
 

@@ -1,27 +1,35 @@
-"""The batched loss contract: ``losses_for_round`` across the stack.
+"""The loss contract: ``losses_for_round`` across the stack.
 
-Covers the PR-level guarantees:
+Covers the contract-level guarantees:
 
-* deterministic adversaries produce byte-identical executions whether the
-  engine resolves losses through their batched overrides or through the
-  per-receiver fallback;
-* batched ``IIDLoss`` is seed-deterministic and matches the Bernoulli(p)
-  per-pair marginal (both the vectorised and the pure-python geometric
-  paths);
+* every deterministic built-in adversary (and the pure-python capture
+  law) executes identically on the paper-literal round spec
+  (``tests/spec_round.py``), on the engine's scalar path and on its
+  array kernel, with full per-round record equality, crashes included;
+* the same three-way equality over generated adversary compositions x
+  crash/churn schedules x record policies, and exhaustively over every
+  drop pattern of two rounds at n = 3;
+* ``IIDLoss``'s whole-round law and determinism on both backends;
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
-* ``ModelViolation`` still fires on self-delivery breaches (and other
-  normalized-contract breaches) through the batched path;
+* ``ModelViolation`` on every contract breach: a drop set naming its
+  receiver or a non-sender, counts that disagree with the sets, an
+  omitted receiver, an answer that is not a ``RoundLosses``;
 * ``JsonlSink`` streams round summaries without retaining them;
 * the lower-bound searches accept ``SUMMARY`` results wherever they only
   consult broadcast-count sequences.
 """
 
 import json
+import random
+from itertools import combinations, product
 
 import pytest
 
 import repro.adversary.loss as loss_mod
-from repro.adversary.crash import NoCrashes, ScheduledCrashes
+import spec_round as spec
+from maybe_hypothesis import HealthCheck, given, settings, strategies as st
+from repro.adversary.churn import NoChurn, SeededChurn
+from repro.adversary.crash import NoCrashes, ScheduledCrashes, SeededRandomCrashes
 from repro.adversary.loss import (
     AlphaLoss,
     CaptureEffectLoss,
@@ -31,7 +39,7 @@ from repro.adversary.loss import (
     LossAdversary,
     PartitionLoss,
     ReliableDelivery,
-    ResolvedRoundLosses,
+    RoundLosses,
     ScriptedLoss,
     SilenceLoss,
 )
@@ -39,31 +47,23 @@ from repro.algorithms.alg2 import algorithm_2
 from repro.contention.services import NoContentionManager, WakeUpService
 from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError, ModelViolation
-from repro.core.execution import ExecutionEngine, run_algorithm, run_consensus
+from repro.core.execution import ExecutionEngine, run_algorithm
 from repro.core.algorithm import Algorithm
-from repro.core.process import ScriptedProcess
+from repro.core.process import Process, ScriptedProcess
 from repro.core.records import JsonlSink, RecordPolicy
-from repro.detectors.detector import perfect_detector
+from repro.core.types import CollisionAdvice
+from repro.detectors.classes import MAJ_OAC
+from repro.detectors.detector import (
+    ParametricCollisionDetector,
+    perfect_detector,
+)
+from repro.detectors.policy import SeededRandomPolicy
+from repro.detectors.properties import AccuracyMode, Completeness
 from repro.lowerbounds.compose import compose_alpha_executions
 from repro.lowerbounds.pigeonhole import lemma21_find_pair, theorem9_find_pair
 from repro.lowerbounds.conjecture import max_composable_prefix
 
-
-class PerReceiverOnly(LossAdversary):
-    """Wrapper hiding an adversary's batched override from the engine."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def losses(self, round_index, senders, receiver):
-        return self.inner.losses(round_index, senders, receiver)
-
-    def reset(self):
-        self.inner.reset()
-
-    @property
-    def r_cf(self):
-        return self.inner.r_cf
+POLICIES = (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 
 
 def varied_algorithm(n, rounds):
@@ -86,68 +86,298 @@ def varied_algorithm(n, rounds):
     return Algorithm(spawn, anonymous=False)
 
 
-def run_pair(loss_factory, n=6, rounds=12, crash=None):
-    """One execution through the batched path, one through the fallback."""
-    results = []
-    for wrap in (lambda a: a, PerReceiverOnly):
-        env = Environment(
-            indices=tuple(range(n)),
-            detector=perfect_detector(),
-            contention=NoContentionManager(),
-            loss=wrap(loss_factory()),
-            crash=crash or NoCrashes(),
-        )
-        results.append(
-            run_algorithm(
-                env, varied_algorithm(n, rounds), max_rounds=rounds,
-                until_all_decided=False,
+class Gossip(Process):
+    """Broadcasts the least value it has heard (marked when told of a
+    collision), so what a process loses in one round changes what it
+    sends in the next; silent every third round unless ``always``, and
+    decides and halts at ``decide_at``."""
+
+    def __init__(self, pid, decide_at=None, always=False):
+        super().__init__()
+        self.pid = pid
+        self.value = "ab"[pid % 2]
+        self.decide_at = decide_at
+        self.always = always
+
+    def message(self, cm_advice):
+        if not self.always and (self._round + self.pid) % 3 == 2:
+            return None
+        return self.value
+
+    def transition(self, received, cd_advice, cm_advice):
+        if received:
+            self.value = min(self.value, min(received.support()))
+        if cd_advice is CollisionAdvice.COLLISION:
+            self.value += "!"
+        if self._round + 1 == self.decide_at:
+            self.decide(self.value)
+            self.halt()
+
+
+def run_against_spec(loss_factory, law, algorithm, rounds, n=6,
+                     detector=perfect_detector,
+                     contention=NoContentionManager,
+                     crash=None, churn=None, policies=(RecordPolicy.FULL,)):
+    """The spec run, then the engine under each policy with the kernel
+    off and on; every engine run must match the spec."""
+    indices = tuple(range(n))
+    reference = spec.run_spec(
+        indices, algorithm.spawn, detector(), contention(), law, rounds,
+        crash=crash() if crash else None, churn=churn() if churn else None,
+    )
+    for record_policy in policies:
+        for kernel in (False, None):
+            env = Environment(
+                indices=indices,
+                detector=detector(),
+                contention=contention(),
+                loss=loss_factory(),
+                crash=crash() if crash else NoCrashes(),
+                churn=churn() if churn else NoChurn(),
             )
-        )
-    return results
+            result = run_algorithm(
+                env, algorithm, max_rounds=rounds, until_all_decided=False,
+                record_policy=record_policy, use_array_kernel=kernel,
+            )
+            assert_matches_spec(result, reference, record_policy)
+    return reference
 
 
+def assert_matches_spec(result, reference, record_policy):
+    assert result.rounds == len(reference.records)
+    assert result.decisions == reference.decisions
+    assert result.decision_rounds == reference.decision_rounds
+    assert result.crash_rounds == reference.crash_rounds
+    assert result.leave_rounds == reference.leave_rounds
+    assert result.rejoin_counts == reference.rejoin_counts
+    assert result.departed_decisions == reference.departed_decisions
+    if record_policy is RecordPolicy.FULL:
+        assert result.records == reference.records  # full per-round equality
+    elif record_policy is RecordPolicy.SUMMARY:
+        assert result.summaries == reference.summaries
+
+
+# ----------------------------------------------------------------------
+# Every deterministic built-in: spec == scalar path == array kernel
+# ----------------------------------------------------------------------
+def _scripted_rule(r, s, recv):
+    return {x for x in s if (x + r) % 3 == 0}
+
+
+def _odd_rounds_first_sender(r, s, recv):
+    return {s[0]} if s and r % 2 else set()
+
+
+_HALVES = [(0, 1, 2), (3, 4, 5)]
+
+#: name -> (adversary factory, the spec's law for it)
 DETERMINISTIC_ADVERSARIES = {
-    "reliable": lambda: ReliableDelivery(),
-    "silence": lambda: SilenceLoss(),
-    "alpha": lambda: AlphaLoss(),
-    "partition": lambda: PartitionLoss([(0, 1, 2), (3, 4, 5)]),
-    "partition_silence_intra": lambda: PartitionLoss(
-        [(0, 1, 2), (3, 4, 5)], intra=SilenceLoss(), until_round=8
+    "reliable": (ReliableDelivery, spec.reliable()),
+    "silence": (SilenceLoss, spec.silence()),
+    "alpha": (AlphaLoss, spec.alpha()),
+    "partition": (
+        lambda: PartitionLoss(_HALVES), spec.partition(_HALVES),
     ),
-    "scripted": lambda: ScriptedLoss(
-        lambda r, s, recv: {x for x in s if (x + r) % 3 == 0}
+    "partition_silence_intra": (
+        lambda: PartitionLoss(_HALVES, intra=SilenceLoss(), until_round=8),
+        spec.partition(_HALVES, intra=spec.silence(), until_round=8),
     ),
-    "composed": lambda: ComposedLoss([
-        PartitionLoss([(0, 1, 2), (3, 4, 5)]),
-        ScriptedLoss(lambda r, s, recv: {s[0]} if s and r % 2 else set()),
-    ]),
-    "ecf_silence": lambda: EventualCollisionFreedom(SilenceLoss(), r_cf=5),
-    "capture": lambda: CaptureEffectLoss(capture_limit=2, seed=3),
+    "scripted": (lambda: ScriptedLoss(_scripted_rule), _scripted_rule),
+    "composed": (
+        lambda: ComposedLoss([
+            PartitionLoss(_HALVES), ScriptedLoss(_odd_rounds_first_sender),
+        ]),
+        spec.composed([spec.partition(_HALVES), _odd_rounds_first_sender]),
+    ),
+    "ecf_silence": (
+        lambda: EventualCollisionFreedom(SilenceLoss(), r_cf=5),
+        spec.ecf(spec.silence(), 5),
+    ),
+    "capture": (
+        lambda: CaptureEffectLoss(capture_limit=2, seed=3),
+        spec.capture(capture_limit=2, seed=3),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DETERMINISTIC_ADVERSARIES))
 def test_batched_and_fallback_executions_are_identical(name, monkeypatch):
+    """The array kernel (batched) and the scalar fallback both execute
+    the spec's round, record for record."""
     if name == "capture":
-        # Capture's numpy leg draws one substream block per round (same
-        # law, different pattern than the per-receiver substreams), so
-        # batched-equals-per-receiver holds on the pure backend only;
-        # the numpy-leg guarantees (kernel-on vs kernel-off equality,
-        # law, determinism) live in tests/test_array_kernel.py.
+        # The spec states the pure-python capture law; the numpy leg
+        # draws one substream block per round instead (same law,
+        # different pattern — tests/test_array_kernel.py covers it).
         monkeypatch.setattr(loss_mod, "_np", None)
-    batched, legacy = run_pair(DETERMINISTIC_ADVERSARIES[name])
-    assert batched.decisions == legacy.decisions
-    assert batched.decision_rounds == legacy.decision_rounds
-    assert batched.rounds == legacy.rounds
-    assert batched.records == legacy.records  # full per-round equality
+    factory, law = DETERMINISTIC_ADVERSARIES[name]
+    run_against_spec(factory, law, varied_algorithm(6, 12), rounds=12)
 
 
 def test_batched_and_fallback_identical_under_crashes():
-    batched, legacy = run_pair(
-        DETERMINISTIC_ADVERSARIES["partition_silence_intra"],
-        crash=ScheduledCrashes.at({3: [1], 5: [4]}, after_send=True),
+    factory, law = DETERMINISTIC_ADVERSARIES["partition_silence_intra"]
+    run_against_spec(
+        factory, law, varied_algorithm(6, 12), rounds=12,
+        crash=lambda: ScheduledCrashes.at({3: [1], 5: [4]}, after_send=True),
     )
-    assert batched.records == legacy.records
+
+
+# ----------------------------------------------------------------------
+# Generated compositions x crash/churn schedules x record policies
+# ----------------------------------------------------------------------
+N_GEN = 5
+ROUNDS_GEN = 8
+
+
+def _script(seed):
+    """A per-receiver script naming arbitrary pids — non-senders, pids
+    outside the senders it was handed, and the receiver itself."""
+
+    def rule(r, senders, receiver):
+        rng = random.Random(f"{seed}|{r}|{receiver}")
+        return {x for x in range(N_GEN + 1) if rng.random() < 0.4}
+
+    return rule
+
+
+def build(desc):
+    """``(adversary factory, law)`` for one generated description."""
+    kind = desc[0]
+    if kind == "reliable":
+        return ReliableDelivery, spec.reliable()
+    if kind == "silence":
+        return SilenceLoss, spec.silence()
+    if kind == "alpha":
+        return AlphaLoss, spec.alpha()
+    if kind == "script":
+        rule = _script(desc[1])
+        return (lambda: ScriptedLoss(rule)), rule
+    if kind == "partition":
+        _, groups, inner, until = desc
+        make, law = build(inner)
+        return (
+            lambda: PartitionLoss(groups, intra=make(), until_round=until),
+            spec.partition(groups, law, until),
+        )
+    if kind == "ecf":
+        _, inner, r_cf = desc
+        make, law = build(inner)
+        return (
+            lambda: EventualCollisionFreedom(make(), r_cf=r_cf),
+            spec.ecf(law, r_cf),
+        )
+    parts = [build(d) for d in desc[1]]
+    return (
+        lambda: ComposedLoss([make() for make, _ in parts]),
+        spec.composed([law for _, law in parts]),
+    )
+
+
+_leaves = st.one_of(
+    st.sampled_from([("reliable",), ("silence",), ("alpha",)]),
+    st.tuples(st.just("script"), st.integers(0, 10**6)),
+)
+_groups = st.lists(
+    st.sampled_from([0, 1, 2, None]), min_size=N_GEN, max_size=N_GEN
+).map(lambda labels: [
+    [pid for pid, g in enumerate(labels) if g == k] for k in range(3)
+])
+_descriptions = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(st.just("partition"), _groups, inner,
+                  st.one_of(st.none(), st.integers(1, ROUNDS_GEN))),
+        st.tuples(st.just("ecf"), inner, st.integers(1, ROUNDS_GEN)),
+        st.tuples(st.just("composed"), st.lists(inner, min_size=1,
+                                                max_size=3)),
+    ),
+    max_leaves=4,
+)
+_crashes = st.one_of(st.none(), st.tuples(
+    st.floats(0.0, 0.4), st.integers(0, 2), st.integers(1, ROUNDS_GEN),
+    st.integers(0, 10**6), st.booleans(),
+))
+_churn = st.one_of(st.none(), st.tuples(
+    st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.integers(0, 10**6),
+    st.integers(1, ROUNDS_GEN), st.booleans(),
+))
+_DETECTORS = {
+    "perfect": perfect_detector,
+    "maj-OAC": lambda: MAJ_OAC.make(r_acc=3),
+    "seeded": lambda: ParametricCollisionDetector(
+        Completeness.ZERO, AccuracyMode.ALWAYS,
+        policy=SeededRandomPolicy(p_collision=0.5, seed=7),
+    ),
+}
+_CONTENTION = {
+    "none": NoContentionManager,
+    "wake-up": lambda: WakeUpService(stabilization_round=3),
+}
+_ALGORITHMS = {
+    "scripted": lambda: varied_algorithm(N_GEN, ROUNDS_GEN),
+    "gossip": lambda: Algorithm(
+        lambda pid: Gossip(pid, decide_at=ROUNDS_GEN - 1 - pid % 2),
+        anonymous=False,
+    ),
+}
+
+
+@given(
+    desc=_descriptions,
+    crash=_crashes,
+    churn=_churn,
+    detector=st.sampled_from(sorted(_DETECTORS)),
+    contention=st.sampled_from(sorted(_CONTENTION)),
+    algorithm=st.sampled_from(sorted(_ALGORITHMS)),
+)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_spec_scalar_and_kernel_agree_on_generated_compositions(
+    desc, crash, churn, detector, contention, algorithm
+):
+    factory, law = build(desc)
+    run_against_spec(
+        factory, law, _ALGORITHMS[algorithm](), ROUNDS_GEN, n=N_GEN,
+        detector=_DETECTORS[detector], contention=_CONTENTION[contention],
+        crash=crash and (lambda: SeededRandomCrashes(
+            p=crash[0], max_crashes=crash[1], deadline=crash[2],
+            seed=crash[3], after_send=crash[4],
+        )),
+        churn=churn and (lambda: SeededChurn(
+            leave_rate=churn[0], join_rate=churn[1], seed=churn[2],
+            deadline=churn[3], after_send=churn[4],
+        )),
+        policies=POLICIES,
+    )
+
+
+def test_spec_scalar_and_kernel_agree_on_every_two_round_drop_pattern():
+    """Small-scope exhaustive check: n = 3, everyone sends in both
+    rounds, and the adversary picks any subset of the other two senders
+    per receiver per round — 4^3 patterns a round, 4,096 executions."""
+    indices = (0, 1, 2)
+    per_receiver = [
+        [frozenset(c) for k in range(3)
+         for c in combinations([s for s in indices if s != pid], k)]
+        for pid in indices
+    ]
+    patterns = [dict(zip(indices, p)) for p in product(*per_receiver)]
+    assert len(patterns) == 64
+    algorithm = Algorithm(lambda pid: Gossip(pid, always=True),
+                          anonymous=False)
+    detector = lambda: ParametricCollisionDetector(
+        Completeness.HALF, AccuracyMode.ALWAYS,
+        policy=SeededRandomPolicy(p_collision=0.5, seed=1),
+    )
+    runs = 0
+    for first, second in product(patterns, patterns):
+        script = {1: first, 2: second}
+        run_against_spec(
+            lambda: ScriptedLoss(round_fn=lambda r, s, recvs: script[r]),
+            lambda r, senders, receiver: script[r][receiver],
+            algorithm, rounds=2, n=3, detector=detector,
+        )
+        runs += 1
+    assert runs == 4096
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +434,7 @@ def test_iid_batched_edge_probabilities(backend, p, monkeypatch):
     lost_map = IIDLoss(p, seed=0).losses_for_round(1, senders, senders)
     if p >= 1.0:
         for pid in senders:
-            assert set(lost_map[pid]) >= set(senders) - {pid}
+            assert set(lost_map[pid]) == set(senders) - {pid}
     else:
         assert all(not lost_map[pid] for pid in senders)
 
@@ -216,27 +446,10 @@ def test_iid_batched_handles_empty_receivers(backend, monkeypatch):
     assert IIDLoss(0.3, seed=0).losses_for_round(1, [0, 1, 2], []) == {}
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_iid_batched_stream_is_isolated_from_legacy_stream(
-    backend, monkeypatch
-):
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
-    senders = list(range(10))
-    fresh = IIDLoss(0.5, seed=7)
-    expected = fresh.losses(1, senders, 3)
-    mixed = IIDLoss(0.5, seed=7)
-    mixed.losses_for_round(1, senders, senders)  # must not shift _rng
-    assert mixed.losses(1, senders, 3) == expected
-
-
 def test_composed_component_omission_surfaces_as_model_violation():
     class Omitting(LossAdversary):
-        def losses(self, round_index, senders, receiver):  # pragma: no cover
-            return frozenset()
-
         def losses_for_round(self, round_index, senders, receivers):
-            return {pid: frozenset() for pid in list(receivers)[:-1]}
+            return RoundLosses.lossless(senders, tuple(receivers)[:-1])
 
     env = Environment(
         indices=(0, 1, 2),
@@ -259,103 +472,128 @@ def test_composed_component_omission_surfaces_as_model_violation():
 def test_iid_batched_never_drops_self():
     senders = list(range(30))
     lost_map = IIDLoss(0.9, seed=5).losses_for_round(1, senders, senders)
-    # Normalized either way: plain ResolvedRoundLosses on the pure
-    # backend, the array-backed sibling on the numpy leg.
-    assert isinstance(
-        lost_map, (ResolvedRoundLosses, loss_mod.ArrayRoundLosses)
-    )
+    assert isinstance(lost_map, RoundLosses)
     for pid in senders:
         assert pid not in lost_map[pid]
 
 
 # ----------------------------------------------------------------------
-# CaptureEffectLoss: enumeration-order independence
+# CaptureEffectLoss: the pure-python per-receiver substreams
 # ----------------------------------------------------------------------
-def test_capture_effect_is_receiver_order_independent():
+def test_capture_effect_is_receiver_order_independent(monkeypatch):
+    monkeypatch.setattr(loss_mod, "_np", None)
     senders = [0, 1, 2, 3]
-    fwd = CaptureEffectLoss(capture_limit=1, seed=9)
-    rev = CaptureEffectLoss(capture_limit=1, seed=9)
-    forward = {
-        pid: set(fwd.losses(1, senders, pid)) for pid in [0, 1, 2, 3, 4]
+    forward = CaptureEffectLoss(capture_limit=1, seed=9).losses_for_round(
+        1, senders, [0, 1, 2, 3, 4]
+    )
+    backward = CaptureEffectLoss(capture_limit=1, seed=9).losses_for_round(
+        1, senders, [4, 3, 2, 1, 0]
+    )
+    assert {pid: set(forward[pid]) for pid in range(5)} == {
+        pid: set(backward[pid]) for pid in range(5)
     }
-    backward = {
-        pid: set(rev.losses(1, senders, pid)) for pid in [4, 3, 2, 1, 0]
-    }
-    assert forward == backward
 
 
 def test_capture_effect_batched_equals_per_receiver(monkeypatch):
-    # Pure backend: the batched resolution *is* the per-receiver one.
-    # (The numpy leg draws a per-round substream block instead — same
-    # law, different pattern; covered by tests/test_array_kernel.py.)
+    # Pure backend: the whole-round resolution is the spec's per-receiver
+    # capture law.  (The numpy leg draws a per-round substream block
+    # instead — same law, different pattern; covered by
+    # tests/test_array_kernel.py.)
     monkeypatch.setattr(loss_mod, "_np", None)
     senders = [0, 1, 2, 3]
     receivers = [0, 1, 2, 3, 4, 5]
-    adv = CaptureEffectLoss(capture_limit=2, seed=11)
-    batched = adv.losses_for_round(7, senders, receivers)
+    law = spec.capture(capture_limit=2, seed=11)
+    batched = CaptureEffectLoss(capture_limit=2, seed=11).losses_for_round(
+        7, senders, receivers
+    )
     for pid in receivers:
-        assert set(batched[pid]) == set(adv.losses(7, senders, pid))
+        assert set(batched[pid]) == law(7, senders, pid)
 
 
 # ----------------------------------------------------------------------
-# ModelViolation through the batched path
+# ModelViolation on contract breaches, on both engine paths
 # ----------------------------------------------------------------------
 class BreachingAdversary(LossAdversary):
-    """Claims normalization but breaks the promise on demand."""
+    """Answers with a RoundLosses that breaks the contract on demand."""
 
     def __init__(self, breach):
-        self.breach = breach  # "self" | "non_sender" | "omit"
-
-    def losses(self, round_index, senders, receiver):  # pragma: no cover
-        return frozenset()
+        self.breach = breach
 
     def losses_for_round(self, round_index, senders, receivers):
-        out = ResolvedRoundLosses()
-        for pid in receivers:
-            out[pid] = frozenset()
+        receivers = tuple(receivers)
+        sets = {pid: frozenset() for pid in receivers}
         if self.breach == "self":
             # Drop a broadcaster's own message at itself.
-            out[senders[0]] = frozenset({senders[0]})
+            sets[senders[0]] = frozenset({senders[0]})
         elif self.breach == "non_sender":
             non_senders = [r for r in receivers if r not in set(senders)]
-            out[receivers[0]] = frozenset(non_senders[:1])
+            sets[receivers[0]] = frozenset(non_senders[:1])
         elif self.breach == "omit":
-            del out[receivers[-1]]
-        return out
+            receivers = receivers[:-1]
+        elif self.breach == "miscount":
+            # Sets say nothing is lost; the counts claim one loss each
+            # at the receivers that have another sender to lose.
+            counts = [1 if set(senders) - {pid} else 0 for pid in receivers]
+            return RoundLosses(senders, receivers, counts, lambda: sets)
+        elif self.breach == "dict":
+            return dict(sets)
+        return RoundLosses.from_sets(
+            senders, receivers, {pid: sets[pid] for pid in receivers}
+        )
 
 
-def breach_engine(breach, scripts):
-    env = Environment(
-        indices=(0, 1, 2),
-        detector=perfect_detector(),
-        contention=NoContentionManager(),
-        loss=BreachingAdversary(breach),
-        crash=NoCrashes(),
-    )
-    env.reset()
-    algo = Algorithm(
-        lambda i: ScriptedProcess(scripts.get(i, [])), anonymous=False
-    )
-    return ExecutionEngine(env, algo.spawn_all(env.indices))
+def assert_breach_raises(breach, match):
+    """Both engine paths reject the breach; two distinct messages make
+    the kernel read the drop pairs."""
+    for kernel in (False, None):
+        env = Environment(
+            indices=(0, 1, 2),
+            detector=perfect_detector(),
+            contention=NoContentionManager(),
+            loss=BreachingAdversary(breach),
+            crash=NoCrashes(),
+        )
+        env.reset()
+        scripts = {0: ["a"], 1: ["b"]}
+        algo = Algorithm(
+            lambda i: ScriptedProcess(scripts.get(i, [])), anonymous=False
+        )
+        engine = ExecutionEngine(
+            env, algo.spawn_all(env.indices), use_array_kernel=kernel
+        )
+        with pytest.raises(ModelViolation, match=match):
+            engine.step()
 
 
 def test_self_delivery_breach_raises_through_batched_path():
-    engine = breach_engine("self", {0: ["a"], 1: ["b"]})
-    with pytest.raises(ModelViolation):
-        engine.step()
+    assert_breach_raises("self", "own message|not another sender")
 
 
 def test_non_sender_in_normalized_drop_set_raises():
-    # Two distinct messages force the multi-message decrement path.
-    engine = breach_engine("non_sender", {0: ["a"], 1: ["b"]})
-    with pytest.raises(ModelViolation):
-        engine.step()
+    assert_breach_raises("non_sender", "non-sender|not another sender")
 
 
 def test_omitted_receiver_raises_through_batched_path():
-    engine = breach_engine("omit", {0: ["a"], 1: ["b"]})
-    with pytest.raises(ModelViolation):
-        engine.step()
+    assert_breach_raises("omit", "omitted receiver")
+
+
+def test_drop_counts_disagreeing_with_drop_sets_raise():
+    assert_breach_raises("miscount", "drop set names|disagree")
+
+
+def test_answer_that_is_not_round_losses_raises():
+    assert_breach_raises("dict", "not RoundLosses")
+
+
+def test_scripted_loss_normalizes_untrusted_drop_sets():
+    # The script names the receiver, a non-sender (9) and a pid outside
+    # the senders; only the other senders survive normalization.
+    adv = ScriptedLoss(lambda r, s, recv: [recv, 9, 0, 1, 1])
+    lost_map = adv.losses_for_round(1, [0, 1], (0, 1, 2))
+    assert {pid: set(lost_map[pid]) for pid in (0, 1, 2)} == {
+        0: {1}, 1: {0}, 2: {0, 1},
+    }
+    assert list(lost_map.drop_counts) == [1, 1, 2]
 
 
 def test_scripted_round_fn_constructor_validation():
@@ -389,8 +627,7 @@ def test_scripted_round_fn_drives_whole_round():
     rec = result.records[0]
     assert len(rec.received[0]) == 1  # only its own message
     assert len(rec.received[1]) == 3
-    # Per-receiver view of the same script agrees.
-    assert adv.losses(1, [0, 1, 2], 0) == {1, 2}
+    assert adv.losses_for_round(1, [0, 1, 2], (0, 1, 2))[0] == {1, 2}
 
 
 # ----------------------------------------------------------------------

@@ -393,6 +393,33 @@ def test_store_with_different_base_seed_is_rejected(tmp_path):
         _serial_runner(db, base_seed=4).outcomes(**AXES)
 
 
+def test_store_filled_on_another_rng_backend_is_rejected(
+    tmp_path, monkeypatch
+):
+    import repro.adversary.loss as loss_mod
+
+    db = str(tmp_path / "campaign.db")
+    _serial_runner(db).resume(max_cells=2, **AXES)
+    with SqliteSink(db) as store:
+        assert store.get_meta("rng_backend") == loss_mod.rng_backend()
+        # A store from before the stamp gets stamped in place.
+        store._connect().execute(
+            "DELETE FROM campaign_meta WHERE key = 'rng_backend'"
+        )
+        store._connect().commit()
+    _serial_runner(db).resume(max_cells=1, **AXES)
+    with SqliteSink(db) as store:
+        assert store.get_meta("rng_backend") == loss_mod.rng_backend()
+    # Flip the loss adversaries' gate to the other backend.  Nothing may
+    # draw from it afterwards: on a pure-python host the stand-in is not
+    # numpy.
+    monkeypatch.setattr(
+        loss_mod, "_np", None if loss_mod._np is not None else object()
+    )
+    with pytest.raises(ConfigurationError, match="RNG backend"):
+        _serial_runner(db).resume(**AXES)
+
+
 def test_rerun_clears_stale_rounds_from_a_dead_attempt(tmp_path):
     db = str(tmp_path / "campaign.db")
     runner = _serial_runner(db, extra_params={"sqlite_db": db})

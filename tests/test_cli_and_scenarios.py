@@ -51,7 +51,7 @@ def test_nocf_environment_shape():
     assert env.detector.accuracy is AccuracyMode.ALWAYS
     assert env.contention.stabilization_round is None
     # Total silence by default.
-    assert env.loss.losses(1, [0, 1], 2) == {0, 1}
+    assert env.loss.losses_for_round(1, [0, 1], env.indices)[2] == {0, 1}
 
 
 def test_ecf_spurious_prelude_only_before_cst():

@@ -6,7 +6,7 @@ so it gets explicit coverage.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from maybe_hypothesis import given, strategies as st
 
 from repro.detectors.properties import (
     AccuracyMode,

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from maybe_hypothesis import given, strategies as st
 
 from repro.algorithms.encoding import BinaryEncoding, bit_width, canonical_order
 from repro.core.errors import ConfigurationError

@@ -553,6 +553,18 @@ def test_verify_clean_store_and_missing_store(tmp_path):
         verify_campaign_store(str(tmp_path / "absent.db"))
 
 
+def test_verify_flags_a_malformed_rng_backend_stamp(tmp_path):
+    db = str(tmp_path / "c.db")
+    with SqliteSink(db) as store:
+        store.set_meta("base_seed", 3)
+        store.set_meta("rng_backend", "gpu")
+    summary = verify_campaign_store(db)
+    assert not summary["ok"]
+    assert [f["detail"] for f in summary["findings"]] == [
+        "malformed rng_backend stamp 'gpu'"
+    ]
+
+
 def test_verify_rejects_a_non_database_file(tmp_path):
     path = tmp_path / "c.db"
     path.write_bytes(b"definitely not sqlite" * 100)

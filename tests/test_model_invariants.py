@@ -7,7 +7,7 @@ loss, crash, detector class, and contention manager, then check the
 validators — the engine is not trusted, it is audited.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from maybe_hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary.crash import SeededRandomCrashes
 from repro.adversary.loss import (

@@ -65,14 +65,15 @@ def test_layer_drops_non_neighbor_messages():
     net = MultihopNetwork.line(4)
     layer = MultihopLayer(net)
     # Node 3 hears only node 2.
-    assert layer.losses(1, [0, 1, 2], 3) == {0, 1}
-    assert layer.losses(1, [0, 1, 2], 1) == set()
+    lost = layer.losses_for_round(1, [0, 1, 2], net.indices)
+    assert lost[3] == {0, 1}
+    assert lost[1] == set()
 
 
 def test_layer_detector_uses_neighborhood_counts():
     net = MultihopNetwork.line(4)
     layer = MultihopLayer(net)
-    layer.losses(1, [0, 3], 1)   # record the round's senders
+    layer.losses_for_round(1, [0, 3], net.indices)  # record the senders
     # Node 1 has one broadcasting neighbour (0); it received it: null.
     # Node 2 has one broadcasting neighbour (3); received count 0: ±.
     advice = layer.advise(1, 2, {0: 1, 1: 1, 2: 0, 3: 1})
@@ -87,7 +88,7 @@ def test_layer_inner_adversary_composes():
     net = MultihopNetwork.line(3)
     layer = MultihopLayer(net, inner=IIDLoss(1.0, seed=0))
     # Neighbour messages now die in the inner adversary too.
-    assert layer.losses(1, [1], 0) == {1}
+    assert layer.losses_for_round(1, [1], net.indices)[0] == {1}
 
 
 def test_consensus_inside_one_clique_of_a_multihop_network():

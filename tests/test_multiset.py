@@ -1,7 +1,7 @@
 """Tests for the Section 2 multiset preliminaries."""
 
 import pytest
-from hypothesis import given, strategies as st
+from maybe_hypothesis import given, strategies as st
 
 from repro.core.multiset import Multiset, multiset_union
 

@@ -7,7 +7,7 @@ choices.  Hypothesis drives randomized-but-legal combinations of all
 three and asserts the safety half of each theorem unconditionally.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from maybe_hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary.crash import SeededRandomCrashes
 from repro.adversary.loss import EventualCollisionFreedom, IIDLoss

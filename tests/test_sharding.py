@@ -10,7 +10,8 @@ Covers the sharding PR's contract end to end:
 * K merged shard stores report byte-identically to an uninterrupted
   single-host run, for K in {1, 2, 3}, including ``report_table()``;
 * ``merge_campaign_stores`` rejects, loudly: mismatched base_seeds,
-  mismatched shard counts, overlapping shards (duplicate index),
+  mismatched RNG backends, mismatched shard counts, overlapping shards
+  (duplicate index),
   missing shards, stores without identity metadata, out-of-range
   indices, and an existing merge target (unless ``force=True``);
 * a shard interrupted mid-run (``max_cells``) resumes to the same
@@ -27,6 +28,7 @@ import multiprocessing
 
 import pytest
 
+from repro.adversary.loss import rng_backend
 from repro.core.errors import ConfigurationError
 from repro.core.records import SqliteSink
 from repro.experiments.campaign import (
@@ -155,6 +157,8 @@ def test_merged_report_is_byte_identical(tmp_path, k, single_host):
     summary = merge_campaign_stores(merged, paths)
     assert summary["shards"] == k
     assert summary["cells"] == 8
+    with SqliteSink(merged) as store:
+        assert store.get_meta("rng_backend") == rng_backend()
     runner = _runner(merged)
     assert runner.report(**AXES) == ref_report
     assert runner.report_table(**AXES) == ref_table
@@ -223,6 +227,24 @@ def test_merge_rejects_store_without_identity(tmp_path):
     sink.close()
     with pytest.raises(ConfigurationError, match="identity"):
         merge_campaign_stores(str(tmp_path / "m.db"), [bare])
+
+
+def test_merge_rejects_shards_from_another_rng_backend(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.__main__ import main
+
+    paths = _run_shards(tmp_path, 2)
+    with SqliteSink(paths[0]) as store:
+        mine = store.get_meta("rng_backend")
+        # As if shard 0 had been filled on a host with the other backend.
+        store.set_meta("rng_backend", "pure" if mine == "numpy" else "numpy")
+    with pytest.raises(ConfigurationError, match="rng_backend"):
+        merge_campaign_stores(str(tmp_path / "m.db"), paths)
+    monkeypatch.chdir(tmp_path)
+    assert main(["campaign", "merge", "--out", "m.db"] + paths) == 2
+    assert "merge rejected" in capsys.readouterr().err
+    assert not (tmp_path / "m.db").exists()
 
 
 def test_merge_rejects_missing_file(tmp_path):

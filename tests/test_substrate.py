@@ -161,7 +161,7 @@ def test_clock_model_validation():
 # ----------------------------------------------------------------------
 def test_physical_layer_serves_both_interfaces_consistently():
     layer = PhysicalLayer((0, 1, 2), seed=0)
-    losses = layer.losses(1, [0, 1], 2)
+    losses = layer.losses_for_round(1, [0, 1], (0, 1, 2))[2]
     advice = layer.advise(1, 2, {0: 1, 1: 1, 2: 0})
     assert set(advice) == {0, 1, 2}
     assert losses <= {0, 1}

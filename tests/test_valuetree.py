@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from maybe_hypothesis import given, strategies as st
 
 from repro.algorithms.valuetree import ValueTree
 from repro.core.errors import ConfigurationError
