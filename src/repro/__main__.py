@@ -109,7 +109,8 @@ def _campaign_verify_main(argv: list) -> int:
             "and metadata validation, per-cell identity re-derivation "
             "(each row's coordinate tag and seed recomputed from its "
             "stored params must match exactly), payload parseability, "
-            "and round_summaries hygiene (orphaned or stale rows).  "
+            "seed collisions between cells (always report-only), and "
+            "round_summaries hygiene (orphaned or stale rows).  "
             "With --quarantine, content-corrupt cells are demoted to "
             "failed (attempts reset, rounds cleared) so the next "
             "resume re-runs them, identity-corrupt cells are deleted, "

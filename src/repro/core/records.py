@@ -22,6 +22,7 @@ lower bounds, and observable *indistinguishability* between two executions
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
@@ -34,6 +35,7 @@ from typing import (
     Dict,
     FrozenSet,
     IO,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -218,62 +220,49 @@ def _open_store(path: str, busy_timeout: float) -> sqlite3.Connection:
     return conn
 
 
-def _file_id(path: str) -> Optional[Tuple[int, int]]:
-    """``(st_dev, st_ino)`` of the file ``path`` names, if it exists."""
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        return None
-    return st.st_dev, st.st_ino
+#: One ``round_summaries`` row: ``(cell_seed, round, broadcast_count,
+#: crashed_during JSON, decided_during JSON)``.
+RoundRow = Tuple[int, int, int, str, str]
+
+_INSERT_ROUNDS = (
+    "INSERT OR REPLACE INTO round_summaries "
+    "(cell_seed, round, broadcast_count, crashed_during, decided_during) "
+    "VALUES (?, ?, ?, ?, ?)"
+)
+
+#: ``(absolute store path, row list)`` while a campaign cell runs, else
+#: ``None``; see :func:`round_outbox`.
+_OUTBOX: Optional[Tuple[str, List[RoundRow]]] = None
 
 
-class _RoundWriter:
-    """The one store connection a process keeps for round-writing sinks.
+@contextlib.contextmanager
+def round_outbox(store_path: Optional[str]) -> Iterator[List[RoundRow]]:
+    """Collect, instead of write, the round rows bound for ``store_path``.
 
-    Every :class:`SqliteSink` with a ``cell_seed`` writes through it, so
-    a worker running cell after cell against one store pays connect,
-    PRAGMAs and the schema script once, not once per cell.  The rules
-    that make sharing one connection safe:
-
-    * it is closed before any fork (``os.register_at_fork``), so it
-      never crosses into a child process;
-    * it is reopened when its path no longer names the file it was
-      opened on (``st_dev``/``st_ino`` are compared on every use), so a
-      store deleted and recreated in place never swallows rows into the
-      unlinked file;
-    * a process holds at most one: asking for another path or busy
-      timeout closes the current connection first;
-    * :meth:`SqliteSink._guarded` rolls it back after any failed
-      operation, so it never carries a half-written transaction into
-      the next cell.
-
-    Store-only sinks (runner, report, merge) never use it; they keep
-    their own connections, and the campaign runner drops its store's
-    before every worker spawn (``pre_fork=store.disconnect``).
+    While the block runs, every :class:`SqliteSink` flush aimed at
+    ``store_path`` appends its rows to the yielded list and opens no
+    connection.  The campaign dispatcher arms it around every cell call
+    (:func:`~repro.experiments.dispatch.execute_cell_job`), on a pool
+    worker and in-process alike, and hands the rows back with the
+    cell's result; the campaign parent inserts them together with the
+    cell's checkpoint row in one transaction
+    (:meth:`SqliteSink.record_cell`).  Sinks pointed at another path,
+    and every sink when ``store_path`` is ``None``, write directly.
+    Cell functions build their own sinks, so the outbox reaches them
+    through this module rather than as an argument; leaving the block
+    restores whatever was armed before it.
     """
-
-    def __init__(self) -> None:
-        self.conn: Optional[sqlite3.Connection] = None
-        self._key: Optional[Tuple[Any, ...]] = None
-        os.register_at_fork(before=self.close)
-
-    def connection(self, path: str, busy_timeout: float) -> sqlite3.Connection:
-        if (
-            self.conn is None
-            or self._key != (path, busy_timeout, _file_id(path))
-        ):
-            self.close()
-            self.conn = _open_store(path, busy_timeout)
-            self._key = (path, busy_timeout, _file_id(path))
-        return self.conn
-
-    def close(self) -> None:
-        if self.conn is not None:
-            conn, self.conn, self._key = self.conn, None, None
-            conn.close()
-
-
-_ROUND_WRITER = _RoundWriter()
+    global _OUTBOX
+    rows: List[RoundRow] = []
+    previous = _OUTBOX
+    _OUTBOX = (
+        None if store_path is None
+        else (os.path.abspath(store_path), rows)
+    )
+    try:
+        yield rows
+    finally:
+        _OUTBOX = previous
 
 
 class SqliteSink:
@@ -292,18 +281,20 @@ class SqliteSink:
 
     Concurrency: the database is opened in WAL journal mode with a busy
     timeout (both the connect-time handler and an explicit
-    ``PRAGMA busy_timeout``), so parallel campaign workers (each holding
-    its *own* sink — sqlite connections must never cross process
-    boundaries) can append round summaries to one shared ``campaign.db``
-    while the parent checkpoints cell rows.
+    ``PRAGMA busy_timeout``), so readers never block the writer and a
+    second writer waits for the lock instead of failing.  Inside a
+    campaign the parent is the only writer: its cells hand their round
+    rows back (:func:`round_outbox`) and open no connection, so two
+    writers never contend for one ``campaign.db``.
 
-    Durability: observed rounds are buffered in memory and written by
-    :meth:`flush` (which :meth:`close` calls) as one ``executemany`` in
-    one transaction, so a cell killed mid-run leaves none of its rows
-    and a cell that closes its sink leaves all of them.  Every
-    round-writing sink in a process shares one connection per store
-    path (:class:`_RoundWriter`); store-only sinks open their own, and
-    every other write commits immediately.
+    Durability: observed rounds are buffered in memory and flushed by
+    :meth:`flush` (which :meth:`close` calls).  Inside a campaign cell
+    the flush hands them to the cell's outbox, and the parent inserts
+    them with the cell's checkpoint row in one transaction
+    (:meth:`record_cell`), so a killed cell or parent leaves both a
+    cell's rows and its checkpoint, or neither.  Outside one, the flush
+    writes them as one ``executemany`` in one transaction on the sink's
+    own connection.  Every other write commits immediately.
 
     Resilience: every store write runs inside a guarded retry loop —
     a *transient* ``OperationalError`` (``database is locked``/``busy``,
@@ -388,8 +379,8 @@ class SqliteSink:
         converted to a :class:`ConfigurationError` naming the usual
         suspect, because a lock that outlives the whole backoff budget
         is a deployment problem, not a hiccup.  Whatever ``fn`` raises,
-        the connection is rolled back first, so neither a retry nor the
-        next cell sharing the connection builds on a half-written
+        the connection is rolled back first, so neither a retry nor a
+        later write on the connection builds on a half-written
         transaction.
         """
         plan = self._plan()
@@ -423,17 +414,14 @@ class SqliteSink:
             raise ConfigurationError(
                 f"SqliteSink({self.path!r}) is closed; cannot touch the store"
             )
-        if self.cell_seed is not None:
-            return _ROUND_WRITER.connection(self.path, self.busy_timeout)
         if self._conn is None:
             self._conn = _open_store(self.path, self.busy_timeout)
         return self._conn
 
     def _rollback(self) -> None:
         """Undo whatever a failed operation left open on our connection."""
-        conn = self._conn if self.cell_seed is None else _ROUND_WRITER.conn
-        if conn is not None and conn.in_transaction:
-            conn.rollback()
+        if self._conn is not None and self._conn.in_transaction:
+            self._conn.rollback()
 
     def disconnect(self) -> None:
         """Drop the underlying connection; the sink reopens lazily.
@@ -442,33 +430,31 @@ class SqliteSink:
         must never cross a fork — the child's inherited descriptor can
         release the parent's POSIX locks and corrupt WAL recovery.  The
         campaign runner disconnects its store before every fan-out.
-        Round-writing sinks share the process's :class:`_RoundWriter`
-        connection instead, which closes itself before every fork.
         """
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
     def flush(self) -> None:
-        """Write the buffered round rows in one transaction.
+        """Flush the buffered round rows: to the cell's outbox inside a
+        campaign cell bound for this store (:func:`round_outbox`), else
+        to the store in one transaction.
 
         The rows leave the buffer before the write: if it fails even
-        after the retry budget, the error propagates (failing the cell,
-        whose rows the campaign runner then clears) and a later flush or
-        :meth:`close` does not retry them.
+        after the retry budget, the error propagates and a later flush
+        or :meth:`close` does not retry them.
         """
         if not self._pending:
             return
         rows, self._pending = self._pending, []
+        outbox = _OUTBOX
+        if outbox is not None and outbox[0] == os.path.abspath(self.path):
+            outbox[1].extend(rows)
+            return
 
         def write() -> None:
             conn = self._connect()
-            conn.executemany(
-                "INSERT OR REPLACE INTO round_summaries "
-                "(cell_seed, round, broadcast_count, crashed_during, "
-                "decided_during) VALUES (?, ?, ?, ?, ?)",
-                rows,
-            )
+            conn.executemany(_INSERT_ROUNDS, rows)
             conn.commit()
 
         self._guarded("write-round", write)
@@ -497,21 +483,21 @@ class SqliteSink:
                 "SqliteSink needs a cell_seed to file round summaries "
                 "under; construct it as SqliteSink(path, cell_seed=...)"
             )
+        # Almost every round crashes and decides nobody; the constants
+        # are the bytes json.dumps returns for the empty list and dict.
+        crashed = artifact.crashed_during
+        decided = artifact.decided_during
         self._pending.append((
             self.cell_seed,
             artifact.round,
             artifact.broadcast_count,
+            json.dumps(sorted(crashed, key=repr), default=str)
+            if crashed else "[]",
             json.dumps(
-                sorted(artifact.crashed_during, key=repr), default=str
-            ),
-            json.dumps(
-                {
-                    str(pid): value
-                    for pid, value in artifact.decided_during.items()
-                },
+                {str(pid): value for pid, value in decided.items()},
                 sort_keys=True,
                 default=str,
-            ),
+            ) if decided else "{}",
         ))
         self.rounds_written += 1
 
@@ -519,18 +505,24 @@ class SqliteSink:
         """Drop every round summary filed under ``cell_seed``.
 
         The campaign runner calls this before (re-)running a cell, so
-        rounds streamed by a killed or failed earlier attempt can never
-        linger past the new attempt's final round.  Rows this sink still
-        buffers are flushed first, so they are cleared too.
+        rounds of an earlier run of the cell can never linger past the
+        new attempt's final round.  Rows this sink still buffers are
+        flushed first, so they are cleared too.  The delete runs only
+        when a row exists, so clearing a cell without rows takes no
+        write lock.
         """
         self.flush()
 
         def write() -> None:
             conn = self._connect()
-            conn.execute(
-                "DELETE FROM round_summaries WHERE cell_seed = ?",
-                (int(cell_seed),),
-            )
+            key = (int(cell_seed),)
+            if conn.execute(
+                "SELECT 1 FROM round_summaries WHERE cell_seed = ? LIMIT 1",
+                key,
+            ).fetchone() is None:
+                return
+            conn.execute("DELETE FROM round_summaries WHERE cell_seed = ?",
+                         key)
             conn.commit()
 
         self._guarded("clear-rounds", write)
@@ -543,7 +535,8 @@ class SqliteSink:
         Values round-trip through JSON, so non-JSON message/value
         payloads come back as their ``str`` forms (the same reduction
         :class:`JsonlSink` applies on the way out).  Buffered rows are
-        flushed first, so a sink reads its own writes.
+        flushed first, so outside a campaign cell a sink reads its own
+        writes.
         """
         key = self.cell_seed if cell_seed is None else int(cell_seed)
         if key is None:
@@ -599,15 +592,21 @@ class SqliteSink:
         error: Optional[str] = None,
         elapsed: Optional[float] = None,
         attempts: int = 1,
+        rounds: Sequence[RoundRow] = (),
     ) -> None:
         """Checkpoint one finished cell (idempotent upsert, keyed on tag).
 
         ``attempts`` counts how many times the cell has run in total
         (first run included); the campaign's retry budget reads it back
         to decide whether a ``failed`` cell gets another pass.
+        ``rounds`` are the round rows the cell handed back from its
+        :func:`round_outbox`; they commit in the same transaction as the
+        cell row, so the store holds both or neither.
         """
         def write() -> None:
             conn = self._connect()
+            if rounds:
+                conn.executemany(_INSERT_ROUNDS, rounds)
             conn.execute(
                 "INSERT OR REPLACE INTO cells "
                 "(cell_tag, cell_seed, cell_index, params, status, payload, "

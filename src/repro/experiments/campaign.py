@@ -11,10 +11,11 @@ durable, cell-granular checkpoints in a single ``campaign.db``
   table the moment it completes (in completion order, not submission
   order, under the pooled paths), keyed on its canonical coordinate tag.
   Killing the campaign at any point loses at most the cells still
-  in flight on the workers.  Checkpointing a non-``done`` status also
-  clears the cell's ``round_summaries`` rows, so a killed or failed
-  attempt can never leave stale per-round data behind — even for
-  ``timed_out`` cells that will never re-run.
+  in flight on the workers.  The runner is the store's only writer: a
+  cell's sinks hand their ``round_summaries`` rows back with its result
+  (:func:`~repro.core.records.round_outbox`), and a ``done`` cell's
+  rows commit in the same transaction as its checkpoint row.  A killed,
+  timed-out or failed attempt never writes a row.
 * **Resume** — :meth:`CampaignRunner.resume` queries the store first and
   only runs cells that are not already checkpointed (``failed`` cells
   are retried while their attempt count is within the ``max_retries``
@@ -124,7 +125,7 @@ from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
 from .dispatch import CampaignDispatcher, CellResult
-from .harness import SweepCell, SweepRunner, _canonical
+from .harness import SweepCell, SweepRunner
 
 #: Cell statuses a resume does not re-run.
 SKIP_STATUSES: Tuple[str, ...] = ("done", "timed_out")
@@ -136,11 +137,12 @@ RETRY_STATUSES: Tuple[str, ...] = ("failed",)
 def cell_tag(cell: SweepCell) -> str:
     """The canonical, cross-run-stable identity of one grid cell.
 
-    Built from the cell's sorted coordinates via the same value-based
-    encoding that seeds it, so the tag is independent of grid order,
-    worker scheduling, and which pass of a resumed campaign ran it.
+    The cell's :func:`~repro.experiments.harness.coordinate_text`, built
+    once when the grid is derived — the same text its seed comes from —
+    so the tag is independent of grid order, worker scheduling, and
+    which pass of a resumed campaign ran it.
     """
-    return "|".join(f"{k}={_canonical(v)}" for k, v in cell.params)
+    return cell.tag
 
 
 def shard_of(tag: str, shard_count: int) -> int:
@@ -510,29 +512,24 @@ class CampaignRunner:
         self,
         store: SqliteSink,
         cell: SweepCell,
-        status: str,
-        payload: Any = None,
-        error: Optional[str] = None,
-        elapsed: Optional[float] = None,
-        attempts: int = 1,
+        result: CellResult,
+        attempts: int,
     ) -> None:
-        if status != "done":
-            # The dead attempt may have streamed partial rounds into the
-            # store before it was killed (timeout) or raised (failure);
-            # clear them *now* — a timed_out cell is never re-run, so
-            # the pre-run sweep in _run_pending would never reach it and
-            # the stale rows would otherwise live forever.
-            store.clear_rounds(cell.seed)
+        """Commit one finished cell: its row plus the round rows it
+        handed back (only a ``done`` cell hands any back), in one
+        transaction."""
+        done = result.status == "done"
         store.record_cell(
             tag=cell_tag(cell),
             seed=cell.seed,
             index=cell.index,
             params_text=_params_text(cell),
-            status=status,
-            payload_text=_payload_text(payload) if status == "done" else None,
-            error=error,
-            elapsed=elapsed,
+            status=result.status,
+            payload_text=_payload_text(result.payload) if done else None,
+            error=result.error,
+            elapsed=result.elapsed,
             attempts=attempts,
+            rounds=result.rounds,
         )
 
     def _run_pending(
@@ -549,9 +546,9 @@ class CampaignRunner:
         before *every* worker spawn (first fill and replacements alike),
         which is where the "never fork with a live sqlite connection"
         invariant is enforced for the runner's store — checkpointing
-        between completions reopens it lazily.  (The connection that
-        in-process cells write their rounds through closes itself
-        before any fork.)
+        between completions reopens it lazily.  ``store_path`` makes
+        every cell hand its round rows for this store back instead of
+        writing them, so this process is the store's only writer.
         """
         attempts = {
             cell.index: prior_attempts.get(cell.index, 0) + 1
@@ -560,29 +557,28 @@ class CampaignRunner:
         pids = set()
 
         def checkpoint(cell: SweepCell, result: CellResult) -> None:
-            self._checkpoint(store, cell, result.status,
-                             payload=result.payload, error=result.error,
-                             elapsed=result.elapsed,
-                             attempts=attempts[cell.index])
+            self._checkpoint(store, cell, result, attempts[cell.index])
             if result.worker_pid is not None:
                 pids.add(result.worker_pid)
 
         def feed() -> Iterator[SweepCell]:
             # The dispatcher pulls this generator lazily, one cell per
             # freed worker slot (the same seam the shard filter rides).
-            # A pending cell may have streamed rounds in a killed or
-            # failed earlier attempt; clear them immediately before the
-            # cell is handed out — before any worker can stream the new
-            # attempt — so stale rows never linger past its final round.
-            # (The dispatcher disconnects the store via pre_fork before
-            # every spawn, after this pull, so the lazily reopened
-            # connection never crosses a fork.)
+            # A pending cell may already hold rows (left by a killed
+            # worker of a version that wrote them itself, or by a sink
+            # that named the store by another path); clear them as the
+            # cell is handed out, so stale rows never linger past the
+            # new attempt's final round.  (The dispatcher disconnects
+            # the store via pre_fork before every spawn, after this
+            # pull, so the lazily reopened connection never crosses a
+            # fork.)
             for cell in pending:
                 store.clear_rounds(cell.seed)
                 yield cell
 
         self._dispatcher.run(feed(), checkpoint,
-                             pre_fork=store.disconnect)
+                             pre_fork=store.disconnect,
+                             store_path=self.db_path)
         self.last_dispatch_stats = {
             "cells": len(pending),
             "distinct_worker_pids": len(pids),

@@ -47,9 +47,11 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     round, default ``cst + 6``), ``topology`` (``"clique"`` or
     ``"ring"``, default clique), ``successors`` (ring successor-list
     width, default 1), ``record_policy``, ``seed`` (overrides the
-    derived per-cell seed), and ``sqlite_db`` (stream per-round
-    summaries into the campaign store, exactly like
-    :func:`~repro.experiments.harness.consensus_sweep_cell`).
+    derived per-cell seed), and ``sqlite_db`` (file per-round
+    summaries in that store, exactly like
+    :func:`~repro.experiments.harness.consensus_sweep_cell`: inside a
+    campaign over it the parent commits them with the cell's
+    checkpoint, on its own the cell writes them when it ends).
 
     The payload reports agreement quality over the *final* membership:
     ``decision_rate`` counts decided processes among

@@ -39,6 +39,10 @@ Contract highlights:
   place a cell function is invoked, whether in-process or on a worker,
   so a cell behaves identically everywhere (exceptions become ``failed``
   results carrying the exception object when it can cross the pipe).
+  It also arms the cell's round outbox for the ``store_path`` passed to
+  ``run``, so the round rows of every cell — pooled or in-process —
+  come back in :attr:`CellResult.rounds` for the campaign parent to
+  commit, and a worker never opens the store.
 * **Cell sources are iterators** — :meth:`CampaignDispatcher.run`
   accepts any iterable of cells and pulls from it *lazily*: a new cell
   is materialised only when a worker slot frees up (never more than
@@ -58,8 +62,7 @@ Contract highlights:
   invoked immediately before *every* worker spawn (first fill and
   replacements alike).  The campaign runner points it at
   ``store.disconnect``, so its store connection never crosses a fork;
-  the per-process round-writer connection of
-  :mod:`repro.core.records` closes itself in a fork hook.
+  workers open no store connection at all.
 * **Stall watchdog** — with ``stall_timeout`` set, busy workers send
   periodic heartbeats over their existing result pipes; a worker that
   goes silent past the timeout (SIGSTOPped, wedged in GIL-holding C
@@ -101,6 +104,7 @@ from typing import (
 )
 
 from ..core.errors import ConfigurationError
+from ..core.records import RoundRow, round_outbox
 from ..testing import faultline
 
 #: Grace period before a terminate escalates to kill.
@@ -113,7 +117,7 @@ MAX_SPAWN_DEATHS: int = 5
 RESPAWN_BACKOFF: float = 0.05
 
 #: The heartbeat message busy workers send when the stall watchdog is
-#: armed.  A 1-tuple, so it can never be confused with the 6-tuple
+#: armed.  A 1-tuple, so it can never be confused with the 7-tuple
 #: result protocol.
 _HEARTBEAT: Tuple[str] = ("__heartbeat__",)
 
@@ -142,7 +146,9 @@ class CellResult:
     itself when it survived the pipe, so callers that want to re-raise
     (the sweep harness) keep the original type.  ``worker_pid`` is the
     pool worker that ran the cell (``None`` in-process) — the raw
-    material for worker-reuse accounting.
+    material for worker-reuse accounting.  ``rounds`` are the round rows
+    a ``done`` cell handed back for its campaign store (see
+    :func:`execute_cell_job`); every other status carries none.
     """
 
     index: int
@@ -152,6 +158,7 @@ class CellResult:
     elapsed: float = 0.0
     exception: Optional[BaseException] = None
     worker_pid: Optional[int] = None
+    rounds: Tuple[RoundRow, ...] = ()
 
 
 def execute_cell_job(
@@ -159,20 +166,29 @@ def execute_cell_job(
     params: Mapping[str, Any],
     seed: int,
     extra: Optional[Mapping[str, Any]] = None,
-) -> Tuple[str, Any, Optional[str], float, Optional[BaseException]]:
+    store_path: Optional[str] = None,
+) -> Tuple[str, Any, Optional[str], float, Optional[BaseException],
+           Tuple[RoundRow, ...]]:
     """Run one cell function, never letting its exception escape.
 
-    Returns ``(status, payload, error, elapsed, exception)`` with status
-    ``done`` or ``failed`` — the single execution contract behind every
-    dispatch configuration, so a cell behaves identically whether it ran
-    in-process or on a pool worker.
+    Returns ``(status, payload, error, elapsed, exception, rounds)``
+    with status ``done`` or ``failed`` — the single execution contract
+    behind every dispatch configuration, so a cell behaves identically
+    whether it ran in-process or on a pool worker.  The call runs inside
+    a :func:`~repro.core.records.round_outbox` for ``store_path``:
+    ``rounds`` are the round rows the cell's sinks flushed for that
+    store, handed back for the campaign parent to commit with the
+    checkpoint.  A failed cell hands back none.
     """
     start = time.monotonic()
-    try:
-        payload = fn(dict(params, **(extra or {})), seed)
-    except Exception as exc:
-        return ("failed", None, repr(exc), time.monotonic() - start, exc)
-    return ("done", payload, None, time.monotonic() - start, None)
+    with round_outbox(store_path) as rounds:
+        try:
+            payload = fn(dict(params, **(extra or {})), seed)
+        except Exception as exc:
+            return ("failed", None, repr(exc), time.monotonic() - start,
+                    exc, ())
+    return ("done", payload, None, time.monotonic() - start, None,
+            tuple(rounds))
 
 
 def probe_worker_processes() -> None:
@@ -198,10 +214,11 @@ def _dispatch_worker(
 ) -> None:
     """Persistent pool worker: loop over jobs fed by the parent.
 
-    Protocol: the parent sends ``(cell_index, params, seed)`` tuples,
-    strictly one in flight per worker, and a ``None`` sentinel to shut
-    down; the worker answers each job with ``(cell_index, status,
-    payload, error, elapsed, exception)`` and never raises for a cell's
+    Protocol: the parent sends ``(cell_index, params, seed,
+    store_path)`` tuples, strictly one in flight per worker, and a
+    ``None`` sentinel to shut down; the worker answers each job with
+    ``(cell_index, status, payload, error, elapsed, exception,
+    rounds)`` and never raises for a cell's
     own exception (``BaseException`` included — a cell calling
     ``sys.exit`` comes back ``failed`` with the same ``repr`` the
     in-process path would record, never "worker died").  A result whose
@@ -258,7 +275,7 @@ def _dispatch_worker(
                 break
             if job is None:
                 break
-            index, params, seed = job
+            index, params, seed, store_path = job
             fault_key = f"cell:{index}"
             if plan is not None:
                 action = plan.fire("cell", fault_key)
@@ -267,12 +284,12 @@ def _dispatch_worker(
             exit_after = False
             busy_flag.set()
             try:
-                status, payload, error, elapsed, exc = execute_cell_job(
-                    fn, params, seed, extra
+                status, payload, error, elapsed, exc, rounds = (
+                    execute_cell_job(fn, params, seed, extra, store_path)
                 )
             except BaseException as caught:  # SystemExit/KeyboardInterrupt
-                status, payload, error, elapsed, exc = (
-                    "failed", None, repr(caught), 0.0, None
+                status, payload, error, elapsed, exc, rounds = (
+                    "failed", None, repr(caught), 0.0, None, ()
                 )
                 exit_after = isinstance(caught, KeyboardInterrupt)
             if plan is not None and plan.fire("cell-reply", fault_key):
@@ -283,9 +300,8 @@ def _dispatch_worker(
             try:
                 try:
                     with send_lock:
-                        conn.send(
-                            (index, status, payload, error, elapsed, exc)
-                        )
+                        conn.send((index, status, payload, error, elapsed,
+                                   exc, rounds))
                 except (BrokenPipeError, OSError):
                     break
                 except Exception as send_exc:
@@ -296,7 +312,7 @@ def _dispatch_worker(
                         conn.send((
                             index, "failed", None,
                             f"cell result not picklable: {send_exc!r}",
-                            elapsed, None,
+                            elapsed, None, (),
                         ))
             except (BrokenPipeError, OSError):
                 break
@@ -491,6 +507,7 @@ class CampaignDispatcher:
         self._warned_unenforced = False
         self._workers: List[_Worker] = []
         self._pre_fork: Optional[Callable[[], None]] = None
+        self._store_path: Optional[str] = None
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -576,6 +593,7 @@ class CampaignDispatcher:
         on_result: Callable[[Any, CellResult], None],
         pre_fork: Optional[Callable[[], None]] = None,
         idle_hook: Optional[Callable[[], None]] = None,
+        store_path: Optional[str] = None,
     ) -> int:
         """Drive every cell from ``cells`` through the pool.
 
@@ -587,10 +605,14 @@ class CampaignDispatcher:
         exception it raises aborts the run (in-flight workers are
         stopped, parked workers survive) and propagates.  ``pre_fork``
         is called immediately before every worker spawn during this run.
-        Returns the number of completed cells.
+        ``store_path`` names the campaign store whose round rows every
+        cell hands back in :attr:`CellResult.rounds` instead of writing
+        them (:func:`~repro.core.records.round_outbox`).  Returns the
+        number of completed cells.
         """
         hook = self.idle_hook if idle_hook is None else idle_hook
         self._pre_fork = pre_fork
+        self._store_path = store_path
         try:
             if self._resolve_in_process():
                 self._warn_unenforced_timeout()
@@ -598,6 +620,7 @@ class CampaignDispatcher:
             return self._run_pool(cells, on_result, hook)
         finally:
             self._pre_fork = None
+            self._store_path = None
 
     def _run_in_process(self, cells, on_result, hook) -> int:
         completed = 0
@@ -607,14 +630,15 @@ class CampaignDispatcher:
                 action = plan.fire("cell", f"cell:{cell.index}")
                 if action is not None and action.get("kind") == "sleep":
                     time.sleep(float(action.get("seconds", 0.01)))
-            status, payload, error, elapsed, exc = execute_cell_job(
-                self.cell_fn, cell.as_dict(), cell.seed, self.extra_params
+            status, payload, error, elapsed, exc, rounds = execute_cell_job(
+                self.cell_fn, cell.as_dict(), cell.seed, self.extra_params,
+                self._store_path,
             )
             completed += 1
             on_result(cell, CellResult(
                 index=cell.index, status=status, payload=payload,
                 error=error, elapsed=elapsed, exception=exc,
-                worker_pid=None,
+                worker_pid=None, rounds=rounds,
             ))
             if hook is not None:
                 hook()
@@ -780,13 +804,13 @@ class CampaignDispatcher:
             cell, started, _deadline = busy.pop(worker)
             last_seen.pop(worker, None)
             sel.unregister(worker.conn)
-            _, status, payload, error, elapsed, exc = msg
+            _, status, payload, error, elapsed, exc, rounds = msg
             worker.jobs_done += 1
             self._spawn_death_streak = 0
             deliver(cell, CellResult(
                 index=cell.index, status=status, payload=payload,
                 error=error, elapsed=elapsed, exception=exc,
-                worker_pid=worker.pid,
+                worker_pid=worker.pid, rounds=rounds,
             ))
 
         def drain(worker: _Worker) -> None:
@@ -811,9 +835,8 @@ class CampaignDispatcher:
                         worker = self._spawn()
                         self._workers.append(worker)
                     try:
-                        worker.conn.send(
-                            (cell.index, cell.as_dict(), cell.seed)
-                        )
+                        worker.conn.send((cell.index, cell.as_dict(),
+                                          cell.seed, self._store_path))
                     except (BrokenPipeError, OSError):
                         # Died while parked; requeue and refill — unless
                         # fresh spawns keep dying, in which case the

@@ -221,21 +221,35 @@ def _canonical(value: Any) -> str:
     )
 
 
+def coordinate_text(params: Mapping[str, Any]) -> str:
+    """The canonical text of one cell's coordinates.
+
+    ``name=value`` pairs in name order, joined by ``|``, each value in
+    its :func:`_canonical` encoding.  It is the cell's campaign tag
+    (:func:`~repro.experiments.campaign.cell_tag`) and, behind the base
+    seed, the text :func:`cell_seed` hashes.
+    """
+    return "|".join(
+        f"{name}={_canonical(v)}" for name, v in sorted(params.items())
+    )
+
+
 def cell_seed(base_seed: int, **params: Any) -> int:
     """Deterministic 32-bit seed for one sweep cell.
 
-    Derived from ``base_seed`` plus the cell's named coordinates via
-    SHA-256, so the same cell gets the same seed in every process, on
-    every platform, in every run — independent of grid order, worker
-    scheduling, and ``PYTHONHASHSEED``.  Coordinates must be primitives
-    (or lists/dicts of them); objects without value-based reprs are
-    rejected rather than silently seeding from a memory address.
+    The first 4 bytes of SHA-256 over ``base_seed|<coordinate_text>``
+    (just ``base_seed`` for the empty grid's one cell), so the same
+    cell gets the same seed in every process, on every platform, in
+    every run — independent of grid order, worker scheduling, and
+    ``PYTHONHASHSEED``.  Coordinates must be primitives (or lists/dicts
+    of them); objects without value-based reprs are rejected rather
+    than silently seeding from a memory address.  It is the one seed
+    derivation: :meth:`SweepRunner.iter_cells` and ``campaign verify``
+    both call it through this module.
     """
-    text = "|".join(
-        [str(int(base_seed))]
-        + [f"{name}={_canonical(v)}" for name, v in sorted(params.items())]
-    )
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    text = coordinate_text(params)
+    seed_text = f"{int(base_seed)}|{text}" if text else str(int(base_seed))
+    digest = hashlib.sha256(seed_text.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 
 
@@ -260,11 +274,14 @@ def sweep_grid(**axes: Iterable[Any]) -> List[Dict[str, Any]]:
 
 @dataclasses.dataclass(frozen=True)
 class SweepCell:
-    """One point of a sweep grid: its position, seed, and coordinates."""
+    """One point of a sweep grid: its position, seed, and coordinates,
+    plus ``tag``, the coordinates' canonical text
+    (:func:`coordinate_text`)."""
 
     index: int
     seed: int
     params: Tuple[Tuple[str, Any], ...]
+    tag: str
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.params)
@@ -316,13 +333,16 @@ class SweepRunner:
 
         Indices count the *full* grid in row-major order, so a consumer
         that filters the stream (the campaign layer's shard feed) still
-        sees every cell's global identity.
+        sees every cell's global identity.  Each cell keeps its
+        canonical coordinate text as its ``tag``, so the campaign layer
+        never canonicalises it again.
         """
         for i, params in enumerate(iter_sweep_grid(**axes)):
             yield SweepCell(
                 index=i,
                 seed=cell_seed(self.base_seed, **params),
                 params=tuple(sorted(params.items())),
+                tag=coordinate_text(params),
             )
 
     def cells(self, **axes: Iterable[Any]) -> List[SweepCell]:
@@ -397,11 +417,12 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     excluded — so cells sharing an explicit ``seed`` axis value still
     get distinct files and parallel workers never clobber each other,
     while the name itself is machine-independent), and ``sqlite_db`` (a
-    database path: write the same per-round summaries into the shared
-    campaign store's ``round_summaries`` table via a
-    :class:`~repro.core.records.SqliteSink` keyed on this cell's seed,
-    in one transaction when the cell ends — WAL mode makes the
-    concurrent appends of parallel workers safe).
+    database path: file the same per-round summaries in that store's
+    ``round_summaries`` table via a
+    :class:`~repro.core.records.SqliteSink` keyed on this cell's seed;
+    inside a campaign over that store the rows go back to the campaign
+    parent, which commits them with the cell's checkpoint, and called
+    on its own the cell writes them in one transaction when it ends).
     Both sinks open lazily, so a cell that raises before round 1 leaves
     no empty file (and no spurious rows) behind.  Returns a picklable
     dict with decisions, decision rounds, round count, and the consensus

@@ -17,9 +17,11 @@ the clean reference bytes:
   the row's coordinate tag and seed are recomputed from its stored
   params (via the same canonical encoding and SHA-256 derivation that
   created them) and must match the row exactly;
+* seed collisions — two cells with different tags and one
+  ``cell_seed``, which share an RNG seed and one set of round rows;
 * round hygiene — ``round_summaries`` rows filed under no known cell
-  (orphans) or under a non-``done`` cell (stale data a checkpoint
-  should have cleared).
+  (orphans) or under a non-``done`` cell (rows a ``done`` checkpoint
+  never committed).
 
 Quarantine actions are deliberately conservative:
 
@@ -31,7 +33,9 @@ Quarantine actions are deliberately conservative:
 * a cell whose *identity* is damaged (tag/seed/params disagree) cannot
   be trusted at all and is **deleted** outright — the next resume sees
   a gap and fills it;
-* orphaned and stale rounds are deleted.
+* orphaned and stale rounds are deleted;
+* a seed collision is only reported: the rows of two cells that share
+  a key cannot be told apart, so nothing here can repair it.
 
 The CLI face is ``python -m repro campaign verify --db PATH
 [--quarantine]`` (exit 0 when the store is clean, 1 when findings were
@@ -47,7 +51,7 @@ import sqlite3
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
-from .harness import _canonical, cell_seed as derive_cell_seed
+from . import harness
 
 #: The only statuses the campaign layer ever writes.
 VALID_STATUSES = ("done", "failed", "timed_out")
@@ -69,12 +73,6 @@ _REQUIRED_SCHEMA: Dict[str, tuple] = {
 #: report only while the cell is still failed, and a resume overwrites
 #: it either way).
 _QUARANTINE_ERROR = "quarantined by campaign verify"
-
-
-def _tag_from_params(params: Dict[str, Any]) -> str:
-    return "|".join(
-        f"{k}={_canonical(v)}" for k, v in sorted(params.items())
-    )
 
 
 def verify_campaign_store(
@@ -215,7 +213,7 @@ def verify_campaign_store(
                     "detail": f"unparseable params ({exc})",
                 })
             else:
-                derived_tag = _tag_from_params(params)
+                derived_tag = harness.coordinate_text(params)
                 if derived_tag != tag:
                     identity_bad = True
                     cell_findings.append({
@@ -227,7 +225,7 @@ def verify_campaign_store(
                         ),
                     })
                 elif base_seed is not None:
-                    derived_seed = derive_cell_seed(base_seed, **params)
+                    derived_seed = harness.cell_seed(base_seed, **params)
                     if derived_seed != seed:
                         identity_bad = True
                         cell_findings.append({
@@ -279,7 +277,31 @@ def verify_campaign_store(
                 findings.append(finding)
             (delete if identity_bad else demote).append((tag, seed))
 
-        known_seeds = {row[1] for row in rows}
+        # Two cells with one seed share an RNG seed and one set of
+        # round rows: handing out either clears the other's.  Only
+        # re-keying the rows can fix that, so it stays report-only.
+        tags_by_seed: Dict[Any, List[str]] = {}
+        for row in rows:
+            tags_by_seed.setdefault(row[1], []).append(row[0])
+        collisions = sorted(
+            (sorted(tags), seed) for seed, tags in tags_by_seed.items()
+            if len(tags) > 1
+        )
+        for tags, seed in collisions:
+            for tag in tags:
+                findings.append({
+                    "kind": "seed-collision",
+                    "cell_tag": tag,
+                    "cell_seed": seed,
+                    "detail": (
+                        f"shares cell_seed {seed} — its RNG seed and its "
+                        "round_summaries rows — with "
+                        f"{[other for other in tags if other != tag]}"
+                    ),
+                    "action": "report-only",
+                })
+
+        known_seeds = set(tags_by_seed)
         non_done_seeds = {
             row[1] for row in rows if row[4] != "done"
         }
@@ -306,8 +328,8 @@ def verify_campaign_store(
                 "kind": "stale-rounds",
                 "cell_seed": seed,
                 "detail": (
-                    "round_summaries rows under a non-done cell — a "
-                    "checkpoint should have cleared them"
+                    "round_summaries rows under a non-done cell — only "
+                    "a done checkpoint commits a cell's rows"
                 ),
                 "action": "delete-rounds" if quarantine
                 else "report-only",

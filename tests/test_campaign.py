@@ -5,10 +5,13 @@ Covers the PR's durability contract end to end:
 * ``SqliteSink`` round-trips round summaries (write, reopen, read back
   ordered by round) and survives two processes appending to one
   database (WAL mode);
-* a cell's rounds reach the store in one transaction when its sink
-  closes, through one connection per process that survives a store
-  recreated in place, a transient error at flush, and a failed flush
-  in the cell before; no sqlite connection is open when a worker forks;
+* a standalone sink writes its rounds in one transaction when it
+  closes, surviving a transient error at flush and a failed flush
+  before; inside a campaign the parent is the store's only writer —
+  workers never connect, a cell's rows commit with its checkpoint (a
+  failed checkpoint leaves no orphan rows), pooled and in-process
+  stores hold identical rows, a store recreated in place gets the next
+  run's rows, and no sqlite connection is open when a worker forks;
 * ``JsonlSink``/``SqliteSink`` open lazily, so a cell that raises
   before round 1 leaves nothing on disk (the ``consensus_sweep_cell``
   exception path);
@@ -46,10 +49,10 @@ import time
 
 import pytest
 
-from repro.core import records
 from repro.core.errors import ConfigurationError
 from repro.core.records import JsonlSink, RecordPolicy, RoundSummary, SqliteSink
 from repro.experiments.campaign import CampaignRunner, cell_tag
+from repro.experiments.churn import churn_sweep_cell
 from repro.experiments.dispatch import CampaignDispatcher
 from repro.experiments.harness import SweepRunner, consensus_sweep_cell
 from repro.testing import faultline
@@ -234,26 +237,23 @@ class _CommitFails:
         raise sqlite3.OperationalError("disk I/O error")
 
 
-def test_failed_flush_never_leaks_into_the_next_cell(tmp_path, monkeypatch):
-    """The shared writer is rolled back when a flush fails, so the next
-    cell's commit cannot publish the failed cell's half-written rows."""
+def test_failed_flush_never_leaks_into_the_next_cell(tmp_path):
+    """A standalone sink's own connection is rolled back when a flush
+    fails, so the next commit on it cannot publish the failed flush's
+    half-written rows."""
     db = str(tmp_path / "campaign.db")
-    connection = records._RoundWriter.connection
-    monkeypatch.setattr(
-        records._RoundWriter, "connection",
-        lambda writer, *args: _CommitFails(connection(writer, *args)),
-    )
-    failed = SqliteSink(db, cell_seed=1)
+    sink = SqliteSink(db, cell_seed=1)
+    conn = sink._connect()
+    sink._conn = _CommitFails(conn)
     for r in range(1, 4):
-        failed(_summary(r))
+        sink(_summary(r))
     with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
-        failed.close()
-    monkeypatch.undo()
-    with SqliteSink(db, cell_seed=2) as sink:
-        sink(_summary(1))
-    with SqliteSink(db) as sink:
-        assert sink.read_summaries(cell_seed=1) == []
-        assert len(sink.read_summaries(cell_seed=2)) == 1
+        sink.flush()
+    sink._conn = conn
+    sink(_summary(4))
+    sink.close()
+    with SqliteSink(db) as reader:
+        assert [s.round for s in reader.read_summaries(cell_seed=1)] == [4]
 
 
 # ----------------------------------------------------------------------
@@ -459,9 +459,11 @@ def _assert_rounds_stored(db: str, outcomes) -> None:
             assert len(rows) == outcome.payload["rounds"]
 
 
-def test_pooled_workers_connect_to_the_store_once_each(
+def test_pooled_workers_never_connect_to_the_store(
     tmp_path, make_runner, monkeypatch
 ):
+    """The parent is the store's only writer: pooled cells hand their
+    rows back and no worker ever calls ``sqlite3.connect``."""
     log = tmp_path / "connects.log"
     connect = sqlite3.connect
 
@@ -478,17 +480,15 @@ def test_pooled_workers_connect_to_the_store_once_each(
     )
     outcomes = runner.resume(**AXES)
     assert len(outcomes) == 8
-    workers = set(runner.dispatcher.worker_pids())
+    assert runner.last_dispatch_stats["distinct_worker_pids"] == 2
     connects = collections.Counter(int(pid) for pid in log.read_text().split())
-    worker_connects = {p: n for p, n in connects.items() if p != os.getpid()}
-    assert worker_connects and set(worker_connects) <= workers
-    assert max(worker_connects.values()) == 1
+    assert set(connects) == {os.getpid()}
     _assert_rounds_stored(db, outcomes)
 
 
 def test_store_recreated_in_place_gets_the_next_runs_rows(tmp_path):
-    """The per-process writer connection notices the path now names a
-    new file and reopens, instead of writing into the unlinked one."""
+    """A store deleted and recreated between two runs gets the second
+    run's rows, never an unlinked file's."""
     db = str(tmp_path / "campaign.db")
     for _ in range(2):
         runner = _serial_runner(db, extra_params={"sqlite_db": db})
@@ -501,9 +501,9 @@ def test_store_recreated_in_place_gets_the_next_runs_rows(tmp_path):
 def test_no_sqlite_connection_is_open_when_a_worker_forks(
     tmp_path, make_runner, monkeypatch
 ):
-    """Never fork with a live sqlite connection: the runner's store is
-    dropped by the dispatcher's ``pre_fork=store.disconnect`` and the
-    per-process round writer closes itself in a fork hook."""
+    """Never fork with a live sqlite connection: in-process cells leave
+    none open, and the runner's store is dropped by the dispatcher's
+    ``pre_fork=store.disconnect``."""
     tracked = []
     connect = sqlite3.connect
 
@@ -527,8 +527,9 @@ def test_no_sqlite_connection_is_open_when_a_worker_forks(
     _serial_runner(db, extra_params={"sqlite_db": db}).resume(
         max_cells=4, **AXES
     )
-    # The in-process cells left the shared round writer open.
-    assert open_connections() == [records._ROUND_WRITER.conn]
+    # The in-process cells handed their rows to the runner, whose store
+    # connection closed with the pass.
+    assert tracked and open_connections() == []
 
     fork = os.fork
     open_at_fork = []
@@ -549,6 +550,77 @@ def test_no_sqlite_connection_is_open_when_a_worker_forks(
     # The capability probe plus two workers.
     assert len(open_at_fork) >= 3 and set(open_at_fork) == {0}
     _assert_rounds_stored(db, outcomes)
+
+
+@pytest.mark.parametrize("in_process", [True, False],
+                         ids=["in-process", "pooled"])
+def test_failed_checkpoint_leaves_no_orphan_rounds(
+    tmp_path, make_runner, monkeypatch, in_process
+):
+    """A cell's rows commit with its checkpoint, in the parent: when the
+    first ``record-cell`` fails on every attempt and aborts the pass,
+    the cell's rows never reach the store either."""
+    from repro.experiments.verify import verify_campaign_store
+
+    monkeypatch.setattr(time, "sleep", lambda _s: None)
+    plan = faultline.FaultPlan([
+        faultline.FaultRule(
+            site="sqlite", match="record-cell",
+            count_in=tuple(range(1, SqliteSink.MAX_SQLITE_ATTEMPTS + 1)),
+            action={"kind": "operational-error", "flavor": "locked"},
+        ),
+    ])
+    db = str(tmp_path / "campaign.db")
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=3, processes=2,
+        in_process=in_process, fault_plan=plan,
+        extra_params={"sqlite_db": db},
+    )
+    with pytest.raises(ConfigurationError, match="still failing after"):
+        runner.resume(**AXES)
+    findings = verify_campaign_store(db)["findings"]
+    assert "orphan-rounds" not in {f["kind"] for f in findings}
+    with SqliteSink(db) as sink:
+        assert sink.cell_count() == 0
+        assert sink.round_aggregates() == {}
+
+
+#: The CLI's ``--quick`` grids of both campaign families.
+QUICK_GRIDS = {
+    "e18": (consensus_sweep_cell, dict(
+        n=[3, 4], detector=["0-OAC"], loss_rate=[0.1, 0.3], trial=[0, 1],
+        values=[16], record_policy=["summary"],
+    )),
+    "e19": (churn_sweep_cell, dict(
+        n=[4], detector=["0-OAC"], loss_rate=[0.1], trial=[0, 1],
+        values=[8], record_policy=["summary"], churn_rate=[0.0, 0.25],
+        topology=["clique", "ring"],
+    )),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(QUICK_GRIDS))
+def test_pooled_and_in_process_stores_hold_identical_round_rows(
+    tmp_path, make_runner, grid
+):
+    cell_fn, axes = QUICK_GRIDS[grid]
+    rows = {}
+    for mode, kwargs in (("in-process", {"in_process": True}),
+                         ("pooled", {"processes": 2})):
+        db = str(tmp_path / f"{mode}.db")
+        runner = make_runner(
+            cell_fn, db_path=db, base_seed=3,
+            extra_params={"sqlite_db": db}, **kwargs,
+        )
+        _assert_rounds_stored(db, runner.resume(**axes))
+        conn = sqlite3.connect(db)
+        try:
+            rows[mode] = conn.execute(
+                "SELECT * FROM round_summaries ORDER BY cell_seed, round"
+            ).fetchall()
+        finally:
+            conn.close()
+    assert rows["pooled"] and rows["pooled"] == rows["in-process"]
 
 
 # ----------------------------------------------------------------------
@@ -845,7 +917,7 @@ def test_idle_hook_fires_after_every_completion(
 @pytest.mark.parametrize("processes", [0, 4])
 def test_dead_attempts_leave_zero_round_rows(tmp_path, make_runner, processes):
     """A timed-out or failed attempt contributes nothing to
-    round_summaries — its partial rows are cleared at checkpoint time
+    round_summaries — only a ``done`` checkpoint commits a cell's rows
     (timed_out cells never re-run, so the pre-run sweep can't help)."""
     db = str(tmp_path / "campaign.db")
     runner = make_runner(

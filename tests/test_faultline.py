@@ -25,7 +25,8 @@ systematically:
 * ``verify_campaign_store``: deliberate corruption (flipped status
   byte, torn payload, forged identity, orphaned rounds) is detected,
   detection is read-only and stable, and quarantine + resume converges
-  back to the reference bytes;
+  back to the reference bytes; a forced seed collision is flagged on
+  both cells and left alone by quarantine;
 * merge atomicity: an injected mid-merge failure — or SIGKILL during
   an injected mid-merge sleep — leaves no target database, and a
   ``force=True`` rerun sweeps the stray sidecar and succeeds;
@@ -56,7 +57,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.churn import churn_sweep_cell
 from repro.experiments.dispatch import WorkerPoolError
-from repro.experiments.harness import consensus_sweep_cell
+from repro.experiments.harness import SweepRunner, consensus_sweep_cell
 from repro.experiments.verify import format_findings, verify_campaign_store
 from repro.testing import faultline
 from repro.testing.faultline import (
@@ -647,6 +648,45 @@ def test_verify_detects_then_quarantines_then_converges(
     assert all(o.status == "done" for o in final)
     assert clean.report(**E18_AXES) == reference_report["e18"]
     assert verify_campaign_store(db)["ok"]
+
+
+def test_verify_flags_a_forced_seed_collision(
+    tmp_path, make_runner, monkeypatch, capsys
+):
+    """Two cells forced onto one seed share an RNG seed and one set of
+    round rows.  Verify flags both cells and exits 1, and quarantine
+    leaves the clash alone: only re-keying the rows could fix it."""
+    from repro.__main__ import main
+    from repro.experiments import harness
+
+    victim, twin = SweepRunner(
+        consensus_sweep_cell, base_seed=3).cells(**E18_AXES)[:2]
+    derive = harness.cell_seed
+    # Patched for the runner's grid and verify's re-derivation alike.
+    monkeypatch.setattr(
+        harness, "cell_seed",
+        lambda base_seed, **params: derive(
+            base_seed,
+            **(victim.as_dict() if params == twin.as_dict() else params),
+        ),
+    )
+    db = str(tmp_path / "c.db")
+    runner = make_runner(
+        consensus_sweep_cell, db_path=db, base_seed=3, in_process=True,
+        extra_params={"sqlite_db": db},
+    )
+    outcomes = runner.resume(**E18_AXES)
+    assert all(o.status == "done" for o in outcomes)
+    assert outcomes[0].cell.seed == outcomes[1].cell.seed
+    summary = verify_campaign_store(db)
+    assert [(f["kind"], f["cell_tag"]) for f in summary["findings"]] == [
+        ("seed-collision", tag) for tag in sorted((victim.tag, twin.tag))
+    ]
+    healed = verify_campaign_store(db, quarantine=True)
+    assert healed["findings"] == summary["findings"]
+    assert healed["quarantined"] == 0
+    assert main(["campaign", "verify", "--db", db, "--quarantine"]) == 1
+    assert "[seed-collision]" in capsys.readouterr().out
 
 
 def test_verify_cli_exit_codes(tmp_path):

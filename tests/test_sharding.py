@@ -2,6 +2,9 @@
 
 Covers the sharding PR's contract end to end:
 
+* every cell's seed and tag equal the formulas the store was built on
+  (generated grids, the empty grid included), now that the grid builds
+  each cell's canonical text once;
 * ``shard_of`` is a pure function of the canonical cell tag — the same
   cell lands on the same shard on every host, every run;
 * ``shard_cells`` partitions the grid exactly (every cell in exactly
@@ -23,10 +26,12 @@ Covers the sharding PR's contract end to end:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 
 import pytest
+from maybe_hypothesis import given, settings, strategies as st
 
 from repro.adversary.loss import rng_backend
 from repro.core.errors import ConfigurationError
@@ -38,7 +43,12 @@ from repro.experiments.campaign import (
     shard_cells,
     shard_of,
 )
-from repro.experiments.harness import SweepRunner, consensus_sweep_cell
+from repro.experiments.harness import (
+    SweepRunner,
+    _canonical,
+    cell_seed,
+    consensus_sweep_cell,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -101,6 +111,71 @@ def test_shard_of_rejects_bad_count():
         shard_of("n=3", 0)
     with pytest.raises(ConfigurationError):
         shard_of("n=3", -1)
+
+
+# --------------------------------------------------------------------------
+# cell identity: one canonical text per cell, seeds and tags unchanged
+
+
+def _reference_tag(params) -> str:
+    return "|".join(f"{k}={_canonical(v)}" for k, v in sorted(params.items()))
+
+
+def _reference_seed(base_seed: int, params) -> int:
+    text = "|".join(
+        [str(int(base_seed))]
+        + [f"{k}={_canonical(v)}" for k, v in sorted(params.items())]
+    )
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:4],
+                          "big")
+
+
+def _assert_identity_matches_reference(base_seed: int, axes) -> None:
+    cells = SweepRunner(consensus_sweep_cell, base_seed=base_seed).cells(
+        **axes
+    )
+    for cell in cells:
+        params = cell.as_dict()
+        assert cell.seed == _reference_seed(base_seed, params)
+        assert cell.seed == cell_seed(base_seed, **params)
+        assert cell_tag(cell) == _reference_tag(params)
+
+
+def test_empty_grid_seeds_from_the_base_seed_alone():
+    (cell,) = SweepRunner(consensus_sweep_cell, base_seed=7).cells()
+    assert cell_tag(cell) == ""
+    assert cell.seed == int.from_bytes(
+        hashlib.sha256(b"7").digest()[:4], "big"
+    )
+    _assert_identity_matches_reference(7, {})
+
+
+def test_campaign_grid_identity_matches_the_reference_formulas():
+    _assert_identity_matches_reference(3, AXES)
+    _assert_identity_matches_reference(0, dict(AXES, topology=["ring"],
+                                               churn_rate=[0.0, 0.15]))
+
+
+_COORDINATE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text("ab|=,", max_size=3), st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@given(
+    base_seed=st.integers(0, 2 ** 32),
+    axes=st.dictionaries(
+        st.text("nxyz_", min_size=1, max_size=3),
+        st.lists(_COORDINATE, min_size=1, max_size=3),
+        max_size=3,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_grid_identity_matches_the_reference_formulas(
+    base_seed, axes
+):
+    _assert_identity_matches_reference(base_seed, axes)
 
 
 def test_shard_cells_partitions_the_grid_exactly():
