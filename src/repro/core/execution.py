@@ -1,81 +1,51 @@
 """The synchronous round engine (Definition 11, executable).
 
-One engine round performs, in order:
+One engine round (:meth:`ExecutionEngine.step`) runs these stages, in
+order:
 
-0. the churn adversary's membership events apply (joins re-enter the
-   live set with fresh state immediately; leaves commit at the end of
-   the round) — static-membership runs skip this entirely;
-1. the crash adversary picks this round's crash events;
-2. the contention manager issues ``active``/``passive`` advice for every
-   index (crashed processes get advice too — the CM trace is defined over
-   all of ``P`` — they just never act on it);
-3. every live, non-halted process produces its message via ``msg_A``
-   (processes crashing *after send* still broadcast; *before send* they
-   are silent — both timings are legal resolutions of constraint 2);
-4. the loss adversary resolves the whole round in one
+0. churn — the churn adversary's membership events apply (joins
+   re-enter the live set with fresh state immediately; leaves commit at
+   the end of the round); static-membership runs skip this stage;
+1. crashes — the crash adversary picks this round's crash events; an
+   event naming a pid that is not live (already crashed, departed, or
+   outside the index set) is a no-op;
+2. contention — the contention manager issues ``active``/``passive``
+   advice for every live process;
+3. messages — every live, non-halted process produces its message via
+   ``msg_A`` (processes crashing or leaving *after send* still
+   broadcast; *before send* they are silent — both timings are legal
+   resolutions of constraint 2);
+4. receive — the loss adversary resolves the whole round in one
    ``losses_for_round`` call, answering with a normalized
    :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop counts,
    lazy drop sets that name only other senders, lazy dropped pairs — see
    :mod:`repro.adversary.loss` for the contract); self-delivery is
    unconditional (constraint 5), and every loss-free receiver shares the
-   round's full broadcast multiset;
-5. the collision detector, seeing only the counts ``(c, T)`` exactly as
-   Definition 6 prescribes, issues per-process advice;
-6. surviving processes transition on ``(N_r[i], D_r[i], W_r[i])``;
-7. the round is recorded according to the engine's
+   round's full broadcast multiset; the collision detector, seeing only
+   the counts ``(c, T)`` exactly as Definition 6 prescribes, then issues
+   per-process advice;
+5. transitions — surviving processes transition on
+   ``(N_r[i], D_r[i], W_r[i])``;
+6. commit — the round's crashes, then its departures, take effect;
+7. record — the contention manager observes the broadcast count, and
+   the round is recorded according to the engine's
    :class:`~repro.core.records.RecordPolicy`.
+
+Each stage has one scalar implementation and at most one array
+implementation: the receive stage's array kernel
+(:meth:`ExecutionEngine._receive_array`, reference
+:meth:`ExecutionEngine._receive_scalar`) and, on kernel rounds only,
+the batched ``transition_array`` call in
+:meth:`ExecutionEngine._transitions` (reference: its per-process
+``transition`` loop).  Their docstrings state when each runs.  The
+pure-python path is the reference: both paths produce
+indistinguishable executions under every record policy, including
+crash and halting rounds (``tests/test_array_kernel.py``), and both
+match the paper-literal round spec in ``tests/spec_round.py``.
 
 The engine validates constraints 4 and 5 as it goes and raises
 :class:`~repro.core.errors.ModelViolation` on any breach, so a buggy
 adversary cannot silently produce an illegal execution.
-
-The array round kernel
-----------------------
-
-Steps (4)-(6) have a vectorised fast path, gated on
-:func:`~repro.core.environment.array_kernel_module` (numpy present,
-``REPRO_PURE_PYTHON`` unset) and the engine's ``use_array_kernel``
-knob.  The kernel reads the round's drop counts, derives every
-receive count with one array subtraction, validates drop budgets
-against a sender-membership array, and hands the detector the counts
-*array* through the ``advise_array`` hook (whose default round-trips
-through dict ``advise``, so third-party detectors keep working).
-
-Receive multisets are shared, never rebuilt per receiver: a
-single-message round shares one multiset per distinct keep count
-(never touching the drop sets at all), and a *multi-message* round —
-distinct payloads in flight — goes through the message interning
-table (:class:`~repro.core.arrays.MessageInterner` maps payloads to
-small int codes per execution): the round's dropped (receiver,
-sender) position pairs (``RoundLosses.drop_pairs``) turn into a
-(receivers x codes) kept-count matrix via ``bincount``, and each
-*distinct* row materialises exactly one multiset
-(:meth:`~repro.core.multiset.Multiset.from_code_row`).
-
-Transitions batch too: when every active process shares one class
-whose ``transition_array`` is trusted (the same MRO-guard +
-dict-fallback contract as ``advise_array`` — see
-:func:`~repro.core.process._trusted_transition_array`), the round's
-transitions are one batched call over position-aligned lists instead
-of per-process ``transition``/``_advance_round`` call pairs.
-Heterogeneous fleets and third-party process classes keep the
-per-process loop, call-for-call.
-
-The pure-python path remains the reference: both paths produce
-indistinguishable executions under every record policy, including
-crash and halting rounds (``tests/test_array_kernel.py``), and both
-match the paper-literal round spec in ``tests/spec_round.py``.  With
-the kernel on, a round leaves it for exactly one reason: a pending
-churn *event* (a leave or join firing this round) takes the scalar
-reference path (the *fallback gate*), which reads the same
-``RoundLosses``, so no adversary randomness is disturbed and kernel-on
-vs kernel-off byte-identity extends to churned executions.  Event-free
-rounds — including rounds
-where pids are merely *absent* after an earlier leave — ride the
-kernel: the loss adversary is consulted over the full index set on
-both paths, so absence only gates the per-process bookkeeping, not the
-randomness (``tests/test_churn.py`` asserts the gate via the engine's
-``kernel_rounds`` counter).
 
 Record policies
 ---------------
@@ -95,6 +65,7 @@ rounds match round for round — but retains different amounts of it:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..adversary.churn import NoChurn
@@ -106,7 +77,7 @@ from .environment import Environment, array_kernel_module
 from .multiset import Multiset
 from .process import Process, _UNDECIDED, _trusted_transition_array
 from .records import ExecutionResult, RecordPolicy, RoundRecord, RoundSummary
-from .types import CollisionAdvice, ContentionAdvice, Message, ProcessId, Value
+from .types import ContentionAdvice, Message, ProcessId, Value
 
 #: What one ``step()`` returns: a full record, or a summary in the
 #: streaming modes.
@@ -116,8 +87,9 @@ RoundArtifact = Union[RoundRecord, RoundSummary]
 #: artifact (a ``RoundRecord`` under FULL, a ``RoundSummary`` otherwise).
 RoundObserver = Callable[[RoundArtifact], None]
 
-#: Shared empty leave set for churn-free rounds (never mutated).
-_NO_LEAVES: frozenset = frozenset()
+#: Shared empty pid set for rounds without crashes or churn (never
+#: mutated).
+_EMPTY: frozenset = frozenset()
 
 
 class ExecutionEngine:
@@ -131,15 +103,16 @@ class ExecutionEngine:
     the module docstring.  The executed rounds are identical across
     policies for the same seeded environment.
 
-    ``use_array_kernel`` gates the vectorised round kernel (steps 4-5 on
-    int arrays, array detector advice): ``None`` (default) enables it
-    exactly when :func:`~repro.core.environment.array_kernel_module`
-    finds numpy; ``False`` forces the pure-python reference path;
-    ``True`` insists on the kernel and raises
-    :class:`~repro.core.errors.ConfigurationError` when numpy is
-    unavailable rather than silently running the slow path.  The two
-    paths produce indistinguishable executions under every record
-    policy (the ``tests/test_array_kernel.py`` equivalence suite).
+    ``use_array_kernel`` gates the vectorised round kernel (the receive
+    stage on int arrays, array detector advice): ``None`` (default)
+    enables it exactly when
+    :func:`~repro.core.environment.array_kernel_module` finds numpy;
+    ``False`` forces the pure-python reference path; ``True`` insists on
+    the kernel and raises :class:`~repro.core.errors.ConfigurationError`
+    when numpy is unavailable rather than silently running the slow
+    path.  The two paths produce indistinguishable executions under
+    every record policy (the ``tests/test_array_kernel.py`` equivalence
+    suite).
     """
 
     def __init__(
@@ -163,8 +136,8 @@ class ExecutionEngine:
         self._summaries: List[RoundSummary] = []
         self._crashed: Dict[ProcessId, int] = {}
         self._round = 0
-        # Cached live-index list and set, updated only when crashes
-        # commit; the hot path must not rebuild them every round.  The
+        # Cached live-index list and set, updated only when membership
+        # changes; the hot path must not rebuild them every round.  The
         # set backs C-speed keys-view completeness checks on advice maps.
         self._live: List[ProcessId] = list(environment.indices)
         self._live_set: frozenset = frozenset(environment.indices)
@@ -187,6 +160,11 @@ class ExecutionEngine:
         self._pid_pos: Dict[ProcessId, int] = {
             pid: k for k, pid in enumerate(environment.indices)
         }
+        # A FULL record's message map starts as a copy of this all-silent
+        # map: copying a dict is much cheaper than rebuilding it per key.
+        self._no_messages: Dict[ProcessId, None] = dict.fromkeys(
+            environment.indices
+        )
         # Message interning table for multi-message kernel rounds
         # (payload -> small int code, stable per execution); created on
         # first use so single-message workloads never pay for it.
@@ -202,11 +180,11 @@ class ExecutionEngine:
         # list build once instead of every round.
         self._cm_list_key: Optional[dict] = None
         self._cm_list: Optional[list] = None
-        # Batched-transition cache: the index-aligned process list and
-        # the one class every process shares when its
-        # ``transition_array`` is trusted (else None -> per-pid loop).
-        # Invalidated whenever a process instance is replaced (churn
-        # rejoin) and rebuilt lazily on the next kernel round.
+        # Transition cache: the index-aligned process list and the one
+        # class every process shares when its ``transition_array`` is
+        # trusted (else None -> per-process loop).  Invalidated whenever
+        # a process instance is replaced (churn rejoin) and rebuilt
+        # lazily on the next round.
         self._procs_list: Optional[List[Process]] = None
         self._batch_cls: Optional[type] = None
         # -- dynamic membership (the churn extension) -------------------
@@ -257,237 +235,215 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def step(self) -> RoundArtifact:
-        """Execute one synchronous round and return its artifact."""
-        env = self.environment
-        indices = env.indices
-        crashed = self._crashed
+        """Execute one synchronous round and return its artifact.
+
+        Runs the module docstring's stages in order.  With the kernel
+        on, the round takes :meth:`_receive_array` unless a churn event
+        fires this round (the fallback gate, see
+        :meth:`_receive_scalar`).
+        """
         self._round += 1
         r = self._round
+        env = self.environment
         full = self.record_policy is RecordPolicy.FULL
-
-        # (0) Churn: membership events apply before crashes and loss
-        # resolution.  Joins take effect at the start of the round (the
-        # pid re-enters ``live`` with fresh state before the contention
-        # manager or crash adversary look at it); leaves are collected
-        # now and committed at the end of the round, with ``after_send``
-        # deciding whether the final broadcast goes out — the same two
-        # legal timings as crashes.  Only rounds with a *pending event*
-        # (a leave or join firing now) take the scalar reference path
-        # below; rounds where pids are merely absent after an earlier
-        # leave ride the kernel — the loss adversary sees the full index
-        # set on both paths, so absence never shifts its randomness.
-        leave_after_send: frozenset = _NO_LEAVES
-        leave_before_send: frozenset = _NO_LEAVES
-        event_round = False
         if self._has_churn:
-            leave_after_send, leave_before_send, event_round = (
-                self._apply_churn(r)
-            )
-        departed = self._departed
+            leave_after, leave_before, event_round = self._apply_churn(r)
+        else:
+            leave_after = leave_before = _EMPTY
+            event_round = False
+        crash_after, crash_before = self._crashes(r)
+        cm_advice = self._contention(r, full)
+        sent, base_counts, inactive, halted = self._messages(
+            cm_advice, crash_before | leave_before, crash_after | leave_after
+        )
+        lost = resolve_round(env.loss, r, list(sent), env.indices)
+        kernel = self._np is not None and not event_round
+        received, cd_advice = (
+            self._receive_array if kernel else self._receive_scalar
+        )(r, lost, sent, base_counts, _EMPTY if full else inactive)
+        decided = self._transitions(
+            received, cd_advice, cm_advice, inactive, halted, kernel
+        )
+        # The shared empty set keeps crash-free rounds' artifacts from
+        # each holding (and the collector from tracking) one of their own.
+        crashing = (crash_before | crash_after) or _EMPTY
+        if crashing or leave_after or leave_before:
+            self._commit(r, crashing, leave_after | leave_before)
+        env.contention.observe(r, len(sent))
+        return self._record(
+            r, full, cm_advice, sent, received, cd_advice, crashing, decided
+        )
 
-        # (1) Crashes for this round.
-        live_before = self._live
-        events = env.crash.crashes(r, live_before)
-        crash_after_send = set()
-        crash_before_send = set()
+    def _crashes(self, r: int):
+        """Round ``r``'s crash events as ``(after_send, before_send)`` sets.
+
+        An event naming a pid that is not live — already crashed,
+        departed, or outside the index set — is a no-op, as crashing a
+        failed process is in the model.
+        """
+        events = self.environment.crash.crashes(r, self._live)
+        if not events:
+            return _EMPTY, _EMPTY
+        live = self._live_set
+        after_send: set = set()
+        before_send: set = set()
         for ev in events:
-            if ev.pid in crashed:
-                continue
-            if ev.after_send:
-                crash_after_send.add(ev.pid)
-            else:
-                crash_before_send.add(ev.pid)
+            if ev.pid in live:
+                (after_send if ev.after_send else before_send).add(ev.pid)
+        return after_send, before_send
 
-        # (2) Contention advice.  The formal CM trace covers all of P, but
-        # a practical manager schedules among nodes it can still hear, so
-        # the engine consults it over the live set and pads crashed
-        # processes with PASSIVE (their advice is never acted on).
-        cm_advice = env.contention.advise(r, live_before)
-        if full or crashed or departed:
-            # Copy before padding: FULL mode retains the map in the round
-            # record, and crashed/departed processes need PASSIVE filler
-            # — never mutate the manager's own dict.  The streaming
-            # no-crash path uses the manager's map as-is.
-            cm_advice = dict(cm_advice)
-        if not self._live_set <= cm_advice.keys():
-            missing = self._live_set - cm_advice.keys()
+    def _contention(self, r: int, full: bool) -> Mapping:
+        """The contention manager's advice, consulted over the live set.
+
+        The formal CM trace covers all of P, but a practical manager
+        schedules among nodes it can still hear.  A FULL record keeps a
+        copy padded with PASSIVE for crashed and departed processes
+        (advice they never act on); the streaming modes use the
+        manager's map as-is, and it is never mutated.
+        """
+        advice = self.environment.contention.advise(r, self._live)
+        if not self._live_set <= advice.keys():
+            missing = self._live_set - advice.keys()
             raise ModelViolation(
                 f"contention manager omitted advice for {sorted(missing)}"
             )
-        for pid in crashed:
-            if pid not in cm_advice:
-                cm_advice[pid] = ContentionAdvice.PASSIVE
-        for pid in departed:
-            if pid not in cm_advice:
-                cm_advice[pid] = ContentionAdvice.PASSIVE
+        if full:
+            advice = dict(advice)
+            for pid in chain(self._crashed, self._departed):
+                if pid not in advice:
+                    advice[pid] = ContentionAdvice.PASSIVE
+        return advice
 
-        # (3) Message generation.  ``inactive`` collects every process that
-        # will not transition this round (already crashed, crashing now,
-        # or halted) so the receive loop can decide multiset need with a
-        # single membership test.
+    def _messages(self, cm_advice: Mapping, silent, gone):
+        """``msg_A`` for every live process; ``silent`` pids send nothing.
+
+        Pids in ``gone`` broadcast but will not transition (crashing or
+        leaving after send).  Returns ``(sent, base_counts, inactive,
+        halted)``: sender -> message in index order, the round's
+        broadcast multiset as counts, every index that will not
+        transition, and the halted live processes, which only advance
+        their round counter.
+        """
+        live = self._live
+        if silent:
+            live = [pid for pid in live if pid not in silent]
         processes = self.processes
-        messages: Dict[ProcessId, Optional[Message]] = {}
-        senders: List[ProcessId] = []
+        sent: Dict[ProcessId, Message] = {}
+        halted: List[ProcessId] = []
         base_counts: Dict[Message, int] = {}
         base_get = base_counts.get
-        inactive = set(crash_after_send)
-        if leave_after_send:
-            # Broadcast-then-depart: the message goes out but the
-            # process never transitions this round.
-            inactive |= leave_after_send
-        halted_live: List[ProcessId] = []
-        if (not crashed and not crash_before_send and not crash_after_send
-                and not departed and not event_round):
-            # Crash- and churn-free round (the overwhelmingly common
-            # case): no per-index membership tests.
-            for pid in indices:
-                proc = processes[pid]
-                if proc._halted:
-                    messages[pid] = None
-                    inactive.add(pid)
-                    halted_live.append(pid)
-                    continue
-                m = proc.message(cm_advice[pid])
-                messages[pid] = m
-                if m is not None:
-                    senders.append(pid)
-                    base_counts[m] = base_get(m, 0) + 1
-        else:
-            for pid in indices:
-                if (pid in crashed or pid in crash_before_send
-                        or pid in departed or pid in leave_before_send):
-                    messages[pid] = None
-                    inactive.add(pid)
-                    continue
-                proc = processes[pid]
-                if proc._halted:
-                    messages[pid] = None
-                    inactive.add(pid)
-                    if (pid not in crash_after_send
-                            and pid not in leave_after_send):
-                        halted_live.append(pid)
-                    continue
-                m = proc.message(cm_advice[pid])
-                messages[pid] = m
-                if m is not None:
-                    senders.append(pid)
-                    base_counts[m] = base_get(m, 0) + 1
+        for pid in live:
+            proc = processes[pid]
+            if proc._halted:
+                if pid not in gone:
+                    halted.append(pid)
+                continue
+            m = proc.message(cm_advice[pid])
+            if m is not None:
+                sent[pid] = m
+                base_counts[m] = base_get(m, 0) + 1
+        inactive = _EMPTY
+        if gone or halted or len(live) != len(self.environment.indices):
+            inactive = self._indices_set.difference(live).union(gone, halted)
+        return sent, base_counts, inactive, halted
 
-        # (4) Loss resolution and receive multisets.  One
-        # ``losses_for_round`` call resolves the whole round as a
-        # normalized ``RoundLosses`` (any other answer is a
-        # ModelViolation).  The round's full broadcast multiset is built
-        # once; loss-free receivers share it outright (Multiset is
-        # immutable, so sharing is safe).  Processes that will not
-        # transition get no multiset outside FULL records — the detector
-        # only ever needs the counts (Definition 6).
-        lost_map = resolve_round(env.loss, r, senders, indices)
+    def _receive_array(self, r: int, lost, sent, base_counts, skip):
+        """The receive stage on int arrays: counts, multisets, advice.
+
+        Runs when :func:`~repro.core.environment.array_kernel_module`
+        finds numpy (``REPRO_PURE_PYTHON`` unset), the engine's
+        ``use_array_kernel`` knob allows it, and no churn event fires
+        this round.  Receive counts are one array subtraction from the
+        round's drop counts, held to each receiver's droppable budget.
+        Multisets are shared, never rebuilt per receiver: a
+        single-message round maps each keep count to a multiset cached
+        for the whole execution (the drop sets are never touched); a
+        multi-message round interns its payloads as small int codes
+        (:class:`~repro.core.arrays.MessageInterner`), turns the dropped
+        (receiver, sender) pairs (``RoundLosses.drop_pairs``) into one
+        (receivers x codes) kept-count matrix — one ``bincount`` for the
+        drops, one subtraction — and builds one multiset per *distinct*
+        row (:meth:`~repro.core.multiset.Multiset.from_code_row`;
+        sharing is exact because multiset equality is counts-based).
+        The detector gets the counts *array* through ``advise_array``,
+        whose default round-trips through dict ``advise``, so
+        third-party detectors keep working.  Returns the same
+        index-aligned lists as :meth:`_receive_scalar`.
+        """
         np_mod = self._np
-        counts: Dict[ProcessId, int] = {}
-        received: Dict[ProcessId, Multiset] = {}
-        total = len(senders)
+        indices = self.environment.indices
+        total = len(sent)
         full_round_ms = Multiset._from_counts_unchecked(base_counts, total)
-        single = len(base_counts) == 1
-        if single:
-            (only_message,) = base_counts
-        always_multiset = full or not inactive
-        counts_arr = None
-        received_list: Optional[list] = None
-        if np_mod is not None and not event_round:
-            # Array kernel (a churn *event* round takes the scalar path
-            # below instead, which reads the same RoundLosses, so the
-            # adversary's randomness — and the execution — are identical
-            # across the gate): receive counts are one vectorised
-            # subtraction.
-            counts_arr = total - np_mod.asarray(
-                lost_map.drop_counts, dtype=np_mod.int64
+        counts_arr = total - np_mod.asarray(
+            lost.drop_counts, dtype=np_mod.int64
+        )
+        counts_list = counts_arr.tolist()
+        # Every receiver keeps between none and all ``total`` messages,
+        # and a sender at least its own (constraint 5).
+        low = min(counts_list, default=0)
+        pid_pos = self._pid_pos
+        if (low < 0 or max(counts_list, default=0) > total
+                or (low == 0 and any(
+                    counts_list[pid_pos[s]] == 0 for s in sent
+                ))):
+            own = {pid_pos[s] for s in sent}
+            k = next(
+                k for k, kept in enumerate(counts_list)
+                if kept < (k in own) or kept > total
             )
-            counts_list = counts_arr.tolist()
-            # Every receiver keeps between none and all ``total``
-            # messages, and a sender at least its own (constraint 5).
-            low = min(counts_list, default=0)
-            pid_pos = self._pid_pos
-            if (low < 0 or max(counts_list, default=0) > total
-                    or (low == 0 and any(
-                        counts_list[pid_pos[s]] == 0 for s in senders
-                    ))):
-                sent = {pid_pos[s] for s in senders}
-                k = next(
-                    k for k, kept in enumerate(counts_list)
-                    if kept < (k in sent) or kept > total
-                )
+            raise ModelViolation(
+                f"loss resolution claims {total - counts_list[k]} "
+                f"drops at {indices[k]}, outside its droppable budget "
+                f"of {total - (k in own)}"
+            )
+        if len(base_counts) <= 1:
+            # The buckets persist across rounds: in the steady state
+            # every keep count has been seen before and the round is one
+            # C-level map over the cache.
+            key = next(iter(base_counts), None)
+            buckets = self._ms_buckets.get(key)
+            if buckets is None:
+                buckets = self._ms_buckets[key] = {}
+            try:
+                received = list(map(buckets.__getitem__, counts_list))
+            except KeyError:
+                buckets.update(Multiset.singleton_buckets(
+                    key, set(counts_list) - buckets.keys()
+                ))
+                buckets[total] = full_round_ms
+                received = list(map(buckets.__getitem__, counts_list))
+        else:
+            interner = self._interner
+            if interner is None:
+                interner = self._interner = MessageInterner()
+            codes_arr = np_mod.asarray(
+                interner.codes(sent.values()), dtype=np_mod.int64
+            )
+            payloads = interner.payloads
+            width = len(payloads)
+            rows, cols = lost.drop_pairs()
+            rows = np_mod.asarray(rows, dtype=np_mod.intp)
+            cols = np_mod.asarray(cols, dtype=np_mod.intp)
+            drop2d = np_mod.bincount(
+                rows * width + codes_arr[cols],
+                minlength=len(indices) * width,
+            ).reshape(len(indices), width)
+            kept2d = np_mod.bincount(codes_arr, minlength=width) - drop2d
+            if not np_mod.array_equal(kept2d.sum(axis=1), counts_arr):
                 raise ModelViolation(
-                    f"loss resolution claims {total - counts_list[k]} "
-                    f"drops at {indices[k]}, outside its droppable budget "
-                    f"of {total - (k in sent)}"
+                    "loss resolution's drop pairs disagree with its "
+                    "drop counts"
                 )
-            # Receive multisets live in a list aligned with the index
-            # tuple (the ``received`` dict is only materialised for FULL
-            # records).  Single-message rounds share one multiset per
-            # distinct keep count; the lossless bucket shares the
-            # round's full multiset outright.
-            if single or total == 0:
-                # The buckets persist across rounds (multisets are
-                # immutable, so sharing is safe execution-wide): in the
-                # steady state every keep count has been seen before and
-                # the round is one C-level map over the cache.
-                key = only_message if total else None
-                buckets = self._ms_buckets.get(key)
-                if buckets is None:
-                    buckets = self._ms_buckets[key] = {}
-                try:
-                    received_list = list(
-                        map(buckets.__getitem__, counts_list)
-                    )
-                except KeyError:
-                    buckets.update(Multiset.singleton_buckets(
-                        key, set(counts_list) - buckets.keys()
-                    ))
-                    buckets[total] = full_round_ms
-                    received_list = list(
-                        map(buckets.__getitem__, counts_list)
-                    )
-            else:
-                # Multi-message round: interned message codes turn the
-                # dropped (receiver, sender) position pairs into one
-                # (receivers x codes) kept-count matrix — one bincount
-                # for the drops, one subtraction — and each *distinct*
-                # row builds exactly one multiset.  Sharing rows is exact
-                # because multiset equality is counts-based,
-                # insertion-order-free.
-                interner = self._interner
-                if interner is None:
-                    interner = self._interner = MessageInterner()
-                codes = interner.codes(messages[s] for s in senders)
-                width = len(interner.payloads)
-                codes_arr = np_mod.asarray(codes, dtype=np_mod.int64)
-                rows, cols = lost_map.drop_pairs()
-                rows = np_mod.asarray(rows, dtype=np_mod.intp)
-                cols = np_mod.asarray(cols, dtype=np_mod.intp)
-                drop2d = np_mod.bincount(
-                    rows * width + codes_arr[cols],
-                    minlength=len(indices) * width,
-                ).reshape(len(indices), width)
-                kept2d = np_mod.bincount(
-                    codes_arr, minlength=width
-                ) - drop2d
-                if not np_mod.array_equal(kept2d.sum(axis=1), counts_arr):
-                    raise ModelViolation(
-                        "loss resolution's drop pairs disagree with its "
-                        "drop counts"
-                    )
-                payloads = interner.payloads
-                rows_list = kept2d.tolist()
-                row_cache: Dict[tuple, Multiset] = {}
-                received_list = []
-                for k, pid in enumerate(indices):
-                    if not always_multiset and pid in inactive:
-                        received_list.append(None)
-                        continue
-                    kept = counts_list[k]
-                    if kept == total:
-                        received_list.append(full_round_ms)
-                        continue
+            rows_list = kept2d.tolist()
+            row_cache: Dict[tuple, Multiset] = {}
+            received = []
+            for k, pid in enumerate(indices):
+                kept = counts_list[k]
+                if skip and pid in skip:
+                    ms = None
+                elif kept == total:
+                    ms = full_round_ms
+                else:
                     row = rows_list[k]
                     key = tuple(row)
                     ms = row_cache.get(key)
@@ -495,169 +451,202 @@ class ExecutionEngine:
                         ms = row_cache[key] = Multiset.from_code_row(
                             payloads, row, kept
                         )
-                    received_list.append(ms)
-            if full:
-                received = dict(zip(indices, received_list))
-            self.kernel_rounds += 1
-        else:
-            self._resolve_losses_scalar(
-                lost_map, counts, received, base_counts, senders, messages,
-                inactive, total, full_round_ms,
-                only_message if single else None, always_multiset,
-            )
+                received.append(ms)
+        self.kernel_rounds += 1
+        return received, self.environment.detector.advise_array(
+            r, total, counts_arr, indices
+        )
 
-        # (5) Collision-detector advice from counts only.  Kernel rounds
-        # hand the detector the counts *array* through the
-        # ``advise_array`` hook (whose default round-trips through dict
-        # ``advise``, so third-party detectors keep working); rounds
-        # that resolved through the scalar loop keep the dict path.  The
-        # defensive copy is only needed when the map outlives the round
-        # (FULL retains it in the record).
-        if counts_arr is not None:
-            advice_list = env.detector.advise_array(
-                r, total, counts_arr, indices
-            )
-            cd_advice = dict(zip(indices, advice_list)) if full else None
-        else:
-            advice_list = None
-            cd_advice = env.detector.advise(r, total, counts)
-            if full:
-                cd_advice = dict(cd_advice)
-            if not self._indices_set <= cd_advice.keys():
-                missing = self._indices_set - cd_advice.keys()
+    def _receive_scalar(self, r: int, lost, sent, base_counts, skip):
+        """The reference receive stage: per-receiver drop sets, dict advice.
+
+        The pure-python path, and the path of every round in which a
+        churn event fires (the *fallback gate*).  It reads the same
+        ``RoundLosses`` through its drop sets, so no adversary
+        randomness shifts across the gate; rounds where pids are merely
+        absent after an earlier leave ride the kernel, because the loss
+        adversary is consulted over the full index set on both paths
+        (``tests/test_churn.py`` asserts the gate via ``kernel_rounds``).
+        Each drop set is held to the contract before a count is derived
+        from it: other senders only, exactly as many as the drop count
+        says.  In a single-message round a receive multiset depends on
+        the keep count alone, so one is built per distinct count.
+        Returns ``(received, cd_advice)`` aligned with the index tuple,
+        ``received`` holding ``None`` for the pids in ``skip``.
+        """
+        indices = self.environment.indices
+        total = len(sent)
+        full_round_ms = Multiset._from_counts_unchecked(base_counts, total)
+        only_message = (
+            next(iter(base_counts)) if len(base_counts) == 1 else None
+        )
+        sender_set = frozenset(sent)
+        drops = lost.drop_counts
+        if type(drops) is not list:
+            drops = drops.tolist()
+        counts: Dict[ProcessId, int] = {}
+        received: List[Optional[Multiset]] = []
+        by_kept: Dict[int, Multiset] = {}
+        # The drop-set map itself: one lookup per receiver, not a
+        # ``lost[pid]`` call through the Mapping interface each.
+        drop_sets = lost._ensure()
+        for pid, dropped in zip(indices, drops):
+            dropped_from = drop_sets[pid]
+            if dropped_from:
+                if pid in dropped_from:
+                    raise ModelViolation(
+                        f"loss adversary dropped {pid}'s own message at "
+                        "itself (self-delivery is unconditional)"
+                        if pid in sender_set
+                        else f"loss adversary listed non-sender {pid} in "
+                        "its own drop set"
+                    )
+                if not sender_set.issuperset(dropped_from):
+                    raise ModelViolation(
+                        f"drop set for {pid} contains non-senders "
+                        f"{sorted(set(dropped_from) - sender_set, key=repr)}"
+                    )
+            if len(dropped_from) != dropped:
                 raise ModelViolation(
-                    f"collision detector omitted advice for {sorted(missing)}"
+                    f"loss resolution claims {dropped} drops at {pid}, but "
+                    f"its drop set names {len(dropped_from)} senders"
                 )
-
-        # (6) Transitions for surviving processes.  Halted-but-live
-        # processes only advance their round counter; ``inactive`` holds
-        # exactly the halted and the (newly or previously) crashed.
-        decided_during: Dict[ProcessId, Value] = {}
-        for pid in halted_live:
-            processes[pid]._advance_round()
-        if advice_list is not None:
-            # Kernel rounds only: advice and multisets live in lists
-            # aligned with the index tuple, so transitions never pay
-            # per-pid dict lookups (``received_list`` is always set on
-            # the path that set ``advice_list``).  When every active
-            # process shares one trusted class, the whole round is one
-            # ``transition_array`` call; otherwise the per-pid loop is
-            # the byte-identical fallback.
-            procs_list = self._procs_list
-            if procs_list is None:
-                procs_list = self._refresh_batch_cache()
-            batch_cls = self._batch_cls
-            if batch_cls is not None:
-                if inactive:
-                    ks = [
-                        k for k, pid in enumerate(indices)
-                        if pid not in inactive
-                    ]
-                    newly = batch_cls.transition_array(
-                        [procs_list[k] for k in ks],
-                        [received_list[k] for k in ks],
-                        [advice_list[k] for k in ks],
-                        [cm_advice[indices[k]] for k in ks],
+            kept = counts[pid] = total - dropped
+            if skip and pid in skip:
+                ms = None
+            elif not dropped:
+                ms = full_round_ms
+            elif only_message is not None:
+                ms = by_kept.get(kept)
+                if ms is None:
+                    ms = by_kept[kept] = Multiset._from_counts_unchecked(
+                        {only_message: kept} if kept else {}, kept
                     )
-                    if newly:
-                        for i in newly:
-                            pid = indices[ks[i]]
-                            decided_during[pid] = processes[pid]._decision
-                else:
-                    if self._cm_list_key is cm_advice:
-                        cm_list = self._cm_list
-                    else:
-                        cm_list = list(
-                            map(cm_advice.__getitem__, indices)
-                        )
-                        self._cm_list_key = cm_advice
-                        self._cm_list = cm_list
-                    newly = batch_cls.transition_array(
-                        procs_list, received_list, advice_list, cm_list,
-                    )
-                    if newly:
-                        for i in newly:
-                            pid = indices[i]
-                            decided_during[pid] = processes[pid]._decision
             else:
-                for k, pid in enumerate(indices):
-                    if inactive and pid in inactive:
-                        continue
-                    proc = processes[pid]
-                    already_decided = proc._decision is not _UNDECIDED
-                    proc.transition(
-                        received_list[k], advice_list[k], cm_advice[pid]
-                    )
-                    proc._advance_round()
-                    if (not already_decided
-                            and proc._decision is not _UNDECIDED):
-                        decided_during[pid] = proc._decision
-        else:
-            active_pids = (
-                indices if not inactive
-                else [pid for pid in indices if pid not in inactive]
+                cnt = dict(base_counts)
+                for s in dropped_from:
+                    m = sent[s]
+                    left = cnt[m] - 1
+                    if left:
+                        cnt[m] = left
+                    else:
+                        del cnt[m]
+                ms = Multiset._from_counts_unchecked(cnt, kept)
+            received.append(ms)
+        advice = self.environment.detector.advise(r, total, counts)
+        if not self._indices_set <= advice.keys():
+            missing = self._indices_set - advice.keys()
+            raise ModelViolation(
+                f"collision detector omitted advice for {sorted(missing)}"
             )
-            for pid in active_pids:
-                proc = processes[pid]
-                # Direct slot reads instead of the has_decided/decision
-                # properties: this loop runs once per live process per
-                # round.
+        return received, list(map(advice.__getitem__, indices))
+
+    def _transitions(self, received, cd_advice, cm_advice: Mapping,
+                     inactive, halted, batch: bool) -> Dict[ProcessId, Value]:
+        """``trans_A`` for every process still in the round.
+
+        ``received`` and ``cd_advice`` are aligned with the index tuple;
+        pids in ``inactive`` do not transition, and the ``halted`` ones
+        only advance their round counter.  On a kernel round (``batch``)
+        where every process shares one class whose ``transition_array``
+        is trusted (the MRO guard and fallback contract of
+        ``advise_array`` — see
+        :func:`~repro.core.process._trusted_transition_array`), the round
+        is one batched call over position-aligned lists.  Every other
+        round — the pure-python reference, churn-event rounds,
+        heterogeneous fleets and untrusted classes — takes the
+        per-process ``transition`` loop, so the kernel-on vs kernel-off
+        suites hold the batched call to it.  Returns the round's new
+        decisions in index order.
+        """
+        indices = self.environment.indices
+        processes = self.processes
+        for pid in halted:
+            processes[pid]._advance_round()
+        procs = self._procs_list
+        if procs is None:
+            procs = self._refresh_batch_cache()
+        decided: Dict[ProcessId, Value] = {}
+        batch_cls = self._batch_cls if batch else None
+        if batch_cls is None:
+            for k, pid in enumerate(indices):
+                if inactive and pid in inactive:
+                    continue
+                proc = procs[k]
                 already_decided = proc._decision is not _UNDECIDED
-                proc.transition(received[pid], cd_advice[pid], cm_advice[pid])
+                proc.transition(received[k], cd_advice[k], cm_advice[pid])
                 proc._advance_round()
                 if not already_decided and proc._decision is not _UNDECIDED:
-                    decided_during[pid] = proc._decision
+                    decided[pid] = proc._decision
+            return decided
+        if inactive:
+            ks = [k for k, pid in enumerate(indices) if pid not in inactive]
+            procs = [procs[k] for k in ks]
+            received = [received[k] for k in ks]
+            cd_advice = [cd_advice[k] for k in ks]
+            cm_list = [cm_advice[indices[k]] for k in ks]
+        else:
+            ks = None
+            if self._cm_list_key is cm_advice:
+                cm_list = self._cm_list
+            else:
+                cm_list = list(map(cm_advice.__getitem__, indices))
+                self._cm_list_key = cm_advice
+                self._cm_list = cm_list
+        newly = batch_cls.transition_array(procs, received, cd_advice, cm_list)
+        for i in newly or ():
+            pid = indices[i if ks is None else ks[i]]
+            decided[pid] = processes[pid]._decision
+        return decided
 
-        # Commit crashes and refresh the cached live list/set.
-        newly_crashed: frozenset = _NO_LEAVES
-        if crash_before_send or crash_after_send:
-            newly_crashed = crash_before_send | crash_after_send
-            for pid in newly_crashed:
-                crashed[pid] = r
-            self._live = [i for i in self._live if i not in newly_crashed]
-            self._live_set = self._live_set - newly_crashed
-        # Commit departures (a pid both crashing and leaving this round
-        # stays crashed — crashes are absorbing even under churn).  A
-        # departing incarnation's decision is remembered as a ghost:
-        # system-level agreement must hold against it even after the pid
-        # rejoins with fresh state.
-        if leave_after_send or leave_before_send:
-            newly_departed = {
-                pid for pid in leave_after_send | leave_before_send
-                if pid not in crashed
-            }
-            if newly_departed:
-                for pid in sorted(newly_departed, key=self._pid_pos.get):
-                    departed[pid] = r
-                    proc = processes[pid]
-                    if proc._decision is not _UNDECIDED:
-                        self._departed_decisions.append(
-                            (pid, proc._decision, r)
-                        )
-                self._live = [
-                    i for i in self._live if i not in newly_departed
-                ]
-                self._live_set = self._live_set - newly_departed
+    def _commit(self, r: int, crashing, leaving) -> None:
+        """Commit round ``r``'s crashes, then its departures.
 
-        # (7) Channel feedback and bookkeeping.
-        env.contention.observe(r, len(senders))
+        A pid both crashing and leaving stays crashed — crashes are
+        absorbing even under churn.  A departing incarnation's decision
+        is remembered as a ghost: system-level agreement must hold
+        against it even after the pid rejoins with fresh state.
+        """
+        crashed = self._crashed
+        for pid in crashing:
+            crashed[pid] = r
+        gone = set(crashing)
+        for pid in sorted(leaving, key=self._pid_pos.get):
+            if pid in crashed:
+                continue
+            self._departed[pid] = r
+            gone.add(pid)
+            proc = self.processes[pid]
+            if proc._decision is not _UNDECIDED:
+                self._departed_decisions.append((pid, proc._decision, r))
+        self._live = [i for i in self._live if i not in gone]
+        self._live_set = self._live_set - gone
+
+    def _record(self, r: int, full: bool, cm_advice: Mapping, sent,
+                received, cd_advice, crashed, decided) -> RoundArtifact:
+        """Round ``r``'s artifact, retained as the record policy says."""
         if full:
+            indices = self.environment.indices
+            messages: Dict[ProcessId, Optional[Message]] = (
+                self._no_messages.copy()
+            )
+            messages.update(sent)
             record = RoundRecord(
                 round=r,
                 cm_advice=cm_advice,
                 messages=messages,
-                received=received,
-                cd_advice=cd_advice,
-                crashed_during=frozenset(newly_crashed),
-                decided_during=decided_during,
+                received=dict(zip(indices, received)),
+                cd_advice=dict(zip(indices, cd_advice)),
+                crashed_during=frozenset(crashed),
+                decided_during=decided,
             )
             self._records.append(record)
             return record
         summary = RoundSummary(
             round=r,
-            broadcast_count=len(senders),
-            crashed_during=frozenset(newly_crashed),
-            decided_during=decided_during,
+            broadcast_count=len(sent),
+            crashed_during=frozenset(crashed),
+            decided_during=decided,
         )
         if self.record_policy is RecordPolicy.SUMMARY:
             self._summaries.append(summary)
@@ -669,10 +658,10 @@ class ExecutionEngine:
         ``_batch_cls`` is the one class every process shares when its
         ``transition_array`` may stand in for per-process ``transition``
         calls (:func:`~repro.core.process._trusted_transition_array`);
-        ``None`` routes kernel rounds through the per-pid reference
-        loop.  Crashed processes stay in the list — the ``inactive``
-        filter excludes them per round — so the cache only invalidates
-        when an instance is *replaced* (churn rejoin).
+        ``None`` routes the round through the per-process loop.  Crashed
+        processes stay in the list — the ``inactive`` filter excludes
+        them per round — so the cache only invalidates when an instance
+        is *replaced* (churn rejoin).
         """
         processes = self.processes
         procs = [processes[pid] for pid in self.environment.indices]
@@ -694,9 +683,11 @@ class ExecutionEngine:
         Joins happen immediately: the pid re-enters the cached live
         list/set (rebuilt in index order — the ``live_indices``
         invalidation) with a fresh process instance when it had already
-        participated.  Leaves are only *collected* here; ``step``
-        commits them after transitions.  Returns
-        ``(leave_after_send, leave_before_send, any_events)``.
+        participated.  Leaves are only *collected* here, with
+        ``after_send`` deciding whether the final broadcast goes out —
+        the same two legal timings as crashes; :meth:`_commit` applies
+        them after transitions.  Returns ``(leave_after_send,
+        leave_before_send, any_events)``.
         """
         env = self.environment
         processes = self.processes
@@ -707,7 +698,7 @@ class ExecutionEngine:
         )
         events = env.churn.events(r, self._live, departed, decided)
         if not events:
-            return _NO_LEAVES, _NO_LEAVES, False
+            return _EMPTY, _EMPTY, False
         leave_after: set = set()
         leave_before: set = set()
         joined: List[ProcessId] = []
@@ -736,8 +727,8 @@ class ExecutionEngine:
                             "ExecutionEngine)"
                         )
                     processes[pid] = self._process_factory(pid)
-                    # The batched-transition cache holds the old
-                    # instance; rebuild it on the next kernel round.
+                    # The transition cache holds the old instance;
+                    # rebuild it on the next round.
                     self._procs_list = None
                 # left_round == 0: the initial instance never stepped, so
                 # it already is fresh state — no factory needed.
@@ -754,83 +745,6 @@ class ExecutionEngine:
                 i for i in env.indices if i in self._live_set
             ]
         return leave_after, leave_before, True
-
-    def _resolve_losses_scalar(
-        self,
-        lost_map,
-        counts: Dict[ProcessId, int],
-        received: Dict[ProcessId, Multiset],
-        base_counts: Dict[Message, int],
-        senders: List[ProcessId],
-        messages: Dict[ProcessId, Optional[Message]],
-        inactive: set,
-        total: int,
-        full_round_ms: Multiset,
-        only_message: Optional[Message],
-        always_multiset: bool,
-    ) -> None:
-        """The reference per-receiver loss resolution (pure-python path).
-
-        Fills ``counts`` and ``received`` in index order — byte for byte
-        what the array kernel must reproduce — from the round's drop
-        sets, and holds each set to the contract before any count is
-        derived from it: senders only, never its own receiver, and
-        exactly as many as the drop count says.  In a single-message
-        round (``only_message`` set) a receive multiset depends on the
-        keep count alone, so one is built per distinct count.
-        """
-        indices = self.environment.indices
-        sender_set = frozenset(senders)
-        drops = lost_map.drop_counts
-        if type(drops) is not list:
-            drops = drops.tolist()
-        by_kept: Dict[int, Multiset] = {}
-        for k, pid in enumerate(indices):
-            lost = lost_map[pid]
-            dropped = drops[k]
-            if lost:
-                if pid in lost:
-                    raise ModelViolation(
-                        f"loss adversary dropped {pid}'s own message at "
-                        "itself (self-delivery is unconditional)"
-                        if messages[pid] is not None
-                        else f"loss adversary listed non-sender {pid} in "
-                        "its own drop set"
-                    )
-                if not sender_set.issuperset(lost):
-                    raise ModelViolation(
-                        f"drop set for {pid} contains non-senders "
-                        f"{sorted(set(lost) - sender_set, key=repr)}"
-                    )
-            if len(lost) != dropped:
-                raise ModelViolation(
-                    f"loss resolution claims {dropped} drops at {pid}, but "
-                    f"its drop set names {len(lost)} senders"
-                )
-            kept = total - dropped
-            counts[pid] = kept
-            if not always_multiset and pid in inactive:
-                continue
-            if not dropped:
-                received[pid] = full_round_ms
-                continue
-            if only_message is not None:
-                ms = by_kept.get(kept)
-                if ms is None:
-                    ms = by_kept[kept] = Multiset._from_counts_unchecked(
-                        {only_message: kept} if kept else {}, kept
-                    )
-                received[pid] = ms
-                continue
-            cnt = dict(base_counts)
-            for s in lost:
-                m = messages[s]
-                left = cnt[m] - 1
-                if left:
-                    cnt[m] = left
-                else:
-                    del cnt[m]
-            received[pid] = Multiset._from_counts_unchecked(cnt, kept)
 
     # ------------------------------------------------------------------
     def run(

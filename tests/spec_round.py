@@ -177,12 +177,13 @@ def run_spec(indices, spawn, detector, contention, law: Law, rounds: int,
                     rejoins[ev.pid] = rejoins.get(ev.pid, 0) + 1
         present = live()
 
-        # Crashes, then contention advice over the live processes.
+        # Crashes — an event naming a pid that is not live is a no-op —
+        # then contention advice over the live processes.
         crash_after: Set[Any] = set()
         crash_before: Set[Any] = set()
         if crash is not None:
             for ev in crash.crashes(r, present):
-                if ev.pid not in crashed:
+                if ev.pid in present:
                     (crash_after if ev.after_send
                      else crash_before).add(ev.pid)
         cm = dict(contention.advise(r, present))

@@ -7,8 +7,11 @@ Covers the contract-level guarantees:
   (``tests/spec_round.py``), on the engine's scalar path and on its
   array kernel, with full per-round record equality, crashes included;
 * the same three-way equality over generated adversary compositions x
-  crash/churn schedules x record policies, and exhaustively over every
-  drop pattern of two rounds at n = 3;
+  crash/churn schedules (crash events naming absent and out-of-range
+  pids among them) x process fleets (one shared class, mixed classes,
+  an ``_advance_round`` override, and counting's trusted
+  ``transition_array`` batch) x record policies, and
+  exhaustively over every drop pattern of two rounds at n = 3;
 * ``IIDLoss``'s whole-round law and determinism on both backends;
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` on every contract breach: a drop set naming its
@@ -29,7 +32,13 @@ import repro.adversary.loss as loss_mod
 import spec_round as spec
 from maybe_hypothesis import HealthCheck, given, settings, strategies as st
 from repro.adversary.churn import NoChurn, SeededChurn
-from repro.adversary.crash import NoCrashes, ScheduledCrashes, SeededRandomCrashes
+from repro.adversary.crash import (
+    CrashAdversary,
+    CrashEvent,
+    NoCrashes,
+    ScheduledCrashes,
+    SeededRandomCrashes,
+)
 from repro.adversary.loss import (
     AlphaLoss,
     CaptureEffectLoss,
@@ -44,7 +53,12 @@ from repro.adversary.loss import (
     SilenceLoss,
 )
 from repro.algorithms.alg2 import algorithm_2
-from repro.contention.services import NoContentionManager, WakeUpService
+from repro.algorithms.counting import CountingProcess
+from repro.contention.services import (
+    KWakeUpService,
+    NoContentionManager,
+    WakeUpService,
+)
 from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError, ModelViolation
 from repro.core.execution import ExecutionEngine, run_algorithm
@@ -66,24 +80,27 @@ from repro.lowerbounds.conjecture import max_composable_prefix
 POLICIES = (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 
 
+def varied_script(i, rounds):
+    """Distinct messages and silent rounds, so executions exercise both
+    the single- and multi-message engine paths and rounds with partial
+    sender sets."""
+    script = []
+    for r in range(rounds):
+        if (r + i) % 4 == 3:
+            script.append(None)  # silent round for this index
+        elif r % 3 == 0:
+            script.append("m")  # single shared message round
+        else:
+            script.append(f"m{i % 3}")
+        # (None entries vary the sender set per round)
+    return script
+
+
 def varied_algorithm(n, rounds):
-    """Scripted processes with distinct messages and silent rounds, so
-    executions exercise both the single- and multi-message engine paths
-    and rounds with partial sender sets."""
-
-    def spawn(i):
-        script = []
-        for r in range(rounds):
-            if (r + i) % 4 == 3:
-                script.append(None)  # silent round for this index
-            elif r % 3 == 0:
-                script.append("m")  # single shared message round
-            else:
-                script.append(f"m{i % 3}")
-            # (None entries vary the sender set per round)
-        return ScriptedProcess(script)
-
-    return Algorithm(spawn, anonymous=False)
+    """Scripted processes running :func:`varied_script`."""
+    return Algorithm(
+        lambda i: ScriptedProcess(varied_script(i, rounds)), anonymous=False
+    )
 
 
 class Gossip(Process):
@@ -112,6 +129,60 @@ class Gossip(Process):
         if self._round + 1 == self.decide_at:
             self.decide(self.value)
             self.halt()
+
+
+class Ticking(ScriptedProcess):
+    """Tags each broadcast with the round advances it has seen, through
+    its own ``_advance_round``: the trust guard must keep this class on
+    the per-process loop, since a batched ``transition_array`` advances
+    rounds inline."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.ticks = 0
+
+    def message(self, cm_advice):
+        m = super().message(cm_advice)
+        return None if m is None else f"{m}@{self.ticks}"
+
+    def _advance_round(self):
+        super()._advance_round()
+        self.ticks += 1
+
+
+class ReportingCounter(CountingProcess):
+    """Anonymous counting whose announcements carry the process's counts
+    and round, so record equality sees all the state that
+    ``CountingProcess.transition_array`` writes.  It overrides only
+    ``message``, so the trusted batch still runs on kernel rounds."""
+
+    def message(self, cm_advice):
+        m = super().message(cm_advice)
+        return None if m is None else (m, tuple(self.counts), self._round)
+
+
+class WildCrashes(CrashAdversary):
+    """Names pids across the index range and beyond each round —
+    absent, crashed or outside the indices alike — but at most one live
+    pid, and none while fewer than two are live: ``SeededChurn`` spares
+    two by count, so someone always stays live for the contention
+    manager to schedule."""
+
+    def __init__(self, p, seed):
+        self.p = p
+        self.seed = seed
+
+    def crashes(self, round_index, live):
+        rng = random.Random(f"{self.seed}|{round_index}")
+        named = [pid for pid in range(N_GEN + 2) if rng.random() < self.p]
+        victims = (
+            [pid for pid in named if pid in live][:1] if len(live) > 1
+            else []
+        )
+        return tuple(
+            CrashEvent(pid, after_send=rng.random() < 0.5)
+            for pid in named if pid not in live or pid in victims
+        )
 
 
 def run_against_spec(loss_factory, law, algorithm, rounds, n=6,
@@ -292,10 +363,14 @@ _descriptions = st.recursive(
     ),
     max_leaves=4,
 )
-_crashes = st.one_of(st.none(), st.tuples(
-    st.floats(0.0, 0.4), st.integers(0, 2), st.integers(1, ROUNDS_GEN),
-    st.integers(0, 10**6), st.booleans(),
-))
+_crashes = st.one_of(
+    st.none(),
+    st.tuples(
+        st.floats(0.0, 0.4), st.integers(0, 2), st.integers(1, ROUNDS_GEN),
+        st.integers(0, 10**6), st.booleans(),
+    ),
+    st.tuples(st.just("wild"), st.floats(0.0, 0.2), st.integers(0, 10**6)),
+)
 _churn = st.one_of(st.none(), st.tuples(
     st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.integers(0, 10**6),
     st.integers(1, ROUNDS_GEN), st.booleans(),
@@ -311,6 +386,9 @@ _DETECTORS = {
 _CONTENTION = {
     "none": NoContentionManager,
     "wake-up": lambda: WakeUpService(stabilization_round=3),
+    # Rotating solo rounds: counting fleets reach their second block
+    # start, and so append counts, within ROUNDS_GEN rounds.
+    "k-wake-up": lambda: KWakeUpService(k=1, stabilization_round=2),
 }
 _ALGORITHMS = {
     "scripted": lambda: varied_algorithm(N_GEN, ROUNDS_GEN),
@@ -318,7 +396,31 @@ _ALGORITHMS = {
         lambda pid: Gossip(pid, decide_at=ROUNDS_GEN - 1 - pid % 2),
         anonymous=False,
     ),
+    # No class shared by the whole fleet: the per-process loop.
+    "mixed": lambda: Algorithm(
+        lambda pid: ScriptedProcess(varied_script(pid, ROUNDS_GEN))
+        if pid % 2 == 0 else Gossip(pid, decide_at=ROUNDS_GEN - 1),
+        anonymous=False,
+    ),
+    "ticking": lambda: Algorithm(
+        lambda pid: Ticking(varied_script(pid, ROUNDS_GEN)),
+        anonymous=False,
+    ),
+    # A trusted ``transition_array`` override: batched on kernel rounds,
+    # held here to the spec's per-process ``transition``.
+    "counting": lambda: Algorithm.anonymous(ReportingCounter),
 }
+
+
+def _crash_factory(crash):
+    if crash is None:
+        return None
+    if crash[0] == "wild":
+        return lambda: WildCrashes(p=crash[1], seed=crash[2])
+    return lambda: SeededRandomCrashes(
+        p=crash[0], max_crashes=crash[1], deadline=crash[2],
+        seed=crash[3], after_send=crash[4],
+    )
 
 
 @given(
@@ -338,10 +440,7 @@ def test_spec_scalar_and_kernel_agree_on_generated_compositions(
     run_against_spec(
         factory, law, _ALGORITHMS[algorithm](), ROUNDS_GEN, n=N_GEN,
         detector=_DETECTORS[detector], contention=_CONTENTION[contention],
-        crash=crash and (lambda: SeededRandomCrashes(
-            p=crash[0], max_crashes=crash[1], deadline=crash[2],
-            seed=crash[3], after_send=crash[4],
-        )),
+        crash=_crash_factory(crash),
         churn=churn and (lambda: SeededChurn(
             leave_rate=churn[0], join_rate=churn[1], seed=churn[2],
             deadline=churn[3], after_send=churn[4],

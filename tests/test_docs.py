@@ -31,11 +31,14 @@ def test_checker_flags_broken_link(tmp_path):
     checker = _load_checker()
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
-        "see [gone](docs/missing.md) and [ok](docs/campaigns.md)\n")
+        "see [gone](docs/missing.md) and [ok](docs/campaigns.md)\n"
+        "tested in `tests/test_gone.py::test_x` and `docs/campaigns.md`\n")
     (tmp_path / "docs" / "campaigns.md").write_text("hello\n")
     (tmp_path / "docs" / "architecture.md").write_text("hello\n")
     problems = checker.check(tmp_path)
     assert any("broken link" in p for p in problems)
+    stale = [p for p in problems if "stale path" in p]
+    assert stale == ["README.md: stale path: tests/test_gone.py"]
 
 
 def test_checker_skips_urls_anchors_and_code_fences(tmp_path):

@@ -13,7 +13,11 @@ Checks, with no dependencies beyond the standard library:
   CHANGES.md points at a file that exists (``http(s)://`` URLs and
   pure ``#anchor`` links are skipped; a ``path#anchor`` link is checked
   for the path part);
-* no link escapes the repository root.
+* no link escapes the repository root;
+* every backticked repo path in README.md and docs/*.md (one starting
+  ``src/``, ``tests/``, ``tools/``, ``benchmarks/``, ``perfbench/``,
+  ``docs/`` or ``examples/``, a ``::name`` suffix ignored) exists.
+  ROADMAP.md is exempt: it names files that are still planned.
 
 Exit status 0 when clean, 1 with one line per problem otherwise — CI
 runs this as the docs gate, and ``tests/test_docs.py`` runs it in
@@ -35,12 +39,17 @@ REQUIRED = (
 
 #: inline markdown links: [text](target) — images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-#: fenced code blocks must not contribute links.
+#: inline code naming a repo path, e.g. `tests/test_docs.py::test_x`.
+_PATH = re.compile(
+    r"`((?:src|tests|tools|benchmarks|perfbench|docs|examples)/[\w./-]*)"
+    r"(?:::[\w.]+)?`"
+)
+#: fenced code blocks contribute neither links nor paths.
 _FENCE = re.compile(r"^(```|~~~)")
 
 
-def iter_links(text: str):
-    """Yield link targets from *text*, ignoring fenced code blocks."""
+def iter_matches(text: str, pattern):
+    """Yield ``pattern``'s first group over *text*, outside code fences."""
     in_fence = False
     for line in text.splitlines():
         if _FENCE.match(line.strip()):
@@ -48,7 +57,7 @@ def iter_links(text: str):
             continue
         if in_fence:
             continue
-        for match in _LINK.finditer(line):
+        for match in pattern.finditer(line):
             yield match.group(1)
 
 
@@ -61,12 +70,18 @@ def check(root: Path) -> list:
         elif not path.read_text(encoding="utf-8").strip():
             problems.append(f"required doc is empty: {rel}")
 
-    sources = [root / "README.md", root / "ROADMAP.md", root / "CHANGES.md"]
-    sources += sorted((root / "docs").glob("*.md"))
+    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    sources = docs + [root / "ROADMAP.md", root / "CHANGES.md"]
     for source in sources:
         if not source.is_file():
             continue
-        for target in iter_links(source.read_text(encoding="utf-8")):
+        text = source.read_text(encoding="utf-8")
+        if source in docs:
+            for path in iter_matches(text, _PATH):
+                if not (root / path).exists():
+                    problems.append(
+                        f"{source.relative_to(root)}: stale path: {path}")
+        for target in iter_matches(text, _LINK):
             if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
             rel_target = target.split("#", 1)[0]
