@@ -84,26 +84,9 @@ def quick_consensus(
     )
 
 
-def sweep_runner(cell_fn=None, processes=None, base_seed: int = 0):
-    """Build a :class:`repro.experiments.SweepRunner` for parallel grids.
-
-    Defaults to the built-in Algorithm-2 consensus cell; pass any
-    picklable top-level ``fn(params, seed) -> payload`` to sweep custom
-    workloads.  Imported lazily so ``import repro`` stays light.
-    """
-    from .experiments.harness import SweepRunner, consensus_sweep_cell
-
-    return SweepRunner(
-        cell_fn or consensus_sweep_cell,
-        processes=processes,
-        base_seed=base_seed,
-    )
-
-
 __all__ = [
     "__version__",
     "quick_consensus",
-    "sweep_runner",
     "Environment",
     "ExecutionResult",
     "RecordPolicy",

@@ -7,10 +7,11 @@ object producing one trace, with an optional channel-feedback hook so that
 practical managers (backoff, Section 1.3) can adapt — the formal services
 ignore the feedback.
 
-The engine relies on two conventions:
+The engine relies on these conventions:
 
 * ``advise(round, indices)`` is called exactly once per round, rounds
-  numbered from 1, with a fixed index set;
+  numbered from 1, with the round's live indices; crashes or churn may
+  empty them, and an empty live set gets the empty advice ``{}``;
 * ``observe(round, broadcast_count)`` is called after the round resolves
   (practical managers may listen to the channel; the paper notes this is
   how real implementations work even though the formal definition is a

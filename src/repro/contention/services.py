@@ -122,6 +122,8 @@ class WakeUpService(ContentionManager):
     def advise(
         self, round_index: int, indices: Sequence[ProcessId]
     ) -> Dict[ProcessId, ContentionAdvice]:
+        if not indices:
+            return {}
         if round_index < self._r_wake:
             active = set(self._pre(round_index, indices))
             return {
@@ -161,6 +163,8 @@ class LeaderElectionService(ContentionManager):
     def advise(
         self, round_index: int, indices: Sequence[ProcessId]
     ) -> Dict[ProcessId, ContentionAdvice]:
+        if not indices:
+            return {}
         if round_index < self._r_lead:
             active = set(self._pre(round_index, indices))
             return {
@@ -208,6 +212,8 @@ class KWakeUpService(ContentionManager):
     def advise(
         self, round_index: int, indices: Sequence[ProcessId]
     ) -> Dict[ProcessId, ContentionAdvice]:
+        if not indices:
+            return {}
         if round_index < self._r_stab:
             active = set(self._pre(round_index, indices))
             return {i: ACTIVE if i in active else PASSIVE for i in indices}
@@ -253,6 +259,8 @@ class ScriptedContentionManager(ContentionManager):
     def advise(
         self, round_index: int, indices: Sequence[ProcessId]
     ) -> Dict[ProcessId, ContentionAdvice]:
+        if not indices:
+            return {}
         if round_index in self._script:
             active = self._script[round_index]
         elif self._default == "leader":

@@ -38,7 +38,6 @@ from .multiset import Multiset, multiset_union
 from .process import Process, ScriptedProcess, SilentProcess
 from .records import (
     ExecutionResult,
-    JsonlSink,
     RecordPolicy,
     RoundRecord,
     RoundSummary,
@@ -68,7 +67,7 @@ __all__ = [
     "Environment",
     "ExecutionEngine", "run_algorithm", "run_consensus",
     "ExecutionResult", "RecordPolicy", "RoundRecord", "RoundSummary",
-    "JsonlSink", "SqliteSink", "TransmissionEntry", "indistinguishable",
+    "SqliteSink", "TransmissionEntry", "indistinguishable",
     "ConsensusReport", "evaluate",
     "check_agreement", "check_strong_validity", "check_uniform_validity",
     "check_termination",

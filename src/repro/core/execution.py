@@ -837,7 +837,7 @@ def run_algorithm(
 ) -> ExecutionResult:
     """Instantiate ``algorithm`` over the environment's indices and run.
 
-    ``observer`` (e.g. a :class:`~repro.core.records.JsonlSink`) receives
+    ``observer`` (e.g. a :class:`~repro.core.records.SqliteSink`) receives
     each round's artifact as it is produced — the streaming companion to
     ``RecordPolicy.SUMMARY``/``NONE``.  ``use_array_kernel`` passes
     through to :class:`ExecutionEngine` (``None`` = automatic gating).

@@ -34,7 +34,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    IO,
     Iterator,
     List,
     Mapping,
@@ -79,72 +78,6 @@ class RoundSummary:
     broadcast_count: int
     crashed_during: FrozenSet[ProcessId]
     decided_during: Mapping[ProcessId, Value]
-
-
-class JsonlSink:
-    """A round observer that streams summaries to a JSON Lines file.
-
-    Pass an instance as the ``observer`` of
-    :meth:`~repro.core.execution.ExecutionEngine.run` (or the
-    ``run_algorithm``/``run_consensus`` helpers): each round's artifact
-    is serialised to one JSON object per line and written out
-    immediately, so million-round campaigns keep O(1) memory even when
-    callers also want a durable per-round trail.  Both
-    :class:`RoundSummary` and :class:`RoundRecord` artifacts are
-    accepted; a record is reduced to its summary fields (the full
-    multisets stay in the execution result under ``FULL``).
-
-    The sink is also a context manager; values that are not JSON types
-    are serialised via ``str`` so arbitrary message/value payloads never
-    abort a campaign mid-run.
-
-    The file is opened *lazily*, on the first artifact: an execution
-    that raises before completing round 1 (a misconfigured environment,
-    a model violation in the opening round) leaves no empty ``.jsonl``
-    behind on disk.  Note the flip side: laziness never touches the
-    path, so if an *earlier* run already wrote the same file, a retry
-    failing before round 1 leaves that stale file in place (the first
-    artifact of a successful retry truncates it, mode ``"w"``).
-    """
-
-    def __init__(self, path: str, mode: str = "w") -> None:
-        self.path = path
-        self._mode = mode
-        self._fh: Optional[IO[str]] = None
-        self._closed = False
-        self.rounds_written = 0
-
-    def __call__(self, artifact: Union["RoundRecord", "RoundSummary"]) -> None:
-        if self._closed:
-            raise ConfigurationError(
-                f"JsonlSink({self.path!r}) is closed; cannot stream rounds"
-            )
-        if self._fh is None:
-            self._fh = open(self.path, self._mode)
-        payload = {
-            "round": artifact.round,
-            # RoundSummary stores the count; RoundRecord derives it.
-            "broadcast_count": artifact.broadcast_count,
-            "crashed_during": sorted(artifact.crashed_during, key=repr),
-            "decided_during": {
-                repr(pid): value
-                for pid, value in artifact.decided_during.items()
-            },
-        }
-        self._fh.write(json.dumps(payload, default=str) + "\n")
-        self.rounds_written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self._closed = True
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +201,13 @@ def round_outbox(store_path: Optional[str]) -> Iterator[List[RoundRow]]:
 class SqliteSink:
     """A round observer backed by one sqlite ``campaign.db``.
 
-    The same observer protocol as :class:`JsonlSink` — pass an instance
-    as the ``observer`` of an engine run and each round's artifact
-    becomes one row of the ``round_summaries`` table, keyed on
-    ``(cell_seed, round)`` — plus the campaign checkpoint layer the
+    Pass an instance as the ``observer`` of
+    :meth:`~repro.core.execution.ExecutionEngine.run` (or the
+    ``run_algorithm``/``run_consensus`` helpers) and each round's
+    artifact, a :class:`RoundSummary` or a :class:`RoundRecord` reduced
+    to its summary fields, becomes one row of the ``round_summaries``
+    table, keyed on ``(cell_seed, round)`` — plus the campaign
+    checkpoint layer the
     :class:`~repro.experiments.campaign.CampaignRunner` resumes from:
     a ``cells`` table with one row per finished sweep cell (its canonical
     coordinate tag, derived seed, grid index, status, and
@@ -310,8 +246,9 @@ class SqliteSink:
     ``sqlite`` site fires inside the retried closure, so injected
     transient errors exercise exactly the production retry machinery.
 
-    Like :class:`JsonlSink`, the connection opens lazily on first use,
-    and the sink is a context manager.  Writing rounds requires a
+    The connection opens lazily on first use, so an execution that
+    raises before round 1 leaves no rows behind, and the sink is a
+    context manager.  Writing rounds requires a
     ``cell_seed`` (the key rounds are filed under); store-only callers
     (the campaign runner, report generators) may omit it.
     ``rounds_written`` counts the rounds observed, flushed or not.
@@ -533,8 +470,7 @@ class SqliteSink:
         """Round summaries for one cell, ordered by round.
 
         Values round-trip through JSON, so non-JSON message/value
-        payloads come back as their ``str`` forms (the same reduction
-        :class:`JsonlSink` applies on the way out).  Buffered rows are
+        payloads come back as their ``str`` forms.  Buffered rows are
         flushed first, so outside a campaign cell a sink reads its own
         writes.
         """

@@ -5,8 +5,9 @@ the paper's figures and theorems); each benchmark in ``benchmarks/``
 regenerates one entry, and :func:`render_all` reproduces the whole
 evaluation as ASCII tables.  E17/E18 are engineering artifacts: the
 parallel sweep and the resumable sqlite-checkpointed campaign layer
-(``python -m repro campaign``); E19 is the churn campaign — consensus
-under dynamic membership (``python -m repro campaign --family e19``).
+(``python -m repro campaign``), the one grid runner every sweep goes
+through; E19 is the churn campaign — consensus under dynamic membership
+(``python -m repro campaign --family e19``).
 """
 
 from .ablation import run_completeness_ablation
@@ -16,6 +17,7 @@ from .campaign import (
     CampaignRunner,
     cell_tag,
     merge_campaign_stores,
+    run_grid,
     shard_cells,
     shard_of,
 )
@@ -39,13 +41,10 @@ from .harness import (
     Experiment,
     ExperimentRegistry,
     SweepCell,
-    SweepOutcome,
-    SweepRunner,
     Table,
     cell_seed,
     consensus_sweep_cell,
-    iter_sweep_grid,
-    sweep_grid,
+    iter_cells,
 )
 from .lower import run_impossibility_witnesses, run_round_complexity_witnesses
 from .matrix import run_campaign_matrix, run_matrix
@@ -69,9 +68,9 @@ from .termination import (
 
 __all__ = [
     "Table", "Experiment", "ExperimentRegistry",
-    "SweepRunner", "SweepCell", "SweepOutcome",
-    "sweep_grid", "iter_sweep_grid", "cell_seed", "consensus_sweep_cell",
+    "SweepCell", "iter_cells", "cell_seed", "consensus_sweep_cell",
     "CampaignRunner", "CampaignOutcome", "cell_tag",
+    "run_grid",
     "shard_of", "shard_cells", "merge_campaign_stores",
     "verify_campaign_store", "format_findings",
     "CampaignDispatcher", "CellResult", "execute_cell_job",

@@ -1,11 +1,12 @@
-"""Checkpointing campaign runner: resumable sweep grids over sqlite.
+"""Checkpointing campaign runner: the one grid runner, over sqlite.
 
-:class:`~repro.experiments.harness.SweepRunner` fans a grid across
-workers, but a large campaign run through it is all-or-nothing — a
-crash, timeout, or CI cancellation throws away every completed cell.
-:class:`CampaignRunner` wraps the same cell functions and seeding with
-durable, cell-granular checkpoints in a single ``campaign.db``
-(see :class:`~repro.core.records.SqliteSink`):
+:class:`CampaignRunner` runs a grid of cells — streamed by
+:func:`~repro.experiments.harness.iter_cells`, seeded by
+:func:`~repro.experiments.harness.cell_seed` — through the
+:class:`~repro.experiments.dispatch.CampaignDispatcher` pool, with
+durable, cell-granular checkpoints in a single ``campaign.db`` (see
+:class:`~repro.core.records.SqliteSink`), so a crash, timeout, or CI
+cancellation loses at most the cells in flight:
 
 * **Checkpointing** — every finished cell is committed to the ``cells``
   table the moment it completes (in completion order, not submission
@@ -47,10 +48,10 @@ durable, cell-granular checkpoints in a single ``campaign.db``
   entirely (and cannot enforce timeouts).
 * **Failure isolation** — a cell that raises is checkpointed as
   ``failed`` (with the exception's repr) and the campaign moves on;
-  unlike ``SweepRunner.run``, one bad cell never aborts the grid.
-  Each run increments the cell's ``attempts`` count; once a failed
-  cell has been run ``1 + max_retries`` times it is left permanently
-  ``failed`` — resume converges instead of re-crashing it forever.
+  one bad cell never aborts the grid.  Each run increments the cell's
+  ``attempts`` count; once a failed cell has been run
+  ``1 + max_retries`` times it is left permanently ``failed`` — resume
+  converges instead of re-crashing it forever.
 * **Distributed sharding** — one grid, many hosts: :func:`shard_of`
   deterministically assigns every cell to one of K shards (SHA-256 of
   its canonical coordinate tag, mod K), :func:`shard_cells` streams a
@@ -66,16 +67,18 @@ durable, cell-granular checkpoints in a single ``campaign.db``
 
 Seeds come from :func:`~repro.experiments.harness.cell_seed` over the
 grid coordinates only.  Infrastructure parameters that must not perturb
-seeding or cell identity (a database path, a sink directory) go in
-``extra_params``: they are merged into the cell function's ``params`` at
-execution time but excluded from the tag, the seed, and the report's
-``params``, so two campaigns over the same grid agree cell-for-cell
-even when their databases live in different directories.  Byte-stable
-reports additionally need the *payload* to be a deterministic function
-of ``(grid params, seed)`` — ``consensus_sweep_cell`` satisfies this
-for both ``sqlite_db`` and ``sink_dir`` (the payload records only the
-sink file's basename, never the absolute path, so reports agree across
-machines).
+seeding or cell identity (a database path) go in ``extra_params``: they
+are merged into the cell function's ``params`` at execution time but
+excluded from the tag, the seed, and the report's ``params``, so two
+campaigns over the same grid agree cell-for-cell even when their
+databases live in different directories.  Byte-stable reports
+additionally need the *payload* to be a deterministic function of
+``(grid params, seed)``, as ``consensus_sweep_cell``'s is.
+
+Experiments that want a table rather than a store run one pass over a
+throwaway store with :func:`run_grid` (E3, E17), which raises unless
+every cell finishes ``done``; :func:`campaign_store` is that throwaway
+store, and E18/E19 use it when no ``db_path`` is given.
 
 Example::
 
@@ -102,10 +105,13 @@ clobber each other's ``(cell_seed, round)`` rows in the shared
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 import time
 from typing import (
     Any,
@@ -125,7 +131,7 @@ from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
 from .dispatch import CampaignDispatcher, CellResult
-from .harness import SweepCell, SweepRunner
+from .harness import SweepCell, iter_cells
 
 #: Cell statuses a resume does not re-run.
 SKIP_STATUSES: Tuple[str, ...] = ("done", "timed_out")
@@ -232,9 +238,8 @@ class CampaignRunner:
     Parameters
     ----------
     cell_fn:
-        A picklable top-level callable ``fn(params, seed) -> payload``
-        (the same contract as :class:`SweepRunner`); the payload must be
-        JSON-serialisable up to ``str`` fallback.
+        A picklable top-level callable ``fn(params, seed) -> payload``;
+        the payload must be JSON-serialisable up to ``str`` fallback.
     db_path:
         The campaign's sqlite store.  One database is one campaign:
         reusing a database with a different ``base_seed`` or a
@@ -330,8 +335,6 @@ class CampaignRunner:
         self.shard_index = int(shard_index)
         self.shard_count = int(shard_count)
         self.extra_params = dict(extra_params or {})
-        self._sweep = SweepRunner(cell_fn, processes=processes,
-                                  base_seed=base_seed)
         # The one dispatcher every configuration routes through.  Its
         # pool is persistent across resume() passes within one runner
         # lifetime (spawning a worker costs a fork plus a pipe, so
@@ -395,7 +398,7 @@ class CampaignRunner:
         identity — tag, seed, index — is identical on every host
         regardless of how many shards the grid is split into.
         """
-        stream = self._sweep.iter_cells(**axes)
+        stream = iter_cells(self.base_seed, **axes)
         if self.shard_count == 1:
             return list(stream)
         return list(shard_cells(stream, self.shard_index, self.shard_count))
@@ -773,6 +776,59 @@ class CampaignRunner:
             f"{sum(o.attempts for o in merged)} attempts"
         )
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Throwaway stores: one pass for a table, not a campaign to keep
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def campaign_store(db_path: Optional[str] = None) -> Iterator[str]:
+    """Yield ``db_path``, or a throwaway store path when it is ``None``.
+
+    The throwaway store lives in a fresh directory under the system
+    temp directory, which is removed — WAL sidecars and all — when the
+    block exits.
+    """
+    if db_path is not None:
+        yield db_path
+        return
+    directory = tempfile.mkdtemp(prefix="repro-campaign-")
+    try:
+        yield os.path.join(directory, "campaign.db")
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+
+
+def run_grid(
+    cell_fn: Callable[[Dict[str, Any], int], Any],
+    processes: Optional[int] = None,
+    base_seed: int = 0,
+    **axes: Iterable[Any],
+) -> List[CampaignOutcome]:
+    """Run one campaign pass over a throwaway store; every cell must
+    finish ``done``.
+
+    For experiments that want a table, not a store (E3, E17): the grid
+    runs through :class:`CampaignRunner` like any campaign, and the
+    outcomes come back in grid order, their payloads through the
+    store's JSON round-trip (int dict keys read back as strings).  Any
+    cell that is not ``done`` raises one :class:`RuntimeError` naming
+    each such cell's tag, status and error.
+    """
+    with campaign_store() as db_path, CampaignRunner(
+        cell_fn, db_path, base_seed=base_seed, processes=processes,
+    ) as runner:
+        outcomes = runner.resume(**axes)
+    unfinished = [o for o in outcomes if o.status != "done"]
+    if unfinished:
+        raise RuntimeError(
+            f"{len(unfinished)} of {len(outcomes)} grid cells did not "
+            "finish: " + "; ".join(
+                f"{cell_tag(o.cell)} {o.status}: {o.error}"
+                for o in unfinished
+            )
+        )
+    return outcomes
 
 
 # ----------------------------------------------------------------------

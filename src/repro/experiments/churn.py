@@ -26,12 +26,9 @@ coordinate tag and derived seed.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from typing import Any, Dict, Iterable, List, Optional
 
-from .campaign import CampaignRunner
+from .campaign import CampaignRunner, campaign_store
 from .harness import Table
 
 
@@ -213,44 +210,6 @@ def run_churn_campaign(
     One table row aggregates each (n, detector, loss_rate, churn_rate,
     topology) combination over its seed replicates.
     """
-    throwaway = None
-    if db_path is None:
-        throwaway = tempfile.mkdtemp(prefix="repro-e19-")
-        db_path = os.path.join(throwaway, "campaign.db")
-    try:
-        return _churn_campaign_tables(
-            db_path, ns, detectors, loss_rates, churn_rates, topologies,
-            seeds, base_seed, values, cell_timeout, processes,
-            max_retries, max_cells, in_process=in_process,
-            shard_index=shard_index, shard_count=shard_count,
-            stall_timeout=stall_timeout,
-            throwaway=throwaway is not None,
-        )
-    finally:
-        if throwaway is not None:
-            shutil.rmtree(throwaway, ignore_errors=True)
-
-
-def _churn_campaign_tables(
-    db_path: str,
-    ns: Iterable[int],
-    detectors: Iterable[str],
-    loss_rates: Iterable[float],
-    churn_rates: Iterable[float],
-    topologies: Iterable[str],
-    seeds: Iterable[int],
-    base_seed: int,
-    values: int,
-    cell_timeout: Optional[float],
-    processes: Optional[int],
-    max_retries: int,
-    max_cells: Optional[int],
-    in_process: bool = False,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    stall_timeout: Optional[float] = None,
-    throwaway: bool = False,
-) -> List[Table]:
     axes = dict(
         n=list(ns),
         detector=list(detectors),
@@ -261,14 +220,14 @@ def _churn_campaign_tables(
         values=[int(values)],
         record_policy=["summary"],
     )
-    with CampaignRunner(
+    with campaign_store(db_path) as path, CampaignRunner(
         churn_sweep_cell,
-        db_path=db_path,
+        db_path=path,
         base_seed=base_seed,
         processes=processes,
         cell_timeout=cell_timeout,
         max_retries=max_retries,
-        extra_params={"sqlite_db": db_path},
+        extra_params={"sqlite_db": path},
         in_process=in_process,
         shard_index=shard_index,
         shard_count=shard_count,
@@ -290,7 +249,7 @@ def _churn_campaign_tables(
         ],
         note=(
             "checkpointed in a throwaway temp store (pass db_path to "
-            "keep one)" if throwaway else
+            "keep one)" if db_path is None else
             f"checkpointed in {db_path}; rerun with the same db to "
             "resume — completed cells are read back, not re-simulated"
             + (f"; shard {shard_index}/{shard_count} — merge the shard "

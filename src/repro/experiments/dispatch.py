@@ -4,10 +4,9 @@ Every way of running a grid of sweep cells — serial, parallel, with or
 without per-cell deadlines — is the *same* loop at a different width.
 :class:`CampaignDispatcher` owns a persistent pool of worker processes
 and drives them with a :mod:`selectors` event loop over the worker
-pipes; the campaign runner, the sweep harness, and the benchmarks all
-route through it, so worker reuse, deadline enforcement, and
-completion-order delivery are universal rather than features of one
-code path.
+pipes; the campaign runner and the benchmarks route through it, so
+worker reuse, deadline enforcement, and completion-order delivery are
+universal rather than features of one code path.
 
 The decision table (there is no fourth path)::
 
@@ -38,7 +37,7 @@ Contract highlights:
 * **One execution contract** — :func:`execute_cell_job` is the only
   place a cell function is invoked, whether in-process or on a worker,
   so a cell behaves identically everywhere (exceptions become ``failed``
-  results carrying the exception object when it can cross the pipe).
+  results carrying the exception's repr).
   It also arms the cell's round outbox for the ``store_path`` passed to
   ``run``, so the round rows of every cell — pooled or in-process —
   come back in :attr:`CellResult.rounds` for the campaign parent to
@@ -117,7 +116,7 @@ MAX_SPAWN_DEATHS: int = 5
 RESPAWN_BACKOFF: float = 0.05
 
 #: The heartbeat message busy workers send when the stall watchdog is
-#: armed.  A 1-tuple, so it can never be confused with the 7-tuple
+#: armed.  A 1-tuple, so it can never be confused with the 6-tuple
 #: result protocol.
 _HEARTBEAT: Tuple[str] = ("__heartbeat__",)
 
@@ -142,13 +141,11 @@ class CellResult:
 
     ``status`` is ``done``, ``failed``, or ``timed_out``.  ``error`` is
     the repr of the cell's exception (or a dispatcher-level diagnosis
-    such as a worker death); ``exception`` carries the exception object
-    itself when it survived the pipe, so callers that want to re-raise
-    (the sweep harness) keep the original type.  ``worker_pid`` is the
-    pool worker that ran the cell (``None`` in-process) — the raw
-    material for worker-reuse accounting.  ``rounds`` are the round rows
-    a ``done`` cell handed back for its campaign store (see
-    :func:`execute_cell_job`); every other status carries none.
+    such as a worker death).  ``worker_pid`` is the pool worker that ran
+    the cell (``None`` in-process) — the raw material for worker-reuse
+    accounting.  ``rounds`` are the round rows a ``done`` cell handed
+    back for its campaign store (see :func:`execute_cell_job`); every
+    other status carries none.
     """
 
     index: int
@@ -156,7 +153,6 @@ class CellResult:
     payload: Any = None
     error: Optional[str] = None
     elapsed: float = 0.0
-    exception: Optional[BaseException] = None
     worker_pid: Optional[int] = None
     rounds: Tuple[RoundRow, ...] = ()
 
@@ -167,11 +163,10 @@ def execute_cell_job(
     seed: int,
     extra: Optional[Mapping[str, Any]] = None,
     store_path: Optional[str] = None,
-) -> Tuple[str, Any, Optional[str], float, Optional[BaseException],
-           Tuple[RoundRow, ...]]:
+) -> Tuple[str, Any, Optional[str], float, Tuple[RoundRow, ...]]:
     """Run one cell function, never letting its exception escape.
 
-    Returns ``(status, payload, error, elapsed, exception, rounds)``
+    Returns ``(status, payload, error, elapsed, rounds)``
     with status ``done`` or ``failed`` — the single execution contract
     behind every dispatch configuration, so a cell behaves identically
     whether it ran in-process or on a pool worker.  The call runs inside
@@ -186,9 +181,8 @@ def execute_cell_job(
             payload = fn(dict(params, **(extra or {})), seed)
         except Exception as exc:
             return ("failed", None, repr(exc), time.monotonic() - start,
-                    exc, ())
-    return ("done", payload, None, time.monotonic() - start, None,
-            tuple(rounds))
+                    ())
+    return ("done", payload, None, time.monotonic() - start, tuple(rounds))
 
 
 def probe_worker_processes() -> None:
@@ -217,12 +211,11 @@ def _dispatch_worker(
     Protocol: the parent sends ``(cell_index, params, seed,
     store_path)`` tuples, strictly one in flight per worker, and a
     ``None`` sentinel to shut down; the worker answers each job with
-    ``(cell_index, status, payload, error, elapsed, exception,
-    rounds)`` and never raises for a cell's
-    own exception (``BaseException`` included — a cell calling
-    ``sys.exit`` comes back ``failed`` with the same ``repr`` the
-    in-process path would record, never "worker died").  A result whose
-    payload or exception cannot be pickled degrades to a ``failed``
+    ``(cell_index, status, payload, error, elapsed, rounds)`` and never
+    raises for a cell's own exception (``BaseException`` included — a
+    cell calling ``sys.exit`` comes back ``failed`` with the same
+    ``repr`` the in-process path would record, never "worker died").  A
+    result whose payload cannot be pickled degrades to a ``failed``
     reply naming the pickling problem, so the parent always hears back.
     An overrun worker is simply terminated by the parent — no
     cooperation required — and a fresh worker takes its place.
@@ -284,12 +277,12 @@ def _dispatch_worker(
             exit_after = False
             busy_flag.set()
             try:
-                status, payload, error, elapsed, exc, rounds = (
+                status, payload, error, elapsed, rounds = (
                     execute_cell_job(fn, params, seed, extra, store_path)
                 )
             except BaseException as caught:  # SystemExit/KeyboardInterrupt
-                status, payload, error, elapsed, exc, rounds = (
-                    "failed", None, repr(caught), 0.0, None, ()
+                status, payload, error, elapsed, rounds = (
+                    "failed", None, repr(caught), 0.0, ()
                 )
                 exit_after = isinstance(caught, KeyboardInterrupt)
             if plan is not None and plan.fire("cell-reply", fault_key):
@@ -301,7 +294,7 @@ def _dispatch_worker(
                 try:
                     with send_lock:
                         conn.send((index, status, payload, error, elapsed,
-                                   exc, rounds))
+                                   rounds))
                 except (BrokenPipeError, OSError):
                     break
                 except Exception as send_exc:
@@ -312,7 +305,7 @@ def _dispatch_worker(
                         conn.send((
                             index, "failed", None,
                             f"cell result not picklable: {send_exc!r}",
-                            elapsed, None, (),
+                            elapsed, (),
                         ))
             except (BrokenPipeError, OSError):
                 break
@@ -630,15 +623,14 @@ class CampaignDispatcher:
                 action = plan.fire("cell", f"cell:{cell.index}")
                 if action is not None and action.get("kind") == "sleep":
                     time.sleep(float(action.get("seconds", 0.01)))
-            status, payload, error, elapsed, exc, rounds = execute_cell_job(
+            status, payload, error, elapsed, rounds = execute_cell_job(
                 self.cell_fn, cell.as_dict(), cell.seed, self.extra_params,
                 self._store_path,
             )
             completed += 1
             on_result(cell, CellResult(
                 index=cell.index, status=status, payload=payload,
-                error=error, elapsed=elapsed, exception=exc,
-                worker_pid=None, rounds=rounds,
+                error=error, elapsed=elapsed, worker_pid=None, rounds=rounds,
             ))
             if hook is not None:
                 hook()
@@ -804,13 +796,13 @@ class CampaignDispatcher:
             cell, started, _deadline = busy.pop(worker)
             last_seen.pop(worker, None)
             sel.unregister(worker.conn)
-            _, status, payload, error, elapsed, exc, rounds = msg
+            _, status, payload, error, elapsed, rounds = msg
             worker.jobs_done += 1
             self._spawn_death_streak = 0
             deliver(cell, CellResult(
                 index=cell.index, status=status, payload=payload,
-                error=error, elapsed=elapsed, exception=exc,
-                worker_pid=worker.pid, rounds=rounds,
+                error=error, elapsed=elapsed, worker_pid=worker.pid,
+                rounds=rounds,
             ))
 
         def drain(worker: _Worker) -> None:

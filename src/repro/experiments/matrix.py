@@ -19,9 +19,6 @@ its sqlite store.
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import tempfile
 from typing import Iterable, List, Optional
 
 from ..algorithms.alg1 import algorithm_1
@@ -42,7 +39,7 @@ from ..lowerbounds.theorems import (
     theorem8_witness,
     theorem9_witness,
 )
-from .campaign import CampaignRunner
+from .campaign import CampaignRunner, campaign_store
 from .harness import Table, consensus_sweep_cell
 from .scenarios import ecf_environment, nocf_environment
 
@@ -257,42 +254,6 @@ def run_campaign_matrix(
     its own store; ``merge_campaign_stores`` folds the K stores back
     into one whose report bytes equal this function run unsharded.
     """
-    throwaway = None
-    if db_path is None:
-        throwaway = tempfile.mkdtemp(prefix="repro-e18-")
-        db_path = os.path.join(throwaway, "campaign.db")
-    try:
-        return _campaign_matrix_tables(
-            db_path, ns, detectors, loss_rates, seeds, base_seed, values,
-            cell_timeout, processes, max_retries, max_cells,
-            in_process=in_process,
-            shard_index=shard_index, shard_count=shard_count,
-            stall_timeout=stall_timeout,
-            throwaway=throwaway is not None,
-        )
-    finally:
-        if throwaway is not None:
-            shutil.rmtree(throwaway, ignore_errors=True)
-
-
-def _campaign_matrix_tables(
-    db_path: str,
-    ns: Iterable[int],
-    detectors: Iterable[str],
-    loss_rates: Iterable[float],
-    seeds: Iterable[int],
-    base_seed: int,
-    values: int,
-    cell_timeout: Optional[float],
-    processes: Optional[int],
-    max_retries: int,
-    max_cells: Optional[int],
-    in_process: bool = False,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    stall_timeout: Optional[float] = None,
-    throwaway: bool = False,
-) -> List[Table]:
     # The seed axis is swept as ``trial``: each trial folds into the
     # *derived* per-cell seed (via cell_seed) instead of overriding it,
     # so every cell owns a distinct (cell_seed, round) key range in the
@@ -307,14 +268,14 @@ def _campaign_matrix_tables(
     )
     # Context-managed so the dispatcher pool is torn down before the
     # tables are returned — a one-shot matrix must not park workers.
-    with CampaignRunner(
+    with campaign_store(db_path) as path, CampaignRunner(
         consensus_sweep_cell,
-        db_path=db_path,
+        db_path=path,
         base_seed=base_seed,
         processes=processes,
         cell_timeout=cell_timeout,
         max_retries=max_retries,
-        extra_params={"sqlite_db": db_path},
+        extra_params={"sqlite_db": path},
         in_process=in_process,
         shard_index=shard_index,
         shard_count=shard_count,
@@ -334,7 +295,7 @@ def _campaign_matrix_tables(
         ],
         note=(
             "checkpointed in a throwaway temp store (pass db_path to "
-            "keep one)" if throwaway else
+            "keep one)" if db_path is None else
             f"checkpointed in {db_path}; rerun with the same db to "
             "resume — completed cells are read back, not re-simulated"
             + (f"; shard {shard_index}/{shard_count} — merge the shard "

@@ -1,19 +1,20 @@
 """E17: the engineering sweep — record policies × workers at a glance.
 
 Not a paper artifact.  This experiment exercises the production-scaling
-layer this repo grows toward: it fans a (trial × n × detector-class) grid
-through :class:`~repro.experiments.harness.SweepRunner` under the
-streaming ``SUMMARY`` record policy, then re-runs a sample cell under
-``FULL`` to demonstrate the policies' observational equivalence (same
-seeds, same decisions, same decision rounds — only the retained state
-differs).
+layer: it runs a (trial × n × detector-class) grid as one campaign pass
+(:func:`~repro.experiments.campaign.run_grid`) under the streaming
+``SUMMARY`` record policy, then re-runs a sample cell under ``FULL`` to
+demonstrate the policies' observational equivalence (same seeds, same
+decisions, same decision rounds — only the retained state differs).
 """
 
 from __future__ import annotations
 
+import json
 from typing import List
 
-from .harness import SweepRunner, Table, consensus_sweep_cell
+from .campaign import run_grid
+from .harness import Table, consensus_sweep_cell
 
 
 def run_parallel_sweep(
@@ -24,10 +25,8 @@ def run_parallel_sweep(
     base_seed: int = 0,
 ) -> List[Table]:
     """Fan the grid across workers and verify FULL/SUMMARY equivalence."""
-    runner = SweepRunner(
-        consensus_sweep_cell, processes=processes, base_seed=base_seed
-    )
-    outcomes = runner.run_grid(
+    outcomes = run_grid(
+        consensus_sweep_cell, processes=processes, base_seed=base_seed,
         trial=trials, n=ns, detector=detector_names,
         record_policy=["summary"],
     )
@@ -54,10 +53,11 @@ def run_parallel_sweep(
         payload = outcome.payload
         equivalent = None
         if outcome.cell.index in sampled:
-            full_params = dict(p, record_policy="full")
-            full_payload = consensus_sweep_cell(
-                full_params, outcome.cell.seed
-            )
+            # Through the same JSON round-trip the store applied, so
+            # int decision keys compare against their string forms.
+            full_payload = json.loads(json.dumps(consensus_sweep_cell(
+                dict(p, record_policy="full"), outcome.cell.seed
+            )))
             equivalent = (
                 full_payload["decisions"] == payload["decisions"]
                 and full_payload["decision_rounds"]

@@ -6,7 +6,8 @@ reports *rounds after CST* against the closed-form bound:
 * E2 (Theorem 1)  — Algorithm 1 terminates by ``CST + 2``, for every n,
   CST position, and crash schedule tried;
 * E3 (Theorem 2)  — Algorithm 2 terminates by ``CST + 2(⌈lg|V|⌉ + 1)``;
-  the sweep over ``|V|`` reproduces the logarithmic growth curve;
+  the sweep over ``|V|`` reproduces the logarithmic growth curve, one
+  campaign cell per ``|V|`` (:func:`~repro.experiments.campaign.run_grid`);
 * E4 (Cor. 3 / §7.3) — the non-anonymous variant's cost tracks
   ``min{lg|V|, lg|I|}``; sweeping ``|I|`` with ``|V|`` fixed shows the
   crossover;
@@ -32,7 +33,8 @@ from ..algorithms.nonanonymous import termination_bound as nonanon_bound
 from ..core.consensus import evaluate
 from ..core.execution import run_consensus
 from ..core.records import RecordPolicy
-from .harness import SweepRunner, Table
+from .campaign import run_grid
+from .harness import Table
 from .scenarios import maj_oac_environment, nocf_environment, zero_oac_environment
 
 
@@ -71,7 +73,7 @@ def run_alg1_termination(
 
 
 def _alg2_sweep_cell(params, derived_seed):
-    """E3 sweep cell (module-level so it pickles to sweep workers).
+    """E3 sweep cell (module-level so it pickles to pool workers).
 
     Reproduces exactly the original serial computation for one ``|V|``:
     the cell's own ``seed`` coordinate overrides the derived per-cell
@@ -110,9 +112,10 @@ def run_alg2_value_sweep(
 ) -> List[Table]:
     """E3: Algorithm 2's rounds-after-CST grow as ``2(⌈lg|V|⌉ + 1)``.
 
-    The per-|V| cells are independent, so they fan out across
-    :class:`~repro.experiments.harness.SweepRunner` workers; rows come
-    back in grid order under the streaming record policy.
+    The per-|V| cells are independent, so they run as one campaign
+    pass (:func:`~repro.experiments.campaign.run_grid`) across the
+    dispatcher's workers; rows come back in grid order under the
+    streaming record policy, and a cell that fails raises.
     """
     table = Table(
         title="E3  Algorithm 2 round complexity vs |V| (Theorem 2)",
@@ -122,9 +125,9 @@ def run_alg2_value_sweep(
         ],
         note="rounds_after_cst = decision round - CST; bound = 2(⌈lg|V|⌉+1)",
     )
-    runner = SweepRunner(_alg2_sweep_cell, processes=processes)
-    outcomes = runner.run_grid(
-        vc=value_counts, n=[n], cst=[cst], seed=[seed]
+    outcomes = run_grid(
+        _alg2_sweep_cell, processes=processes,
+        vc=value_counts, n=[n], cst=[cst], seed=[seed],
     )
     for outcome in outcomes:
         table.add(**outcome.payload)

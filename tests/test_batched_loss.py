@@ -8,21 +8,19 @@ Covers the contract-level guarantees:
   array kernel, with full per-round record equality, crashes included;
 * the same three-way equality over generated adversary compositions x
   crash/churn schedules (crash events naming absent and out-of-range
-  pids among them) x process fleets (one shared class, mixed classes,
-  an ``_advance_round`` override, and counting's trusted
-  ``transition_array`` batch) x record policies, and
+  pids among them, and crashes emptying the live set) x process fleets
+  (one shared class, mixed classes, an ``_advance_round`` override, and
+  counting's trusted ``transition_array`` batch) x record policies, and
   exhaustively over every drop pattern of two rounds at n = 3;
 * ``IIDLoss``'s whole-round law and determinism on both backends;
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` on every contract breach: a drop set naming its
   receiver or a non-sender, counts that disagree with the sets, an
   omitted receiver, an answer that is not a ``RoundLosses``;
-* ``JsonlSink`` streams round summaries without retaining them;
 * the lower-bound searches accept ``SUMMARY`` results wherever they only
   consult broadcast-count sequences.
 """
 
-import json
 import random
 from itertools import combinations, product
 
@@ -64,7 +62,7 @@ from repro.core.errors import ConfigurationError, ModelViolation
 from repro.core.execution import ExecutionEngine, run_algorithm
 from repro.core.algorithm import Algorithm
 from repro.core.process import Process, ScriptedProcess
-from repro.core.records import JsonlSink, RecordPolicy
+from repro.core.records import RecordPolicy
 from repro.core.types import CollisionAdvice
 from repro.detectors.classes import MAJ_OAC
 from repro.detectors.detector import (
@@ -164,9 +162,8 @@ class ReportingCounter(CountingProcess):
 class WildCrashes(CrashAdversary):
     """Names pids across the index range and beyond each round —
     absent, crashed or outside the indices alike — but at most one live
-    pid, and none while fewer than two are live: ``SeededChurn`` spares
-    two by count, so someone always stays live for the contention
-    manager to schedule."""
+    pid, the last one included: the live set may empty, and every
+    contention manager answers an empty live set with no advice."""
 
     def __init__(self, p, seed):
         self.p = p
@@ -175,10 +172,7 @@ class WildCrashes(CrashAdversary):
     def crashes(self, round_index, live):
         rng = random.Random(f"{self.seed}|{round_index}")
         named = [pid for pid in range(N_GEN + 2) if rng.random() < self.p]
-        victims = (
-            [pid for pid in named if pid in live][:1] if len(live) > 1
-            else []
-        )
+        victims = [pid for pid in named if pid in live][:1]
         return tuple(
             CrashEvent(pid, after_send=rng.random() < 0.5)
             for pid in named if pid not in live or pid in victims
@@ -727,69 +721,6 @@ def test_scripted_round_fn_drives_whole_round():
     assert len(rec.received[0]) == 1  # only its own message
     assert len(rec.received[1]) == 3
     assert adv.losses_for_round(1, [0, 1, 2], (0, 1, 2))[0] == {1, 2}
-
-
-# ----------------------------------------------------------------------
-# JsonlSink streaming
-# ----------------------------------------------------------------------
-def test_jsonl_sink_streams_summaries(tmp_path):
-    path = tmp_path / "rounds.jsonl"
-    env = Environment(
-        indices=(0, 1, 2),
-        detector=perfect_detector(),
-        contention=NoContentionManager(),
-        loss=ReliableDelivery(),
-        crash=ScheduledCrashes.at({2: [1]}, after_send=False),
-    )
-    with JsonlSink(str(path)) as sink:
-        result = run_algorithm(
-            env,
-            Algorithm(lambda i: ScriptedProcess(["a"] * 4), anonymous=False),
-            max_rounds=4, until_all_decided=False,
-            record_policy=RecordPolicy.NONE,
-            observer=sink,
-        )
-        assert sink.rounds_written == result.rounds == 4
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert [l["round"] for l in lines] == [1, 2, 3, 4]
-    assert lines[0]["broadcast_count"] == 3
-    assert lines[1]["crashed_during"] == [1]
-    assert lines[2]["broadcast_count"] == 2
-    # Streaming retained nothing in the result itself.
-    with pytest.raises(ConfigurationError):
-        result.records
-
-
-def test_jsonl_sink_rejects_writes_after_close(tmp_path):
-    sink = JsonlSink(str(tmp_path / "s.jsonl"))
-    sink.close()
-    with pytest.raises(ConfigurationError):
-        sink(None)
-
-
-def test_sweep_cell_streams_to_sink_dir(tmp_path):
-    from repro.experiments.harness import consensus_sweep_cell
-
-    payload = consensus_sweep_cell(
-        {"n": 3, "values": 4, "record_policy": "none",
-         "sink_dir": str(tmp_path)},
-        seed=123,
-    )
-    # The payload records the basename only — never the absolute path —
-    # so campaign reports stay byte-identical across machines.
-    assert payload["sink_file"].startswith("cell-123-")
-    assert payload["sink_file"].endswith(".jsonl")
-    assert str(tmp_path) not in json.dumps(payload, default=str)
-    lines = (tmp_path / payload["sink_file"]).read_text().splitlines()
-    assert len(lines) == payload["rounds"]
-    # Cells sharing an explicit seed but differing in coordinates must
-    # stream to distinct files (parallel workers never clobber).
-    other = consensus_sweep_cell(
-        {"n": 4, "values": 4, "record_policy": "none",
-         "sink_dir": str(tmp_path)},
-        seed=123,
-    )
-    assert other["sink_file"] != payload["sink_file"]
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,8 @@ Covers the PR's durability contract end to end:
   failed checkpoint leaves no orphan rows), pooled and in-process
   stores hold identical rows, a store recreated in place gets the next
   run's rows, and no sqlite connection is open when a worker forks;
-* ``JsonlSink``/``SqliteSink`` open lazily, so a cell that raises
-  before round 1 leaves nothing on disk (the ``consensus_sweep_cell``
-  exception path);
+* ``SqliteSink`` opens lazily, so a cell that raises before round 1
+  leaves no rows behind (the ``consensus_sweep_cell`` exception path);
 * ``CampaignRunner.resume`` is idempotent — the parity suite interrupts
   after any prefix under every dispatcher configuration ({1, 4} workers
   x {no timeout, timeout}) and each resumed report is byte-identical to
@@ -50,11 +49,11 @@ import time
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.records import JsonlSink, RecordPolicy, RoundSummary, SqliteSink
+from repro.core.records import RoundSummary, SqliteSink
 from repro.experiments.campaign import CampaignRunner, cell_tag
 from repro.experiments.churn import churn_sweep_cell
 from repro.experiments.dispatch import CampaignDispatcher
-from repro.experiments.harness import SweepRunner, consensus_sweep_cell
+from repro.experiments.harness import consensus_sweep_cell, iter_cells
 from repro.testing import faultline
 
 
@@ -259,15 +258,6 @@ def test_failed_flush_never_leaks_into_the_next_cell(tmp_path):
 # ----------------------------------------------------------------------
 # Lazy sinks: the consensus_sweep_cell exception path
 # ----------------------------------------------------------------------
-def test_jsonl_sink_opens_lazily(tmp_path):
-    path = tmp_path / "rounds.jsonl"
-    sink = JsonlSink(str(path))
-    assert not path.exists()          # nothing on disk until round 1
-    sink(_summary(1))
-    assert path.exists()
-    sink.close()
-
-
 def test_sweep_cell_failure_before_round_one_leaves_no_sink_file(
     tmp_path, monkeypatch
 ):
@@ -280,13 +270,10 @@ def test_sweep_cell_failure_before_round_one_leaves_no_sink_file(
     db = str(tmp_path / "campaign.db")
     with pytest.raises(RuntimeError, match="refused to start"):
         consensus_sweep_cell(
-            {"n": 3, "values": 4, "sink_dir": str(tmp_path / "sinks"),
-             "sqlite_db": db},
+            {"n": 3, "values": 4, "sqlite_db": db},
             seed=9,
         )
-    sink_dir = tmp_path / "sinks"
     assert not db_exists_with_rows(db)
-    assert not sink_dir.exists() or list(sink_dir.iterdir()) == []
 
 
 def db_exists_with_rows(db: str) -> bool:
@@ -870,9 +857,7 @@ def test_dispatcher_pulls_cell_source_lazily():
     """The cell source is an iterator seam: the loop pulls a cell only
     when a worker slot frees up, never more than ``width`` ahead of the
     completions (what a distributed shard feed relies on)."""
-    cells = SweepRunner(_trivial_cell, base_seed=0).cells(
-        trial=list(range(6))
-    )
+    cells = list(iter_cells(0, trial=list(range(6))))
     pulled = []
 
     def source():
@@ -1045,29 +1030,6 @@ def test_pre_attempts_store_is_migrated_in_place(tmp_path, make_runner):
 
 
 # ----------------------------------------------------------------------
-# Report portability across machines
-# ----------------------------------------------------------------------
-def test_report_is_independent_of_sink_dir(tmp_path, make_runner):
-    """Two sink_dir-streaming campaigns in different directories must
-    produce identical report() bytes — payloads record the sink file's
-    basename, never the absolute path."""
-    small = dict(n=[3], detector=["0-OAC"], loss_rate=[0.1], trial=[0, 1],
-                 values=[8], record_policy=["summary"])
-    reports = []
-    for name in ("alpha", "beta"):
-        sink_dir = str(tmp_path / f"sinks_{name}")
-        runner = make_runner(
-            consensus_sweep_cell, db_path=str(tmp_path / f"{name}.db"),
-            base_seed=3, processes=0, extra_params={"sink_dir": sink_dir},
-        )
-        runner.resume(**small)
-        reports.append(runner.report(**small))
-        assert f"sinks_{name}" not in reports[-1]
-    assert reports[0] == reports[1]
-    assert '"sink_file"' in reports[0]
-
-
-# ----------------------------------------------------------------------
 # E18 and the CLI subcommand
 # ----------------------------------------------------------------------
 def test_run_campaign_matrix_resumes_from_its_db(tmp_path):
@@ -1192,9 +1154,7 @@ def test_spawn_death_storm_aborts_loudly():
     WorkerPoolError instead of respawning forever."""
     from repro.experiments.dispatch import WorkerPoolError
 
-    cells = list(SweepRunner(_exit_cell, base_seed=0).cells(
-        trial=list(range(10))
-    ))
+    cells = list(iter_cells(0, trial=list(range(10))))
     delivered = []
     with CampaignDispatcher(
         _exit_cell, processes=1, max_spawn_deaths=3,
@@ -1214,9 +1174,7 @@ def test_established_worker_death_does_not_trip_breaker():
     """A worker that already delivered results dying mid-cell is an
     isolated casualty: the cell fails, a replacement spawns, and the
     breaker (even at its tightest setting) never fires."""
-    cells = list(SweepRunner(
-        _exit_on_odd_trial_cell, base_seed=0
-    ).cells(trial=[0, 1, 2, 3, 4]))
+    cells = list(iter_cells(0, trial=[0, 1, 2, 3, 4]))
     results = {}
     with CampaignDispatcher(
         _exit_on_odd_trial_cell, processes=1, max_spawn_deaths=1,
@@ -1245,9 +1203,7 @@ def test_delivered_result_resets_spawn_death_streak():
     def statuses():
         return [results[t] for t in sorted(results)]
 
-    cells = list(SweepRunner(
-        _exit_on_odd_trial_cell, base_seed=0
-    ).cells(trial=[1, 0, 3, 2]))
+    cells = list(iter_cells(0, trial=[1, 0, 3, 2]))
     results = {}
     with CampaignDispatcher(
         _exit_on_odd_trial_cell, processes=1, max_spawn_deaths=2,

@@ -2,16 +2,24 @@
 
 import pytest
 
+from repro.adversary.crash import ScheduledCrashes
+from repro.adversary.loss import ReliableDelivery
 from repro.contention.backoff import BackoffContentionManager
 from repro.contention.services import (
+    KWakeUpService,
     LeaderElectionService,
     NoContentionManager,
     ScriptedContentionManager,
     WakeUpService,
     all_passive_schedule,
 )
+from repro.core.algorithm import Algorithm
+from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError
+from repro.core.execution import run_algorithm
+from repro.core.process import ScriptedProcess
 from repro.core.types import ACTIVE, PASSIVE
+from repro.detectors.detector import perfect_detector
 
 INDICES = (0, 1, 2, 3)
 
@@ -158,3 +166,33 @@ def test_backoff_reset_restores_initial_state():
 
 def test_backoff_makes_no_formal_promise():
     assert BackoffContentionManager().stabilization_round is None
+
+
+@pytest.mark.parametrize("make", [
+    NoContentionManager,
+    WakeUpService,
+    LeaderElectionService,
+    lambda: KWakeUpService(k=2),
+    lambda: ScriptedContentionManager(script={}),
+    BackoffContentionManager,
+], ids=["nocm", "wakeup", "leader", "k-wakeup", "scripted", "backoff"])
+def test_empty_live_set_gets_empty_advice(make):
+    """Crashes or churn may empty the live set; every manager then
+    answers ``{}``, before and after stabilization, and a run whose
+    processes all crash finishes its rounds instead of raising."""
+    cm = make()
+    assert cm.advise(1, ()) == {}
+    assert cm.advise(5, ()) == {}
+    env = Environment(
+        indices=(0, 1),
+        detector=perfect_detector(),
+        contention=make(),
+        loss=ReliableDelivery(),
+        crash=ScheduledCrashes.at({2: [0, 1]}),
+    )
+    result = run_algorithm(
+        env, Algorithm(lambda i: ScriptedProcess(["x"] * 6), anonymous=False),
+        max_rounds=6, until_all_decided=False,
+    )
+    assert result.rounds == 6
+    assert result.no_correct_processes

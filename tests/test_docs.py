@@ -35,10 +35,17 @@ def test_checker_flags_broken_link(tmp_path):
         "tested in `tests/test_gone.py::test_x` and `docs/campaigns.md`\n")
     (tmp_path / "docs" / "campaigns.md").write_text("hello\n")
     (tmp_path / "docs" / "architecture.md").write_text("hello\n")
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text(
+        "run `tools/gone.py`, then read `docs/campaigns.md`\n")
     problems = checker.check(tmp_path)
     assert any("broken link" in p for p in problems)
     stale = [p for p in problems if "stale path" in p]
-    assert stale == ["README.md: stale path: tests/test_gone.py"]
+    assert stale == [
+        "README.md: stale path: tests/test_gone.py",
+        ".claude/skills/verify/SKILL.md: stale path: tools/gone.py",
+    ]
 
 
 def test_checker_skips_urls_anchors_and_code_fences(tmp_path):

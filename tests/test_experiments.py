@@ -76,6 +76,17 @@ def test_e3_rounds_grow_logarithmically_and_within_bound():
     assert rounds[-1] <= rounds[0] + 2 * 10
 
 
+def test_e17_cells_solve_and_sampled_rows_match_full():
+    """Payloads come back through the store's JSON, so ``decisions``
+    keys read back as strings; the sampled FULL re-runs must compare
+    equal all the same."""
+    (table,) = run_experiment("E17")
+    assert table.rows
+    assert all(table.column("solved"))
+    sampled = [v for v in table.column("full_equivalent") if v is not None]
+    assert sampled == [True, True]
+
+
 def test_e4_crossover_branch_flips():
     (table,) = run_experiment("E4")
     branches = table.column("branch")

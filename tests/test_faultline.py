@@ -57,7 +57,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.churn import churn_sweep_cell
 from repro.experiments.dispatch import WorkerPoolError
-from repro.experiments.harness import SweepRunner, consensus_sweep_cell
+from repro.experiments.harness import consensus_sweep_cell, iter_cells
 from repro.experiments.verify import format_findings, verify_campaign_store
 from repro.testing import faultline
 from repro.testing.faultline import (
@@ -659,8 +659,7 @@ def test_verify_flags_a_forced_seed_collision(
     from repro.__main__ import main
     from repro.experiments import harness
 
-    victim, twin = SweepRunner(
-        consensus_sweep_cell, base_seed=3).cells(**E18_AXES)[:2]
+    victim, twin = list(iter_cells(3, **E18_AXES))[:2]
     derive = harness.cell_seed
     # Patched for the runner's grid and verify's re-derivation alike.
     monkeypatch.setattr(

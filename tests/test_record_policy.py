@@ -1,4 +1,4 @@
-"""Tests for record policies, the fast-path engine, and the sweep runner.
+"""Tests for record policies, the fast-path engine, and grid cells.
 
 Covers this PR's contract:
 
@@ -10,7 +10,9 @@ Covers this PR's contract:
 * an all-crashed run is flagged, not reported as vacuous success;
 * the backoff manager only locks a leader the channel confirmed;
 * ``Multiset.from_counts`` validates integer multiplicities;
-* ``SweepRunner`` grids are deterministic and worker-placement-independent.
+* grids enumerate row-major with deterministic per-cell seeds, and a
+  one-pass grid (``run_grid``) is worker-placement-independent and
+  raises one error naming every cell that failed.
 """
 
 import pytest
@@ -31,11 +33,11 @@ from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy, RoundRecord, RoundSummary
 from repro.core.types import ACTIVE
 from repro.detectors.detector import perfect_detector
+from repro.experiments.campaign import CampaignRunner, run_grid
 from repro.experiments.harness import (
-    SweepRunner,
     cell_seed,
     consensus_sweep_cell,
-    sweep_grid,
+    iter_cells,
 )
 from repro.experiments.scenarios import zero_oac_environment
 
@@ -270,14 +272,15 @@ def test_operator_results_stay_canonical():
 
 
 # ----------------------------------------------------------------------
-# SweepRunner
+# Grids
 # ----------------------------------------------------------------------
 def test_sweep_grid_is_row_major_product():
-    grid = sweep_grid(a=[1, 2], b=["x", "y"])
-    assert grid == [
+    cells = list(iter_cells(0, a=[1, 2], b=["x", "y"]))
+    assert [c.as_dict() for c in cells] == [
         {"a": 1, "b": "x"}, {"a": 1, "b": "y"},
         {"a": 2, "b": "x"}, {"a": 2, "b": "y"},
     ]
+    assert [c.index for c in cells] == [0, 1, 2, 3]
 
 
 def test_cell_seed_is_deterministic_and_coordinate_sensitive():
@@ -306,32 +309,40 @@ def _attribute_bug_cell(params, seed):
 
 
 def test_sweep_cell_exceptions_propagate():
-    runner = SweepRunner(_exploding_cell, processes=2)
-    with pytest.raises(RuntimeError, match="cell bug"):
-        runner.run_grid(n=[1, 2])
-    # An AttributeError raised *by a cell* must propagate too — never be
-    # mistaken for a pickling failure and silently re-run serially.
-    runner = SweepRunner(_attribute_bug_cell, processes=2)
-    with pytest.raises(AttributeError):
-        runner.run_grid(n=[1, 2])
+    """A one-pass grid (E3, E17) raises once every cell has run, naming
+    each failed cell's tag, status and error."""
+    with pytest.raises(RuntimeError) as info:
+        run_grid(_exploding_cell, processes=2, n=[1, 2])
+    message = str(info.value)
+    assert "2 of 2 grid cells did not finish" in message
+    assert "n=1 failed: RuntimeError(\"cell bug at {'n': 1}\")" in message
+    assert "n=2 failed" in message
+    # An AttributeError raised *by a cell* is reported like any other —
+    # never mistaken for a pickling failure and silently re-run serially.
+    with pytest.raises(RuntimeError, match="n=1 failed: AttributeError"):
+        run_grid(_attribute_bug_cell, processes=2, n=[1, 2])
 
 
-def test_sweep_unpicklable_cell_fn_falls_back_serially():
+def test_sweep_unpicklable_cell_fn_falls_back_serially(tmp_path):
     def local_cell(params, seed):
         return {"n": params["n"]}
 
     import warnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = SweepRunner(local_cell, processes=2).run_grid(n=[1, 2])
+        with CampaignRunner(
+            local_cell, str(tmp_path / "c.db"), processes=2
+        ) as runner:
+            outcomes = runner.resume(n=[1, 2])
     assert [o.payload["n"] for o in outcomes] == [1, 2]
+    assert runner.last_dispatch_stats["in_process"]
     assert any("not picklable" in str(w.message) for w in caught)
 
 
 def test_sweep_serial_and_parallel_agree():
     axes = dict(n=[3, 4], trial=[0, 1])
-    serial = SweepRunner(consensus_sweep_cell, processes=1).run_grid(**axes)
-    parallel = SweepRunner(consensus_sweep_cell, processes=2).run_grid(**axes)
+    serial = run_grid(consensus_sweep_cell, processes=1, **axes)
+    parallel = run_grid(consensus_sweep_cell, processes=2, **axes)
     assert [o.params for o in serial] == [o.params for o in parallel]
     assert [o.payload for o in serial] == [o.payload for o in parallel]
     assert all(o.payload["agreement"] for o in serial)

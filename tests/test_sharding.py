@@ -44,10 +44,10 @@ from repro.experiments.campaign import (
     shard_of,
 )
 from repro.experiments.harness import (
-    SweepRunner,
     _canonical,
     cell_seed,
     consensus_sweep_cell,
+    iter_cells,
 )
 
 
@@ -97,8 +97,7 @@ def single_host(tmp_path_factory):
 
 
 def test_shard_of_is_deterministic_and_in_range():
-    tags = [cell_tag(c) for c in SweepRunner(
-        consensus_sweep_cell, base_seed=3).cells(**AXES)]
+    tags = [cell_tag(c) for c in iter_cells(3, **AXES)]
     for k in (1, 2, 3, 5):
         for tag in tags:
             s = shard_of(tag, k)
@@ -131,10 +130,7 @@ def _reference_seed(base_seed: int, params) -> int:
 
 
 def _assert_identity_matches_reference(base_seed: int, axes) -> None:
-    cells = SweepRunner(consensus_sweep_cell, base_seed=base_seed).cells(
-        **axes
-    )
-    for cell in cells:
+    for cell in iter_cells(base_seed, **axes):
         params = cell.as_dict()
         assert cell.seed == _reference_seed(base_seed, params)
         assert cell.seed == cell_seed(base_seed, **params)
@@ -142,7 +138,7 @@ def _assert_identity_matches_reference(base_seed: int, axes) -> None:
 
 
 def test_empty_grid_seeds_from_the_base_seed_alone():
-    (cell,) = SweepRunner(consensus_sweep_cell, base_seed=7).cells()
+    (cell,) = iter_cells(7)
     assert cell_tag(cell) == ""
     assert cell.seed == int.from_bytes(
         hashlib.sha256(b"7").digest()[:4], "big"
@@ -179,8 +175,7 @@ def test_generated_grid_identity_matches_the_reference_formulas(
 
 
 def test_shard_cells_partitions_the_grid_exactly():
-    sweep = SweepRunner(consensus_sweep_cell, base_seed=3)
-    grid = sweep.cells(**AXES)
+    grid = list(iter_cells(3, **AXES))
     for k in (1, 2, 3):
         shards = [list(shard_cells(iter(grid), i, k)) for i in range(k)]
         tags = [cell_tag(c) for shard in shards for c in shard]
@@ -190,7 +185,7 @@ def test_shard_cells_partitions_the_grid_exactly():
 
 def test_shard_cells_is_lazy():
     def gen():
-        yield from SweepRunner(consensus_sweep_cell, base_seed=3).cells(**AXES)
+        yield from iter_cells(3, **AXES)
         raise AssertionError("generator drained past need")
 
     stream = shard_cells(gen(), 0, 2)

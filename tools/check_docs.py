@@ -9,15 +9,18 @@ Checks, with no dependencies beyond the standard library:
 
 * ``README.md``, ``docs/campaigns.md``, ``docs/architecture.md``, and
   ``docs/failure-modes.md`` exist and are non-empty;
-* every relative markdown link in README.md, docs/*.md, ROADMAP.md and
-  CHANGES.md points at a file that exists (``http(s)://`` URLs and
+* every relative markdown link in README.md, docs/*.md,
+  .claude/skills/*/SKILL.md, ROADMAP.md and CHANGES.md points at a file
+  that exists (``http(s)://`` URLs and
   pure ``#anchor`` links are skipped; a ``path#anchor`` link is checked
   for the path part);
 * no link escapes the repository root;
-* every backticked repo path in README.md and docs/*.md (one starting
-  ``src/``, ``tests/``, ``tools/``, ``benchmarks/``, ``perfbench/``,
-  ``docs/`` or ``examples/``, a ``::name`` suffix ignored) exists.
-  ROADMAP.md is exempt: it names files that are still planned.
+* every backticked repo path in README.md, docs/*.md and
+  .claude/skills/*/SKILL.md (one starting ``src/``, ``tests/``,
+  ``tools/``, ``benchmarks/``, ``perfbench/``, ``docs/`` or
+  ``examples/``, a ``::name`` suffix ignored) exists, so a skill's
+  recipe cannot go stale.  ROADMAP.md is exempt: it names files that
+  are still planned.
 
 Exit status 0 when clean, 1 with one line per problem otherwise — CI
 runs this as the docs gate, and ``tests/test_docs.py`` runs it in
@@ -70,7 +73,11 @@ def check(root: Path) -> list:
         elif not path.read_text(encoding="utf-8").strip():
             problems.append(f"required doc is empty: {rel}")
 
-    docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    docs = (
+        [root / "README.md"]
+        + sorted((root / "docs").glob("*.md"))
+        + sorted(root.glob(".claude/skills/*/SKILL.md"))
+    )
     sources = docs + [root / "ROADMAP.md", root / "CHANGES.md"]
     for source in sources:
         if not source.is_file():
