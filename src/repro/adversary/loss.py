@@ -104,6 +104,11 @@ def _as_tuple(receivers: Sequence[ProcessId]) -> Tuple[ProcessId, ...]:
     return receivers if type(receivers) is tuple else tuple(receivers)
 
 
+def _as_list(values) -> List[int]:
+    """An int array or list as a list."""
+    return values if type(values) is list else values.tolist()
+
+
 def _counts(values: List[int]):
     """Per-receiver drop counts in the active backend's representation."""
     if _np is not None:
@@ -326,7 +331,9 @@ def grouped_losses(
     resolution per group, in group order, so the inner adversary's
     randomness is consumed identically whichever view a consumer reads.
     Counts are each group's cross-group size plus the inner counts; the
-    sets (cross-group set union inner set) and pairs resolve lazily.
+    sets (cross-group set union inner set) resolve lazily, and so do the
+    pairs (cross-group positions plus the inner pairs, mapped to round
+    positions), without building a set.
     """
     receivers_t = _as_tuple(receivers)
     rpos = {pid: k for k, pid in enumerate(receivers_t)}
@@ -341,10 +348,7 @@ def grouped_losses(
                 counts[rpos[pid]] = cross
         else:
             inner_map = resolve_round(inner, round_index, local, members)
-            inner_counts = inner_map.drop_counts
-            if type(inner_counts) is not list:
-                inner_counts = inner_counts.tolist()
-            for pid, extra in zip(members, inner_counts):
+            for pid, extra in zip(members, _as_list(inner_map.drop_counts)):
                 counts[rpos[pid]] = cross + extra
         resolved.append((local, members, inner_map))
 
@@ -358,7 +362,28 @@ def grouped_losses(
                 out[pid] = cross | extra if extra else cross
         return out
 
-    return RoundLosses(senders, receivers_t, _counts(counts), materialise)
+    def pairs() -> Tuple[List[int], List[int]]:
+        spos = {s: j for j, s in enumerate(senders)}
+        rows: List[int] = []
+        cols: List[int] = []
+        for local, members, inner_map in resolved:
+            heard = set(local)
+            cross = [j for j, s in enumerate(senders) if s not in heard]
+            member_rows = [rpos[pid] for pid in members]
+            if cross:
+                for k in member_rows:
+                    rows += [k] * len(cross)
+                    cols += cross
+            if inner_map is not None:
+                in_rows, in_cols = inner_map.drop_pairs()
+                local_cols = [spos[s] for s in local]
+                rows += [member_rows[i] for i in _as_list(in_rows)]
+                cols += [local_cols[j] for j in _as_list(in_cols)]
+        return rows, cols
+
+    return RoundLosses(
+        senders, receivers_t, _counts(counts), materialise, pairs=pairs
+    )
 
 
 class LossAdversary(abc.ABC):
@@ -444,9 +469,10 @@ class IIDLoss(LossAdversary):
         self._np_gen = None
         self._batch_rng: Optional[random.Random] = None
         self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
-        # (receivers tuple, senders list, self-row idx, self-cell idx):
-        # revalidated per round by identity + list equality.
-        self._self_cache: Optional[tuple] = None
+        # [receivers tuple, senders list, flat self cells, their index
+        # array once the pair repeats]: revalidated per call by identity
+        # + list equality.
+        self._self_cache: Optional[list] = None
 
     def losses_for_round(
         self,
@@ -531,12 +557,12 @@ class IIDLoss(LossAdversary):
         Draws the full (receiver x sender) Bernoulli grid in one C call
         from a dedicated PCG64 stream — the exact stream the pre-array
         implementation consumed, so executions replay across versions —
-        and reduces it to per-receiver drop *counts* in one vectorised
-        pass (row sums minus the self pairs, which the model exempts).
-        The engine's array kernel reads only the counts (and, in
-        multi-message rounds, the pairs); any consumer that needs the
-        actual drop sets materialises all of them lazily from the same
-        grid positions.
+        then clears the self-pair cells in place (self-delivery is
+        unconditional, so a self hit is never a drop) and reduces the
+        grid to per-receiver drop *counts* with one row sum.  The engine's
+        array kernel reads only the counts (and, in multi-message rounds,
+        the pairs); any consumer that needs the actual drop sets
+        materialises all of them lazily from the same cleared grid.
         """
         gen = self._np_gen
         if gen is None:
@@ -544,84 +570,56 @@ class IIDLoss(LossAdversary):
                 _np.random.PCG64(self.seed)
             )
         receivers_t = _as_tuple(receivers)
-        n_senders = len(senders)
         n_receivers = len(receivers_t)
-        hits = gen.random(n_senders * n_receivers) < self.p
-        # Drop counts: row sums over the receiver-major grid, minus each
-        # receiver-sender's own hit (self-delivery is unconditional).
-        drop_counts = hits.reshape(n_receivers, n_senders).sum(
-            axis=1, dtype=_np.int64
-        )
-        # The self-pair positions depend only on the (senders, receivers)
-        # pair, which is stable round over round in steady executions —
-        # cache the index arrays and revalidate by cheap list equality.
+        n_senders = len(senders)
+        # Row-major (receivers x senders): the same draws, in the same
+        # order, as one flat grid of n_receivers * n_senders.
+        hits = gen.random((n_receivers, n_senders)) < self.p
+        # The self cells (flat grid positions) depend only on the
+        # (senders, receivers) pair.  A pair that repeats the previous
+        # call's (a steady execution) clears them with one store through
+        # an index array built on that repeat; any other call clears its
+        # few cells one by one, which is cheaper than building the array,
+        # and remembers them.
         cached = self._self_cache
         if (cached is not None and cached[0] is receivers_t
                 and cached[1] == senders):
-            self_rows, self_cells = cached[2], cached[3]
+            if cached[2]:
+                if cached[3] is None:
+                    cached[3] = _np.asarray(cached[2], dtype=_np.intp)
+                hits.ravel()[cached[3]] = False
         else:
             rpos, self._rpos_cache = _cached_receiver_positions(
                 receivers_t, self._rpos_cache
             )
-            rows_l: List[int] = []
-            cells_l: List[int] = []
+            cells = []
             for j, s in enumerate(senders):
                 k = rpos.get(s)
                 if k is not None:
-                    rows_l.append(k)
-                    cells_l.append(k * n_senders + j)
-            if rows_l:
-                self_rows = _np.asarray(rows_l, dtype=_np.intp)
-                self_cells = _np.asarray(cells_l, dtype=_np.intp)
-            else:
-                self_rows = self_cells = None
-            self._self_cache = (
-                receivers_t, list(senders), self_rows, self_cells
-            )
-        if self_cells is not None:
-            drop_counts[self_rows] -= hits[self_cells]
+                    hits[k, j] = False
+                    cells.append(k * n_senders + j)
+            self._self_cache = [receivers_t, list(senders), cells, None]
+        drop_counts = hits.sum(axis=1, dtype=_np.int64)
 
         def pairs() -> Tuple:
-            # The eager Bernoulli grid already holds every dropped pair;
-            # clearing the self cells (exempt, never drops) on a copy
-            # keeps ``hits`` intact for ``materialise`` and consumes no
-            # randomness.
-            if self_cells is not None:
-                grid = hits.copy()
-                grid[self_cells] = False
-                flat = _np.flatnonzero(grid)
-            else:
-                flat = _np.flatnonzero(hits)
-            rows = flat // n_senders
-            return rows, flat - rows * n_senders
+            # The grid already holds exactly the dropped pairs.
+            return _np.nonzero(hits)
 
         def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            flat = _np.flatnonzero(hits)
+            # The dropped senders in row-major order, split by each
+            # receiver's count.  Fancy-indexing the sender sequence keeps
+            # arbitrary hashable ProcessIds intact (object dtype
+            # round-trips through tolist).
+            lost = _np.asarray(senders)[_np.nonzero(hits)[1]].tolist()
             out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            if not flat.size:
-                for pid in receivers_t:
+            end = 0
+            for pid, dropped in zip(receivers_t, drop_counts.tolist()):
+                if dropped:
+                    start = end
+                    end += dropped
+                    out[pid] = set(lost[start:end])
+                else:
                     out[pid] = _NO_LOSS
-                return out
-            rows = flat // n_senders
-            # Fancy-indexing the sender sequence keeps arbitrary hashable
-            # ProcessIds intact (object dtype round-trips through tolist).
-            lost_senders = _np.asarray(senders)[flat - rows * n_senders]
-            bounds = _np.searchsorted(
-                rows, _np.arange(n_receivers + 1)
-            ).tolist()
-            lost_list = lost_senders.tolist()
-            for i, pid in enumerate(receivers_t):
-                a = bounds[i]
-                b = bounds[i + 1]
-                if a == b:
-                    out[pid] = _NO_LOSS
-                    continue
-                lost = set(lost_list[a:b])
-                # Self pairs are part of the grid; discard keeps the
-                # normalized promise (drop sets never name their
-                # receiver).
-                lost.discard(pid)
-                out[pid] = lost if lost else _NO_LOSS
             return out
 
         return RoundLosses(

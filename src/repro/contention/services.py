@@ -17,6 +17,7 @@ bounds can stress algorithms with hostile pre-CST advice.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Dict, Optional, Sequence
 
@@ -40,6 +41,22 @@ def all_passive_schedule(
 ) -> Sequence[ProcessId]:
     """Nobody active — a legal, maximally silent prelude."""
     return []
+
+
+@functools.lru_cache(maxsize=1024)
+def _scrambled_pick(round_index: int, live_count: int) -> int:
+    """:class:`WakeUpService`'s default pick: a position in the sorted
+    live list, a pure function of ``(round, live count)``.
+
+    An RNG seeded with the round number: deterministic and replayable,
+    but aperiodic over any arithmetic subsequence of rounds (a
+    multiplicative hash mod a power of two would preserve the period of
+    the subsequence in its low bits).  Seeding a ``random.Random`` costs
+    more than the rest of a small round's advice, so the picks are
+    memoised; the memo is bounded, and a campaign's cells share one
+    small set of (round, live count) pairs.
+    """
+    return random.Random(round_index).randrange(live_count)
 
 
 class NoContentionManager(ContentionManager):
@@ -104,12 +121,7 @@ class WakeUpService(ContentionManager):
         round_index: int, indices: Sequence[ProcessId]
     ) -> ProcessId:
         ordered = sorted(indices)
-        # Seed an RNG with the round number: deterministic and replayable,
-        # but aperiodic over any arithmetic subsequence of rounds (a
-        # multiplicative hash mod a power of two would preserve the
-        # period of the subsequence in its low bits).
-        pick = random.Random(round_index).randrange(len(ordered))
-        return ordered[pick]
+        return ordered[_scrambled_pick(round_index, len(ordered))]
 
     @staticmethod
     def rotating_chooser(
@@ -130,11 +142,13 @@ class WakeUpService(ContentionManager):
                 i: ACTIVE if i in active else PASSIVE for i in indices
             }
         the_one = self._chooser(round_index, indices)
-        if the_one not in set(indices):
+        if the_one not in indices:
             raise ConfigurationError(
                 f"chooser picked {the_one}, not a live index"
             )
-        return {i: ACTIVE if i == the_one else PASSIVE for i in indices}
+        advice = dict.fromkeys(indices, PASSIVE)
+        advice[the_one] = ACTIVE
+        return advice
 
     @property
     def stabilization_round(self) -> int:

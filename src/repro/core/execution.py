@@ -429,7 +429,7 @@ class ExecutionEngine:
                 minlength=len(indices) * width,
             ).reshape(len(indices), width)
             kept2d = np_mod.bincount(codes_arr, minlength=width) - drop2d
-            if not np_mod.array_equal(kept2d.sum(axis=1), counts_arr):
+            if kept2d.sum(axis=1).tolist() != counts_list:
                 raise ModelViolation(
                     "loss resolution's drop pairs disagree with its "
                     "drop counts"

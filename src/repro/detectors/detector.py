@@ -90,24 +90,26 @@ def vectorised_advice(
     renders the caller's own t-greater-than-c violation text.
     """
     c = broadcasters
-    over = counts > c
-    if over.any():
-        k = int(over.argmax())
+    if len(counts) and counts.max() > c:
+        k = int((counts > c).argmax())
         raise ModelViolation(overflow_message(indices[k], int(counts[k]), c))
     obliged = collision_obligation_array(level, c, counts)
-    if accuracy_active(accuracy, round_index, r_acc):
+    accurate = accuracy_active(accuracy, round_index, r_acc)
+    if _trusted_free_choice_array(type(policy)):
+        # A trusted array choice is a pure function of the counts, so it
+        # is asked unconditionally: obliged cells stay COLLISION and, when
+        # accuracy holds, a receiver that heard all c messages is NULL.
+        chosen = policy.free_choice_array(round_index, c, counts)
+        if chosen is not None:
+            if accurate:
+                chosen = chosen & (counts != c)
+            return [_ADVICE_LUT[v] for v in (obliged | chosen).tolist()]
+    if accurate:
         free = ~(obliged | (counts == c))
     else:
         free = ~obliged
     if free.any():
-        chosen = (
-            policy.free_choice_array(round_index, c, counts)
-            if _trusted_free_choice_array(type(policy))
-            else None
-        )
-        if chosen is not None:
-            obliged = obliged | (free & chosen)
-        elif memo_per_t and policy.pid_independent:
+        if memo_per_t and policy.pid_independent:
             free_choice = policy.free_choice
             for t in np_mod.unique(counts[free]).tolist():
                 mask = free & (counts == t)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 import networkx as nx
 
@@ -171,9 +171,22 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         self.r_acc = r_acc
         self.policy = policy or BenignPolicy()
         self._senders_by_round: Dict[int, Sequence[ProcessId]] = {}
-        # Closed-neighbourhood incidence matrix + index positions, built
+        # Per execution (``reset()`` drops both): each pid's closed
+        # neighbourhood, read from the graph on first use, and the
+        # closed-neighbourhood incidence matrix + index positions, built
         # lazily per index tuple for the array advice path.
+        self._closed: Dict[ProcessId, FrozenSet[ProcessId]] = {}
         self._nbhd_cache: Optional[tuple] = None
+
+    def _closed_neighborhood(self, pid: ProcessId) -> FrozenSet[ProcessId]:
+        """``pid``'s closed neighbourhood, read from the graph once per
+        execution: the topology is fixed while an execution runs."""
+        nbhd = self._closed.get(pid)
+        if nbhd is None:
+            nbhd = self._closed[pid] = frozenset(
+                self.network.closed_neighborhood(pid)
+            )
+        return nbhd
 
     # -- LossAdversary ------------------------------------------------------
     def losses_for_round(
@@ -192,11 +205,10 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         resolutions.
         """
         self._senders_by_round[round_index] = list(senders)
-        network = self.network
+        closed = self._closed_neighborhood
         groups: Dict[tuple, List[ProcessId]] = {}
         for pid in receivers:
-            neighborhood = network.closed_neighborhood(pid)
-            local = tuple(s for s in senders if s in neighborhood)
+            local = tuple(filter(closed(pid).__contains__, senders))
             groups.setdefault(local, []).append(pid)
         return grouped_losses(
             round_index, senders, receivers,
@@ -214,7 +226,7 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         senders = self._senders_by_round.get(round_index, [])
         advice: Dict[ProcessId, CollisionAdvice] = {}
         for pid, t in received_counts.items():
-            neighborhood = self.network.closed_neighborhood(pid)
+            neighborhood = self._closed_neighborhood(pid)
             c_local = sum(1 for s in senders if s in neighborhood)
             if must_report_collision(self.completeness, c_local, t):
                 advice[pid] = CollisionAdvice.COLLISION
@@ -239,10 +251,8 @@ class MultihopLayer(LossAdversary, CollisionDetector):
             return cached[1], cached[2]
         pos = {pid: k for k, pid in enumerate(indices)}
         mat = _np.zeros((len(indices), len(indices)), dtype=_np.int64)
-        graph = self.network.graph
         for k, pid in enumerate(indices):
-            mat[k, k] = 1
-            for s in graph.neighbors(pid):
+            for s in self._closed_neighborhood(pid):
                 j = pos.get(s)
                 if j is not None:
                     mat[k, j] = 1
@@ -299,13 +309,14 @@ class MultihopLayer(LossAdversary, CollisionDetector):
             obliged = (c_local > 0) & (counts == 0)
         else:
             obliged = _np.zeros(len(indices), dtype=bool)
+        # An obliged report wins over accuracy below, so the null list
+        # needs no mask of its own.
         if accuracy_active(self.accuracy, round_index, self.r_acc):
-            null_mask = (counts == c_local) & ~obliged
+            null_list = (counts == c_local).tolist()
         else:
-            null_mask = _np.zeros(len(indices), dtype=bool)
+            null_list = [False] * len(indices)
         free_choice = self.policy.free_choice
         ob_list = obliged.tolist()
-        null_list = null_mask.tolist()
         c_list = c_local.tolist()
         t_list = counts.tolist()
         out: List[CollisionAdvice] = []
@@ -321,6 +332,7 @@ class MultihopLayer(LossAdversary, CollisionDetector):
 
     def reset(self) -> None:
         self._senders_by_round = {}
+        self._closed = {}
         self._nbhd_cache = None
         if self.inner is not None:
             self.inner.reset()

@@ -10,9 +10,14 @@ Covers the contract-level guarantees:
   crash/churn schedules (crash events naming absent and out-of-range
   pids among them, and crashes emptying the live set) x process fleets
   (one shared class, mixed classes, an ``_advance_round`` override, and
-  counting's trusted ``transition_array`` batch) x record policies, and
-  exhaustively over every drop pattern of two rounds at n = 3;
+  the trusted ``transition_array`` batches of counting and Algorithm 2)
+  x record policies, and exhaustively over every drop pattern of two
+  rounds at n = 3;
 * ``IIDLoss``'s whole-round law and determinism on both backends;
+* one round's three views (drop counts, drop sets, drop pairs) agree
+  whichever is read first, for ``IIDLoss`` (engine-shaped rounds and
+  the one-receiver groups a multihop layer hands it) and for grouped
+  rounds (``PartitionLoss``, ``MultihopLayer``);
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` on every contract breach: a drop set naming its
   receiver or a non-sender, counts that disagree with the sets, an
@@ -50,8 +55,9 @@ from repro.adversary.loss import (
     ScriptedLoss,
     SilenceLoss,
 )
-from repro.algorithms.alg2 import algorithm_2
+from repro.algorithms.alg2 import Alg2Process, algorithm_2
 from repro.algorithms.counting import CountingProcess
+from repro.applications.aggregation import MaxConsensusProcess
 from repro.contention.services import (
     KWakeUpService,
     NoContentionManager,
@@ -61,7 +67,11 @@ from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError, ModelViolation
 from repro.core.execution import ExecutionEngine, run_algorithm
 from repro.core.algorithm import Algorithm
-from repro.core.process import Process, ScriptedProcess
+from repro.core.process import (
+    Process,
+    ScriptedProcess,
+    _trusted_transition_array,
+)
 from repro.core.records import RecordPolicy
 from repro.core.types import CollisionAdvice
 from repro.detectors.classes import MAJ_OAC
@@ -74,6 +84,7 @@ from repro.detectors.properties import AccuracyMode, Completeness
 from repro.lowerbounds.compose import compose_alpha_executions
 from repro.lowerbounds.pigeonhole import lemma21_find_pair, theorem9_find_pair
 from repro.lowerbounds.conjecture import max_composable_prefix
+from repro.substrate.multihop import MultihopLayer, MultihopNetwork
 
 POLICIES = (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 
@@ -403,7 +414,19 @@ _ALGORITHMS = {
     # A trusted ``transition_array`` override: batched on kernel rounds,
     # held here to the spec's per-process ``transition``.
     "counting": lambda: Algorithm.anonymous(ReportingCounter),
+    # Algorithm 2's trusted batch; after a churn rejoin one batch holds
+    # a fresh process at prepare beside a fleet mid-cycle.
+    "alg2": lambda: algorithm_2(range(4)).with_fixed_values(
+        {pid: (3 * pid) % 4 for pid in range(N_GEN)}
+    ),
 }
+
+
+def test_only_classes_owning_both_forms_batch_their_transitions():
+    """Algorithm 2 batches; max-merge consensus overrides only
+    ``transition`` and must stay on the per-process loop."""
+    assert _trusted_transition_array(Alg2Process)
+    assert not _trusted_transition_array(MaxConsensusProcess)
 
 
 def _crash_factory(crash):
@@ -568,6 +591,106 @@ def test_iid_batched_never_drops_self():
     assert isinstance(lost_map, RoundLosses)
     for pid in senders:
         assert pid not in lost_map[pid]
+
+
+def _views(losses, sets_first):
+    """A round's three views — counts, pairs as (receiver, sender) pids,
+    and sets — reading the lazy two in the given order."""
+    if sets_first:
+        sets = {pid: set(losses[pid]) for pid in losses.receivers}
+        rows, cols = losses.drop_pairs()
+    else:
+        rows, cols = losses.drop_pairs()
+        sets = {pid: set(losses[pid]) for pid in losses.receivers}
+    pairs = sorted(
+        (losses.receivers[k], losses.senders[j])
+        for k, j in zip(list(rows), list(cols))
+    )
+    return list(losses.drop_counts), pairs, sets
+
+
+#: (senders, receivers) shapes: the engine's (every sender a receiver,
+#: plus silent receivers) and the small groups MultihopLayer hands its
+#: inner adversary — one receiver that sent, one that did not, and two
+#: members sharing a neighbourhood.
+_IID_SHAPES = {
+    "engine": (list(range(6)), tuple(range(8))),
+    "group-sender": ([1, 2, 4], (2,)),
+    "group-listener": ([1, 2, 4], (3,)),
+    "group-pair": ([0, 1, 5], (0, 5)),
+}
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("shape", sorted(_IID_SHAPES))
+def test_iid_views_agree_in_either_access_order(shape, backend, monkeypatch):
+    """Clearing the self cells of the Bernoulli grid in place keeps the
+    three views of one round identical, whichever lazy view is read
+    first, and none ever names the receiver."""
+    if backend == "python":
+        monkeypatch.setattr(loss_mod, "_np", None)
+    senders, receivers = _IID_SHAPES[shape]
+    a = IIDLoss(0.6, seed=11)
+    b = IIDLoss(0.6, seed=11)
+    drops = 0
+    for r in range(1, 40):
+        counts, pairs, sets = _views(
+            a.losses_for_round(r, senders, receivers), sets_first=True
+        )
+        assert _views(
+            b.losses_for_round(r, senders, receivers), sets_first=False
+        ) == (counts, pairs, sets)
+        assert counts == [len(sets[pid]) for pid in receivers]
+        assert pairs == sorted(
+            (pid, s) for pid in receivers for s in sets[pid]
+        )
+        for pid in receivers:
+            assert pid not in sets[pid]
+            assert sets[pid] <= set(senders)
+        drops += sum(counts)
+    assert drops > 0
+
+
+#: Group-resolving adversaries: cross-group drops plus one inner
+#: resolution per group.
+_GROUPED = {
+    "partition-iid": lambda: PartitionLoss(
+        [range(3), range(3, 7)], intra=IIDLoss(0.4, seed=2)
+    ),
+    "partition-silence": lambda: PartitionLoss(
+        [[0, 2, 4], [1, 3]], intra=SilenceLoss()
+    ),
+    "ring-iid": lambda: MultihopLayer(
+        MultihopNetwork.ring(7), inner=IIDLoss(0.3, seed=1)
+    ),
+    "line-capture": lambda: MultihopLayer(
+        MultihopNetwork.line(7), inner=CaptureEffectLoss(1, seed=4)
+    ),
+    "line-scripted": lambda: MultihopLayer(
+        MultihopNetwork.line(7), inner=ScriptedLoss(_scripted_rule)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUPED))
+def test_grouped_views_agree_in_either_access_order(name):
+    """Grouped rounds build their pairs straight from the groups; they
+    name exactly the dropped (receiver, sender) pairs the sets do."""
+    a, b = _GROUPED[name](), _GROUPED[name]()
+    rng = random.Random(name)
+    receivers = tuple(range(7))
+    for r in range(1, 40):
+        senders = [pid for pid in receivers if rng.random() < 0.6]
+        counts, pairs, sets = _views(
+            a.losses_for_round(r, senders, receivers), sets_first=True
+        )
+        assert _views(
+            b.losses_for_round(r, senders, receivers), sets_first=False
+        ) == (counts, pairs, sets)
+        assert counts == [len(sets[pid]) for pid in receivers]
+        assert pairs == sorted(
+            (pid, s) for pid in receivers for s in sets[pid]
+        )
 
 
 # ----------------------------------------------------------------------

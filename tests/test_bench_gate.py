@@ -1,9 +1,14 @@
-"""The E11 perf gates CI runs (``tools/bench_gate.py``).
+"""The perf gates CI runs (``tools/bench_gate.py``).
 
-The passing pair is the committed ``BENCH_e11.json`` against a copy of
-itself from a machine twice as slow (the row guard normalises machine
-speed away); each failing pair breaks one gate and must fail that gate
-alone.
+E11: the passing pair is the committed ``BENCH_e11.json`` against a
+copy of itself from a machine twice as slow (the row guard normalises
+machine speed away); each failing pair breaks one gate and must fail
+that gate alone.
+
+E18 (``--campaign``): the passing artifact is the committed
+``BENCH_e18.json`` plus the idle-hook section a CI run adds with
+``--fault-overhead``; each failing artifact breaks one campaign gate
+and must fail that gate alone.
 """
 
 from __future__ import annotations
@@ -17,6 +22,15 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED = json.loads((REPO_ROOT / "BENCH_e11.json").read_text())
+E18 = json.loads((REPO_ROOT / "BENCH_e18.json").read_text())
+
+#: The ``fault_overhead`` section of a fresh ``bench_e18_campaign.py
+#: --quick --fault-overhead`` run on a 2-vCPU machine.
+FAULT_OVERHEAD = {
+    "absent_cells": 32, "absent_seconds": 0.0396, "hook_visits": 99,
+    "idle_cells": 32, "idle_seconds": 0.0393, "overhead_ratio": 0.0019,
+    "per_visit_seconds": 7.7e-07, "reps": 3, "wallclock_ratio": -0.0073,
+}
 
 
 def _load_gate():
@@ -103,6 +117,87 @@ def test_each_gate_fails_its_broken_pair(case, tmp_path, capsys):
     for name, check in gate.GATES.items():
         assert bool(check(committed, fresh)) == (name == broken_gate), name
     assert _run(tmp_path, committed, fresh) == 1
+    fails = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL")
+    ]
+    assert fails and all(
+        line.startswith(f"FAIL {broken_gate}:") for line in fails
+    )
+
+
+# ----------------------------------------------------------------------
+# The campaign gates over BENCH_e18.json
+# ----------------------------------------------------------------------
+def _campaign_artifact():
+    report = copy.deepcopy(E18)
+    report["fault_overhead"] = dict(FAULT_OVERHEAD)
+    return report
+
+
+def _leg(report, label):
+    return report["timeout_paths"]["worker_reuse"][label]
+
+
+#: case -> (the campaign gate it breaks, how: a function of the report)
+BROKEN_CAMPAIGN = {
+    "pooled report diverged": (
+        "pooled",
+        lambda r: _set(r["timeout_paths"], "reports_identical", False),
+    ),
+    "pooled below 2x": (
+        "pooled", lambda r: _set(r["timeout_paths"], "speedup", 1.9),
+    ),
+    "pooled leg fell back in-process": (
+        "pooled", lambda r: _set(_leg(r, "pooled"), "in_process", True),
+    ),
+    "width-1 grid too small": (
+        "pooled", lambda r: _set(_leg(r, "width1"), "cells", 1),
+    ),
+    "workers not reused": (
+        "pooled",
+        lambda r: _set(_leg(r, "pooled"), "distinct_worker_pids", 12),
+    ),
+    "no timeout_paths section": (
+        "pooled", lambda r: r.pop("timeout_paths"),
+    ),
+    "idle hooks never visited": (
+        "faultline", lambda r: _set(r["fault_overhead"], "hook_visits", 0),
+    ),
+    "idle hooks at 3%": (
+        "faultline",
+        lambda r: _set(r["fault_overhead"], "overhead_ratio", 0.03),
+    ),
+    "no fault_overhead section": (
+        "faultline", lambda r: r.pop("fault_overhead"),
+    ),
+}
+
+
+def _run_campaign(tmp_path, report):
+    path = tmp_path / "BENCH_e18.json"
+    path.write_text(json.dumps(report))
+    return _load_gate().main(["--campaign", str(path)])
+
+
+def test_campaign_artifact_passes_every_campaign_gate(tmp_path, capsys):
+    report = _campaign_artifact()
+    gate = _load_gate()
+    for check in gate.CAMPAIGN_GATES.values():
+        assert check(report) == []
+    assert _run_campaign(tmp_path, report) == 0
+    assert capsys.readouterr().out.endswith("bench gate: ok\n")
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CAMPAIGN))
+def test_each_campaign_gate_fails_its_broken_artifact(case, tmp_path, capsys):
+    broken_gate, breaks = BROKEN_CAMPAIGN[case]
+    report = _campaign_artifact()
+    breaks(report)
+    gate = _load_gate()
+    for name, check in gate.CAMPAIGN_GATES.items():
+        assert bool(check(report)) == (name == broken_gate), name
+    assert _run_campaign(tmp_path, report) == 1
     fails = [
         line for line in capsys.readouterr().out.splitlines()
         if line.startswith("FAIL")

@@ -1,5 +1,7 @@
 """Tests for the contention managers (Section 4)."""
 
+import random
+
 import pytest
 
 from repro.adversary.crash import ScheduledCrashes
@@ -11,6 +13,7 @@ from repro.contention.services import (
     NoContentionManager,
     ScriptedContentionManager,
     WakeUpService,
+    _scrambled_pick,
     all_passive_schedule,
 )
 from repro.core.algorithm import Algorithm
@@ -47,6 +50,24 @@ def test_wakeup_default_chooser_rotates():
     actives = {next(iter(active_set(cm.advise(r, INDICES))))
                for r in range(1, 9)}
     assert len(actives) > 1
+
+
+def test_wakeup_memoised_pick_is_the_seeded_rng_law():
+    """The default chooser's memo answers exactly what a fresh
+    ``random.Random(round)`` would, for every campaign-sized (round,
+    live count), and stays bounded."""
+    for k in range(1, 17):
+        for r in range(0, 501):
+            assert _scrambled_pick(r, k) == random.Random(r).randrange(k)
+    maxsize = _scrambled_pick.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    assert _scrambled_pick.cache_info().currsize <= maxsize
+    # The chooser indexes the *sorted* live list with the pick.
+    live = [7, 3, 5]
+    for r in range(1, 40):
+        assert WakeUpService._scrambled_chooser(r, live) == sorted(live)[
+            random.Random(r).randrange(3)
+        ]
 
 
 def test_wakeup_custom_prelude():

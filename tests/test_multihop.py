@@ -6,11 +6,13 @@ import networkx as nx
 
 from repro.adversary.loss import IIDLoss
 from repro.algorithms.alg2 import algorithm_2
-from repro.contention.services import WakeUpService
+from repro.contention.services import NoContentionManager, WakeUpService
+from repro.core.algorithm import Algorithm
 from repro.core.consensus import evaluate
 from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError
-from repro.core.execution import run_consensus
+from repro.core.execution import run_algorithm, run_consensus
+from repro.core.process import ScriptedProcess
 from repro.core.types import COLLISION, NULL
 from repro.detectors.properties import AccuracyMode, Completeness
 from repro.substrate.multihop import (
@@ -89,6 +91,35 @@ def test_layer_inner_adversary_composes():
     layer = MultihopLayer(net, inner=IIDLoss(1.0, seed=0))
     # Neighbour messages now die in the inner adversary too.
     assert layer.losses_for_round(1, [1], net.indices)[0] == {1}
+
+
+@pytest.mark.parametrize("kernel", [False, None], ids=["scalar", "auto"])
+def test_layer_rereads_the_topology_between_executions(kernel):
+    """Closed neighbourhoods (and the advice path's incidence matrix)
+    are cached for one execution: an edge added to the graph between
+    two runs shapes the second run exactly as a fresh layer would."""
+    net = MultihopNetwork.line(4)
+    algorithm = Algorithm(
+        lambda i: ScriptedProcess([f"m{i}"] * 3), anonymous=False
+    )
+
+    def run(layer):
+        env = Environment(
+            indices=net.indices, detector=layer,
+            contention=NoContentionManager(), loss=layer,
+        )
+        return run_algorithm(
+            env, algorithm, max_rounds=3, until_all_decided=False,
+            use_array_kernel=kernel,
+        )
+
+    layer = MultihopLayer(net)
+    first = run(layer)
+    assert first.records[0].received[0].support() == {"m0", "m1"}
+    net.graph.add_edge(0, 3)
+    second = run(layer)
+    assert second.records[0].received[0].support() == {"m0", "m1", "m3"}
+    assert second.records == run(MultihopLayer(net)).records
 
 
 def test_consensus_inside_one_clique_of_a_multihop_network():

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Perf gates over the E11 smoke artifact.
+"""Perf gates over the E11 smoke and E18 campaign artifacts.
 
 Usage::
 
     python tools/bench_gate.py COMMITTED.json FRESH.json
+    python tools/bench_gate.py --campaign BENCH_e18.json
 
-``COMMITTED`` is the ``BENCH_e11.json`` a change ships and ``FRESH`` the
-one ``benchmarks/e11_smoke.py`` just wrote on the CI runner.  The tool
-prints the fresh per-adversary table, then runs three gates:
+In the first form ``COMMITTED`` is the ``BENCH_e11.json`` a change ships
+and ``FRESH`` the one ``benchmarks/e11_smoke.py`` just wrote on the CI
+runner.  The tool prints the fresh per-adversary table, then runs three
+gates:
 
 * ``capture`` — the fresh run used the array kernel, and the committed
   capture row holds at least 2x its pre-rework figure;
@@ -20,6 +22,18 @@ prints the fresh per-adversary table, then runs three gates:
 
 The absolute floors read the committed numbers, so they hold whatever
 machine runs the gate; the fresh run is held to same-run ratios only.
+
+The ``--campaign`` form reads the ``BENCH_e18.json`` that
+``benchmarks/bench_e18_campaign.py --compare-timeout-paths 4
+--fault-overhead`` just wrote, and runs two gates on it:
+
+* ``pooled`` — the pooled-with-deadlines report equals the width-1
+  report, the pool is at least 2x faster than width 1, and each leg ran
+  in worker processes, on more cells than its width, with no more
+  distinct worker pids than its width (workers are reused);
+* ``faultline`` — Faultline's armed-but-idle hooks were visited, and
+  their cost stays under 3% of the campaign's wall clock.
+
 Exit status 0 when every gate passes, 1 with one ``FAIL`` line per
 problem otherwise.  Standard library only.
 """
@@ -41,6 +55,14 @@ CAPTURE_FACTOR = 2.0
 #: committed artifact must hold SUMMARY_FACTOR times that.
 SUMMARY_PRE_INTERNING = 7773.0
 SUMMARY_FACTOR = 1.5
+
+#: The pooled campaign leg (width ``timeout_paths.processes``) must be
+#: at least this much faster than width 1.
+POOLED_SPEEDUP = 2.0
+
+#: Faultline's armed-but-idle hooks may cost at most this share of the
+#: campaign's wall clock.
+IDLE_HOOK_CEILING = 0.03
 
 #: The committed artifact comes from whatever machine shipped the
 #: change, so raw rounds/sec are not comparable run to run.  Dividing
@@ -166,23 +188,89 @@ def gate_rows(committed: dict, fresh: dict) -> list:
     return []
 
 
-GATES = {"capture": gate_capture, "summary": gate_summary, "rows": gate_rows}
-
-
-def main(argv: list) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    with open(argv[0]) as fh:
-        committed = json.load(fh)
-    with open(argv[1]) as fh:
-        fresh = json.load(fh)
-    print("\n".join(adversary_table(fresh)))
+def gate_pooled(report: dict) -> list:
+    """Pooled-with-deadlines campaigns: same report, >= 2x, reused workers."""
+    timing = report.get("timeout_paths")
+    if timing is None:
+        return ["no timeout_paths section — run the campaign bench with "
+                "--compare-timeout-paths"]
+    print(
+        f"width1 {timing['width1_seconds']:.2f}s vs "
+        f"pooled({timing['processes']}) {timing['pooled_seconds']:.2f}s "
+        f"-> {timing['speedup']:.2f}x"
+    )
     failures = []
-    for name, gate in GATES.items():
+    if not timing["reports_identical"]:
+        failures.append("pooled-with-deadlines report diverged from width-1")
+    if timing["speedup"] < POOLED_SPEEDUP:
+        failures.append(
+            f"expected >={POOLED_SPEEDUP:g}x on a 4-core runner, got "
+            f"{timing['speedup']:.2f}x"
+        )
+    # Worker reuse is universal: each leg dispatched its whole grid onto
+    # at most its pool width of distinct pids (spawn-per-cell would
+    # show one pid per cell).
+    for label, width in (("width1", 1), ("pooled", timing["processes"])):
+        reuse = timing["worker_reuse"][label]
+        print(f"{label}: {reuse['distinct_worker_pids']} pids / "
+              f"{reuse['cells']} cells (width {width})")
+        if reuse["in_process"]:
+            failures.append(f"{label} leg fell back in-process")
+        if reuse["cells"] <= width:
+            failures.append(f"{label} grid too small to prove reuse")
+        if reuse["distinct_worker_pids"] > width:
+            failures.append(
+                f"{label}: {reuse['distinct_worker_pids']} distinct pids "
+                f"for a width-{width} pool — workers are not being reused"
+            )
+    return failures
+
+
+def gate_faultline(report: dict) -> list:
+    """Faultline's armed-but-idle hooks: visited, and under 3%."""
+    overhead = report.get("fault_overhead")
+    if overhead is None:
+        return ["no fault_overhead section — run the campaign bench with "
+                "--fault-overhead"]
+    # The gated ratio is variance-controlled: the exact number of
+    # injection-point visits the armed-but-idle plan saw (read off its
+    # FaultClock) times a microbenchmarked per-visit fire() cost, over
+    # the campaign's min-of-reps wall clock.  The raw two-leg wall
+    # clocks are printed but not gated — at tens of milliseconds a
+    # wall-clock diff measures the runner's scheduler, not the hooks.
+    print(
+        f"{overhead['hook_visits']} hook visits x "
+        f"{overhead['per_visit_seconds'] * 1e6:.2f}us over "
+        f"{overhead['absent_seconds']:.3f}s -> "
+        f"{overhead['overhead_ratio'] * 100.0:.3f}% "
+        f"(wallclock legs: {overhead['wallclock_ratio'] * 100.0:+.2f}%)"
+    )
+    failures = []
+    if overhead["hook_visits"] <= 0:
+        failures.append(
+            "idle plan saw no injection-point visits — hooks are dead"
+        )
+    if overhead["overhead_ratio"] >= IDLE_HOOK_CEILING:
+        failures.append(
+            f"Faultline idle hooks cost "
+            f"{overhead['overhead_ratio'] * 100.0:.2f}% of the campaign "
+            f"wall clock — the injection points must stay under "
+            f"{IDLE_HOOK_CEILING:.0%} when armed but never firing"
+        )
+    return failures
+
+
+GATES = {"capture": gate_capture, "summary": gate_summary, "rows": gate_rows}
+CAMPAIGN_GATES = {"pooled": gate_pooled, "faultline": gate_faultline}
+
+
+def run_gates(gates: dict, *artifacts) -> int:
+    """Run every gate over ``artifacts``; print the verdict, return it."""
+    failures = []
+    for name, gate in gates.items():
         print(f"\n[{name}]")
         failures += [f"FAIL {name}: {problem}"
-                     for problem in gate(committed, fresh)]
+                     for problem in gate(*artifacts)]
     print()
     for line in failures:
         print(line)
@@ -191,6 +279,21 @@ def main(argv: list) -> int:
         return 1
     print("bench gate: ok")
     return 0
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    if argv[0] == "--campaign":
+        with open(argv[1]) as fh:
+            return run_gates(CAMPAIGN_GATES, json.load(fh))
+    with open(argv[0]) as fh:
+        committed = json.load(fh)
+    with open(argv[1]) as fh:
+        fresh = json.load(fh)
+    print("\n".join(adversary_table(fresh)))
+    return run_gates(GATES, committed, fresh)
 
 
 if __name__ == "__main__":
