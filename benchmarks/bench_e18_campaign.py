@@ -1,38 +1,24 @@
 #!/usr/bin/env python3
-"""E18 campaign benchmark: resumable matrix sweeps through the
-checkpointing :class:`~repro.experiments.campaign.CampaignRunner`.
+"""E18 campaign benchmark: the two legs ``tools/bench_gate.py --campaign``
+gates, written to ``BENCH_e18.json``.
 
-Runs the (n x detector x loss_rate x seed) consensus matrix with every
-finished cell committed to a sqlite ``campaign.db``, then reports cells
-per second and how much of the grid this pass actually had to run — a
-resumed campaign skips checkpointed cells entirely.  Usage::
+* ``timeout_paths`` — the quick E18 grid with three replicates (12
+  cells) runs twice under a generous per-cell deadline, on a one-worker
+  pool and on a ``--processes``-wide one (default 4), and the artifact
+  publishes both wall clocks, the speedup, whether the two reports are
+  byte-identical, and each leg's ``worker_reuse`` (distinct worker pids
+  vs cells dispatched, so a regression to spawn-per-cell is visible).
+* ``fault_overhead`` — the Faultline hooks' installed-but-idle cost over
+  the quick grid with eight replicates (32 cells), run in-process.
 
-    PYTHONPATH=src python benchmarks/bench_e18_campaign.py --quick \
-        --db campaign.db --out BENCH_e18.json
+Usage::
 
-CI's resume smoke exercises the durability story end to end::
+    PYTHONPATH=src python benchmarks/bench_e18_campaign.py \
+        --out BENCH_e18.json
+    python tools/bench_gate.py --campaign BENCH_e18.json
 
-    # pass 1: interrupted (timeout kill and/or a --max-cells budget)
-    timeout 60 python benchmarks/bench_e18_campaign.py --quick \
-        --db campaign.db --max-cells 6 || true
-    # pass 2: resume to completion, dump the canonical report
-    python benchmarks/bench_e18_campaign.py --quick --db campaign.db \
-        --report-out resumed.json
-    # clean in-process serial reference pass in a fresh store
-    python benchmarks/bench_e18_campaign.py --quick --db clean.db \
-        --in-process --report-out clean.json
-    cmp resumed.json clean.json        # byte-identical or CI fails
-
-The report deliberately excludes wall-clock noise, so the comparison is
-exact; ``--quick`` shrinks the grid for CI.  Every configuration runs
-the unified :class:`~repro.experiments.dispatch.CampaignDispatcher`
-pool (``--in-process`` is the serial escape hatch), and the artifact
-publishes ``worker_reuse`` — distinct worker pids vs cells dispatched —
-so a regression to spawn-per-cell is visible in the JSON.
-``--compare-timeout-paths N`` additionally wall-clocks the loop at
-width 1 against width N under deadlines and publishes the comparison;
-``--fault-overhead`` measures the Faultline injection hooks'
-installed-but-idle cost (CI gates the ratio below 3%).
+The campaign resume smoke (interrupt, resume, ``cmp`` against a serial
+run) runs through ``python -m repro campaign``; see docs/campaigns.md.
 """
 
 from __future__ import annotations
@@ -47,21 +33,7 @@ import time
 
 from repro.experiments.campaign import CampaignRunner
 from repro.experiments.harness import consensus_sweep_cell
-
-
-def grid_axes(quick: bool) -> dict:
-    """The benchmark's sweep axes (trial indexes replicate seeds)."""
-    if quick:
-        return dict(
-            n=[3, 4], detector=["0-OAC"], loss_rate=[0.1, 0.3],
-            trial=[0, 1, 2], values=[16], record_policy=["summary"],
-        )
-    return dict(
-        n=[4, 8, 16], detector=["0-OAC", "maj-OAC"],
-        loss_rate=[0.1, 0.3, 0.5], trial=list(range(5)), values=[64],
-        record_policy=["summary"],
-    )
-
+from repro.experiments.matrix import E18
 
 #: Per-cell wall-clock beat for the width comparison.  The consensus
 #: simulation itself runs in ~2ms, which no pool width can amortise
@@ -69,6 +41,10 @@ def grid_axes(quick: bool) -> dict:
 #: concurrency under deadlines (the long-tailed cells deadline pools
 #: exist for), so each cell carries a fixed beat.
 PAD_SECONDS = 0.08
+
+#: Per-cell budget for both comparison legs: generous, so the runs
+#: measure dispatch, not timeouts.
+CELL_TIMEOUT = 60.0
 
 
 def _padded_cell(params, seed):
@@ -85,20 +61,16 @@ def _padded_cell(params, seed):
     return payload
 
 
-def compare_timeout_paths(
-    quick: bool, processes: int, cell_timeout: float, base_seed: int
-) -> dict:
+def compare_timeout_paths(processes: int, base_seed: int) -> dict:
     """Wall-clock the unified loop at width 1 against width ``processes``.
 
     Runs the same grid twice in throwaway stores — once on a one-worker
     dispatcher pool and once at ``processes`` width — both under the
     same generous per-cell budget, and also byte-compares the two
     reports: pool width under deadlines must never change the merged
-    outcomes, only the wall-clock.  Each leg publishes its
-    ``worker_reuse`` accounting (distinct worker pids vs cells), so a
-    regression to spawn-per-cell dispatch shows up in the artifact.
+    outcomes, only the wall-clock.
     """
-    axes = grid_axes(quick)
+    axes = E18.grid(quick=True, trial=3)
     tmp = tempfile.mkdtemp(prefix="repro-e18-timing-")
     timings: dict = {"worker_reuse": {}}
     reports = {}
@@ -110,7 +82,7 @@ def compare_timeout_paths(
                 db_path=db,
                 base_seed=base_seed,
                 processes=procs,
-                cell_timeout=cell_timeout,
+                cell_timeout=CELL_TIMEOUT,
                 extra_params={"sqlite_db": db,
                               "pad_seconds": PAD_SECONDS},
             ) as runner:
@@ -123,7 +95,7 @@ def compare_timeout_paths(
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     timings["processes"] = processes
-    timings["cell_timeout"] = cell_timeout
+    timings["cell_timeout"] = CELL_TIMEOUT
     timings["pad_seconds"] = PAD_SECONDS
     timings["speedup"] = (
         timings["width1_seconds"] / timings["pooled_seconds"]
@@ -133,9 +105,9 @@ def compare_timeout_paths(
     return timings
 
 
-#: The idle plan for ``--fault-overhead``: armed (so every hook runs
-#: the full fire() path — clock tick, rule scan) but matching nothing
-#: the campaign ever visits, so no fault actually fires.
+#: The idle plan for the overhead leg: armed (so every hook runs the
+#: full fire() path — clock tick, rule scan) but matching nothing the
+#: campaign ever visits, so no fault actually fires.
 _IDLE_PLAN_SPEC = {
     "name": "idle-overhead-probe",
     "seed": 0,
@@ -146,7 +118,7 @@ _IDLE_PLAN_SPEC = {
 }
 
 
-def fault_overhead(quick: bool, base_seed: int, reps: int = 3) -> dict:
+def fault_overhead(base_seed: int, reps: int = 3) -> dict:
     """Measure the Faultline hooks' installed-but-idle overhead.
 
     Runs the grid in-process (no pool spawn noise) with no plan and
@@ -170,7 +142,7 @@ def fault_overhead(quick: bool, base_seed: int, reps: int = 3) -> dict:
 
     from repro.testing.faultline import FaultPlan
 
-    axes = dict(grid_axes(quick), trial=list(range(8)))
+    axes = E18.grid(quick=True, trial=8)
     tmp = tempfile.mkdtemp(prefix="repro-e18-faultline-")
     results: dict = {"reps": reps}
     best: dict = {}
@@ -237,148 +209,44 @@ def fault_overhead(quick: bool, base_seed: int, reps: int = 3) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small grid for CI smoke runs")
-    parser.add_argument("--db", default="campaign.db",
-                        help="sqlite checkpoint store (default campaign.db)")
     parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--processes", type=int, default=None,
-                        help="dispatcher pool width (0/1 = a one-worker "
-                             "pool; default: one per cpu)")
-    parser.add_argument("--in-process", action="store_true",
-                        help="run cells serially inside this process "
-                             "(the serial reference; no workers, "
-                             "timeouts unenforced)")
-    parser.add_argument("--timeout-per-cell", type=float, default=None,
-                        help="per-cell wall-clock budget in seconds")
-    parser.add_argument("--max-cells", type=int, default=None,
-                        help="run at most this many pending cells then "
-                             "exit (deterministic interruption)")
-    parser.add_argument("--compare-timeout-paths", type=int, default=None,
-                        metavar="N",
-                        help="also wall-clock the unified loop at width "
-                             "1 against width N under deadlines (same "
-                             "grid, throwaway stores) and publish the "
-                             "comparison in the artifact")
-    parser.add_argument("--compare-timeout", type=float, default=60.0,
-                        help="per-cell budget for the comparison legs "
-                             "(default 60s — generous, so the runs "
-                             "measure dispatch, not timeouts)")
-    parser.add_argument("--fault-overhead", action="store_true",
-                        help="also measure the Faultline hooks' "
-                             "installed-but-idle overhead (min-of-reps, "
-                             "in-process legs with and without an armed "
-                             "plan) and publish the ratio in the "
-                             "artifact; CI gates it below 3%%")
-    parser.add_argument("--out", default=None,
-                        help="write the bench JSON artifact here")
-    parser.add_argument("--report-out", default=None,
-                        help="write the campaign's canonical JSON report "
-                             "here (byte-stable across interrupt/resume)")
+    parser.add_argument("--processes", type=int, default=4,
+                        help="width of the pooled leg (default 4)")
+    parser.add_argument("--out", default="BENCH_e18.json",
+                        help="write the bench JSON artifact here "
+                             "(default BENCH_e18.json)")
     args = parser.parse_args()
 
-    axes = grid_axes(args.quick)
-    runner = CampaignRunner(
-        consensus_sweep_cell,
-        db_path=args.db,
-        base_seed=args.base_seed,
-        processes=args.processes,
-        cell_timeout=args.timeout_per_cell,
-        extra_params={"sqlite_db": args.db},
-        in_process=args.in_process,
+    comparison = compare_timeout_paths(args.processes, args.base_seed)
+    print(
+        f"timeout paths: width1 {comparison['width1_seconds']:.2f}s vs "
+        f"pooled({comparison['processes']}) "
+        f"{comparison['pooled_seconds']:.2f}s "
+        f"-> {comparison['speedup']:.2f}x, reports identical: "
+        f"{comparison['reports_identical']}"
     )
-    total = len(runner.cells(**axes))
-    # Only done/timed_out cells are skipped on resume; failed cells are
-    # retried, so they count toward the pending work this pass runs
-    # (bounded by --max-cells).
-    already = sum(
-        1 for o in runner.outcomes(**axes)
-        if o.status in ("done", "timed_out")
+    overhead = fault_overhead(args.base_seed)
+    print(
+        f"fault-overhead: {overhead['hook_visits']} hook visits x "
+        f"{overhead['per_visit_seconds'] * 1e6:.2f}us over "
+        f"{overhead['absent_seconds']:.3f}s -> "
+        f"{overhead['overhead_ratio'] * 100.0:.3f}% "
+        f"(wallclock legs: absent {overhead['absent_seconds']:.3f}s "
+        f"vs idle {overhead['idle_seconds']:.3f}s, "
+        f"{overhead['wallclock_ratio'] * 100.0:+.2f}% informational)"
     )
-    pending = total - already
-    ran = pending if args.max_cells is None else min(pending, args.max_cells)
 
-    start = time.perf_counter()
-    try:
-        outcomes = runner.resume(max_cells=args.max_cells, **axes)
-    finally:
-        runner.close()
-    elapsed = time.perf_counter() - start
-    worker_reuse = runner.last_dispatch_stats  # None if nothing ran
-    if worker_reuse is not None and not worker_reuse["in_process"]:
-        print(f"worker reuse: {worker_reuse['distinct_worker_pids']} "
-              f"distinct worker pids over {worker_reuse['cells']} cells")
-    statuses = {}
-    for outcome in outcomes:
-        statuses[outcome.status] = statuses.get(outcome.status, 0) + 1
-    print(f"grid: {total} cells | checkpointed before this pass: {already} "
-          f"| ran now: {ran} | store now holds: {len(outcomes)}")
-    print(f"statuses: {statuses}")
-    print(f"elapsed: {elapsed:.2f}s "
-          f"({ran / elapsed if elapsed > 0 else float('inf'):.1f} cells/s "
-          "this pass)")
-
-    comparison = None
-    if args.compare_timeout_paths is not None:
-        comparison = compare_timeout_paths(
-            args.quick, args.compare_timeout_paths, args.compare_timeout,
-            args.base_seed,
-        )
-        print(
-            f"timeout paths: width1 {comparison['width1_seconds']:.2f}s vs "
-            f"pooled({comparison['processes']}) "
-            f"{comparison['pooled_seconds']:.2f}s "
-            f"-> {comparison['speedup']:.2f}x, reports identical: "
-            f"{comparison['reports_identical']}"
-        )
-
-    overhead = None
-    if args.fault_overhead:
-        overhead = fault_overhead(args.quick, args.base_seed)
-        print(
-            f"fault-overhead: {overhead['hook_visits']} hook visits x "
-            f"{overhead['per_visit_seconds'] * 1e6:.2f}us over "
-            f"{overhead['absent_seconds']:.3f}s -> "
-            f"{overhead['overhead_ratio'] * 100.0:.3f}% "
-            f"(wallclock legs: absent {overhead['absent_seconds']:.3f}s "
-            f"vs idle {overhead['idle_seconds']:.3f}s, "
-            f"{overhead['wallclock_ratio'] * 100.0:+.2f}% informational)"
-        )
-
-    if args.out:
-        artifact = {
-            "benchmark": "e18_campaign",
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "db": os.path.abspath(args.db),
-            "grid_cells": total,
-            "skipped_checkpointed": already,
-            "ran_this_pass": ran,
-            "statuses": statuses,
-            "elapsed_seconds": elapsed,
-            "cells_per_second": (ran / elapsed) if elapsed > 0 else None,
-            "worker_reuse": worker_reuse,
-        }
-        if comparison is not None:
-            artifact["timeout_paths"] = comparison
-        if overhead is not None:
-            artifact["fault_overhead"] = overhead
-        with open(args.out, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(runner.report(**axes))
-            fh.write("\n")
-        print(f"wrote {args.report_out}")
-
-    incomplete = len(outcomes) < total
-    if incomplete:
-        print(f"campaign interrupted with {total - len(outcomes)} cells "
-              "pending; rerun the same command to resume")
-    return 3 if incomplete else 0
+    artifact = {
+        "benchmark": "e18_campaign",
+        "python": platform.python_version(),
+        "timeout_paths": comparison,
+        "fault_overhead": overhead,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(artifact, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

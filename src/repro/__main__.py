@@ -42,6 +42,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -145,10 +146,9 @@ def _campaign_verify_main(argv: list) -> int:
 
 def _campaign_main(argv: list) -> int:
     """The ``campaign`` subcommand: launch/resume/shard/merge/report."""
-    from .experiments.campaign import CampaignRunner
-    from .experiments.churn import churn_sweep_cell, run_churn_campaign
-    from .experiments.harness import consensus_sweep_cell
-    from .experiments.matrix import run_campaign_matrix
+    from .core.errors import ConfigurationError
+    from .experiments.campaign import CampaignRunner, run_family
+    from .experiments.registry import FAMILIES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
@@ -180,7 +180,7 @@ def _campaign_main(argv: list) -> int:
             "campaign.shard0-of-2.db campaign.shard1-of-2.db"
         ),
     )
-    parser.add_argument("--family", choices=("e18", "e19"), default="e18",
+    parser.add_argument("--family", choices=sorted(FAMILIES), default="e18",
                         help="which campaign family to run: e18 = the "
                              "consensus matrix, e19 = the churn grid "
                              "(default e18)")
@@ -200,15 +200,17 @@ def _campaign_main(argv: list) -> int:
                              "(requires --index)")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--n", type=int, nargs="+", default=None,
-                        help="process counts to sweep (default 4 8)")
+                        help="process counts to sweep (default 4 8 for "
+                             "e18, 4 6 for e19)")
     parser.add_argument("--detector", nargs="+", default=None,
                         help="detector class names to sweep "
                              "(default 0-OAC maj-OAC)")
     parser.add_argument("--loss-rate", type=float, nargs="+",
                         default=None, help="(default 0.1 0.3)")
     parser.add_argument("--seeds", type=int, default=None,
-                        help="replicate seeds per cell "
-                             "(default 3, or 2 under --quick)")
+                        help="replicate seeds per cell, at least 1 "
+                             "(default 3 for e18, 2 for e19; 2 under "
+                             "--quick)")
     parser.add_argument("--values", type=int, default=None,
                         help="|V| (default 16 for e18, 8 for e19)")
     parser.add_argument("--churn-rate", type=float, nargs="+",
@@ -220,7 +222,8 @@ def _campaign_main(argv: list) -> int:
                         help="e19 only: topologies to sweep "
                              "(default clique ring)")
     parser.add_argument("--quick", action="store_true",
-                        help="shrink the grid for smoke runs")
+                        help="shrink the grid for smoke runs (only "
+                             "--seeds and --values may go with it)")
     parser.add_argument("--cell-timeout", "--timeout", type=float,
                         default=None, dest="cell_timeout",
                         help="per-cell wall-clock timeout in seconds; "
@@ -297,97 +300,41 @@ def _campaign_main(argv: list) -> int:
     if args.db is None:
         args.db = (f"campaign.shard{shard_index}-of-{shard_count}.db"
                    if sharded else "campaign.db")
-    e19 = args.family == "e19"
-    if not e19:
-        explicit = [name for name, value in
-                    (("--churn-rate", args.churn_rate),
-                     ("--topology", args.topology)) if value is not None]
-        if explicit:
-            parser.error(
-                f"{', '.join(explicit)} only applies to --family e19"
-            )
-
-    if args.quick:
-        explicit = [name for name, value in
-                    (("--n", args.n), ("--detector", args.detector),
-                     ("--loss-rate", args.loss_rate),
-                     ("--churn-rate", args.churn_rate),
-                     ("--topology", args.topology)) if value is not None]
-        if explicit:
-            parser.error(
-                f"--quick fixes the grid; drop {', '.join(explicit)} "
-                "or drop --quick"
-            )
-        ns = [4] if e19 else [3, 4]
-        detectors = ["0-OAC"]
-        loss_rates = [0.1] if e19 else [0.1, 0.3]
-        churn_rates = [0.0, 0.25]
-        topologies = ["clique", "ring"]
-        # An explicit --seeds is honored even under --quick (it only
-        # shrinks/extends replicates, never the swept grid shape).
-        seeds = list(range(args.seeds if args.seeds is not None else 2))
-    else:
-        ns = args.n if args.n is not None else ([4, 6] if e19 else [4, 8])
-        detectors = (args.detector if args.detector is not None
-                     else ["0-OAC", "maj-OAC"])
-        loss_rates = (args.loss_rate if args.loss_rate is not None
-                      else [0.1, 0.3])
-        churn_rates = (args.churn_rate if args.churn_rate is not None
-                       else [0.0, 0.15, 0.3])
-        topologies = (args.topology if args.topology is not None
-                      else ["clique", "ring"])
-        seeds = list(range(args.seeds if args.seeds is not None
-                           else (2 if e19 else 3)))
-    values = args.values if args.values is not None else (8 if e19 else 16)
+    family = FAMILIES[args.family]
+    try:
+        axes = family.grid(
+            quick=args.quick, n=args.n, detector=args.detector,
+            loss_rate=args.loss_rate, churn_rate=args.churn_rate,
+            topology=args.topology, trial=args.seeds, values=args.values,
+        )
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     if args.report:
-        # Report mode never dispatches work, so the runner's pool is
-        # never spawned; in_process makes that explicit and free.
+        # A report reads a store; it must not create an empty one and
+        # print an empty campaign.
+        if not os.path.exists(args.db):
+            print(f"report rejected: campaign store {args.db!r} does not "
+                  "exist — nothing to report", file=sys.stderr)
+            return 2
+        # Report mode never dispatches work, so the pool never spawns.
         runner = CampaignRunner(
-            churn_sweep_cell if e19 else consensus_sweep_cell,
-            db_path=args.db,
-            base_seed=args.base_seed, processes=args.processes,
-            cell_timeout=args.cell_timeout, max_retries=args.max_retries,
-            extra_params={"sqlite_db": args.db}, in_process=True,
+            family.cell_fn, db_path=args.db, base_seed=args.base_seed,
             shard_index=shard_index, shard_count=shard_count,
         )
-        axes = dict(
-            n=ns, detector=detectors, loss_rate=loss_rates, trial=seeds,
-            values=[values], record_policy=["summary"],
-        )
-        if e19:
-            axes["churn_rate"] = churn_rates
-            axes["topology"] = topologies
         if args.table:
             print(runner.report_table(**axes))
         else:
-            print(runner.report(
-                allow_partial=args.allow_partial, **axes
-            ))
+            print(runner.report(allow_partial=args.allow_partial, **axes))
         return 0
 
-    if e19:
-        tables = run_churn_campaign(
-            db_path=args.db, ns=ns, detectors=detectors,
-            loss_rates=loss_rates, churn_rates=churn_rates,
-            topologies=topologies, seeds=seeds,
-            base_seed=args.base_seed, values=values,
-            cell_timeout=args.cell_timeout, processes=args.processes,
-            max_retries=args.max_retries, max_cells=args.max_cells,
-            in_process=args.in_process,
-            shard_index=shard_index, shard_count=shard_count,
-            stall_timeout=args.stall_timeout,
-        )
-    else:
-        tables = run_campaign_matrix(
-            db_path=args.db, ns=ns, detectors=detectors,
-            loss_rates=loss_rates, seeds=seeds, base_seed=args.base_seed,
-            values=values, cell_timeout=args.cell_timeout,
-            processes=args.processes, max_retries=args.max_retries,
-            max_cells=args.max_cells, in_process=args.in_process,
-            shard_index=shard_index, shard_count=shard_count,
-            stall_timeout=args.stall_timeout,
-        )
+    tables = run_family(
+        family, db_path=args.db, axes=axes, max_cells=args.max_cells,
+        base_seed=args.base_seed, processes=args.processes,
+        cell_timeout=args.cell_timeout, max_retries=args.max_retries,
+        in_process=args.in_process, shard_index=shard_index,
+        shard_count=shard_count, stall_timeout=args.stall_timeout,
+    )
     for table in tables:
         print(table.render())
     return 0

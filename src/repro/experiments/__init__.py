@@ -7,21 +7,25 @@ evaluation as ASCII tables.  E17/E18 are engineering artifacts: the
 parallel sweep and the resumable sqlite-checkpointed campaign layer
 (``python -m repro campaign``), the one grid runner every sweep goes
 through; E19 is the churn campaign — consensus under dynamic membership
-(``python -m repro campaign --family e19``).
+(``python -m repro campaign --family e19``).  Each campaign family is
+one :class:`CampaignFamily` record (:data:`E18`, :data:`E19`), run by
+:func:`run_family`.
 """
 
 from .ablation import run_completeness_ablation
 from .applications import run_applications
 from .campaign import (
+    CampaignFamily,
     CampaignOutcome,
     CampaignRunner,
     cell_tag,
     merge_campaign_stores,
+    run_family,
     run_grid,
     shard_cells,
     shard_of,
 )
-from .churn import churn_sweep_cell, run_churn_campaign
+from .churn import E19, churn_sweep_cell
 from .conjecture import run_conjecture_exploration
 from .counting import run_counting_experiment
 from .dispatch import (
@@ -47,7 +51,7 @@ from .harness import (
     iter_cells,
 )
 from .lower import run_impossibility_witnesses, run_round_complexity_witnesses
-from .matrix import run_campaign_matrix, run_matrix
+from .matrix import E18, run_matrix
 from .multihop import run_multihop_flood
 from .registry import REGISTRY, render_all, run_experiment
 from .resilience import run_resilience
@@ -70,13 +74,12 @@ __all__ = [
     "Table", "Experiment", "ExperimentRegistry",
     "SweepCell", "iter_cells", "cell_seed", "consensus_sweep_cell",
     "CampaignRunner", "CampaignOutcome", "cell_tag",
-    "run_grid",
+    "run_grid", "CampaignFamily", "run_family", "E18", "E19",
     "shard_of", "shard_cells", "merge_campaign_stores",
     "verify_campaign_store", "format_findings",
     "CampaignDispatcher", "CellResult", "execute_cell_job",
     "WorkerPoolError",
-    "run_parallel_sweep", "run_campaign_matrix",
-    "churn_sweep_cell", "run_churn_campaign",
+    "run_parallel_sweep", "churn_sweep_cell",
     "REGISTRY", "render_all", "run_experiment",
     "ecf_environment", "maj_oac_environment", "zero_oac_environment",
     "nocf_environment",

@@ -78,7 +78,9 @@ additionally need the *payload* to be a deterministic function of
 Experiments that want a table rather than a store run one pass over a
 throwaway store with :func:`run_grid` (E3, E17), which raises unless
 every cell finishes ``done``; :func:`campaign_store` is that throwaway
-store, and E18/E19 use it when no ``db_path`` is given.
+store.  A campaign family (E18, E19) is one :class:`CampaignFamily`
+record — cell function, default and ``--quick`` grids, grouped table —
+and :func:`run_family` runs one over a kept or throwaway store.
 
 Example::
 
@@ -131,7 +133,7 @@ from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
 from .dispatch import CampaignDispatcher, CellResult
-from .harness import SweepCell, iter_cells
+from .harness import SweepCell, Table, iter_cells
 
 #: Cell statuses a resume does not re-run.
 SKIP_STATUSES: Tuple[str, ...] = ("done", "timed_out")
@@ -829,6 +831,157 @@ def run_grid(
             )
         )
     return outcomes
+
+
+# ----------------------------------------------------------------------
+# Campaign families: one record per grid the CLI and the registry run
+# ----------------------------------------------------------------------
+#: The axes that do not shape a family's grid: the replicate count and
+#: the one |V|.  ``--quick`` leaves them open, and a table row
+#: aggregates over them.
+_OPEN_AXES: Tuple[str, ...] = ("trial", "values")
+
+
+def _flag(axis: str) -> str:
+    """The CLI flag that overrides ``axis``."""
+    return "--seeds" if axis == "trial" else "--" + axis.replace("_", "-")
+
+
+def group_mean(values: Sequence[float]) -> Optional[float]:
+    """The mean of a table row's values, or ``None`` (a blank cell)."""
+    return sum(values) / len(values) if values else None
+
+
+@dataclasses.dataclass(frozen=True)
+class CampaignFamily:
+    """One campaign family (E18, E19): cell function, grids and table.
+
+    ``axes`` are the default grid axes in run order, the order that
+    fixes every cell's ``cell_index``: ``trial`` is a replicate count,
+    ``values`` the one |V|, every other axis a sequence of values.
+    ``quick`` replaces some of them for smoke runs (CLI ``--quick``).
+    :meth:`grid` is the only code that turns these into a grid, so the
+    CLI's run and report modes, the registry and the tests enumerate
+    the same cells in the same order.
+
+    The table has one row per combination of the swept axes (all but
+    ``trial`` and ``values``), in sorted order: the combination,
+    ``cells`` and ``done``, then ``columns``, which
+    ``summarise(group, done)`` fills from the group's outcomes and its
+    ``done`` ones.
+    """
+
+    name: str
+    cell_fn: Callable[[Dict[str, Any], int], Any]
+    axes: Mapping[str, Any]
+    quick: Mapping[str, Any]
+    title: str
+    columns: Tuple[str, ...]
+    summarise: Callable[
+        [List[CampaignOutcome], List[CampaignOutcome]], Dict[str, Any]
+    ]
+
+    def grid(self, quick: bool = False, **overrides: Any) -> Dict[str, List]:
+        """The grid axes for :class:`CampaignRunner`, in run order.
+
+        Each override replaces its default axis; ``None`` keeps it.
+        Under ``quick`` only ``trial`` and ``values`` may be overridden.
+        Every cell records the ``summary`` trail.  Raises
+        :class:`ConfigurationError`, naming CLI flags, for an axis the
+        family does not sweep, an override of an axis ``quick`` fixes,
+        or fewer than one replicate.
+        """
+        given = {k: v for k, v in overrides.items() if v is not None}
+        unknown = [_flag(k) for k in given if k not in self.axes]
+        if unknown:
+            raise ConfigurationError(
+                f"--family {self.name} does not sweep {', '.join(unknown)}"
+            )
+        if quick:
+            fixed = [_flag(k) for k in given if k not in _OPEN_AXES]
+            if fixed:
+                raise ConfigurationError(
+                    f"--quick fixes the grid; drop {', '.join(fixed)} or "
+                    "drop --quick"
+                )
+        axes = {**self.axes, **(self.quick if quick else {}), **given}
+        if axes["trial"] < 1:
+            raise ConfigurationError(
+                f"--seeds must be at least 1, got {axes['trial']}"
+            )
+        grid = {
+            name: (list(range(value)) if name == "trial"
+                   else [value] if name == "values" else list(value))
+            for name, value in axes.items()
+        }
+        grid["record_policy"] = ["summary"]
+        return grid
+
+    def table(
+        self,
+        outcomes: Sequence[CampaignOutcome],
+        db_path: Optional[str],
+        shard_index: int = 0,
+        shard_count: int = 1,
+    ) -> Table:
+        """The family's table over ``outcomes``, one row per group."""
+        shard = (f"shard {shard_index}/{shard_count}"
+                 if shard_count > 1 else None)
+        keys = [name for name in self.axes if name not in _OPEN_AXES]
+        table = Table(
+            title=self.title + (f" [{shard}]" if shard else ""),
+            columns=[*keys, "cells", "done", *self.columns],
+            note=(
+                "checkpointed in a throwaway temp store (pass db_path to "
+                "keep one)" if db_path is None else
+                f"checkpointed in {db_path}; rerun with the same db to "
+                "resume — completed cells are read back, not re-simulated"
+                + (f"; {shard} — merge the shard stores with 'python -m "
+                   "repro campaign merge' for the full grid"
+                   if shard else "")
+            ),
+        )
+        groups: Dict[tuple, List[CampaignOutcome]] = {}
+        for outcome in outcomes:
+            p = outcome.params
+            groups.setdefault(tuple(p[k] for k in keys), []).append(outcome)
+        for key, group in sorted(groups.items()):
+            done = [o for o in group if o.status == "done"]
+            table.add(
+                **dict(zip(keys, key)), cells=len(group), done=len(done),
+                **self.summarise(group, done),
+            )
+        return table
+
+
+def run_family(
+    family: CampaignFamily,
+    db_path: Optional[str] = None,
+    axes: Optional[Mapping[str, Iterable[Any]]] = None,
+    max_cells: Optional[int] = None,
+    **runner_options: Any,
+) -> List[Table]:
+    """Run (or resume) a family's grid and return its table.
+
+    ``axes`` defaults to ``family.grid()``.  ``db_path=None`` runs a
+    fresh campaign in a throwaway store, removed once the table is
+    built; an explicit path keeps the store, so the same call resumes
+    it.  ``runner_options`` go to :class:`CampaignRunner` unchanged
+    (``base_seed``, ``processes``, ``cell_timeout``, shard spec, ...),
+    and each cell files its round rows in the store.
+    """
+    if axes is None:
+        axes = family.grid()
+    # Context-managed so the pool is torn down before the table is
+    # returned: a one-shot run must not park workers.
+    with campaign_store(db_path) as path, CampaignRunner(
+        family.cell_fn, db_path=path, extra_params={"sqlite_db": path},
+        **runner_options,
+    ) as runner:
+        outcomes = runner.resume(max_cells=max_cells, **axes)
+    return [family.table(
+        outcomes, db_path, runner.shard_index, runner.shard_count
+    )]
 
 
 # ----------------------------------------------------------------------

@@ -17,19 +17,19 @@ Topologies:
   :class:`~repro.substrate.multihop.MultihopLayer`, the natural home of
   churn in the dynamic-network literature.
 
-The sweep runs through :class:`~repro.experiments.campaign.
-CampaignRunner` under the ``SUMMARY`` record policy, so E19 campaigns
-checkpoint, resume, and report byte-identically like E18 — with
-``churn_rate`` and ``topology`` folded into every cell's canonical
-coordinate tag and derived seed.
+The sweep is the :data:`E19` campaign family: it runs through
+:class:`~repro.experiments.campaign.CampaignRunner` under the
+``SUMMARY`` record policy, so E19 campaigns checkpoint, resume, shard
+and report byte-identically like E18's — with ``churn_rate`` and
+``topology`` folded into every cell's canonical coordinate tag and
+derived seed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict
 
-from .campaign import CampaignRunner, campaign_store
-from .harness import Table
+from .campaign import CampaignFamily, group_mean
 
 
 def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
@@ -171,128 +171,40 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # E19 at campaign scale
 # ----------------------------------------------------------------------
-def run_churn_campaign(
-    db_path: Optional[str] = None,
-    ns: Iterable[int] = (4, 6),
-    detectors: Iterable[str] = ("0-OAC", "maj-OAC"),
-    loss_rates: Iterable[float] = (0.1, 0.3),
-    churn_rates: Iterable[float] = (0.0, 0.15, 0.3),
-    topologies: Iterable[str] = ("clique", "ring"),
-    seeds: Iterable[int] = (0, 1),
-    base_seed: int = 0,
-    values: int = 8,
-    cell_timeout: Optional[float] = None,
-    processes: Optional[int] = None,
-    max_retries: int = 2,
-    max_cells: Optional[int] = None,
-    in_process: bool = False,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    stall_timeout: Optional[float] = None,
-) -> List[Table]:
-    """E19: agreement quality vs churn rate, at campaign scale.
-
-    Sweeps (n x detector x loss_rate x churn_rate x topology x seed)
-    cells of :func:`churn_sweep_cell` through the checkpointing
-    :class:`~repro.experiments.campaign.CampaignRunner` — same
-    resume/report semantics as E18's
-    :func:`~repro.experiments.matrix.run_campaign_matrix`: re-running
-    with the same ``db_path`` reads completed cells back instead of
-    re-simulating, and interrupted grids finish with byte-identical
-    merged outcomes.  ``db_path=None`` uses a throwaway store.
-
-    ``shard_index``/``shard_count`` split the churn grid across hosts
-    exactly like E18 (CLI ``campaign shard --family e19 --index i
-    --of k``): each host runs its deterministic share into its own
-    store, and ``merge_campaign_stores`` folds them back into a store
-    reporting byte-identically to an unsharded run.
-
-    One table row aggregates each (n, detector, loss_rate, churn_rate,
-    topology) combination over its seed replicates.
-    """
-    axes = dict(
-        n=list(ns),
-        detector=list(detectors),
-        loss_rate=[float(r) for r in loss_rates],
-        churn_rate=[float(r) for r in churn_rates],
-        topology=list(topologies),
-        trial=list(seeds),
-        values=[int(values)],
-        record_policy=["summary"],
-    )
-    with campaign_store(db_path) as path, CampaignRunner(
-        churn_sweep_cell,
-        db_path=path,
-        base_seed=base_seed,
-        processes=processes,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-        extra_params={"sqlite_db": path},
-        in_process=in_process,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        stall_timeout=stall_timeout,
-    ) as runner:
-        outcomes = runner.resume(max_cells=max_cells, **axes)
-
-    sharded = shard_count > 1
-    table = Table(
-        title=(
-            "E19  Churn campaign: agreement quality vs "
-            "(churn_rate x loss_rate x detector x topology)"
-            + (f" [shard {shard_index}/{shard_count}]" if sharded else "")
-        ),
-        columns=[
-            "n", "detector", "loss_rate", "churn_rate", "topology",
-            "cells", "done", "decision_rate", "agreement",
-            "mean_term_round", "mean_rejoins",
-        ],
-        note=(
-            "checkpointed in a throwaway temp store (pass db_path to "
-            "keep one)" if db_path is None else
-            f"checkpointed in {db_path}; rerun with the same db to "
-            "resume — completed cells are read back, not re-simulated"
-            + (f"; shard {shard_index}/{shard_count} — merge the shard "
-               "stores with 'python -m repro campaign merge' for the "
-               "full grid" if sharded else "")
-        ),
-    )
-    groups: Dict[tuple, list] = {}
-    for outcome in outcomes:
-        p = outcome.params
-        key = (p["n"], p["detector"], p["loss_rate"], p["churn_rate"],
-               p["topology"])
-        groups.setdefault(key, []).append(outcome)
-    for key, cell_outcomes in sorted(groups.items(), key=lambda kv: kv[0]):
-        n, detector, loss_rate, churn_rate, topology = key
-        done = [o for o in cell_outcomes if o.status == "done"]
-        rates = [
+def _summarise(group, done):
+    agree = sum(1 for o in done if o.payload["agreement"])
+    return {
+        "decision_rate": group_mean([
             o.payload["decision_rate"] for o in done
             if o.payload["decision_rate"] is not None
-        ]
-        agree = sum(1 for o in done if o.payload["agreement"])
-        terms = [
+        ]),
+        "agreement": f"{agree}/{len(done)}",
+        "mean_term_round": group_mean([
             o.payload["termination_round"] for o in done
             if o.payload["termination_round"] is not None
-        ]
-        rejoins = [o.payload["rejoins"] for o in done]
-        table.add(**{
-            "n": n,
-            "detector": detector,
-            "loss_rate": loss_rate,
-            "churn_rate": churn_rate,
-            "topology": topology,
-            "cells": len(cell_outcomes),
-            "done": len(done),
-            "decision_rate": (
-                sum(rates) / len(rates) if rates else None
-            ),
-            "agreement": f"{agree}/{len(done)}" if done else "0/0",
-            "mean_term_round": (
-                sum(terms) / len(terms) if terms else None
-            ),
-            "mean_rejoins": (
-                sum(rejoins) / len(rejoins) if rejoins else None
-            ),
-        })
-    return [table]
+        ]),
+        "mean_rejoins": group_mean([o.payload["rejoins"] for o in done]),
+    }
+
+
+#: E19: agreement quality vs churn rate.  Each cell is a
+#: :func:`churn_sweep_cell`; a row aggregates one (n, detector,
+#: loss_rate, churn_rate, topology) over its seed replicates.
+E19 = CampaignFamily(
+    name="e19",
+    cell_fn=churn_sweep_cell,
+    axes=dict(
+        n=(4, 6), detector=("0-OAC", "maj-OAC"), loss_rate=(0.1, 0.3),
+        churn_rate=(0.0, 0.15, 0.3), topology=("clique", "ring"),
+        trial=2, values=8,
+    ),
+    quick=dict(
+        n=(4,), detector=("0-OAC",), loss_rate=(0.1,),
+        churn_rate=(0.0, 0.25),
+    ),
+    title=("E19  Churn campaign: agreement quality vs "
+           "(churn_rate x loss_rate x detector x topology)"),
+    columns=("decision_rate", "agreement", "mean_term_round",
+             "mean_rejoins"),
+    summarise=_summarise,
+)

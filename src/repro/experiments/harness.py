@@ -41,9 +41,11 @@ aborting the grid) and byte-stable in its reports.  Experiments that
 want a table rather than a store (E3, E17) run one pass over a
 throwaway store with :func:`~repro.experiments.campaign.run_grid`,
 which raises if any cell did not finish ``done``.  ``python -m repro
-campaign`` launches/resumes a campaign from the command line; E18
-(``repro.experiments.matrix.run_campaign_matrix``) drives the full
-(n × detector × loss_rate × seed) matrix through it.
+campaign`` launches/resumes a campaign from the command line; the E18
+and E19 campaign families (``repro.experiments.matrix.E18`` and
+``repro.experiments.churn.E19``, run by
+:func:`~repro.experiments.campaign.run_family`) drive the full
+(n × detector × loss_rate × seed) matrix and the churn grid through it.
 """
 
 from __future__ import annotations

@@ -9,17 +9,17 @@ analyses, reporting:
   that no decision happened / a hypothetical fast decider would violate
   agreement.
 
-E18 (:func:`run_campaign_matrix`) is the matrix *at scale*: the upper
-bound rows re-run as a full (n × detector × loss_rate × seed) grid
-through the checkpointing :class:`~repro.experiments.campaign.
+E18 (the :data:`E18` campaign family) is the matrix *at scale*: the
+upper bound rows re-run as a full (n × detector × loss_rate × seed)
+grid through the checkpointing :class:`~repro.experiments.campaign.
 CampaignRunner`, so the sweep survives interruption and resumes from
-its sqlite store.
+its sqlite store (:func:`~repro.experiments.campaign.run_family`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional
+from typing import List
 
 from ..algorithms.alg1 import algorithm_1
 from ..algorithms.alg1 import termination_bound as alg1_bound
@@ -39,7 +39,7 @@ from ..lowerbounds.theorems import (
     theorem8_witness,
     theorem9_witness,
 )
-from .campaign import CampaignRunner, campaign_store
+from .campaign import CampaignFamily, group_mean
 from .harness import Table, consensus_sweep_cell
 from .scenarios import ecf_environment, nocf_environment
 
@@ -206,138 +206,33 @@ def run_matrix() -> List[Table]:
 # ----------------------------------------------------------------------
 # E18: the matrix at campaign scale
 # ----------------------------------------------------------------------
-def run_campaign_matrix(
-    db_path: Optional[str] = None,
-    ns: Iterable[int] = (4, 8),
-    detectors: Iterable[str] = ("0-OAC", "maj-OAC"),
-    loss_rates: Iterable[float] = (0.1, 0.3),
-    seeds: Iterable[int] = (0, 1, 2),
-    base_seed: int = 0,
-    values: int = 16,
-    cell_timeout: Optional[float] = None,
-    processes: Optional[int] = None,
-    max_retries: int = 2,
-    max_cells: Optional[int] = None,
-    in_process: bool = False,
-    shard_index: int = 0,
-    shard_count: int = 1,
-    stall_timeout: Optional[float] = None,
-) -> List[Table]:
-    """E18: the E1 upper-bound matrix at scale, through the campaign layer.
-
-    Sweeps (n × detector × loss_rate × seed) cells of
-    :func:`~repro.experiments.harness.consensus_sweep_cell` — Algorithm 2
-    to decision under the ``SUMMARY`` record policy — via
-    :class:`~repro.experiments.campaign.CampaignRunner`, which
-    checkpoints every finished cell into ``db_path`` (``campaign.db``)
-    and streams each cell's per-round summaries into the same store.
-    Re-running with the same ``db_path`` resumes: completed cells are
-    read back instead of re-simulated, and an interrupted grid finishes
-    from where it stopped with byte-identical merged outcomes.
-    Every configuration routes through the unified
-    :class:`~repro.experiments.dispatch.CampaignDispatcher` pool —
-    ``processes`` sets its width (``0``/``1`` = a one-worker pool) and
-    ``cell_timeout`` arms per-cell deadlines at any width; ``failed``
-    cells are retried on resume only within the ``max_retries`` budget.
-    ``in_process=True`` is the serial debug escape hatch (CLI
-    ``--in-process``): no workers, timeouts unenforced, byte-identical
-    reports.
-
-    One table row aggregates each (n, detector, loss_rate) combination
-    over its seeds; ``db_path=None`` uses a throwaway store under the
-    system temp directory — a fresh campaign every call, removed once
-    the table is built (pass an explicit ``db_path`` to keep a store
-    you can resume or interrupt).
-
-    ``shard_index``/``shard_count`` run just one host's deterministic
-    share of the grid (CLI ``campaign shard --index i --of k``) into
-    its own store; ``merge_campaign_stores`` folds the K stores back
-    into one whose report bytes equal this function run unsharded.
-    """
-    # The seed axis is swept as ``trial``: each trial folds into the
-    # *derived* per-cell seed (via cell_seed) instead of overriding it,
-    # so every cell owns a distinct (cell_seed, round) key range in the
-    # shared round_summaries table.
-    axes = dict(
-        n=list(ns),
-        detector=list(detectors),
-        loss_rate=[float(r) for r in loss_rates],
-        trial=list(seeds),
-        values=[int(values)],
-        record_policy=["summary"],
-    )
-    # Context-managed so the dispatcher pool is torn down before the
-    # tables are returned — a one-shot matrix must not park workers.
-    with campaign_store(db_path) as path, CampaignRunner(
-        consensus_sweep_cell,
-        db_path=path,
-        base_seed=base_seed,
-        processes=processes,
-        cell_timeout=cell_timeout,
-        max_retries=max_retries,
-        extra_params={"sqlite_db": path},
-        in_process=in_process,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        stall_timeout=stall_timeout,
-    ) as runner:
-        outcomes = runner.resume(max_cells=max_cells, **axes)
-
-    sharded = shard_count > 1
-    table = Table(
-        title=(
-            "E18  Campaign matrix: (n x detector x loss_rate x seed)"
-            + (f" [shard {shard_index}/{shard_count}]" if sharded else "")
-        ),
-        columns=[
-            "n", "detector", "loss_rate", "cells", "done", "timed_out",
-            "failed", "solved", "mean_rounds", "mean_decision_round",
-        ],
-        note=(
-            "checkpointed in a throwaway temp store (pass db_path to "
-            "keep one)" if db_path is None else
-            f"checkpointed in {db_path}; rerun with the same db to "
-            "resume — completed cells are read back, not re-simulated"
-            + (f"; shard {shard_index}/{shard_count} — merge the shard "
-               "stores with 'python -m repro campaign merge' for the "
-               "full grid" if sharded else "")
-        ),
-    )
-    groups = {}
-    for outcome in outcomes:
-        p = outcome.params
-        groups.setdefault(
-            (p["n"], p["detector"], p["loss_rate"]), []
-        ).append(outcome)
-    for (n, detector, loss_rate), cell_outcomes in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-    ):
-        done = [o for o in cell_outcomes if o.status == "done"]
-        solved = sum(1 for o in done if o.payload["solved"])
-        rounds = [o.payload["rounds"] for o in done]
-        decision_rounds = [
+def _summarise(group, done):
+    solved = sum(1 for o in done if o.payload["solved"])
+    return {
+        "timed_out": sum(1 for o in group if o.status == "timed_out"),
+        "failed": sum(1 for o in group if o.status == "failed"),
+        "solved": f"{solved}/{len(done)}",
+        "mean_rounds": group_mean([o.payload["rounds"] for o in done]),
+        "mean_decision_round": group_mean([
             o.payload["decision_round"] for o in done
             if o.payload["decision_round"] is not None
-        ]
-        table.add(**{
-            "n": n,
-            "detector": detector,
-            "loss_rate": loss_rate,
-            "cells": len(cell_outcomes),
-            "done": len(done),
-            "timed_out": sum(
-                1 for o in cell_outcomes if o.status == "timed_out"
-            ),
-            "failed": sum(
-                1 for o in cell_outcomes if o.status == "failed"
-            ),
-            "solved": f"{solved}/{len(done)}" if done else "0/0",
-            "mean_rounds": (
-                sum(rounds) / len(rounds) if rounds else None
-            ),
-            "mean_decision_round": (
-                sum(decision_rounds) / len(decision_rounds)
-                if decision_rounds else None
-            ),
-        })
-    return [table]
+        ]),
+    }
+
+
+#: E18: the E1 upper-bound matrix at scale.  Each cell runs Algorithm 2
+#: to decision (:func:`~repro.experiments.harness.consensus_sweep_cell`);
+#: a row aggregates one (n, detector, loss_rate) over its seeds.
+E18 = CampaignFamily(
+    name="e18",
+    cell_fn=consensus_sweep_cell,
+    axes=dict(
+        n=(4, 8), detector=("0-OAC", "maj-OAC"), loss_rate=(0.1, 0.3),
+        trial=3, values=16,
+    ),
+    quick=dict(n=(3, 4), detector=("0-OAC",), trial=2),
+    title="E18  Campaign matrix: (n x detector x loss_rate x seed)",
+    columns=("timed_out", "failed", "solved", "mean_rounds",
+             "mean_decision_round"),
+    summarise=_summarise,
+)

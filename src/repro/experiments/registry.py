@@ -7,11 +7,13 @@ evaluation in one call (used to fill EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import List
+import functools
+from typing import Dict, List
 
 from .ablation import run_completeness_ablation
 from .applications import run_applications
-from .churn import run_churn_campaign
+from .campaign import CampaignFamily, run_family
+from .churn import E19
 from .conjecture import run_conjecture_exploration
 from .counting import run_counting_experiment
 from .eventual_completeness import run_eventual_completeness
@@ -22,7 +24,7 @@ from .detector_quality import (
 )
 from .harness import Experiment, ExperimentRegistry, Table
 from .lower import run_impossibility_witnesses, run_round_complexity_witnesses
-from .matrix import run_campaign_matrix, run_matrix
+from .matrix import E18, run_matrix
 from .multihop import run_multihop_flood
 from .resilience import run_resilience
 from .sweep import run_parallel_sweep
@@ -34,6 +36,9 @@ from .termination import (
 )
 
 REGISTRY = ExperimentRegistry()
+
+#: The campaign families by name (``python -m repro campaign --family``).
+FAMILIES: Dict[str, CampaignFamily] = {f.name: f for f in (E18, E19)}
 
 REGISTRY.register(Experiment(
     exp_id="E1",
@@ -147,13 +152,13 @@ REGISTRY.register(Experiment(
     exp_id="E18",
     title="Campaign matrix at scale (resumable, sqlite-checkpointed)",
     paper_ref="Figure 1 upper bounds at scale (ROADMAP campaign layer)",
-    run=run_campaign_matrix,
+    run=functools.partial(run_family, E18),
 ))
 REGISTRY.register(Experiment(
     exp_id="E19",
     title="Churn campaign: consensus under dynamic membership",
     paper_ref="Section 9 conclusion (dynamic extension; Augustine et al.)",
-    run=run_churn_campaign,
+    run=functools.partial(run_family, E19),
 ))
 
 

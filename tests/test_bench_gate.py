@@ -6,9 +6,9 @@ machine speed away); each failing pair breaks one gate and must fail
 that gate alone.
 
 E18 (``--campaign``): the passing artifact is the committed
-``BENCH_e18.json`` plus the idle-hook section a CI run adds with
-``--fault-overhead``; each failing artifact breaks one campaign gate
-and must fail that gate alone.
+``BENCH_e18.json`` plus the idle-hook section every fresh
+``benchmarks/bench_e18_campaign.py`` run writes; each failing artifact
+breaks one campaign gate and must fail that gate alone.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 COMMITTED = json.loads((REPO_ROOT / "BENCH_e11.json").read_text())
 E18 = json.loads((REPO_ROOT / "BENCH_e18.json").read_text())
 
-#: The ``fault_overhead`` section of a fresh ``bench_e18_campaign.py
-#: --quick --fault-overhead`` run on a 2-vCPU machine.
+#: The ``fault_overhead`` section of a fresh ``bench_e18_campaign.py``
+#: run on a 2-vCPU machine.
 FAULT_OVERHEAD = {
     "absent_cells": 32, "absent_seconds": 0.0396, "hook_visits": 99,
     "idle_cells": 32, "idle_seconds": 0.0393, "overhead_ratio": 0.0019,

@@ -50,10 +50,11 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.records import RoundSummary, SqliteSink
-from repro.experiments.campaign import CampaignRunner, cell_tag
-from repro.experiments.churn import churn_sweep_cell
+from repro.experiments.campaign import CampaignRunner, cell_tag, run_family
+from repro.experiments.churn import E19, churn_sweep_cell
 from repro.experiments.dispatch import CampaignDispatcher
 from repro.experiments.harness import consensus_sweep_cell, iter_cells
+from repro.experiments.matrix import E18
 from repro.testing import faultline
 
 
@@ -574,15 +575,8 @@ def test_failed_checkpoint_leaves_no_orphan_rounds(
 
 #: The CLI's ``--quick`` grids of both campaign families.
 QUICK_GRIDS = {
-    "e18": (consensus_sweep_cell, dict(
-        n=[3, 4], detector=["0-OAC"], loss_rate=[0.1, 0.3], trial=[0, 1],
-        values=[16], record_policy=["summary"],
-    )),
-    "e19": (churn_sweep_cell, dict(
-        n=[4], detector=["0-OAC"], loss_rate=[0.1], trial=[0, 1],
-        values=[8], record_policy=["summary"], churn_rate=[0.0, 0.25],
-        topology=["clique", "ring"],
-    )),
+    "e18": (consensus_sweep_cell, E18.grid(quick=True)),
+    "e19": (churn_sweep_cell, E19.grid(quick=True)),
 }
 
 
@@ -1032,17 +1026,15 @@ def test_pre_attempts_store_is_migrated_in_place(tmp_path, make_runner):
 # ----------------------------------------------------------------------
 # E18 and the CLI subcommand
 # ----------------------------------------------------------------------
-def test_run_campaign_matrix_resumes_from_its_db(tmp_path):
-    from repro.experiments.matrix import run_campaign_matrix
-
+def test_run_family_resumes_from_its_db(tmp_path):
     db = str(tmp_path / "campaign.db")
     kwargs = dict(
-        db_path=db, ns=(3,), detectors=("0-OAC",), loss_rates=(0.1,),
-        seeds=(0, 1), processes=0,
+        db_path=db, processes=0,
+        axes=E18.grid(n=[3], detector=["0-OAC"], loss_rate=[0.1], trial=2),
     )
-    partial = run_campaign_matrix(max_cells=1, **kwargs)
+    partial = run_family(E18, max_cells=1, **kwargs)
     assert partial[0].column("cells") == [1]
-    tables = run_campaign_matrix(**kwargs)
+    tables = run_family(E18, **kwargs)
     (row,) = tables[0].rows
     assert row["cells"] == 2 and row["done"] == 2
     assert row["solved"] == "2/2"
@@ -1071,6 +1063,88 @@ def test_cli_campaign_quick_rejects_explicit_grid_flags(tmp_path, capsys):
               "--n", "16"])
     assert excinfo.value.code == 2
     assert "--quick fixes the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["e18", "e19"])
+def test_cli_report_lists_cells_under_their_stored_index(
+    tmp_path, capsys, family
+):
+    """Run and report modes build one grid: every report entry carries
+    the ``cell_index`` its run stored, and the table lists the cells in
+    that order."""
+    from repro.__main__ import main
+    from repro.experiments.harness import coordinate_text
+
+    db = str(tmp_path / "campaign.db")
+    grid = ["--family", family, "--db", db, "--quick"]
+    assert main(["campaign", *grid, "--in-process"]) == 0
+    capsys.readouterr()
+    conn = sqlite3.connect(db)
+    try:
+        stored = dict(conn.execute("SELECT cell_tag, cell_index FROM cells"))
+    finally:
+        conn.close()
+    assert main(["campaign", "report", *grid]) == 0
+    entries = json.loads(capsys.readouterr().out)["cells"]
+    assert len(entries) == len(stored) == 8
+    assert [e["index"] for e in entries] == [
+        stored[coordinate_text(e["params"])] for e in entries
+    ]
+    assert main(["campaign", "report", "--table", *grid]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-2]
+    assert [row.split()[0] for row in rows] == sorted(stored,
+                                                      key=stored.get)
+
+
+@pytest.mark.parametrize("mode", [
+    ["--report"], ["report"], ["report", "--table"],
+    ["report", "--allow-partial"],
+])
+def test_cli_report_rejects_a_missing_store(tmp_path, capsys, mode):
+    from repro.__main__ import main
+
+    db = tmp_path / "missing.db"
+    assert main(["campaign", *mode, "--db", str(db), "--quick"]) == 2
+    assert repr(str(db)) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--quick", "--seeds", "0"], "--seeds must be at least 1"),
+    (["--churn-rate", "0.1"], "--churn-rate"),
+    (["--topology", "ring"], "--topology"),
+    (["--quick", "--churn-rate", "0.1", "--topology", "ring"],
+     "--churn-rate, --topology"),
+])
+def test_cli_rejects_grids_that_run_nothing_or_do_not_apply(
+    tmp_path, capsys, flags, message
+):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", "--family", "e18", "--db",
+              str(tmp_path / "c.db"), *flags])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_family_grids_keep_run_order():
+    assert list(E18.grid()) == [
+        "n", "detector", "loss_rate", "trial", "values", "record_policy",
+    ]
+    assert list(E19.grid(quick=True)) == [
+        "n", "detector", "loss_rate", "churn_rate", "topology", "trial",
+        "values", "record_policy",
+    ]
+    assert E18.grid(quick=True, trial=3, values=8) == dict(
+        n=[3, 4], detector=["0-OAC"], loss_rate=[0.1, 0.3],
+        trial=[0, 1, 2], values=[8], record_policy=["summary"],
+    )
+    assert E19.grid(n=None) == E19.grid()
+    with pytest.raises(ConfigurationError, match="--quick fixes the grid"):
+        E19.grid(quick=True, topology=["ring"])
 
 
 def test_report_table_aggregates_rounds_per_cell(tmp_path, make_runner):

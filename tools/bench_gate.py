@@ -24,8 +24,8 @@ The absolute floors read the committed numbers, so they hold whatever
 machine runs the gate; the fresh run is held to same-run ratios only.
 
 The ``--campaign`` form reads the ``BENCH_e18.json`` that
-``benchmarks/bench_e18_campaign.py --compare-timeout-paths 4
---fault-overhead`` just wrote, and runs two gates on it:
+``benchmarks/bench_e18_campaign.py`` just wrote, and runs two gates on
+it:
 
 * ``pooled`` — the pooled-with-deadlines report equals the width-1
   report, the pool is at least 2x faster than width 1, and each leg ran
@@ -192,8 +192,8 @@ def gate_pooled(report: dict) -> list:
     """Pooled-with-deadlines campaigns: same report, >= 2x, reused workers."""
     timing = report.get("timeout_paths")
     if timing is None:
-        return ["no timeout_paths section — run the campaign bench with "
-                "--compare-timeout-paths"]
+        return ["no timeout_paths section — regenerate the artifact with "
+                "benchmarks/bench_e18_campaign.py"]
     print(
         f"width1 {timing['width1_seconds']:.2f}s vs "
         f"pooled({timing['processes']}) {timing['pooled_seconds']:.2f}s "
@@ -230,8 +230,8 @@ def gate_faultline(report: dict) -> list:
     """Faultline's armed-but-idle hooks: visited, and under 3%."""
     overhead = report.get("fault_overhead")
     if overhead is None:
-        return ["no fault_overhead section — run the campaign bench with "
-                "--fault-overhead"]
+        return ["no fault_overhead section — regenerate the artifact with "
+                "benchmarks/bench_e18_campaign.py"]
     # The gated ratio is variance-controlled: the exact number of
     # injection-point visits the armed-but-idle plan saw (read off its
     # FaultClock) times a microbenchmarked per-visit fire() cost, over
