@@ -16,11 +16,12 @@ number the CI regression guard tracks), ``scalar_rounds_per_second``
 forces ``use_array_kernel=False``, so the kernel's own win is visible as
 ``kernel_speedup`` without leaving the artifact.
 
-The ``n_scaling`` section publishes the size curve the interned kernel
-is for: SUMMARY-mode throughput at n in {16, 64, 256, 1024}, kernel and
-scalar, with per-n ``kernel_speedup``.  Round counts shrink as n grows
-so the block stays CI-sized; the per-n speedups are same-run ratios and
-therefore machine-independent.
+The ``n_scaling`` section publishes the kernel's size curve:
+SUMMARY-mode throughput at n in {16, 64, 256, 1024}, kernel and scalar,
+with per-n ``kernel_speedup``.  Round counts shrink as n grows so the
+block stays CI-sized; the per-n speedups are same-run ratios and
+therefore machine-independent.  Every fleet here broadcasts one payload,
+so every kernel-on round rides the array kernel.
 
 The per-adversary section runs every built-in loss adversary two ways
 under ``RecordPolicy.NONE``: on the array kernel
@@ -29,6 +30,14 @@ under ``RecordPolicy.NONE``: on the array kernel
 ``kernel_speedup``.  CI gates on the committed ``capture`` row: the
 vectorised block-substream rework must hold >= 2x the pre-rework 829
 rounds/sec figure.
+
+Timing is round-robin, so a change in host speed hits every row alike
+instead of landing on whichever rows were timed at that moment: each
+repetition times every adversary row, kernel and scalar, once, and the
+policy and n-scaling blocks alternate kernel and scalar within each
+repetition.  A row keeps its best repetition, and publishes its
+``spread`` (slowest repetition over fastest; ``scalar_spread`` for the
+scalar leg) so a noisy host shows in the artifact.
 """
 
 from __future__ import annotations
@@ -114,6 +123,20 @@ def run_rounds(
     return elapsed
 
 
+def round_robin(legs: dict, reps: int) -> dict:
+    """Time every leg once per repetition, in turn.
+
+    ``legs`` maps a key to a zero-argument callable returning elapsed
+    seconds.  Returns key -> ``(best seconds, spread)``, the spread being
+    the slowest repetition over the fastest.
+    """
+    times = {key: [] for key in legs}
+    for _ in range(reps):
+        for key, leg in legs.items():
+            times[key].append(leg())
+    return {key: (min(t), max(t) / min(t)) for key, t in times.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_e11.json")
@@ -139,14 +162,16 @@ def main() -> None:
     }
     print(f"array kernel: {'active' if kernel_active else 'off (pure python)'}")
     for policy in (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE):
-        best = min(
-            run_rounds(args.n, args.rounds, policy) for _ in range(reps)
-        )
-        scalar_best = min(
-            run_rounds(
-                args.n, args.rounds, policy, use_array_kernel=False
+        timed = round_robin({
+            kernel: (
+                lambda kernel=kernel: run_rounds(
+                    args.n, args.rounds, policy, use_array_kernel=kernel
+                )
             )
-            for _ in range(reps)
+            for kernel in (None, False)
+        }, reps)
+        (best, spread), (scalar_best, scalar_spread) = (
+            timed[None], timed[False]
         )
         report["results"][policy.value] = {
             "best_seconds": best,
@@ -154,6 +179,8 @@ def main() -> None:
             "scalar_best_seconds": scalar_best,
             "scalar_rounds_per_second": args.rounds / scalar_best,
             "kernel_speedup": scalar_best / best,
+            "spread": spread,
+            "scalar_spread": scalar_spread,
         }
         print(
             f"{policy.value:8s} best {best * 1000:8.1f} ms   "
@@ -175,22 +202,25 @@ def main() -> None:
           f"{'speedup':>8s}")
     for size in (16, 64, 256, 1024):
         scale_rounds = max(30, (args.rounds * 64) // size)
-        best = min(
-            run_rounds(size, scale_rounds, RecordPolicy.SUMMARY)
-            for _ in range(scale_reps)
-        )
-        scalar_best = min(
-            run_rounds(
-                size, scale_rounds, RecordPolicy.SUMMARY,
-                use_array_kernel=False,
+        timed = round_robin({
+            kernel: (
+                lambda kernel=kernel: run_rounds(
+                    size, scale_rounds, RecordPolicy.SUMMARY,
+                    use_array_kernel=kernel,
+                )
             )
-            for _ in range(scale_reps)
+            for kernel in (None, False)
+        }, scale_reps)
+        (best, spread), (scalar_best, scalar_spread) = (
+            timed[None], timed[False]
         )
         row = {
             "rounds": scale_rounds,
             "rounds_per_second": scale_rounds / best,
             "scalar_rounds_per_second": scale_rounds / scalar_best,
             "kernel_speedup": scalar_best / best,
+            "spread": spread,
+            "scalar_spread": scalar_spread,
         }
         report["n_scaling"][str(size)] = row
         print(
@@ -204,33 +234,39 @@ def main() -> None:
     # kernel win).
     # Quick mode still takes min-of-3: the CI regression guard gates on
     # these rows, and a single scheduling stall must not be able to
-    # masquerade as a >20% per-row regression.
+    # masquerade as a >20% per-row regression.  The rows are timed
+    # round-robin, so each repetition sees one host for every row.
     adv_reps = 3 if args.quick else 4
     adv_rounds = max(50, args.rounds // 2)
-    print(f"\n{'adversary':10s} {'batched r/s':>12s} {'scalar r/s':>12s} "
-          f"{'kernel':>8s}")
-    for name, factory in _adversary_matrix(args.n).items():
-        batched = min(
-            run_rounds(args.n, adv_rounds, RecordPolicy.NONE, factory())
-            for _ in range(adv_reps)
-        )
-        scalar = min(
-            run_rounds(
+    matrix = _adversary_matrix(args.n)
+    timed = round_robin({
+        (name, kernel): (
+            lambda factory=factory, kernel=kernel: run_rounds(
                 args.n, adv_rounds, RecordPolicy.NONE, factory(),
-                use_array_kernel=False,
+                use_array_kernel=kernel,
             )
-            for _ in range(adv_reps)
+        )
+        for name, factory in matrix.items()
+        for kernel in (None, False)
+    }, adv_reps)
+    print(f"\n{'adversary':10s} {'batched r/s':>12s} {'scalar r/s':>12s} "
+          f"{'kernel':>8s} {'spread':>7s}")
+    for name in matrix:
+        (batched, spread), (scalar, scalar_spread) = (
+            timed[name, None], timed[name, False]
         )
         entry = {
             "batched_rounds_per_second": adv_rounds / batched,
             "scalar_kernel_rounds_per_second": adv_rounds / scalar,
             "kernel_speedup": scalar / batched,
+            "spread": spread,
+            "scalar_spread": scalar_spread,
         }
         report["adversaries"][name] = entry
         print(
             f"{name:10s} {entry['batched_rounds_per_second']:12.0f} "
             f"{entry['scalar_kernel_rounds_per_second']:12.0f} "
-            f"{entry['kernel_speedup']:7.2f}x"
+            f"{entry['kernel_speedup']:7.2f}x {spread:6.2f}x"
         )
 
     with open(args.out, "w") as fh:

@@ -69,14 +69,12 @@ def main() -> None:
     #
     # Speed: the engine has a vectorised *array round kernel* — receive
     # counts, detector advice, the randomised adversaries' draws, and
-    # (for same-class fleets) process transitions run as whole-round
-    # batched passes.  Rounds with several distinct payloads intern
-    # messages to small int codes and resolve as one (receivers x codes)
-    # count matrix, and the physical-radio and multihop substrate layers
-    # produce array-resolved losses too, so testbed and topology runs
-    # ride the same kernel as the formal adversaries (~2x on the E11
+    # (for trusted same-class fleets) process transitions run as
+    # whole-round batched passes.  It serves every round that carries at
+    # most one distinct payload and fires no churn event; every other
+    # round takes the pure-python reference stage (~2x on the E11
     # round-throughput smoke at n=64, more at larger n — see
-    # benchmarks/BENCH_e11.json for the committed n-scaling curve).
+    # BENCH_e11.json for the committed n-scaling curve).
     # The gating contract:
     #
     # * the capability probe (repro.core.environment.array_kernel_module)

@@ -11,22 +11,21 @@ The contract
 
 A :class:`RoundLosses` is *normalized*: receiver ``i``'s drop set names
 only this round's senders and never ``i`` itself, so its size is the
-number of messages ``i`` loses.  It offers three views of the same drops:
+number of messages ``i`` loses.  It offers two views of the same drops:
 
 * ``drop_counts`` — per-receiver drop counts aligned with ``receivers``
   (an int array on the numpy backend, a list otherwise), ready at once,
-  which is all the engine's array kernel needs in single-message rounds;
+  which is all the engine's array kernel reads: it runs only rounds
+  with at most one distinct payload, where a receive multiset depends
+  on the keep count alone;
 * the drop sets, through the ``Mapping`` interface, built lazily on first
-  access;
-* :meth:`RoundLosses.drop_pairs` — the dropped ``(receiver, sender)``
-  position pairs, from the producer's cheaper form when it has one and
-  from the sets otherwise, which the kernel turns into per-code keep
-  counts in multi-message rounds.
+  access, which the engine's reference receive stage subtracts from the
+  round's broadcast multiset (Definition 11).
 
-The engine checks the sets against the counts on its scalar path and the
-pairs against the counts on its kernel path; any disagreement, a drop
-set naming a non-sender or its own receiver, an omitted receiver, or any
-return type but :class:`RoundLosses` raises
+The engine checks the sets against the counts on its scalar path and
+the counts against each receiver's droppable budget on its kernel path;
+any disagreement, a drop set naming a non-sender or its own receiver, an
+omitted receiver, or any return type but :class:`RoundLosses` raises
 :class:`~repro.core.errors.ModelViolation`.
 
 A per-receiver law ``fn(round_index, senders, receiver)`` — a third-party
@@ -138,18 +137,16 @@ class RoundLosses(_MappingABC):
     ``senders`` is the round's sender sequence and ``receivers`` the
     receiver tuple; ``drop_counts[k]`` is how many messages
     ``receivers[k]`` loses.  ``materialise`` builds the receiver -> drop
-    set dict on first mapping access, and ``pairs``, when given, produces
-    :meth:`drop_pairs` more cheaply than the sets can.  Both are lazy and
-    memoised; they must describe exactly the drops the counts describe,
-    and must not consume randomness any later draw depends on (the
-    randomised built-ins reserve the tail of a per-round substream for
-    them).  Every drop set is a subset of ``senders`` that excludes its
-    receiver — the normalization the module docstring states.
+    set dict on first mapping access, once: it must describe exactly the
+    drops the counts describe, and must not consume randomness any later
+    draw depends on (the randomised built-ins reserve the tail of a
+    per-round substream for it).  Every drop set is a subset of
+    ``senders`` that excludes its receiver — the normalization the
+    module docstring states.
     """
 
     __slots__ = (
         "senders", "receivers", "drop_counts", "_sets", "_materialise",
-        "_pairs", "_pairs_fn",
     )
 
     def __init__(
@@ -160,15 +157,12 @@ class RoundLosses(_MappingABC):
         materialise: Optional[
             Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]]
         ],
-        pairs: Optional[Callable[[], Tuple]] = None,
     ) -> None:
         self.senders = senders
         self.receivers = receivers
         self.drop_counts = drop_counts
         self._sets: Optional[Dict[ProcessId, AbstractSet[ProcessId]]] = None
         self._materialise = materialise
-        self._pairs: Optional[Tuple] = None
-        self._pairs_fn = pairs
 
     @classmethod
     def from_sets(
@@ -220,40 +214,6 @@ class RoundLosses(_MappingABC):
             senders, receivers, _counts([n_senders - own for own in sent]),
             materialise,
         )
-
-    def drop_pairs(self) -> Tuple:
-        """``(rows, cols)`` positions of every dropped (receiver, sender) pair.
-
-        ``rows[k]`` indexes :attr:`receivers` and ``cols[k]`` the dropped
-        sender in :attr:`senders`, one entry per dropped pair in any
-        order, as int arrays or lists.  Lazy and memoised, like the sets;
-        the engine only asks in multi-message kernel rounds.
-        """
-        pairs = self._pairs
-        if pairs is None:
-            fn = self._pairs_fn
-            pairs = self._pairs = (
-                fn() if fn is not None else self._pairs_from_sets()
-            )
-            self._pairs_fn = None
-        return pairs
-
-    def _pairs_from_sets(self) -> Tuple[List[int], List[int]]:
-        spos = {s: j for j, s in enumerate(self.senders)}
-        sets = self._ensure()
-        rows: List[int] = []
-        cols: List[int] = []
-        for k, pid in enumerate(self.receivers):
-            for s in sets[pid]:
-                j = spos.get(s)
-                if j is None or s == pid:
-                    raise ModelViolation(
-                        f"drop set for {pid!r} names {s!r}, which is not "
-                        "another sender of this round"
-                    )
-                rows.append(k)
-                cols.append(j)
-        return rows, cols
 
     def _ensure(self) -> Dict[ProcessId, AbstractSet[ProcessId]]:
         sets = self._sets
@@ -331,9 +291,7 @@ def grouped_losses(
     resolution per group, in group order, so the inner adversary's
     randomness is consumed identically whichever view a consumer reads.
     Counts are each group's cross-group size plus the inner counts; the
-    sets (cross-group set union inner set) resolve lazily, and so do the
-    pairs (cross-group positions plus the inner pairs, mapped to round
-    positions), without building a set.
+    sets (cross-group set union inner set) resolve lazily.
     """
     receivers_t = _as_tuple(receivers)
     rpos = {pid: k for k, pid in enumerate(receivers_t)}
@@ -362,28 +320,7 @@ def grouped_losses(
                 out[pid] = cross | extra if extra else cross
         return out
 
-    def pairs() -> Tuple[List[int], List[int]]:
-        spos = {s: j for j, s in enumerate(senders)}
-        rows: List[int] = []
-        cols: List[int] = []
-        for local, members, inner_map in resolved:
-            heard = set(local)
-            cross = [j for j, s in enumerate(senders) if s not in heard]
-            member_rows = [rpos[pid] for pid in members]
-            if cross:
-                for k in member_rows:
-                    rows += [k] * len(cross)
-                    cols += cross
-            if inner_map is not None:
-                in_rows, in_cols = inner_map.drop_pairs()
-                local_cols = [spos[s] for s in local]
-                rows += [member_rows[i] for i in _as_list(in_rows)]
-                cols += [local_cols[j] for j in _as_list(in_cols)]
-        return rows, cols
-
-    return RoundLosses(
-        senders, receivers_t, _counts(counts), materialise, pairs=pairs
-    )
+    return RoundLosses(senders, receivers_t, _counts(counts), materialise)
 
 
 class LossAdversary(abc.ABC):
@@ -560,9 +497,9 @@ class IIDLoss(LossAdversary):
         then clears the self-pair cells in place (self-delivery is
         unconditional, so a self hit is never a drop) and reduces the
         grid to per-receiver drop *counts* with one row sum.  The engine's
-        array kernel reads only the counts (and, in multi-message rounds,
-        the pairs); any consumer that needs the actual drop sets
-        materialises all of them lazily from the same cleared grid.
+        array kernel reads only the counts; any consumer that needs the
+        actual drop sets materialises all of them lazily from the same
+        cleared grid.
         """
         gen = self._np_gen
         if gen is None:
@@ -601,10 +538,6 @@ class IIDLoss(LossAdversary):
             self._self_cache = [receivers_t, list(senders), cells, None]
         drop_counts = hits.sum(axis=1, dtype=_np.int64)
 
-        def pairs() -> Tuple:
-            # The grid already holds exactly the dropped pairs.
-            return _np.nonzero(hits)
-
         def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
             # The dropped senders in row-major order, split by each
             # receiver's count.  Fancy-indexing the sender sequence keeps
@@ -622,9 +555,7 @@ class IIDLoss(LossAdversary):
                     out[pid] = _NO_LOSS
             return out
 
-        return RoundLosses(
-            senders, receivers_t, drop_counts, materialise, pairs=pairs
-        )
+        return RoundLosses(senders, receivers_t, drop_counts, materialise)
 
     def reset(self) -> None:
         self._np_gen = None
@@ -814,38 +745,16 @@ class CaptureEffectLoss(LossAdversary):
         captured_counts = gen.integers(capped + 1)
         drop_counts = m - captured_counts
 
-        # The capture permutations are one lazy draw from the round's
-        # substream, memoised so the drop sets and the drop pairs (either
-        # may be asked first, or both) derive from the *same* keys — the
-        # substream is consumed at most once however many views resolve.
-        order_cell: List = []
-
-        def capture_order():
-            if not order_cell:
-                # Uniform keys per (receiver, sender); each receiver's
-                # own column is pushed past every finite key so the
-                # first m entries of the row's argsort are a uniform
-                # permutation of its m competitors.
-                keys = gen.random((n_receivers, n_senders))
-                if self_rows:
-                    keys[self_rows, self_cols] = _np.inf
-                order_cell.append(_np.argsort(keys, axis=1))
-            return order_cell[0]
-
-        def pairs_multi() -> Tuple:
-            # Row i keeps its permutation's first k_i competitors and
-            # drops positions k_i..m_i-1; the mask picks exactly those
-            # cells, so the pair count per row equals drop_counts[i].
-            order = capture_order()
-            col = _np.arange(n_senders)
-            mask = (
-                (col >= captured_counts[:, None]) & (col < m[:, None])
-            )
-            rows, pos = _np.nonzero(mask)
-            return rows, order[rows, pos]
-
         def materialise_multi() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            order = capture_order()
+            # The capture permutations, the round substream's second and
+            # last draw: uniform keys per (receiver, sender), each
+            # receiver's own column pushed past every finite key so the
+            # first m entries of the row's argsort are a uniform
+            # permutation of its m competitors.
+            keys = gen.random((n_receivers, n_senders))
+            if self_rows:
+                keys[self_rows, self_cols] = _np.inf
+            order = _np.argsort(keys, axis=1)
             sender_arr = _np.asarray(senders)
             out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
             m_list = m.tolist()
@@ -860,8 +769,7 @@ class CaptureEffectLoss(LossAdversary):
             return out
 
         return RoundLosses(
-            senders, receivers_t, drop_counts, materialise_multi,
-            pairs=pairs_multi,
+            senders, receivers_t, drop_counts, materialise_multi
         )
 
 

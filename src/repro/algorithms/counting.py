@@ -95,26 +95,6 @@ class CountingProcess(Process):
         self._heard_since_own_start += max(0, others)
         self._was_active_last_round = cm_advice is ACTIVE
 
-    @classmethod
-    def transition_array(cls, processes, received, cd_advice, cm_advice):
-        # The batched form of ``transition``, inlined: counting reads
-        # only the receive multiset's size and the CM advice, and never
-        # decides, so the whole fleet transitions in one zip loop.
-        for proc, ms, cm in zip(processes, received, cm_advice):
-            if proc._announcing:
-                if proc._seen_own_start:
-                    proc.counts.append(1 + proc._heard_since_own_start)
-                proc._seen_own_start = True
-                proc._heard_since_own_start = 0
-                others = len(ms) - 1
-            else:
-                others = len(ms)
-            if others > 0:
-                proc._heard_since_own_start += others
-            proc._was_active_last_round = cm is ACTIVE
-            proc._round += 1
-        return None
-
 
 def counting_algorithm() -> Algorithm:
     """The anonymous counting algorithm (plain, not consensus-valued)."""

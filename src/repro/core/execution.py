@@ -17,8 +17,8 @@ order:
    resolutions of constraint 2);
 4. receive — the loss adversary resolves the whole round in one
    ``losses_for_round`` call, answering with a normalized
-   :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop counts,
-   lazy drop sets that name only other senders, lazy dropped pairs — see
+   :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop counts
+   and lazy drop sets that name only other senders — see
    :mod:`repro.adversary.loss` for the contract); self-delivery is
    unconditional (constraint 5), and every loss-free receiver shares the
    round's full broadcast multiset; the collision detector, seeing only
@@ -37,11 +37,13 @@ implementation: the receive stage's array kernel
 :meth:`ExecutionEngine._receive_scalar`) and, on kernel rounds only,
 the batched ``transition_array`` call in
 :meth:`ExecutionEngine._transitions` (reference: its per-process
-``transition`` loop).  Their docstrings state when each runs.  The
-pure-python path is the reference: both paths produce
-indistinguishable executions under every record policy, including
-crash and halting rounds (``tests/test_array_kernel.py``), and both
-match the paper-literal round spec in ``tests/spec_round.py``.
+``transition`` loop).  A round is a kernel round when numpy is on, no
+churn event fires and it carries at most one distinct payload
+(:meth:`ExecutionEngine.step`); every other round takes the reference
+implementations.  The pure-python path is the reference: both paths
+produce indistinguishable executions under every record policy,
+including crash and halting rounds (``tests/test_array_kernel.py``),
+and both match the paper-literal round spec in ``tests/spec_round.py``.
 
 The engine validates constraints 4 and 5 as it goes and raises
 :class:`~repro.core.errors.ModelViolation` on any breach, so a buggy
@@ -72,7 +74,6 @@ from ..adversary.churn import NoChurn
 from ..adversary.loss import resolve_round
 from ..core.errors import ConfigurationError, ModelViolation
 from .algorithm import Algorithm, ConsensusAlgorithm
-from .arrays import MessageInterner
 from .environment import Environment, array_kernel_module
 from .multiset import Multiset
 from .process import Process, _UNDECIDED, _trusted_transition_array
@@ -104,7 +105,8 @@ class ExecutionEngine:
     policies for the same seeded environment.
 
     ``use_array_kernel`` gates the vectorised round kernel (the receive
-    stage on int arrays, array detector advice): ``None`` (default)
+    stage on int arrays, array detector advice, batched transitions),
+    which serves the rounds :meth:`step` routes to it: ``None`` (default)
     enables it exactly when
     :func:`~repro.core.environment.array_kernel_module` finds numpy;
     ``False`` forces the pure-python reference path; ``True`` insists on
@@ -165,14 +167,10 @@ class ExecutionEngine:
         self._no_messages: Dict[ProcessId, None] = dict.fromkeys(
             environment.indices
         )
-        # Message interning table for multi-message kernel rounds
-        # (payload -> small int code, stable per execution); created on
-        # first use so single-message workloads never pay for it.
-        self._interner: Optional[MessageInterner] = None
-        # Singleton-round multiset buckets, shared across rounds:
-        # message payload -> {keep count -> Multiset}.  Multisets are
-        # immutable, so an execution-wide cache is safe and the common
-        # single-payload round reuses every previously built bucket.
+        # Kernel-round multiset buckets, shared across rounds: message
+        # payload -> {keep count -> Multiset}.  Multisets are immutable,
+        # so an execution-wide cache is safe and every kernel round
+        # reuses the buckets earlier rounds built.
         self._ms_buckets: Dict[Optional[Message], Dict[int, Multiset]] = {}
         # Contention-advice list cache for batched transitions, keyed by
         # the advice dict's identity: managers that return a stable,
@@ -199,11 +197,11 @@ class ExecutionEngine:
         self._departed: Dict[ProcessId, int] = {}
         self._rejoins: Dict[ProcessId, int] = {}
         self._departed_decisions: List[Tuple[ProcessId, Value, int]] = []
-        #: Rounds this execution resolved through the array kernel.  The
-        #: churn fallback gate is asserted against this: only rounds
-        #: with a pending membership *event* (a leave or join firing)
-        #: take the scalar reference path; event-free rounds — absent
-        #: pids included — ride the kernel.
+        #: Rounds this execution resolved through the array kernel: with
+        #: numpy on, exactly the rounds in which no churn event (a leave
+        #: or join) fires and at most one distinct payload is sent
+        #: (:meth:`step`); pids merely absent after an earlier leave do
+        #: not keep a round off the kernel.
         self.kernel_rounds: int = 0
         if self._has_churn:
             absent = frozenset(churn.initially_absent(environment.indices))
@@ -238,9 +236,10 @@ class ExecutionEngine:
         """Execute one synchronous round and return its artifact.
 
         Runs the module docstring's stages in order.  With the kernel
-        on, the round takes :meth:`_receive_array` unless a churn event
-        fires this round (the fallback gate, see
-        :meth:`_receive_scalar`).
+        on, the round takes :meth:`_receive_array` and the batched
+        transitions when no churn event fires this round and it carries
+        at most one distinct payload; every other round takes
+        :meth:`_receive_scalar` and the per-process ``transition`` loop.
         """
         self._round += 1
         r = self._round
@@ -257,10 +256,17 @@ class ExecutionEngine:
             cm_advice, crash_before | leave_before, crash_after | leave_after
         )
         lost = resolve_round(env.loss, r, list(sent), env.indices)
-        kernel = self._np is not None and not event_round
-        received, cd_advice = (
-            self._receive_array if kernel else self._receive_scalar
-        )(r, lost, sent, base_counts, _EMPTY if full else inactive)
+        kernel = (
+            self._np is not None and not event_round and len(base_counts) <= 1
+        )
+        if kernel:
+            received, cd_advice = self._receive_array(
+                r, lost, sent, base_counts
+            )
+        else:
+            received, cd_advice = self._receive_scalar(
+                r, lost, sent, base_counts, _EMPTY if full else inactive
+            )
         decided = self._transitions(
             received, cd_advice, cm_advice, inactive, halted, kernel
         )
@@ -347,33 +353,27 @@ class ExecutionEngine:
             inactive = self._indices_set.difference(live).union(gone, halted)
         return sent, base_counts, inactive, halted
 
-    def _receive_array(self, r: int, lost, sent, base_counts, skip):
+    def _receive_array(self, r: int, lost, sent, base_counts):
         """The receive stage on int arrays: counts, multisets, advice.
 
         Runs when :func:`~repro.core.environment.array_kernel_module`
         finds numpy (``REPRO_PURE_PYTHON`` unset), the engine's
-        ``use_array_kernel`` knob allows it, and no churn event fires
-        this round.  Receive counts are one array subtraction from the
-        round's drop counts, held to each receiver's droppable budget.
-        Multisets are shared, never rebuilt per receiver: a
-        single-message round maps each keep count to a multiset cached
-        for the whole execution (the drop sets are never touched); a
-        multi-message round interns its payloads as small int codes
-        (:class:`~repro.core.arrays.MessageInterner`), turns the dropped
-        (receiver, sender) pairs (``RoundLosses.drop_pairs``) into one
-        (receivers x codes) kept-count matrix — one ``bincount`` for the
-        drops, one subtraction — and builds one multiset per *distinct*
-        row (:meth:`~repro.core.multiset.Multiset.from_code_row`;
-        sharing is exact because multiset equality is counts-based).
-        The detector gets the counts *array* through ``advise_array``,
-        whose default round-trips through dict ``advise``, so
-        third-party detectors keep working.  Returns the same
-        index-aligned lists as :meth:`_receive_scalar`.
+        ``use_array_kernel`` knob allows it, no churn event fires this
+        round and the round carries at most one distinct payload (the
+        routing rule in :meth:`step`).  Receive counts are one array
+        subtraction from the round's drop counts, held to each
+        receiver's droppable budget.  With one payload a receive
+        multiset depends on the keep count alone, so each keep count
+        maps to a multiset cached for the whole execution and the drop
+        sets are never touched.  The detector gets the counts *array*
+        through ``advise_array``, whose default round-trips through dict
+        ``advise``, so third-party detectors keep working.  Returns the
+        same index-aligned lists as :meth:`_receive_scalar`, with a
+        multiset for every receiver.
         """
         np_mod = self._np
         indices = self.environment.indices
         total = len(sent)
-        full_round_ms = Multiset._from_counts_unchecked(base_counts, total)
         counts_arr = total - np_mod.asarray(
             lost.drop_counts, dtype=np_mod.int64
         )
@@ -396,62 +396,23 @@ class ExecutionEngine:
                 f"drops at {indices[k]}, outside its droppable budget "
                 f"of {total - (k in own)}"
             )
-        if len(base_counts) <= 1:
-            # The buckets persist across rounds: in the steady state
-            # every keep count has been seen before and the round is one
-            # C-level map over the cache.
-            key = next(iter(base_counts), None)
-            buckets = self._ms_buckets.get(key)
-            if buckets is None:
-                buckets = self._ms_buckets[key] = {}
-            try:
-                received = list(map(buckets.__getitem__, counts_list))
-            except KeyError:
-                buckets.update(Multiset.singleton_buckets(
-                    key, set(counts_list) - buckets.keys()
-                ))
-                buckets[total] = full_round_ms
-                received = list(map(buckets.__getitem__, counts_list))
-        else:
-            interner = self._interner
-            if interner is None:
-                interner = self._interner = MessageInterner()
-            codes_arr = np_mod.asarray(
-                interner.codes(sent.values()), dtype=np_mod.int64
+        # The buckets persist across rounds: in the steady state every
+        # keep count has been seen before and the round is one C-level
+        # map over the cache.
+        key = next(iter(base_counts), None)
+        buckets = self._ms_buckets.get(key)
+        if buckets is None:
+            buckets = self._ms_buckets[key] = {}
+        try:
+            received = list(map(buckets.__getitem__, counts_list))
+        except KeyError:
+            buckets.update(Multiset.singleton_buckets(
+                key, set(counts_list) - buckets.keys()
+            ))
+            buckets[total] = Multiset._from_counts_unchecked(
+                base_counts, total
             )
-            payloads = interner.payloads
-            width = len(payloads)
-            rows, cols = lost.drop_pairs()
-            rows = np_mod.asarray(rows, dtype=np_mod.intp)
-            cols = np_mod.asarray(cols, dtype=np_mod.intp)
-            drop2d = np_mod.bincount(
-                rows * width + codes_arr[cols],
-                minlength=len(indices) * width,
-            ).reshape(len(indices), width)
-            kept2d = np_mod.bincount(codes_arr, minlength=width) - drop2d
-            if kept2d.sum(axis=1).tolist() != counts_list:
-                raise ModelViolation(
-                    "loss resolution's drop pairs disagree with its "
-                    "drop counts"
-                )
-            rows_list = kept2d.tolist()
-            row_cache: Dict[tuple, Multiset] = {}
-            received = []
-            for k, pid in enumerate(indices):
-                kept = counts_list[k]
-                if skip and pid in skip:
-                    ms = None
-                elif kept == total:
-                    ms = full_round_ms
-                else:
-                    row = rows_list[k]
-                    key = tuple(row)
-                    ms = row_cache.get(key)
-                    if ms is None:
-                        ms = row_cache[key] = Multiset.from_code_row(
-                            payloads, row, kept
-                        )
-                received.append(ms)
+            received = list(map(buckets.__getitem__, counts_list))
         self.kernel_rounds += 1
         return received, self.environment.detector.advise_array(
             r, total, counts_arr, indices
@@ -460,13 +421,16 @@ class ExecutionEngine:
     def _receive_scalar(self, r: int, lost, sent, base_counts, skip):
         """The reference receive stage: per-receiver drop sets, dict advice.
 
-        The pure-python path, and the path of every round in which a
-        churn event fires (the *fallback gate*).  It reads the same
+        Definition 11's receive step: each receiver's drop set comes off
+        the round's broadcast multiset.  The pure-python path, and with
+        the kernel on the path of every round in which a churn event
+        fires or several distinct payloads are sent.  It reads the same
         ``RoundLosses`` through its drop sets, so no adversary
-        randomness shifts across the gate; rounds where pids are merely
-        absent after an earlier leave ride the kernel, because the loss
-        adversary is consulted over the full index set on both paths
-        (``tests/test_churn.py`` asserts the gate via ``kernel_rounds``).
+        randomness shifts between the paths; rounds where pids are
+        merely absent after an earlier leave ride the kernel, because
+        the loss adversary is consulted over the full index set on both
+        paths (``tests/test_churn.py`` asserts the churn gate via
+        ``kernel_rounds``).
         Each drop set is held to the contract before a count is derived
         from it: other senders only, exactly as many as the drop count
         says.  In a single-message round a receive multiset depends on
@@ -553,8 +517,8 @@ class ExecutionEngine:
         ``advise_array`` — see
         :func:`~repro.core.process._trusted_transition_array`), the round
         is one batched call over position-aligned lists.  Every other
-        round — the pure-python reference, churn-event rounds,
-        heterogeneous fleets and untrusted classes — takes the
+        round — the pure-python reference, churn-event and multi-payload
+        rounds, heterogeneous fleets and untrusted classes — takes the
         per-process ``transition`` loop, so the kernel-on vs kernel-off
         suites hold the batched call to it.  Returns the round's new
         decisions in index order.

@@ -88,11 +88,12 @@ class Multiset:
     ) -> Dict[int, "Multiset"]:
         """One ``{value: k}`` multiset per distinct ``k`` in ``sizes``.
 
-        The engine's array round kernel resolves a single-message round
-        into an int array of per-receiver keep counts; this builds the
-        receive multisets for all of its distinct buckets in one pass
-        (``k = 0`` maps to the empty multiset), so n receivers share at
-        most ``|distinct counts|`` multiset constructions.  Callers
+        The engine's array round kernel resolves a round of at most one
+        distinct message into an int array of per-receiver keep counts;
+        this builds the receive multisets for all of its distinct
+        buckets in one pass (``k = 0`` maps to the empty multiset), so n
+        receivers share at most ``|distinct counts|`` multiset
+        constructions.  Callers
         guarantee non-negative int sizes — this is the bulk companion of
         :meth:`_from_counts_unchecked`, not a validating constructor.
         """
@@ -100,30 +101,6 @@ class Multiset:
             k: cls._from_counts_unchecked({value: k} if k else {}, k)
             for k in sizes
         }
-
-    @classmethod
-    def from_code_row(
-        cls, payloads: Iterable[Any], row: Iterable[int], size: int
-    ) -> "Multiset":
-        """One multiset from a row of per-code multiplicities.
-
-        ``row[c]`` is the multiplicity of ``payloads[c]`` (an interned
-        message table — see
-        :class:`~repro.core.arrays.MessageInterner`); zero entries are
-        skipped, so the multiset's counts dict holds only the payloads
-        actually present.  ``size`` must equal ``sum(row)``.  The
-        multi-message companion of :meth:`singleton_buckets`: the array
-        kernel derives one kept-count row per receiver and builds each
-        *distinct* row's multiset exactly once through this constructor.
-        Like ``_from_counts_unchecked``, callers guarantee the
-        invariants — this is a hot-path adoption constructor, not a
-        validating one.
-        """
-        counts = {}
-        for payload, n in zip(payloads, row):
-            if n:
-                counts[payload] = n
-        return cls._from_counts_unchecked(counts, size)
 
     @classmethod
     def from_set(cls, values: Iterable[Any]) -> "Multiset":

@@ -21,7 +21,7 @@ crash).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .errors import ModelViolation
 from .multiset import Multiset
@@ -36,6 +36,16 @@ _TTA_TRUSTED: Dict[type, bool] = {}
 
 def _trusted_transition_array(process_cls: type) -> bool:
     """May ``process_cls.transition_array`` answer for ``transition``?
+
+    ``transition_array`` is an optional batched ``trans_A``, with no base
+    default: a classmethod ``transition_array(processes, received,
+    cd_advice, cm_advice)`` over position-aligned sequences that
+    transitions ``processes[i]`` on ``(received[i], cd_advice[i],
+    cm_advice[i])``, advances each round counter itself, and returns the
+    positions of processes that *newly* decided, ascending, or ``None``
+    when none did.  The engine's kernel rounds call it once instead of
+    the per-process loop, on the class the whole fleet shares, only when
+    this guard vouches for that class.
 
     The same MRO-guard contract as the detector layer's
     ``_trusted_free_choice_array``: walking the MRO, the first class that
@@ -102,45 +112,6 @@ class Process(abc.ABC):
         ``received`` always contains the process's own message when it
         broadcast (Definition 11, constraint 5).
         """
-
-    @classmethod
-    def transition_array(
-        cls,
-        processes: Sequence["Process"],
-        received: Sequence[Multiset],
-        cd_advice: Sequence[CollisionAdvice],
-        cm_advice: Sequence[ContentionAdvice],
-    ) -> Optional[List[int]]:
-        """Batched ``trans_A`` over position-aligned sequences.
-
-        The engine's array round kernel calls this once per round — on
-        the class every active process shares, and only when
-        :func:`_trusted_transition_array` vouches for that class —
-        instead of one :meth:`transition` plus one round advance per
-        process.  All four arguments are aligned: ``processes[i]``
-        transitions on ``(received[i], cd_advice[i], cm_advice[i])``.
-        Implementations must also advance each process's round counter
-        (the engine will not call ``_advance_round`` again) and return
-        the positions of processes that *newly* decided during the call,
-        in ascending order — or ``None`` when none did, so the common
-        undecided round costs no list allocation.
-
-        This default round-trips through per-process :meth:`transition`
-        in sequence order — exactly the calls the scalar engine loop
-        would make — so a process class opts *in* to vectorisation by
-        overriding it; third-party classes keep working call-for-call.
-        """
-        decided: Optional[List[int]] = None
-        for i, proc in enumerate(processes):
-            already = proc._decision is not _UNDECIDED
-            proc.transition(received[i], cd_advice[i], cm_advice[i])
-            proc._advance_round()
-            if not already and proc._decision is not _UNDECIDED:
-                if decided is None:
-                    decided = [i]
-                else:
-                    decided.append(i)
-        return decided
 
     # ------------------------------------------------------------------
     # Decision bookkeeping
@@ -217,16 +188,6 @@ class SilentProcess(Process):
         cd_advice: CollisionAdvice,
         cm_advice: ContentionAdvice,
     ) -> None:
-        return None
-
-    @classmethod
-    def transition_array(
-        cls, processes, received, cd_advice, cm_advice
-    ) -> Optional[List[int]]:
-        # Silent processes ignore their input entirely; a batch round is
-        # just the round advances.
-        for proc in processes:
-            proc._round += 1
         return None
 
 

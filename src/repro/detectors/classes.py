@@ -15,12 +15,13 @@ tests (the containment lattice drives which theorems transfer between
 classes, e.g. Lemma 1: ``NoCD ⊆ NoACC``), and factory helpers to build a
 concrete :class:`ParametricCollisionDetector` inside a class.
 
-Every detector built through :meth:`DetectorClass.make` resolves its
-advice vectorised under the engine's array round kernel: the parametric
-detector's ``advise_array`` answers the completeness/accuracy
-obligations in whole-array passes and is elementwise identical to the
-dict ``advise`` path, so picking a lattice class never trades fidelity
-for throughput (see :mod:`repro.detectors.detector`).
+Every detector built through :meth:`DetectorClass.make` is a
+:class:`ParametricCollisionDetector`, whose ``advise_array`` answers the
+completeness/accuracy obligations in whole-array passes on the engine's
+kernel rounds (numpy on, no churn event, at most one distinct payload)
+and is elementwise identical to the dict ``advise`` the other rounds
+take, so picking a lattice class never trades fidelity for throughput
+(see :mod:`repro.detectors.detector`).
 """
 
 from __future__ import annotations

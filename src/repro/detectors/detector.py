@@ -64,71 +64,6 @@ def _trusted_free_choice_array(policy_cls: type) -> bool:
     return cached
 
 
-def vectorised_advice(
-    np_mod,
-    level: Completeness,
-    accuracy: AccuracyMode,
-    r_acc: Optional[int],
-    policy: DetectorPolicy,
-    round_index: int,
-    broadcasters: int,
-    counts,
-    indices: Sequence[ProcessId],
-    overflow_message,
-    memo_per_t: bool,
-) -> List[CollisionAdvice]:
-    """The one vectorised advice resolution both built-ins share.
-
-    Obligations resolve as array predicates (Properties 4-9 over the
-    counts array); free choices go to the policy exactly as the caller's
-    dict ``advise`` would call it — via ``free_choice_array`` when the
-    policy's own class vouches for it, once per distinct ``t`` when the
-    caller memoises pid-independent policies (``memo_per_t``, the
-    parametric detector's dict behaviour), and once per unconstrained
-    process *in index order* otherwise, so seeded policies consume their
-    streams identically on both paths.  ``overflow_message(pid, t, c)``
-    renders the caller's own t-greater-than-c violation text.
-    """
-    c = broadcasters
-    if len(counts) and counts.max() > c:
-        k = int((counts > c).argmax())
-        raise ModelViolation(overflow_message(indices[k], int(counts[k]), c))
-    obliged = collision_obligation_array(level, c, counts)
-    accurate = accuracy_active(accuracy, round_index, r_acc)
-    if _trusted_free_choice_array(type(policy)):
-        # A trusted array choice is a pure function of the counts, so it
-        # is asked unconditionally: obliged cells stay COLLISION and, when
-        # accuracy holds, a receiver that heard all c messages is NULL.
-        chosen = policy.free_choice_array(round_index, c, counts)
-        if chosen is not None:
-            if accurate:
-                chosen = chosen & (counts != c)
-            return [_ADVICE_LUT[v] for v in (obliged | chosen).tolist()]
-    if accurate:
-        free = ~(obliged | (counts == c))
-    else:
-        free = ~obliged
-    if free.any():
-        if memo_per_t and policy.pid_independent:
-            free_choice = policy.free_choice
-            for t in np_mod.unique(counts[free]).tolist():
-                mask = free & (counts == t)
-                first = int(mask.argmax())
-                choice = free_choice(round_index, indices[first], c, t)
-                if choice is CollisionAdvice.COLLISION:
-                    obliged = obliged | mask
-        else:
-            free_choice = policy.free_choice
-            counts_list = counts.tolist()
-            for k in np_mod.flatnonzero(free).tolist():
-                choice = free_choice(
-                    round_index, indices[k], c, counts_list[k]
-                )
-                if choice is CollisionAdvice.COLLISION:
-                    obliged[k] = True
-    return [_ADVICE_LUT[v] for v in obliged.tolist()]
-
-
 class CollisionDetector(abc.ABC):
     """Interface consumed by the execution engine."""
 
@@ -162,8 +97,11 @@ class CollisionDetector(abc.ABC):
         dict :meth:`advise`, so third-party detectors written against
         the mapping interface keep working under the array kernel — they
         see the exact calls (same counts, same iteration order) the
-        pure-python engine path would have made.  Built-in detectors
-        override this with genuinely vectorised obligation resolution.
+        pure-python engine path would have made.  Two detectors override
+        it with vectorised obligation resolution:
+        :class:`ParametricCollisionDetector` (every Figure 1 class) and
+        :class:`~repro.substrate.multihop.MultihopLayer`; every other
+        detector, the phased ones included, takes this round trip.
         """
         received_counts = dict(zip(indices, counts.tolist()))
         advice = self.advise(round_index, broadcasters, received_counts)
@@ -271,27 +209,62 @@ class ParametricCollisionDetector(CollisionDetector):
         """Vectorised advice: obligations in whole-array passes.
 
         Elementwise identical to :meth:`advise` — completeness and
-        accuracy resolve as array predicates; free choices go to the
-        policy exactly as the dict path would call it (once per distinct
-        ``t`` for pid-independent policies, once per unconstrained
-        process *in index order* otherwise, so seeded policies consume
-        their streams identically on both paths).  Subclasses that
-        override :meth:`advise` are routed through the dict fallback, so
-        their customisation is never silently bypassed.
+        accuracy resolve as array predicates (Properties 4-9 over the
+        counts array); free choices go to the policy exactly as the dict
+        path would call it: through ``free_choice_array`` when the
+        policy's own class vouches for it, once per distinct ``t`` for
+        pid-independent policies, and once per unconstrained process
+        *in index order* otherwise, so seeded policies consume their
+        streams identically on both paths.  Subclasses that override
+        :meth:`advise` are routed through the dict fallback, so their
+        customisation is never silently bypassed.
         """
         if _np is None or type(self).advise is not ParametricCollisionDetector.advise:
             return CollisionDetector.advise_array(
                 self, round_index, broadcasters, counts, indices
             )
-        return vectorised_advice(
-            _np, self.completeness, self.accuracy, self.r_acc, self.policy,
-            round_index, broadcasters, counts, indices,
-            lambda pid, t, c: (
-                f"process {pid} received {t} messages but only {c} "
-                "were broadcast"
-            ),
-            memo_per_t=True,
-        )
+        c = broadcasters
+        if len(counts) and counts.max() > c:
+            k = int((counts > c).argmax())
+            raise ModelViolation(
+                f"process {indices[k]} received {int(counts[k])} messages "
+                f"but only {c} were broadcast"
+            )
+        obliged = collision_obligation_array(self.completeness, c, counts)
+        accurate = accuracy_active(self.accuracy, round_index, self.r_acc)
+        policy = self.policy
+        if _trusted_free_choice_array(type(policy)):
+            # A trusted array choice is a pure function of the counts, so
+            # it is asked unconditionally: obliged cells stay COLLISION
+            # and, when accuracy holds, a receiver that heard all c
+            # messages is NULL.
+            chosen = policy.free_choice_array(round_index, c, counts)
+            if chosen is not None:
+                if accurate:
+                    chosen = chosen & (counts != c)
+                return [_ADVICE_LUT[v] for v in (obliged | chosen).tolist()]
+        if accurate:
+            free = ~(obliged | (counts == c))
+        else:
+            free = ~obliged
+        if free.any():
+            free_choice = policy.free_choice
+            if policy.pid_independent:
+                for t in _np.unique(counts[free]).tolist():
+                    mask = free & (counts == t)
+                    first = int(mask.argmax())
+                    choice = free_choice(round_index, indices[first], c, t)
+                    if choice is CollisionAdvice.COLLISION:
+                        obliged = obliged | mask
+            else:
+                counts_list = counts.tolist()
+                for k in _np.flatnonzero(free).tolist():
+                    choice = free_choice(
+                        round_index, indices[k], c, counts_list[k]
+                    )
+                    if choice is CollisionAdvice.COLLISION:
+                        obliged[k] = True
+        return [_ADVICE_LUT[v] for v in obliged.tolist()]
 
     def reset(self) -> None:
         self.policy.reset()

@@ -27,12 +27,11 @@ matter:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
-from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError, ModelViolation
 from ..core.types import CollisionAdvice, ProcessId
-from .detector import CollisionDetector, vectorised_advice
+from .detector import CollisionDetector
 from .policy import BenignPolicy, DetectorPolicy
 from .properties import (
     AccuracyMode,
@@ -41,15 +40,14 @@ from .properties import (
     must_report_null,
 )
 
-#: Same gated-numpy binding as :mod:`repro.detectors.detector`.
-_np = numpy_or_none()
-
 
 class PhasedCompletenessDetector(CollisionDetector):
     """Weak completeness before ``r_comp``, strong completeness after.
 
     Parameters mirror :class:`ParametricCollisionDetector`; the policy
-    decides everything neither phase's obligations pin down.
+    decides everything neither phase's obligations pin down.  Kernel
+    rounds reach :meth:`advise` through the base ``advise_array`` round
+    trip, so both engine paths make the same policy calls.
     """
 
     def __init__(
@@ -108,38 +106,6 @@ class PhasedCompletenessDetector(CollisionDetector):
                     round_index, pid, broadcasters, t
                 )
         return advice
-
-    def advise_array(
-        self,
-        round_index: int,
-        broadcasters: int,
-        counts,
-        indices: Sequence[ProcessId],
-    ) -> List[CollisionAdvice]:
-        """Vectorised advice with the phase's completeness level.
-
-        Obligations resolve as array predicates over the in-force level;
-        free choices call the policy once per unconstrained process in
-        index order — exactly the calls the dict :meth:`advise` makes,
-        so seeded policies consume their streams identically.  Subclasses
-        overriding :meth:`advise` fall back to the dict path.
-        """
-        if _np is None or (
-            type(self).advise is not PhasedCompletenessDetector.advise
-        ):
-            return CollisionDetector.advise_array(
-                self, round_index, broadcasters, counts, indices
-            )
-        # memo_per_t=False: the dict advise above consults the policy
-        # once per free *process* regardless of pid-independence, and
-        # the array path must make the exact same calls.
-        return vectorised_advice(
-            _np, self.completeness_at(round_index), self.accuracy,
-            self.r_acc, self.policy, round_index, broadcasters, counts,
-            indices,
-            lambda pid, t, c: f"process {pid} received {t} of {c} messages",
-            memo_per_t=False,
-        )
 
     def reset(self) -> None:
         self.policy.reset()

@@ -17,24 +17,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.arrays import numpy_or_none
 from ..core.records import ExecutionResult
 from ..core.types import CollisionAdvice
-from .properties import (
-    AccuracyMode,
-    Completeness,
-    accuracy_active,
-    advice_legal,
-    collision_obligation_array,
-)
-
-#: Gated acceleration for whole-trace legality checks, same probe (and
-#: the same ``REPRO_PURE_PYTHON`` override) as the engine's array
-#: kernel.  Legality is a pure function of the ``(c, t)`` counts, so
-#: these validators vectorise every round unconditionally — including
-#: multi-payload rounds, which the engine now also keeps on its kernel
-#: via message interning rather than dropping to the scalar path.
-_np = numpy_or_none()
+from .properties import AccuracyMode, Completeness, advice_legal
 
 
 def noise_lemma_violations(
@@ -90,52 +75,11 @@ def detector_trace_violations(
 
     Returns a list of ``(round, pid, reason)`` triples; empty means the
     trace is a legal output of some detector in the class (Definition 11,
-    constraint 6 holds).
-
-    When numpy is available each round's legality resolves in whole-array
-    passes over the same Properties 4-9 predicates the engine's array
-    detector advice uses (:func:`collision_obligation_array`); the
-    pure-python loop is the reference and the two agree triple-for-triple
-    in order and content.
+    constraint 6 holds), checked per process against the Properties 4-9
+    predicates in :func:`~repro.detectors.properties.advice_legal`.
     """
     violations: List[Tuple[int, int, str]] = []
     indices = result.indices
-    if _np is not None:
-        collision = CollisionAdvice.COLLISION
-        for rec in result.records:
-            c = rec.broadcast_count
-            received = rec.received
-            cd = rec.cd_advice
-            t_arr = _np.fromiter(
-                (len(received[pid]) for pid in indices),
-                dtype=_np.int64, count=len(indices),
-            )
-            reported = _np.fromiter(
-                (cd[pid] is collision for pid in indices),
-                dtype=bool, count=len(indices),
-            )
-            over = t_arr > c
-            if over.any():
-                k = int(over.argmax())
-                raise ValueError(
-                    f"invalid transmission data c={c}, t={int(t_arr[k])}"
-                )
-            obliged = collision_obligation_array(completeness, c, t_arr)
-            missing = obliged & ~reported
-            if accuracy_active(accuracy, rec.round, r_acc):
-                inaccurate = (t_arr == c) & reported
-            else:
-                inaccurate = t_arr < 0  # all-False
-            bad = missing | inaccurate
-            if bad.any():
-                for k in _np.flatnonzero(bad).tolist():
-                    reason = (
-                        "missing obligatory collision report"
-                        if missing[k]
-                        else "collision report violates accuracy"
-                    )
-                    violations.append((rec.round, indices[k], reason))
-        return violations
     for rec in result.records:
         c = rec.broadcast_count
         for pid in indices:

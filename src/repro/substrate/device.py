@@ -25,21 +25,13 @@ from ..adversary.crash import CrashAdversary, NoCrashes
 from ..adversary.loss import LossAdversary, RoundLosses
 from ..contention.backoff import BackoffContentionManager
 from ..core.algorithm import ConsensusAlgorithm
-from ..core.arrays import numpy_or_none
 from ..core.environment import Environment
 from ..core.execution import ExecutionEngine
 from ..core.records import ExecutionResult
 from ..core.types import CollisionAdvice, ProcessId, Value
 from ..detectors.detector import CollisionDetector
 from .carrier_sense import CarrierSenseDetector
-from .radio import (
-    RadioChannel,
-    RadioConfig,
-    TransmissionOutcome,
-    outcome_drop_arrays,
-)
-
-_np = numpy_or_none()
+from .radio import RadioChannel, RadioConfig, TransmissionOutcome
 
 
 class PhysicalLayer(LossAdversary, CollisionDetector):
@@ -80,30 +72,19 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         receivers: Sequence[ProcessId],
     ) -> RoundLosses:
         # One radio arbitration per round (memoised for the detector's
-        # benefit); every view of the losses derives from the cached
-        # outcomes, so none of them consumes randomness.
+        # benefit); the drop sets derive from the cached outcomes, so
+        # building them consumes no randomness.
         outcomes = self._outcomes(round_index, senders)
         receivers_t = (
             receivers if type(receivers) is tuple else tuple(receivers)
         )
-
-        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            for pid in receivers_t:
-                decoded = set(outcomes[pid].decoded)
-                out[pid] = {
-                    s for s in senders if s != pid and s not in decoded
-                }
-            return out
-
-        if _np is None:
-            return RoundLosses.from_sets(senders, receivers_t, materialise())
-        drop_counts, pairs = outcome_drop_arrays(
-            _np, outcomes, senders, receivers_t
-        )
-        return RoundLosses(
-            senders, receivers_t, drop_counts, materialise, pairs=pairs
-        )
+        drops: Dict[ProcessId, AbstractSet[ProcessId]] = {}
+        for pid in receivers_t:
+            decoded = set(outcomes[pid].decoded)
+            drops[pid] = {
+                s for s in senders if s != pid and s not in decoded
+            }
+        return RoundLosses.from_sets(senders, receivers_t, drops)
 
     # -- CollisionDetector interface --------------------------------------
     def advise(

@@ -83,36 +83,6 @@ class TransmissionOutcome:
         return len(self.decoded)
 
 
-def outcome_drop_arrays(np_mod, outcomes, senders, receivers):
-    """Array-kernel ingredients from one round of resolved outcomes.
-
-    Builds the (receiver x sender) drop mask implied by the decoded
-    tuples — every frame starts dropped, then each receiver's own column
-    (self-delivery is the engine's job) and its decoded frames are
-    cleared — and reduces it to the per-receiver drop counts plus a lazy
-    dropped-pair producer, the array ingredients of
-    :class:`~repro.adversary.loss.RoundLosses`.  Consumes no
-    randomness: the channel arbitration already happened when
-    ``outcomes`` was resolved, so every view over it is free.
-    """
-    n_senders = len(senders)
-    n_receivers = len(receivers)
-    spos = {s: j for j, s in enumerate(senders)}
-    drop = np_mod.ones((n_receivers, n_senders), dtype=bool)
-    for k, receiver in enumerate(receivers):
-        j = spos.get(receiver)
-        if j is not None:
-            drop[k, j] = False
-        for s in outcomes[receiver].decoded:
-            drop[k, spos[s]] = False
-    drop_counts = drop.sum(axis=1, dtype=np_mod.int64)
-
-    def pairs():
-        return np_mod.nonzero(drop)
-
-    return drop_counts, pairs
-
-
 class RadioChannel:
     """The seeded physical channel.
 

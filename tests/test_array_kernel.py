@@ -1,7 +1,13 @@
 """Equivalence suite for the array round kernel.
 
 The pure-python engine path is the reference; every vectorised branch
-must be observationally invisible.  Covered here:
+must be observationally invisible.  A round rides the kernel only when
+numpy is on, no churn event fires and the round carries at most one
+distinct payload; every other round takes the reference receive stage
+and the per-process transitions, so on those rounds the kernel-on vs
+kernel-off comparison holds the reference against itself and the
+paper-literal spec in ``tests/test_batched_loss.py`` is the oracle that
+has to catch their bugs.  Covered here:
 
 * byte-identical vectorised-vs-fallback executions for every built-in
   detector class (the full Figure 1 lattice plus the phased detectors)
@@ -23,16 +29,19 @@ must be observationally invisible.  Covered here:
   ``(seed, round)`` and samples the documented capture law;
 * ``use_array_kernel=True`` without numpy fails loudly instead of
   silently running the slow path;
+* the routing rule, round by round: a round with two distinct payloads
+  leaves ``kernel_rounds`` unchanged and records exactly as the
+  kernel-off run does, while single-payload and silent rounds count;
 * the paper's real algorithms (Algorithms 1-3 and anonymous counting)
   run byte-identically kernel-on vs kernel-off under {reliable, iid,
   capture} x every record policy — their proposal rounds carry several
-  distinct payloads at once, so they drive the interned multi-message
-  path and (for counting) the trusted ``transition_array`` batch;
-* every built-in adversary and both substrate layers ride the kernel
-  in every round of a churn-free execution (``kernel_rounds == rounds``),
-  with the scalar path as the byte-identical reference — including a
-  multihop inner script that names senders outside the neighbourhood
-  it was handed — and
+  distinct payloads at once, which take the reference stage;
+* every built-in adversary and both substrate layers run
+  byte-identically kernel-on vs kernel-off, with ``kernel_rounds``
+  equal to the exact number of rounds that carry at most one distinct
+  payload (read from the FULL run's records) under every record policy
+  — including a multihop inner script that names senders outside the
+  neighbourhood it was handed — and
   ``MultihopLayer.advise_array`` == dict ``advise`` elementwise for
   every completeness level (overflow validation included).
 
@@ -189,6 +198,16 @@ def run_once(detector_factory, loss_factory, record_policy,
         env, algorithm or mixed_algorithm(), max_rounds=ROUNDS,
         until_all_decided=False, record_policy=record_policy,
         use_array_kernel=use_array_kernel,
+    )
+
+
+def single_payload_rounds(result):
+    """How many rounds of a FULL ``result`` carry at most one distinct
+    payload: in a churn-free execution with numpy on, exactly the rounds
+    the array kernel serves."""
+    return sum(
+        len({m for m in rec.messages.values() if m is not None}) <= 1
+        for rec in result.records
     )
 
 
@@ -619,6 +638,40 @@ def test_forcing_the_kernel_without_numpy_fails_loudly(monkeypatch):
     assert engine._np is None
 
 
+@needs_numpy
+def test_multi_payload_round_takes_the_reference_stage():
+    """The routing rule, round by round.  Round 2 sends two distinct
+    payloads: it must leave ``kernel_rounds`` unchanged and record
+    exactly what the kernel-off run records.  The single-payload rounds
+    1 and 3 and the silent round 4 still count."""
+    scripts = {
+        0: ["a", "a", "x", None],
+        1: ["a", "b", "x", None],
+        2: ["a", "a", "x", None],
+    }
+
+    def engine(use_array_kernel):
+        env = Environment(
+            indices=(0, 1, 2),
+            detector=detector_matrix()["AC+seeded"](),
+            contention=NoContentionManager(),
+            loss=IIDLoss(0.5, seed=3),
+        )
+        env.reset()
+        return ExecutionEngine(
+            env, {pid: ScriptedProcess(s) for pid, s in scripts.items()},
+            use_array_kernel=use_array_kernel,
+        )
+
+    on, off = engine(None), engine(False)
+    for expected_kernel_rounds in (1, 1, 2, 3):
+        assert on.step() == off.step()
+        assert on.kernel_rounds == expected_kernel_rounds
+    assert off.kernel_rounds == 0
+    second = on.result().records[1]
+    assert set(second.messages.values()) == {"a", "b"}
+
+
 def test_multiset_singleton_buckets():
     buckets = Multiset.singleton_buckets("m", {0, 2, 5})
     assert set(buckets) == {0, 2, 5}
@@ -628,12 +681,12 @@ def test_multiset_singleton_buckets():
 
 
 # ----------------------------------------------------------------------
-# The paper's algorithms: multi-message rounds through the interned path
+# The paper's algorithms: multi-payload rounds take the reference stage
 # ----------------------------------------------------------------------
 # Before the wake-up service stabilizes, every process is active and
 # broadcasts its own estimate, so proposal rounds carry several distinct
-# payloads at once — exactly the rounds the interned counts-matrix path
-# exists for (the old kernel fell back to the scalar loop on them).
+# payloads at once; those rounds take the reference receive stage and
+# the per-process transitions, and only the rest ride the kernel.
 ALG_SUITE = {
     "alg1": lambda: (
         algorithm_1(),
@@ -679,6 +732,7 @@ def run_real_algorithm(alg_name, loss_name, record_policy,
 @pytest.mark.parametrize("alg_name", sorted(ALG_SUITE))
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
 def test_real_algorithm_kernel_identity(alg_name, loss_name):
+    assert POLICIES[0] is RecordPolicy.FULL  # the count comes from it
     for record_policy in POLICIES:
         vec, vec_kernel = run_real_algorithm(
             alg_name, loss_name, record_policy, None
@@ -688,28 +742,28 @@ def test_real_algorithm_kernel_identity(alg_name, loss_name):
         )
         assert_identical(vec, ref, record_policy)
         assert ref_kernel == 0
-        if record_policy is RecordPolicy.FULL and alg_name in ("alg1",
-                                                               "alg2"):
+        if record_policy is RecordPolicy.FULL:
+            single = single_payload_rounds(vec)
             # Pre-stabilization everyone proposes its own estimate, so
             # the value-carrying algorithms genuinely produce
             # multi-payload rounds (Algorithm 3 votes with one fixed
             # marker — its rounds stay single-payload by design).
-            assert any(
-                len({
-                    m for m in rec.messages.values() if m is not None
-                }) > 1
-                for rec in vec.records
-            )
+            if alg_name in ("alg1", "alg2"):
+                assert 0 < single < vec.rounds
+            else:
+                assert single == vec.rounds
         if _np is not None:
-            # Every round of a churn-free execution rides the kernel,
-            # silent and loss-free ones included, under every policy.
-            assert vec_kernel == vec.rounds
+            # Exactly the rounds with at most one distinct payload,
+            # silent and loss-free ones included, ride the kernel under
+            # every policy.
+            assert vec_kernel == single
 
 
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
 def test_counting_kernel_identity(loss_name):
-    """Anonymous counting exercises the trusted ``transition_array``
-    batch (CountingProcess overrides it) on top of the interned path."""
+    """Anonymous counting announces one fixed marker, so every round
+    rides the kernel; ``CountingProcess`` has no batched form, so its
+    kernel rounds run the per-process ``transition`` loop."""
 
     def run(record_policy, use_array_kernel):
         env = Environment(
@@ -737,7 +791,7 @@ def test_counting_kernel_identity(loss_name):
 
 
 # ----------------------------------------------------------------------
-# PhysicalLayer: radio arbitration resolved as arrays
+# PhysicalLayer: radio arbitration under both engine paths
 # ----------------------------------------------------------------------
 RADIO_CONFIGS = {
     "default": lambda: None,
@@ -772,8 +826,11 @@ def test_physical_layer_kernel_identity(config_name, record_policy):
     ref, ref_kernel = run_physical(record_policy, False, config=config())
     assert_identical(vec, ref, record_policy)
     assert ref_kernel == 0
+    full, _ = run_physical(RecordPolicy.FULL, False, config=config())
+    single = single_payload_rounds(full)
+    assert 0 < single < full.rounds
     if _np is not None:
-        assert vec_kernel == vec.rounds
+        assert vec_kernel == single
 
 
 @needs_numpy
@@ -788,15 +845,10 @@ def test_physical_layer_losses_are_arrays_and_consistent():
         assert len(lost) == counts[k]
         assert pid not in lost
         assert set(lost) <= set(senders)
-    # The pairs name exactly the drops the sets name.
-    rows, cols = lost_map.drop_pairs()
-    assert {(int(k), senders[int(j)]) for k, j in zip(rows, cols)} == {
-        (k, s) for k in range(N) for s in lost_map[k]
-    }
 
 
 # ----------------------------------------------------------------------
-# MultihopLayer: per-neighbourhood delegation resolved as arrays
+# MultihopLayer: per-neighbourhood delegation under both engine paths
 # ----------------------------------------------------------------------
 MULTIHOP_TOPOLOGIES = {
     "line": lambda: MultihopNetwork.line(N),
@@ -844,6 +896,7 @@ def test_multihop_layer_kernel_identity(topology_name, inner_name):
         completeness=Completeness.MAJORITY,
         accuracy=AccuracyMode.EVENTUAL, r_acc=4,
     )
+    assert POLICIES[0] is RecordPolicy.FULL  # the count comes from it
     for record_policy in POLICIES:
         vec, vec_kernel = run_multihop(
             topology_name, inner_name, record_policy, None, **kwargs
@@ -853,8 +906,11 @@ def test_multihop_layer_kernel_identity(topology_name, inner_name):
         )
         assert_identical(vec, ref, record_policy)
         assert ref_kernel == 0
+        if record_policy is RecordPolicy.FULL:
+            single = single_payload_rounds(vec)
+            assert 0 < single < vec.rounds
         if _np is not None:
-            assert vec_kernel == vec.rounds
+            assert vec_kernel == single
 
 
 def test_multihop_seeded_policy_stream_identity():

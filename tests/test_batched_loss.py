@@ -4,20 +4,24 @@ Covers the contract-level guarantees:
 
 * every deterministic built-in adversary (and the pure-python capture
   law) executes identically on the paper-literal round spec
-  (``tests/spec_round.py``), on the engine's scalar path and on its
-  array kernel, with full per-round record equality, crashes included;
+  (``tests/spec_round.py``), on the engine's scalar path and with the
+  array kernel on, with full per-round record equality, crashes
+  included;
 * the same three-way equality over generated adversary compositions x
   crash/churn schedules (crash events naming absent and out-of-range
   pids among them, and crashes emptying the live set) x process fleets
-  (one shared class, mixed classes, an ``_advance_round`` override, and
-  the trusted ``transition_array`` batches of counting and Algorithm 2)
-  x record policies, and exhaustively over every drop pattern of two
-  rounds at n = 3;
+  (one shared class, mixed classes, an ``_advance_round`` override,
+  counting, and Algorithm 2's trusted ``transition_array`` batch) x
+  record policies, and exhaustively over every drop pattern of two
+  rounds at n = 3.  With the kernel on, rounds with several distinct
+  payloads take the scalar receive stage, so for them the spec is the
+  only independent oracle;
 * ``IIDLoss``'s whole-round law and determinism on both backends;
-* one round's three views (drop counts, drop sets, drop pairs) agree
-  whichever is read first, for ``IIDLoss`` (engine-shaped rounds and
-  the one-receiver groups a multihop layer hands it) and for grouped
-  rounds (``PartitionLoss``, ``MultihopLayer``);
+* one round's two views (drop counts, drop sets) agree whether the
+  lazy sets are built at once or only after later rounds resolved, for
+  ``IIDLoss`` (engine-shaped rounds and the one-receiver groups a
+  multihop layer hands it) and for grouped rounds (``PartitionLoss``,
+  ``MultihopLayer``);
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` on every contract breach: a drop set naming its
   receiver or a non-sender, counts that disagree with the sets, an
@@ -162,8 +166,7 @@ class Ticking(ScriptedProcess):
 class ReportingCounter(CountingProcess):
     """Anonymous counting whose announcements carry the process's counts
     and round, so record equality sees all the state that
-    ``CountingProcess.transition_array`` writes.  It overrides only
-    ``message``, so the trusted batch still runs on kernel rounds."""
+    ``CountingProcess.transition`` writes."""
 
     def message(self, cm_advice):
         m = super().message(cm_advice)
@@ -411,8 +414,7 @@ _ALGORITHMS = {
         lambda pid: Ticking(varied_script(pid, ROUNDS_GEN)),
         anonymous=False,
     ),
-    # A trusted ``transition_array`` override: batched on kernel rounds,
-    # held here to the spec's per-process ``transition``.
+    # Counting through its per-process ``transition``.
     "counting": lambda: Algorithm.anonymous(ReportingCounter),
     # Algorithm 2's trusted batch; after a churn rejoin one batch holds
     # a fresh process at prepare beside a fleet mid-cycle.
@@ -593,20 +595,12 @@ def test_iid_batched_never_drops_self():
         assert pid not in lost_map[pid]
 
 
-def _views(losses, sets_first):
-    """A round's three views — counts, pairs as (receiver, sender) pids,
-    and sets — reading the lazy two in the given order."""
-    if sets_first:
-        sets = {pid: set(losses[pid]) for pid in losses.receivers}
-        rows, cols = losses.drop_pairs()
-    else:
-        rows, cols = losses.drop_pairs()
-        sets = {pid: set(losses[pid]) for pid in losses.receivers}
-    pairs = sorted(
-        (losses.receivers[k], losses.senders[j])
-        for k, j in zip(list(rows), list(cols))
+def _views(losses):
+    """A round's two views: the counts and the sets they count."""
+    return (
+        list(losses.drop_counts),
+        {pid: set(losses[pid]) for pid in losses.receivers},
     )
-    return list(losses.drop_counts), pairs, sets
 
 
 #: (senders, receivers) shapes: the engine's (every sender a receiver,
@@ -625,25 +619,21 @@ _IID_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(_IID_SHAPES))
 def test_iid_views_agree_in_either_access_order(shape, backend, monkeypatch):
     """Clearing the self cells of the Bernoulli grid in place keeps the
-    three views of one round identical, whichever lazy view is read
-    first, and none ever names the receiver."""
+    counts and the sets of one round consistent, whether the lazy sets
+    are built at once or only after later rounds drew, and no set ever
+    names its receiver."""
     if backend == "python":
         monkeypatch.setattr(loss_mod, "_np", None)
     senders, receivers = _IID_SHAPES[shape]
     a = IIDLoss(0.6, seed=11)
     b = IIDLoss(0.6, seed=11)
+    rounds = range(1, 40)
+    late = [b.losses_for_round(r, senders, receivers) for r in rounds]
     drops = 0
-    for r in range(1, 40):
-        counts, pairs, sets = _views(
-            a.losses_for_round(r, senders, receivers), sets_first=True
-        )
-        assert _views(
-            b.losses_for_round(r, senders, receivers), sets_first=False
-        ) == (counts, pairs, sets)
+    for r, deferred in zip(rounds, late):
+        counts, sets = _views(a.losses_for_round(r, senders, receivers))
+        assert _views(deferred) == (counts, sets)
         assert counts == [len(sets[pid]) for pid in receivers]
-        assert pairs == sorted(
-            (pid, s) for pid in receivers for s in sets[pid]
-        )
         for pid in receivers:
             assert pid not in sets[pid]
             assert sets[pid] <= set(senders)
@@ -674,23 +664,27 @@ _GROUPED = {
 
 @pytest.mark.parametrize("name", sorted(_GROUPED))
 def test_grouped_views_agree_in_either_access_order(name):
-    """Grouped rounds build their pairs straight from the groups; they
-    name exactly the dropped (receiver, sender) pairs the sets do."""
+    """Grouped rounds count each group's cross-group senders plus the
+    inner counts; the lazy sets, built at once or only after later
+    rounds resolved, name exactly that many other senders."""
     a, b = _GROUPED[name](), _GROUPED[name]()
     rng = random.Random(name)
     receivers = tuple(range(7))
-    for r in range(1, 40):
-        senders = [pid for pid in receivers if rng.random() < 0.6]
-        counts, pairs, sets = _views(
-            a.losses_for_round(r, senders, receivers), sets_first=True
-        )
-        assert _views(
-            b.losses_for_round(r, senders, receivers), sets_first=False
-        ) == (counts, pairs, sets)
+    rounds = range(1, 40)
+    sender_lists = [
+        [pid for pid in receivers if rng.random() < 0.6] for _ in rounds
+    ]
+    late = [
+        b.losses_for_round(r, senders, receivers)
+        for r, senders in zip(rounds, sender_lists)
+    ]
+    for r, senders, deferred in zip(rounds, sender_lists, late):
+        counts, sets = _views(a.losses_for_round(r, senders, receivers))
+        assert _views(deferred) == (counts, sets)
         assert counts == [len(sets[pid]) for pid in receivers]
-        assert pairs == sorted(
-            (pid, s) for pid in receivers for s in sets[pid]
-        )
+        for pid in receivers:
+            assert pid not in sets[pid]
+            assert sets[pid] <= set(senders)
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,9 @@ Covers the dynamic-membership extension end to end:
   empty live set but pending rejoiners keeps running;
 * determinism — same seed and schedule replay byte-identical
   executions, and churned executions are byte-identical with the array
-  kernel on and off (the fallback gate: churn-free prefixes still run
-  the kernel, churned rounds take the scalar reference path);
+  kernel on and off (the churn gate: event-free rounds of a
+  single-payload fleet still run the kernel, rounds with a churn event
+  take the scalar reference path);
 * the ring overlay — successor/finger neighbourhood shapes, diameter,
   validation, and the flood helpers' hops/stabilization metrics;
 * E19 — the churn sweep cell's payload and the campaign's
@@ -356,11 +357,13 @@ def test_churned_executions_identical_kernel_on_and_off(policy):
 
 @needs_numpy
 def test_kernel_runs_on_churn_free_prefix_only():
-    """The fallback gate: only rounds with a pending membership event
-    (a leave or join firing) take the scalar reference path; rounds
-    where pids are merely absent after an earlier leave ride the
-    kernel — the loss adversary is consulted over the full index set
-    on both paths, so absence never shifts its randomness."""
+    """The churn gate: only rounds with a pending membership event (a
+    leave or join firing) take the scalar reference path; rounds where
+    pids are merely absent after an earlier leave ride the kernel — the
+    loss adversary is consulted over the full index set on both paths,
+    so absence never shifts its randomness.  Every process sends the
+    same payload every round, so the payload rule never reroutes a
+    round and the counts pin the churn gate alone."""
 
     def engine_for(churn):
         env = Environment(
@@ -371,7 +374,9 @@ def test_kernel_runs_on_churn_free_prefix_only():
             churn=churn,
         )
         env.reset()
-        algorithm = _counting_algorithm()
+        algorithm = Algorithm(
+            lambda i: ScriptedProcess(["beat"] * ROUNDS), anonymous=False
+        )
         return ExecutionEngine(
             env, algorithm.spawn_all(env.indices),
             record_policy=RecordPolicy.NONE,

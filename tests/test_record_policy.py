@@ -32,6 +32,7 @@ from repro.core.multiset import Multiset
 from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy, RoundRecord, RoundSummary
 from repro.core.types import ACTIVE
+from repro.detectors.classes import ZERO_AC
 from repro.detectors.detector import perfect_detector
 from repro.experiments.campaign import CampaignRunner, run_grid
 from repro.experiments.harness import (
@@ -56,6 +57,41 @@ def _alg2_run(policy, n=5, seed=3, vc=16, crash=None):
 # ----------------------------------------------------------------------
 # FULL vs SUMMARY vs NONE equivalence
 # ----------------------------------------------------------------------
+# The E11 throughput workloads, run to completion under each policy.
+@pytest.mark.parametrize("policy", list(RecordPolicy))
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_scripted_fleet_runs_every_round_under_iid_loss(policy, n):
+    env = Environment(
+        indices=tuple(range(n)),
+        detector=ZERO_AC.make(),
+        contention=NoContentionManager(),
+        loss=IIDLoss(0.3, seed=0),
+    )
+    env.reset()
+    fleet = Algorithm(
+        lambda i: ScriptedProcess(["m"] * 200), anonymous=False
+    )
+    engine = ExecutionEngine(
+        env, fleet.spawn_all(env.indices), record_policy=policy
+    )
+    engine.run(200, until_all_decided=False)
+    assert engine.round == 200
+
+
+@pytest.mark.parametrize("n, policy", [
+    (4, RecordPolicy.FULL), (16, RecordPolicy.FULL),
+    (16, RecordPolicy.SUMMARY),
+])
+def test_alg2_decides_over_256_values_within_100_rounds(n, policy):
+    values = list(range(256))
+    result = run_consensus(
+        zero_oac_environment(n, cst=5, seed=1), algorithm_2(values),
+        {i: values[(i * 31) % 256] for i in range(n)}, max_rounds=100,
+        record_policy=policy,
+    )
+    assert result.all_correct_decided()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_policies_produce_identical_outcomes(seed, n):

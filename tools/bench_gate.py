@@ -14,7 +14,8 @@ gates:
 * ``capture`` — the fresh run used the array kernel, and the committed
   capture row holds at least 2x its pre-rework figure;
 * ``summary`` — the committed SUMMARY n=64 row holds at least 1.5x its
-  pre-interning figure, every committed n-scaling size is in the fresh
+  figure before the kernel's batched rework, every committed n-scaling
+  size is in the fresh
   run, and at each of them the fresh kernel is not slower than the
   scalar reference;
 * ``rows`` — every committed adversary row is in the fresh run, and no
@@ -50,9 +51,11 @@ import sys
 CAPTURE_PRE_REWORK = 829.0
 CAPTURE_FACTOR = 2.0
 
-#: Committed SUMMARY n=64 rounds/sec before the intern-everything kernel
-#: (message interning, batched transitions, substrate arrays); the
-#: committed artifact must hold SUMMARY_FACTOR times that.
+#: Committed SUMMARY n=64 rounds/sec before the kernel's batched rework
+#: (batched transitions and array losses; the e11 fleet sends one
+#: payload, so the message interning that rework also brought never ran
+#: under this row); the committed artifact must hold SUMMARY_FACTOR
+#: times that.
 SUMMARY_PRE_INTERNING = 7773.0
 SUMMARY_FACTOR = 1.5
 
@@ -117,9 +120,9 @@ def gate_summary(committed: dict, fresh: dict) -> list:
     if summary < floor:
         failures.append(
             f"committed SUMMARY n=64 figure {summary:.0f} rounds/s is "
-            f"below the {floor:.0f} floor — the interned kernel must "
-            f"stay >= {SUMMARY_FACTOR:g}x the pre-interning "
-            f"{SUMMARY_PRE_INTERNING:.0f} figure"
+            f"below the {floor:.0f} floor — the array kernel must "
+            f"stay >= {SUMMARY_FACTOR:g}x the {SUMMARY_PRE_INTERNING:.0f} "
+            f"figure it had before its batched rework"
         )
     # Every committed size must be in the fresh run (regenerate the
     # committed artifact alongside any curve change); each size's kernel
