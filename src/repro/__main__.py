@@ -147,8 +147,12 @@ def _campaign_verify_main(argv: list) -> int:
 def _campaign_main(argv: list) -> int:
     """The ``campaign`` subcommand: launch/resume/shard/merge/report."""
     from .core.errors import ConfigurationError
-    from .experiments.campaign import CampaignRunner, run_family
-    from .experiments.registry import FAMILIES
+    from .experiments.campaign import (
+        FAMILY_INDEX,
+        CampaignRunner,
+        load_family,
+        run_family,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
@@ -180,7 +184,8 @@ def _campaign_main(argv: list) -> int:
             "campaign.shard0-of-2.db campaign.shard1-of-2.db"
         ),
     )
-    parser.add_argument("--family", choices=sorted(FAMILIES), default="e18",
+    parser.add_argument("--family", choices=sorted(FAMILY_INDEX),
+                        default="e18",
                         help="which campaign family to run: e18 = the "
                              "consensus matrix, e19 = the churn grid "
                              "(default e18)")
@@ -300,7 +305,7 @@ def _campaign_main(argv: list) -> int:
     if args.db is None:
         args.db = (f"campaign.shard{shard_index}-of-{shard_count}.db"
                    if sharded else "campaign.db")
-    family = FAMILIES[args.family]
+    family = load_family(args.family)
     try:
         axes = family.grid(
             quick=args.quick, n=args.n, detector=args.detector,
@@ -341,10 +346,10 @@ def _campaign_main(argv: list) -> int:
 
 
 def main(argv: list) -> int:
-    from .experiments import REGISTRY, render_all
-
     if argv and argv[0] == "campaign":
         return _campaign_main(argv[1:])
+    from .experiments.registry import REGISTRY, render_all
+
     if not argv:
         print("repro — Consensus and Collision Detectors (PODC 2005)")
         print("\nAvailable experiments:")

@@ -26,7 +26,7 @@ Structure, following the paper's informal description:
     certifies that every live process holds the value, and every holder
     that observes the quiet round decides.
 
-Reproduction notes (documented in DESIGN.md):
+Reproduction notes (where this departs from the paper):
 
 1. The paper has non-leaders decide *on first reception* of a phase-2
    value.  That is unsafe if the leader crashes after a partial delivery:

@@ -32,15 +32,18 @@ from __future__ import annotations
 
 import os
 
-try:  # Optional acceleration; the pure-python paths are the reference.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - numpy is present in dev/CI
-    _numpy = None
-
 #: Truthy spellings accepted for ``REPRO_PURE_PYTHON``.
 _TRUTHY = ("1", "true", "yes", "on")
 
 _FORCED_PURE = os.environ.get("REPRO_PURE_PYTHON", "").strip().lower() in _TRUTHY
+
+# A forced-pure process never imports numpy at all.
+_numpy = None
+if not _FORCED_PURE:
+    try:  # Optional acceleration; the pure-python paths are the reference.
+        import numpy as _numpy
+    except ImportError:  # pragma: no cover - numpy is present in dev/CI
+        pass
 
 
 def numpy_or_none():
@@ -48,8 +51,6 @@ def numpy_or_none():
 
     ``None`` means "run the pure-python reference path": either numpy is
     not importable, or the operator exported ``REPRO_PURE_PYTHON=1``
-    before starting the process.
+    before starting the process (which then never imports numpy).
     """
-    if _FORCED_PURE:
-        return None
     return _numpy

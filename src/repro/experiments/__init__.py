@@ -1,99 +1,75 @@
 """The evaluation harness: every paper artifact as a runnable experiment.
 
-``REGISTRY`` indexes experiments E1-E19 (see DESIGN.md for the mapping to
-the paper's figures and theorems); each benchmark in ``benchmarks/``
-regenerates one entry, and :func:`render_all` reproduces the whole
-evaluation as ASCII tables.  E17/E18 are engineering artifacts: the
-parallel sweep and the resumable sqlite-checkpointed campaign layer
-(``python -m repro campaign``), the one grid runner every sweep goes
-through; E19 is the churn campaign — consensus under dynamic membership
-(``python -m repro campaign --family e19``).  Each campaign family is
-one :class:`CampaignFamily` record (:data:`E18`, :data:`E19`), run by
-:func:`run_family`.
+``REGISTRY`` indexes experiments E1-E19 (each record names the figure or
+theorem it reproduces), and :func:`render_all` reproduces the whole
+evaluation as ASCII tables (``python -m repro all``).  E17/E18 are
+engineering artifacts: the parallel sweep and the resumable
+sqlite-checkpointed campaign layer (``python -m repro campaign``), the
+one grid runner every sweep goes through; E19 is the churn campaign —
+consensus under dynamic membership (``python -m repro campaign --family
+e19``).  Each campaign family is one :class:`CampaignFamily` record
+(:data:`E18`, :data:`E19`), run by :func:`run_family`.
+
+The package imports no submodule up front: each public name resolves on
+first access, importing only the submodule that defines it (PEP 562).
+A campaign process that runs E18 cells therefore never loads the other
+experiments, nor networkx, which only E19's ring overlay needs.
 """
 
-from .ablation import run_completeness_ablation
-from .applications import run_applications
-from .campaign import (
-    CampaignFamily,
-    CampaignOutcome,
-    CampaignRunner,
-    cell_tag,
-    merge_campaign_stores,
-    run_family,
-    run_grid,
-    shard_cells,
-    shard_of,
-)
-from .churn import E19, churn_sweep_cell
-from .conjecture import run_conjecture_exploration
-from .counting import run_counting_experiment
-from .dispatch import (
-    CampaignDispatcher,
-    CellResult,
-    WorkerPoolError,
-    execute_cell_job,
-)
-from .eventual_completeness import run_eventual_completeness
-from .detector_quality import (
-    run_clock_calibration,
-    run_detector_calibration,
-    run_detector_quality,
-    run_loss_calibration,
-)
-from .harness import (
-    Experiment,
-    ExperimentRegistry,
-    SweepCell,
-    Table,
-    cell_seed,
-    consensus_sweep_cell,
-    iter_cells,
-)
-from .lower import run_impossibility_witnesses, run_round_complexity_witnesses
-from .matrix import E18, run_matrix
-from .multihop import run_multihop_flood
-from .registry import REGISTRY, render_all, run_experiment
-from .resilience import run_resilience
-from .sweep import run_parallel_sweep
-from .scenarios import (
-    ecf_environment,
-    maj_oac_environment,
-    nocf_environment,
-    zero_oac_environment,
-)
-from .verify import format_findings, verify_campaign_store
-from .termination import (
-    run_alg1_termination,
-    run_alg2_value_sweep,
-    run_alg3_nocf,
-    run_nonanon_crossover,
-)
+import importlib
 
-__all__ = [
-    "Table", "Experiment", "ExperimentRegistry",
-    "SweepCell", "iter_cells", "cell_seed", "consensus_sweep_cell",
-    "CampaignRunner", "CampaignOutcome", "cell_tag",
-    "run_grid", "CampaignFamily", "run_family", "E18", "E19",
-    "shard_of", "shard_cells", "merge_campaign_stores",
-    "verify_campaign_store", "format_findings",
-    "CampaignDispatcher", "CellResult", "execute_cell_job",
-    "WorkerPoolError",
-    "run_parallel_sweep", "churn_sweep_cell",
-    "REGISTRY", "render_all", "run_experiment",
-    "ecf_environment", "maj_oac_environment", "zero_oac_environment",
-    "nocf_environment",
-    "run_matrix",
-    "run_alg1_termination", "run_alg2_value_sweep",
-    "run_nonanon_crossover", "run_alg3_nocf",
-    "run_impossibility_witnesses", "run_round_complexity_witnesses",
-    "run_completeness_ablation",
-    "run_counting_experiment",
-    "run_applications",
-    "run_conjecture_exploration",
-    "run_multihop_flood",
-    "run_eventual_completeness",
-    "run_loss_calibration", "run_detector_calibration",
-    "run_clock_calibration", "run_detector_quality",
-    "run_resilience",
-]
+#: Public name -> the submodule that defines it.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in (
+        ("harness", ("Table", "Experiment", "ExperimentRegistry",
+                     "SweepCell", "iter_cells", "cell_seed",
+                     "consensus_sweep_cell")),
+        ("campaign", ("CampaignRunner", "CampaignOutcome", "cell_tag",
+                      "run_grid", "CampaignFamily", "run_family",
+                      "shard_of", "shard_cells", "merge_campaign_stores")),
+        ("matrix", ("E18", "run_matrix")),
+        ("churn", ("E19", "churn_sweep_cell")),
+        ("verify", ("verify_campaign_store", "format_findings")),
+        ("dispatch", ("CampaignDispatcher", "CellResult",
+                      "execute_cell_job", "WorkerPoolError")),
+        ("sweep", ("run_parallel_sweep",)),
+        ("registry", ("REGISTRY", "render_all", "run_experiment")),
+        ("scenarios", ("ecf_environment", "maj_oac_environment",
+                       "zero_oac_environment", "nocf_environment")),
+        ("termination", ("run_alg1_termination", "run_alg2_value_sweep",
+                         "run_nonanon_crossover", "run_alg3_nocf")),
+        ("lower", ("run_impossibility_witnesses",
+                   "run_round_complexity_witnesses")),
+        ("ablation", ("run_completeness_ablation",)),
+        ("counting", ("run_counting_experiment",)),
+        ("applications", ("run_applications",)),
+        ("conjecture", ("run_conjecture_exploration",)),
+        ("multihop", ("run_multihop_flood",)),
+        ("eventual_completeness", ("run_eventual_completeness",)),
+        ("detector_quality", ("run_loss_calibration",
+                              "run_detector_calibration",
+                              "run_clock_calibration",
+                              "run_detector_quality")),
+        ("resilience", ("run_resilience",)),
+    )
+    for name in names
+}
+
+__all__ = list(_SUBMODULE_OF)
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE_OF[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

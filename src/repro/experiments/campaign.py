@@ -110,6 +110,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -982,6 +983,21 @@ def run_family(
     return [family.table(
         outcomes, db_path, runner.shard_index, runner.shard_count
     )]
+
+
+#: The campaign families by name (``python -m repro campaign --family``):
+#: the experiments submodule that defines each record, and its name there.
+FAMILY_INDEX: Dict[str, Tuple[str, str]] = {
+    "e18": ("matrix", "E18"),
+    "e19": ("churn", "E19"),
+}
+
+
+def load_family(name: str) -> CampaignFamily:
+    """The campaign family called ``name``, importing only its module,
+    so an E18 campaign never loads E19's networkx overlay."""
+    module, record = FAMILY_INDEX[name]
+    return getattr(importlib.import_module(f".{module}", __package__), record)
 
 
 # ----------------------------------------------------------------------

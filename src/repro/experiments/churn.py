@@ -29,6 +29,22 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+# churn_sweep_cell's whole stack loads with this module (networkx with
+# substrate.multihop), so forked pool workers inherit it; see the note
+# in harness.py.
+from ..adversary.churn import NoChurn, SeededChurn
+from ..adversary.loss import IIDLoss
+from ..algorithms.alg2 import algorithm_2, termination_bound
+from ..contention.services import WakeUpService
+from ..core import execution
+from ..core.environment import Environment
+from ..core.errors import ConfigurationError
+from ..core.records import RecordPolicy, SqliteSink
+from ..detectors.classes import get_class
+from ..detectors.policy import SpuriousUntilPolicy
+from ..detectors.properties import AccuracyMode
+from ..substrate.multihop import MultihopLayer, MultihopNetwork
+from . import scenarios
 from .campaign import CampaignFamily, group_mean
 
 
@@ -59,20 +75,6 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     that re-decides differently is a violation even though only one
     incarnation is still present.
     """
-    from ..adversary.churn import NoChurn, SeededChurn
-    from ..adversary.loss import IIDLoss
-    from ..algorithms.alg2 import algorithm_2, termination_bound
-    from ..contention.services import WakeUpService
-    from ..core.environment import Environment
-    from ..core.errors import ConfigurationError
-    from ..core.execution import run_consensus
-    from ..core.records import RecordPolicy, SqliteSink
-    from ..detectors.classes import get_class
-    from ..detectors.policy import SpuriousUntilPolicy
-    from ..detectors.properties import AccuracyMode
-    from ..substrate.multihop import MultihopLayer, MultihopNetwork
-    from .scenarios import ecf_environment
-
     n = int(params.get("n", 4))
     vc = int(params.get("values", 8))
     cst = int(params.get("cst", 2))
@@ -101,7 +103,7 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         churn = NoChurn()
 
     if topology == "clique":
-        env = ecf_environment(
+        env = scenarios.ecf_environment(
             n, detector_class, cst=cst, loss_rate=loss_rate, seed=seed,
             churn=churn,
         )
@@ -136,7 +138,7 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     bound = termination_bound(max(cst, deadline), vc)
     sink = SqliteSink(str(sqlite_db), cell_seed=seed) if sqlite_db else None
     try:
-        result = run_consensus(
+        result = execution.run_consensus(
             env, algorithm_2(values), assignment,
             max_rounds=bound + 20, record_policy=policy,
             observer=sink,

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -183,17 +184,6 @@ def execute_cell_job(
             return ("failed", None, repr(exc), time.monotonic() - start,
                     ())
     return ("done", payload, None, time.monotonic() - start, tuple(rounds))
-
-
-def probe_worker_processes() -> None:
-    """Raise when this platform cannot start worker processes."""
-    proc = multiprocessing.Process(target=_noop_worker)
-    proc.start()
-    proc.join()
-
-
-def _noop_worker() -> None:
-    """Target for :func:`probe_worker_processes` (module-level to pickle)."""
 
 
 # ----------------------------------------------------------------------
@@ -396,9 +386,9 @@ class CampaignDispatcher:
     ----------
     cell_fn:
         The cell function ``fn(params, seed) -> payload``.  Must be
-        picklable for pooled execution (probed up front; an unpicklable
-        function degrades to in-process execution with a warning, never
-        a crash).
+        picklable for pooled execution (checked before the first worker
+        spawns; an unpicklable function degrades to in-process execution
+        with a warning, never a crash).
     extra_params:
         Non-coordinate parameters merged into every cell's ``params`` at
         execution time (the campaign's infra paths).
@@ -495,8 +485,8 @@ class CampaignDispatcher:
         )
         self._spawn_death_streak = 0
         self._in_process = bool(in_process)
-        # An explicitly in-process dispatcher needs no capability probe.
-        self._probed = bool(in_process)
+        # The first spawn finds out whether pooled execution works here.
+        self._spawned = False
         self._warned_unenforced = False
         self._workers: List[_Worker] = []
         self._pre_fork: Optional[Callable[[], None]] = None
@@ -538,36 +528,32 @@ class CampaignDispatcher:
             pass
 
     # -- mode resolution ------------------------------------------------
-    def _resolve_in_process(self) -> bool:
-        """Probe once whether pooled execution is possible here."""
-        if self._probed:
-            return self._in_process
-        self._probed = True
+    def _first_worker(self) -> Optional[_Worker]:
+        """Spawn the dispatcher's first worker, or settle on in-process.
+
+        Pooled execution needs a cell function that pickles and a
+        platform that can start processes, and the first spawn is where
+        both are found out — no throwaway process is forked to ask.
+        Either failure warns and returns ``None``: the cell in hand and
+        every later one run in-process.  A later spawn that fails
+        raises, as any broken pool does.
+        """
         try:
             pickle.dumps((self.cell_fn, self.extra_params))
         except Exception as exc:
-            warnings.warn(
-                f"CampaignDispatcher: cell function not picklable "
-                f"({exc!r}); running cells serially in-process",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self._in_process = True
-            return True
-        try:
-            if self._pre_fork is not None:
-                self._pre_fork()  # the probe forks too
-            probe_worker_processes()
-        except Exception as exc:
-            warnings.warn(
-                f"CampaignDispatcher: worker processes unavailable "
-                f"({exc!r}); running cells in-process",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            self._in_process = True
-            return True
-        return False
+            reason = (f"cell function not picklable ({exc!r}); running "
+                      "cells serially in-process")
+        else:
+            try:
+                return self._spawn()
+            except Exception as exc:
+                reason = (f"worker processes unavailable ({exc!r}); "
+                          "running cells in-process")
+        warnings.warn(
+            f"CampaignDispatcher: {reason}", RuntimeWarning, stacklevel=5,
+        )
+        self._in_process = True
+        return None
 
     def _warn_unenforced_timeout(self) -> None:
         if self.cell_timeout is not None and not self._warned_unenforced:
@@ -576,7 +562,7 @@ class CampaignDispatcher:
                 "CampaignDispatcher: cells run in-process — per-cell "
                 "timeouts are NOT enforced",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
 
     # -- the loop -------------------------------------------------------
@@ -607,8 +593,7 @@ class CampaignDispatcher:
         self._pre_fork = pre_fork
         self._store_path = store_path
         try:
-            if self._resolve_in_process():
-                self._warn_unenforced_timeout()
+            if self._in_process:
                 return self._run_in_process(cells, on_result, hook)
             return self._run_pool(cells, on_result, hook)
         finally:
@@ -616,6 +601,7 @@ class CampaignDispatcher:
             self._store_path = None
 
     def _run_in_process(self, cells, on_result, hook) -> int:
+        self._warn_unenforced_timeout()
         completed = 0
         plan = self.fault_plan
         for cell in cells:
@@ -668,6 +654,7 @@ class CampaignDispatcher:
         # spawn child processes.)
         proc.daemon = True
         proc.start()
+        self._spawned = True
         child_conn.close()
         return _Worker(proc, parent_conn)
 
@@ -824,7 +811,13 @@ class CampaignDispatcher:
                         (w for w in self._workers if w not in busy), None
                     )
                     if worker is None:
-                        worker = self._spawn()
+                        worker = (self._spawn() if self._spawned
+                                  else self._first_worker())
+                        if worker is None:
+                            return self._run_in_process(
+                                itertools.chain([cell], source),
+                                on_result, hook,
+                            )
                         self._workers.append(worker)
                     try:
                         worker.conn.send((cell.index, cell.as_dict(),

@@ -3,8 +3,8 @@ enumeration, and the built-in consensus cell.
 
 Every evaluation artifact of the paper (Figure 1 and the theorem matrix of
 Section 1.5) is reproduced by an *experiment*: a callable producing one or
-more :class:`Table` objects whose rows mirror what the paper reports.  The
-benchmarks print these tables; EXPERIMENTS.md records paper-vs-measured.
+more :class:`Table` objects whose rows mirror what the paper reports;
+``python -m repro`` prints these tables.
 
 Record policies
 ---------------
@@ -65,6 +65,18 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+# consensus_sweep_cell's whole stack loads with this module, not inside
+# the cell: pool workers fork from the campaign parent and start with
+# exactly the modules it had loaded.  run_consensus and ecf_environment
+# are looked up through their modules at call time, where tests and
+# perfbench's span wrappers patch them.
+from ..algorithms.alg2 import algorithm_2, termination_bound
+from ..core import execution
+from ..core.consensus import evaluate
+from ..core.records import RecordPolicy, SqliteSink
+from ..detectors.classes import get_class
+from . import scenarios
 
 
 @dataclasses.dataclass
@@ -275,13 +287,6 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     no spurious rows behind.  Returns a picklable dict with decisions,
     decision rounds, round count, and the consensus report's verdicts.
     """
-    from ..algorithms.alg2 import algorithm_2, termination_bound
-    from ..core.consensus import evaluate
-    from ..core.execution import run_consensus
-    from ..core.records import RecordPolicy, SqliteSink
-    from ..detectors.classes import get_class
-    from .scenarios import ecf_environment
-
     n = int(params.get("n", 4))
     vc = int(params.get("values", 16))
     cst = int(params.get("cst", 3))
@@ -292,12 +297,14 @@ def consensus_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     sqlite_db = params.get("sqlite_db")
 
     values = list(range(vc))
-    env = ecf_environment(n, detector, cst=cst, loss_rate=loss_rate, seed=seed)
+    env = scenarios.ecf_environment(
+        n, detector, cst=cst, loss_rate=loss_rate, seed=seed
+    )
     assignment = {i: values[(i * 7 + seed) % vc] for i in env.indices}
     bound = termination_bound(cst, vc)
     sink = SqliteSink(str(sqlite_db), cell_seed=seed) if sqlite_db else None
     try:
-        result = run_consensus(
+        result = execution.run_consensus(
             env, algorithm_2(values), assignment,
             max_rounds=bound + 20, record_policy=policy,
             observer=sink,

@@ -1,18 +1,18 @@
 """The experiment index: id -> (paper artifact, runner).
 
-This is DESIGN.md's per-experiment table in executable form; the
-benchmarks regenerate each entry, and ``render_all`` reproduces the whole
-evaluation in one call (used to fill EXPERIMENTS.md).
+Each entry names the figure, theorem or section it reproduces;
+``render_all`` reproduces the whole evaluation in one call (``python -m
+repro all``).  Importing this module imports every experiment.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List
+from typing import List
 
 from .ablation import run_completeness_ablation
 from .applications import run_applications
-from .campaign import CampaignFamily, run_family
+from .campaign import run_family
 from .churn import E19
 from .conjecture import run_conjecture_exploration
 from .counting import run_counting_experiment
@@ -36,9 +36,6 @@ from .termination import (
 )
 
 REGISTRY = ExperimentRegistry()
-
-#: The campaign families by name (``python -m repro campaign --family``).
-FAMILIES: Dict[str, CampaignFamily] = {f.name: f for f in (E18, E19)}
 
 REGISTRY.register(Experiment(
     exp_id="E1",

@@ -1,6 +1,6 @@
 """Tests for the experiment harness and every registered experiment.
 
-Each experiment must (a) run, (b) produce the table schema DESIGN.md
+Each experiment must (a) run, (b) produce the table schema its module
 promises, (c) satisfy the headline invariant it exists to check —
 "within bound" columns all true, violation columns as expected, and the
 calibration numbers inside the paper's bands — and (d) render exactly
