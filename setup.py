@@ -15,8 +15,6 @@ setup(
     version=VERSION,
     package_dir={"": "src"},
     packages=find_packages(os.path.join(HERE, "src")),
-    # repro.substrate.multihop (E16, E19's ring overlay) uses networkx.
-    install_requires=["networkx"],
     extras_require={
         "test": ["pytest", "hypothesis"],
         "fast": ["numpy"],

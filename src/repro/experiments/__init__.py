@@ -13,7 +13,7 @@ e19``).  Each campaign family is one :class:`CampaignFamily` record
 The package imports no submodule up front: each public name resolves on
 first access, importing only the submodule that defines it (PEP 562).
 A campaign process that runs E18 cells therefore never loads the other
-experiments, nor networkx, which only E19's ring overlay needs.
+experiments, E19's churn and multihop stack included.
 """
 
 import importlib

@@ -995,7 +995,7 @@ FAMILY_INDEX: Dict[str, Tuple[str, str]] = {
 
 def load_family(name: str) -> CampaignFamily:
     """The campaign family called ``name``, importing only its module,
-    so an E18 campaign never loads E19's networkx overlay."""
+    so an E18 campaign never loads E19's churn and multihop stack."""
     module, record = FAMILY_INDEX[name]
     return getattr(importlib.import_module(f".{module}", __package__), record)
 
@@ -1049,7 +1049,8 @@ def merge_campaign_stores(
     cleanup) sweep any stray ``.tmp`` remnants.
 
     ``out_path`` must not already exist unless ``force`` is set (the
-    stale target plus its WAL sidecars are then removed first).
+    stale target plus its WAL sidecars are then removed once every
+    input has validated), and it must never be one of the shards.
     Returns a summary dict (``base_seed``, ``shards``, ``cells``,
     ``path``).
     """
@@ -1057,24 +1058,26 @@ def merge_campaign_stores(
         raise ConfigurationError(
             "merge needs at least one shard store to fold"
         )
-    if os.path.exists(out_path):
-        if not force:
-            raise ConfigurationError(
-                f"merge target {out_path!r} already exists — merging "
-                "into a live store would mix campaigns; pass "
-                "force=True (CLI --force) to replace it"
-            )
-        for suffix in ("", "-wal", "-shm"):
-            stale = out_path + suffix
-            if os.path.exists(stale):
-                os.remove(stale)
-
-    infos: List[Dict[str, Any]] = []
+    target_exists = os.path.exists(out_path)
     for path in shard_paths:
         if not os.path.exists(path):
             raise ConfigurationError(
                 f"shard store {path!r} does not exist"
             )
+        if target_exists and os.path.samefile(path, out_path):
+            raise ConfigurationError(
+                f"merge target {out_path!r} is the shard store {path!r} "
+                "— the merge would replace one of its own inputs"
+            )
+    if target_exists and not force:
+        raise ConfigurationError(
+            f"merge target {out_path!r} already exists — merging "
+            "into a live store would mix campaigns; pass "
+            "force=True (CLI --force) to replace it"
+        )
+
+    infos: List[Dict[str, Any]] = []
+    for path in shard_paths:
         # Opening through SqliteSink also migrates legacy schemas in
         # place, so merge_from's column-for-column copy always sees the
         # current shape.
@@ -1142,6 +1145,11 @@ def merge_campaign_stores(
             "were the whole campaign"
         )
 
+    if target_exists:
+        for suffix in ("", "-wal", "-shm"):
+            stale = out_path + suffix
+            if os.path.exists(stale):
+                os.remove(stale)
     total = 0
     plan = faultline.resolve(None)
     tmp_path = out_path + ".tmp"

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-# churn_sweep_cell's whole stack loads with this module (networkx with
-# substrate.multihop), so forked pool workers inherit it; see the note
-# in harness.py.
+# churn_sweep_cell's whole stack loads with this module (the churn
+# adversaries and substrate.multihop), so forked pool workers inherit
+# it; see the note in harness.py.
 from ..adversary.churn import NoChurn, SeededChurn
 from ..adversary.loss import IIDLoss
 from ..algorithms.alg2 import algorithm_2, termination_bound

@@ -36,8 +36,8 @@ Contract highlights:
 
 * **One execution contract** — :func:`execute_cell_job` is the only
   place a cell function is invoked, whether in-process or on a worker,
-  so a cell behaves identically everywhere (exceptions become ``failed``
-  results carrying the exception's repr).
+  so a cell behaves identically everywhere (exceptions and ``sys.exit``
+  become ``failed`` results carrying the exception's repr).
   It also arms the cell's round outbox for the ``store_path`` passed to
   ``run``, so the round rows of every cell — pooled or in-process —
   come back in :attr:`CellResult.rounds` for the campaign parent to
@@ -170,7 +170,9 @@ def execute_cell_job(
     Returns ``(status, payload, error, elapsed, rounds)``
     with status ``done`` or ``failed`` — the single execution contract
     behind every dispatch configuration, so a cell behaves identically
-    whether it ran in-process or on a pool worker.  The call runs inside
+    whether it ran in-process or on a pool worker.  An exception or a
+    ``sys.exit`` in the cell becomes ``failed`` with its repr; a
+    ``KeyboardInterrupt`` propagates.  The call runs inside
     a :func:`~repro.core.records.round_outbox` for ``store_path``:
     ``rounds`` are the round rows the cell's sinks flushed for that
     store, handed back for the campaign parent to commit with the
@@ -180,7 +182,7 @@ def execute_cell_job(
     with round_outbox(store_path) as rounds:
         try:
             payload = fn(dict(params, **(extra or {})), seed)
-        except Exception as exc:
+        except (Exception, SystemExit) as exc:
             return ("failed", None, repr(exc), time.monotonic() - start,
                     ())
     return ("done", payload, None, time.monotonic() - start, tuple(rounds))
@@ -203,10 +205,10 @@ def _dispatch_worker(
     ``None`` sentinel to shut down; the worker answers each job with
     ``(cell_index, status, payload, error, elapsed, rounds)`` and never
     raises for a cell's own exception (``BaseException`` included — a
-    cell calling ``sys.exit`` comes back ``failed`` with the same
-    ``repr`` the in-process path would record, never "worker died").  A
-    result whose payload cannot be pickled degrades to a ``failed``
-    reply naming the pickling problem, so the parent always hears back.
+    ``KeyboardInterrupt`` comes back ``failed``, never "worker died",
+    and then retires this worker).  A result whose payload cannot be
+    pickled degrades to a ``failed`` reply naming the pickling problem,
+    so the parent always hears back.
     An overrun worker is simply terminated by the parent — no
     cooperation required — and a fresh worker takes its place.
 
@@ -270,7 +272,7 @@ def _dispatch_worker(
                 status, payload, error, elapsed, rounds = (
                     execute_cell_job(fn, params, seed, extra, store_path)
                 )
-            except BaseException as caught:  # SystemExit/KeyboardInterrupt
+            except BaseException as caught:  # KeyboardInterrupt and kin
                 status, payload, error, elapsed, rounds = (
                     "failed", None, repr(caught), 0.0, ()
                 )
@@ -407,8 +409,7 @@ class CampaignDispatcher:
         cannot be enforced in-process; a set ``cell_timeout`` warns.
     idle_hook:
         Callback invoked with no arguments after each completed cell —
-        the seam for serving live queries while a campaign runs.  A
-        per-``run`` hook can override it.
+        the seam for serving live queries while a campaign runs.
     term_grace:
         Grace period before terminate escalates to kill.
     max_spawn_deaths:
@@ -571,7 +572,6 @@ class CampaignDispatcher:
         cells: Iterable[Any],
         on_result: Callable[[Any, CellResult], None],
         pre_fork: Optional[Callable[[], None]] = None,
-        idle_hook: Optional[Callable[[], None]] = None,
         store_path: Optional[str] = None,
     ) -> int:
         """Drive every cell from ``cells`` through the pool.
@@ -589,18 +589,17 @@ class CampaignDispatcher:
         them (:func:`~repro.core.records.round_outbox`).  Returns the
         number of completed cells.
         """
-        hook = self.idle_hook if idle_hook is None else idle_hook
         self._pre_fork = pre_fork
         self._store_path = store_path
         try:
             if self._in_process:
-                return self._run_in_process(cells, on_result, hook)
-            return self._run_pool(cells, on_result, hook)
+                return self._run_in_process(cells, on_result)
+            return self._run_pool(cells, on_result)
         finally:
             self._pre_fork = None
             self._store_path = None
 
-    def _run_in_process(self, cells, on_result, hook) -> int:
+    def _run_in_process(self, cells, on_result) -> int:
         self._warn_unenforced_timeout()
         completed = 0
         plan = self.fault_plan
@@ -618,8 +617,8 @@ class CampaignDispatcher:
                 index=cell.index, status=status, payload=payload,
                 error=error, elapsed=elapsed, worker_pid=None, rounds=rounds,
             ))
-            if hook is not None:
-                hook()
+            if self.idle_hook is not None:
+                self.idle_hook()
         return completed
 
     def _spawn(self) -> _Worker:
@@ -690,7 +689,7 @@ class CampaignDispatcher:
         except (ProcessLookupError, OSError):
             pass
 
-    def _run_pool(self, cells, on_result, hook) -> int:
+    def _run_pool(self, cells, on_result) -> int:
         source = iter(cells)
         requeue: collections.deque = collections.deque()
         exhausted = False
@@ -712,8 +711,8 @@ class CampaignDispatcher:
             nonlocal completed
             completed += 1
             on_result(cell, result)
-            if hook is not None:
-                hook()
+            if self.idle_hook is not None:
+                self.idle_hook()
 
         # worker -> (cell, started, deadline-or-None) for in-flight cells.
         busy: Dict[_Worker, Tuple[Any, float, Optional[float]]] = {}
@@ -727,6 +726,18 @@ class CampaignDispatcher:
             if worker in self._workers:
                 self._workers.remove(worker)
             worker.stop(self.term_grace)
+
+        def evict(worker: _Worker, status: str,
+                  error: Optional[str] = None) -> None:
+            """Stop a busy worker and deliver its cell as ``status``."""
+            cell, started, _deadline = busy.pop(worker)
+            last_seen.pop(worker, None)
+            sel.unregister(worker.conn)
+            retire(worker)
+            deliver(cell, CellResult(
+                index=cell.index, status=status, error=error,
+                elapsed=time.monotonic() - started, worker_pid=worker.pid,
+            ))
 
         def note_death(worker: _Worker, context: str) -> None:
             """Respawn-storm breaker: count fresh-spawn deaths in a row.
@@ -765,17 +776,8 @@ class CampaignDispatcher:
                 # The worker died mid-cell (OOM kill, hard crash)
                 # without shipping a result; the cell checkpoints
                 # ``failed`` and the pool refills lazily.
-                cell, started, _deadline = busy.pop(worker)
-                last_seen.pop(worker, None)
-                sel.unregister(worker.conn)
-                pid = worker.pid
-                retire(worker)
-                deliver(cell, CellResult(
-                    index=cell.index, status="failed",
-                    error="worker died without a result",
-                    elapsed=time.monotonic() - started, worker_pid=pid,
-                ))
-                note_death(worker, f"pid {pid} died mid-cell")
+                evict(worker, "failed", "worker died without a result")
+                note_death(worker, f"pid {worker.pid} died mid-cell")
                 return
             if len(msg) == 1:
                 last_seen[worker] = time.monotonic()
@@ -815,8 +817,7 @@ class CampaignDispatcher:
                                   else self._first_worker())
                         if worker is None:
                             return self._run_in_process(
-                                itertools.chain([cell], source),
-                                on_result, hook,
+                                itertools.chain([cell], source), on_result,
                             )
                         self._workers.append(worker)
                     try:
@@ -869,18 +870,8 @@ class CampaignDispatcher:
                         # and this sweep — a result in hand always
                         # beats the deadline.
                         drain(worker)
-                        if worker not in busy:
-                            continue
-                        cell, started, _deadline = busy.pop(worker)
-                        last_seen.pop(worker, None)
-                        sel.unregister(worker.conn)
-                        pid = worker.pid
-                        retire(worker)
-                        deliver(cell, CellResult(
-                            index=cell.index, status="timed_out",
-                            elapsed=time.monotonic() - started,
-                            worker_pid=pid,
-                        ))
+                        if worker in busy:
+                            evict(worker, "timed_out")
                 if self.stall_timeout is not None:
                     now = time.monotonic()
                     for worker in [
@@ -891,27 +882,14 @@ class CampaignDispatcher:
                         # heartbeat or the result itself, already in
                         # the pipe, beats the watchdog.
                         drain(worker)
-                        if worker not in busy:
-                            continue
-                        if (
+                        if worker in busy and (
                             time.monotonic() - last_seen[worker]
-                            < self.stall_timeout
+                            >= self.stall_timeout
                         ):
-                            continue  # a drained heartbeat vouched for it
-                        cell, started, _deadline = busy.pop(worker)
-                        last_seen.pop(worker, None)
-                        sel.unregister(worker.conn)
-                        pid = worker.pid
-                        retire(worker)
-                        deliver(cell, CellResult(
-                            index=cell.index, status="failed",
-                            error=(
+                            evict(worker, "failed", (
                                 "worker stalled: no heartbeat within "
                                 f"{self.stall_timeout}s"
-                            ),
-                            elapsed=time.monotonic() - started,
-                            worker_pid=pid,
-                        ))
+                            ))
             return completed
         finally:
             # Exceptional unwind only: workers still mid-cell are in an

@@ -32,13 +32,6 @@ from ..core.consensus import evaluate
 from ..core.execution import run_consensus
 from ..core.records import RecordPolicy
 from ..detectors.classes import HALF_AC, MAJ_OAC, ZERO_OAC
-from ..lowerbounds.theorems import (
-    theorem4_witness,
-    theorem5_witness,
-    theorem6_witness,
-    theorem8_witness,
-    theorem9_witness,
-)
 from .campaign import CampaignFamily, group_mean
 from .harness import Table, consensus_sweep_cell
 from .scenarios import ecf_environment, nocf_environment
@@ -65,6 +58,16 @@ def _measure_upper(algorithm_factory, detector_class, bound: int) -> str:
 
 def run_matrix() -> List[Table]:
     """Build the solvability/complexity matrix (Figure 1 + Section 1.5)."""
+    # Imported here: this module also defines the E18 family, and an E18
+    # campaign (and every worker forked from it) runs no witness.
+    from ..lowerbounds.theorems import (
+        theorem4_witness,
+        theorem5_witness,
+        theorem6_witness,
+        theorem8_witness,
+        theorem9_witness,
+    )
+
     lgv = math.ceil(math.log2(len(_VALUES)))
     table = Table(
         title="E1  Solvability and round complexity per detector class",

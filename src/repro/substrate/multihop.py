@@ -5,8 +5,9 @@ The paper's model is single-hop; its conclusion announces the plan to
 problems like reliable broadcast there.  This module provides that
 extension as a substrate:
 
-* :class:`MultihopNetwork` — an undirected connectivity graph (built on
-  :mod:`networkx`); processes hear only graph neighbours;
+* :class:`MultihopNetwork` — an undirected connectivity graph, kept as
+  a plain adjacency map (the graphs here hold a few dozen nodes);
+  processes hear only graph neighbours;
 * :class:`MultihopLayer` — one object serving both engine roles, like
   the physical layer: as a loss adversary it drops every message from a
   non-neighbour (plus an optional inner adversary within the
@@ -26,9 +27,17 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
-
-import networkx as nx
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..adversary.loss import LossAdversary, RoundLosses, grouped_losses
 from ..core.arrays import numpy_or_none
@@ -48,38 +57,51 @@ _np = numpy_or_none()
 
 
 class MultihopNetwork:
-    """An undirected connectivity graph over process indices."""
+    """An undirected connectivity graph over process indices.
 
-    def __init__(self, graph: nx.Graph) -> None:
-        if graph.number_of_nodes() == 0:
+    ``adjacency`` maps every node to the set of its neighbours; build
+    one from an edge list plus any ``nodes`` that have no edge.
+    """
+
+    def __init__(
+        self,
+        edges: Iterable[Tuple[ProcessId, ProcessId]],
+        nodes: Iterable[ProcessId] = (),
+    ) -> None:
+        adjacency: Dict[ProcessId, Set[ProcessId]] = {
+            pid: set() for pid in nodes
+        }
+        for a, b in edges:
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+        if not adjacency:
             raise ConfigurationError("the network needs at least one node")
-        if not nx.is_connected(graph):
+        self.adjacency = adjacency
+        if len(self._depths(next(iter(adjacency)))) != len(adjacency):
             raise ConfigurationError("the network must be connected")
-        self.graph = graph
 
     # -- canned topologies ------------------------------------------------
     @classmethod
     def line(cls, n: int) -> "MultihopNetwork":
         """A path of ``n`` nodes: diameter ``n - 1``."""
-        return cls(nx.path_graph(n))
+        return cls([(i, i + 1) for i in range(n - 1)], nodes=range(n))
 
     @classmethod
     def grid(cls, width: int, height: int) -> "MultihopNetwork":
-        """A ``width x height`` grid, relabelled to integer indices."""
-        grid = nx.grid_2d_graph(width, height)
-        return cls(nx.convert_node_labels_to_integers(grid))
+        """A ``width x height`` grid; node ``(i, j)`` is ``i * height + j``."""
+        nodes = [i * height + j for i in range(width) for j in range(height)]
+        edges = [(p, p + height) for p in nodes if p + height < len(nodes)]
+        edges += [(p, p + 1) for p in nodes if (p + 1) % height]
+        return cls(edges, nodes=nodes)
 
     @classmethod
     def clique_chain(cls, cliques: int, size: int) -> "MultihopNetwork":
         """A chain of single-hop cliques bridged by shared nodes."""
-        graph = nx.Graph()
+        edges = []
         for c in range(cliques):
             members = range(c * (size - 1), c * (size - 1) + size)
-            for a in members:
-                for b in members:
-                    if a < b:
-                        graph.add_edge(a, b)
-        return cls(graph)
+            edges.extend((a, b) for a in members for b in members if a < b)
+        return cls(edges)
 
     @classmethod
     def ring(
@@ -100,51 +122,48 @@ class MultihopNetwork:
             raise ConfigurationError(
                 f"successors must be in [1, n); got {successors} for n={n}"
             )
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
+        edges = []
         for i in range(n):
-            for s in range(1, successors + 1):
-                graph.add_edge(i, (i + s) % n)
+            edges.extend((i, (i + s) % n) for s in range(1, successors + 1))
             if fingers:
                 span = 2
                 while span < n:
-                    graph.add_edge(i, (i + span) % n)
+                    edges.append((i, (i + span) % n))
                     span *= 2
-        return cls(graph)
-
-    @classmethod
-    def random_geometric(
-        cls, n: int, radius: float, seed: int = 0
-    ) -> "MultihopNetwork":
-        """A random geometric graph, regenerated until connected."""
-        for attempt in range(100):
-            graph = nx.random_geometric_graph(
-                n, radius, seed=seed + attempt
-            )
-            if nx.is_connected(graph):
-                return cls(graph)
-        raise ConfigurationError(
-            f"no connected geometric graph at n={n}, radius={radius}"
-        )
+        return cls(edges)
 
     # -- queries -----------------------------------------------------------
     @property
     def indices(self) -> Sequence[ProcessId]:
-        return tuple(sorted(self.graph.nodes))
+        return tuple(sorted(self.adjacency))
 
     @property
     def n(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adjacency)
 
     @property
     def diameter(self) -> int:
-        return nx.diameter(self.graph)
+        """The largest hop distance between two nodes."""
+        return max(
+            max(self._depths(pid).values()) for pid in self.adjacency
+        )
 
     def neighbors(self, pid: ProcessId) -> Set[ProcessId]:
-        return set(self.graph.neighbors(pid))
+        return set(self.adjacency[pid])
 
     def closed_neighborhood(self, pid: ProcessId) -> Set[ProcessId]:
         return self.neighbors(pid) | {pid}
+
+    def _depths(self, source: ProcessId) -> Dict[ProcessId, int]:
+        """Hop distance from ``source`` to every node it reaches (BFS)."""
+        depth = {source: 0}
+        queue = [source]
+        for pid in queue:  # the loop also visits what it appends
+            for other in self.adjacency[pid]:
+                if other not in depth:
+                    depth[other] = depth[pid] + 1
+                    queue.append(other)
+        return depth
 
 
 class MultihopLayer(LossAdversary, CollisionDetector):

@@ -44,6 +44,7 @@ import multiprocessing
 import os
 import signal
 import sqlite3
+import sys
 import time
 
 import pytest
@@ -687,6 +688,32 @@ def test_failed_cells_are_checkpointed_and_retried_on_resume(
     open(flag, "w").close()
     outcomes = runner.resume(trial=[0, 1])
     assert [o.status for o in outcomes] == ["done", "done"]
+
+
+def _exiting_cell(params, seed):
+    """Trial 1 calls ``sys.exit(3)``; the others complete."""
+    if params["trial"] == 1:
+        sys.exit(3)
+    return {"seed": seed, "trial": params["trial"]}
+
+
+def test_a_cell_calling_sys_exit_fails_alike_in_every_mode(
+    tmp_path, make_runner
+):
+    """``sys.exit`` in a cell checkpoints that cell ``failed`` with its
+    repr, in-process as on a pool worker, and the grid runs on."""
+    reports = {}
+    for mode, kwargs in (("in-process", {"in_process": True}),
+                         ("pooled", {"processes": 1})):
+        runner = make_runner(
+            _exiting_cell, db_path=str(tmp_path / f"{mode}.db"),
+            base_seed=0, **kwargs,
+        )
+        outcomes = runner.resume(trial=[0, 1, 2])
+        assert [o.status for o in outcomes] == ["done", "failed", "done"]
+        assert outcomes[1].error == "SystemExit(3)"
+        reports[mode] = runner.report(trial=[0, 1, 2])
+    assert reports["pooled"] == reports["in-process"]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""What a campaign process imports: exactly the code its cells run.
+"""What a process imports: exactly the code it runs.
 
 Pool workers are forks of the campaign parent and start with the
 modules it had already loaded, so a cell module imports everything its
 cells run, and ``repro.experiments`` imports nothing up front: an E18
-campaign never loads the other experiments, nor networkx, which only
-E19's ring overlay needs.  Every check runs in a fresh interpreter, so
-modules this test session already imported cannot hide a leak.
+campaign never loads the other experiments, nor E1's lower-bound
+witnesses.  No module needs a third-party package: the whole package
+imports and runs with networkx unimportable.  Every check runs in a
+fresh interpreter, so modules this test session already imported
+cannot hide a leak.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -37,7 +40,6 @@ from repro.experiments.harness import consensus_sweep_cell
 print(json.dumps({
     "experiments": sorted(m for m in sys.modules
                           if m.startswith("repro.experiments")),
-    "networkx": "networkx" in sys.modules,
     "numpy": "numpy" in sys.modules,
 }))
 """
@@ -69,7 +71,34 @@ code = main(["campaign", "--family", "e18", "--db", sys.argv[1],
 print(json.dumps({
     "code": code,
     "registry": "repro.experiments.registry" in sys.modules,
-    "networkx": "networkx" in sys.modules,
+    "witnesses": any(m.startswith("repro.lowerbounds") for m in sys.modules),
+}))
+"""
+
+# Every repro module imported, E16 rendered and one E19 ring cell run,
+# in an interpreter where importing networkx fails.
+WITHOUT_NETWORKX = """
+import hashlib, importlib, importlib.abc, json, pkgutil, sys
+
+class NoNetworkx(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "networkx":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoNetworkx())
+import repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(module.name)
+from repro.experiments import dispatch
+from repro.experiments.churn import churn_sweep_cell
+from repro.experiments.registry import REGISTRY
+db = sys.argv[1]
+print(json.dumps({
+    "e16": hashlib.sha256(REGISTRY.get("E16").render().encode()).hexdigest(),
+    "ring": dispatch.execute_cell_job(
+        churn_sweep_cell, {"topology": "ring"}, 5, {"sqlite_db": db}, db)[0],
+    "networkx": any(m.partition(".")[0] == "networkx" for m in sys.modules),
 }))
 """
 
@@ -88,10 +117,9 @@ def run_fresh(code, *args, **env):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_the_e18_campaign_stack_loads_no_other_experiment_nor_networkx():
+def test_the_e18_campaign_stack_loads_no_other_experiment():
     loaded = run_fresh(IMPORT_CAMPAIGN)
     assert loaded["experiments"] == CAMPAIGN_STACK
-    assert not loaded["networkx"]
 
 
 def test_a_forced_pure_python_process_never_loads_numpy():
@@ -113,11 +141,20 @@ def test_running_a_cell_imports_nothing_its_module_did_not(
     assert ran == {"status": "done", "new": []}
 
 
-def test_an_e18_cli_campaign_loads_neither_the_registry_nor_networkx(
+def test_an_e18_cli_campaign_loads_neither_the_registry_nor_the_witnesses(
     tmp_path
 ):
     ran = run_fresh(RUN_E18_CAMPAIGN, str(tmp_path / "c.db"))
-    assert ran == {"code": 0, "registry": False, "networkx": False}
+    assert ran == {"code": 0, "registry": False, "witnesses": False}
+
+
+def test_the_whole_package_runs_without_networkx(tmp_path):
+    from repro.experiments.registry import REGISTRY
+
+    e16 = REGISTRY.get("E16").render().encode()
+    ran = run_fresh(WITHOUT_NETWORKX, str(tmp_path / "c.db"))
+    assert ran == {"e16": hashlib.sha256(e16).hexdigest(), "ring": "done",
+                   "networkx": False}
 
 
 def test_every_public_name_resolves():

@@ -2,8 +2,6 @@
 
 import pytest
 
-import networkx as nx
-
 from repro.adversary.loss import IIDLoss
 from repro.algorithms.alg2 import algorithm_2
 from repro.contention.services import NoContentionManager, WakeUpService
@@ -47,17 +45,48 @@ def test_clique_chain_topology():
     assert net.neighbors(0) >= {1, 2, 3}
 
 
-def test_random_geometric_is_connected():
-    net = MultihopNetwork.random_geometric(20, 0.4, seed=1)
-    assert nx.is_connected(net.graph)
+# Each canned topology's edge set and diameter, as networkx 3.6.1 built
+# them (``grid`` as ``convert_node_labels_to_integers(grid_2d_graph)``).
+CANNED = {
+    "line(5)": (
+        lambda: MultihopNetwork.line(5), 4,
+        {(0, 1), (1, 2), (2, 3), (3, 4)},
+    ),
+    "grid(3, 2)": (
+        lambda: MultihopNetwork.grid(3, 2), 3,
+        {(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5)},
+    ),
+    "grid(1, 1)": (lambda: MultihopNetwork.grid(1, 1), 0, set()),
+    "clique_chain(3, 4)": (
+        lambda: MultihopNetwork.clique_chain(3, 4), 3,
+        {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+         (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+         (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)},
+    ),
+    "ring(8, successors=2, fingers=True)": (
+        lambda: MultihopNetwork.ring(8, successors=2, fingers=True), 2,
+        {(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5),
+         (1, 7), (2, 3), (2, 4), (2, 6), (3, 4), (3, 5), (3, 7), (4, 5),
+         (4, 6), (5, 6), (5, 7), (6, 7)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANNED))
+def test_canned_topologies_keep_their_edges_and_diameter(name):
+    build, diameter, edges = CANNED[name]
+    net = build()
+    arcs = {(a, b) for a in net.indices for b in net.neighbors(a)}
+    assert arcs == edges | {(b, a) for a, b in edges}
+    assert net.indices == tuple(range(net.n))
+    assert net.diameter == diameter
 
 
 def test_disconnected_graph_rejected():
-    graph = nx.Graph()
-    graph.add_edge(0, 1)
-    graph.add_node(2)
-    with pytest.raises(ConfigurationError):
-        MultihopNetwork(graph)
+    with pytest.raises(ConfigurationError, match="connected"):
+        MultihopNetwork([(0, 1)], nodes=[2])
+    with pytest.raises(ConfigurationError, match="at least one node"):
+        MultihopNetwork([])
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +125,9 @@ def test_layer_inner_adversary_composes():
 @pytest.mark.parametrize("kernel", [False, None], ids=["scalar", "auto"])
 def test_layer_rereads_the_topology_between_executions(kernel):
     """Closed neighbourhoods (and the advice path's incidence matrix)
-    are cached for one execution: an edge added to the graph between
-    two runs shapes the second run exactly as a fresh layer would."""
+    are cached for one execution: an edge added to the adjacency map
+    between two runs shapes the second run exactly as a fresh layer
+    would."""
     net = MultihopNetwork.line(4)
     algorithm = Algorithm(
         lambda i: ScriptedProcess([f"m{i}"] * 3), anonymous=False
@@ -116,7 +146,8 @@ def test_layer_rereads_the_topology_between_executions(kernel):
     layer = MultihopLayer(net)
     first = run(layer)
     assert first.records[0].received[0].support() == {"m0", "m1"}
-    net.graph.add_edge(0, 3)
+    net.adjacency[0].add(3)
+    net.adjacency[3].add(0)
     second = run(layer)
     assert second.records[0].received[0].support() == {"m0", "m1", "m3"}
     assert second.records == run(MultihopLayer(net)).records

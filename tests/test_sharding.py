@@ -16,7 +16,8 @@ Covers the sharding PR's contract end to end:
   mismatched RNG backends, mismatched shard counts, overlapping shards
   (duplicate index),
   missing shards, stores without identity metadata, out-of-range
-  indices, and an existing merge target (unless ``force=True``);
+  indices, an existing merge target (unless ``force=True``), and a
+  target that is one of the shards (even under ``force=True``);
 * a shard interrupted mid-run (``max_cells``) resumes to the same
   merged bytes — resume semantics are unchanged by sharding;
 * a store stamped for one shard spec refuses to run as another
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import re
 
 import pytest
 from maybe_hypothesis import given, settings, strategies as st
@@ -332,6 +334,17 @@ def test_merge_refuses_existing_target_unless_forced(tmp_path, single_host):
         merge_campaign_stores(merged, paths)
     merge_campaign_stores(merged, paths, force=True)
     assert _runner(merged).report(**AXES) == ref_report
+
+
+def test_merge_refuses_a_target_that_is_one_of_its_shards(tmp_path):
+    paths = _run_shards(tmp_path, 2)
+    shard = _runner(paths[0], shard_index=0, shard_count=2)
+    before = shard.report(**AXES)
+    for force in (False, True):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"shard store {paths[0]!r}")):
+            merge_campaign_stores(paths[0], paths, force=force)
+        assert shard.report(**AXES) == before
 
 
 # --------------------------------------------------------------------------
