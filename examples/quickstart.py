@@ -68,13 +68,11 @@ def main() -> None:
     #   python -m repro campaign report --table --db campaign.db
     #
     # Speed: the engine has a vectorised *array round kernel* — receive
-    # counts, detector advice, the randomised adversaries' draws, and
-    # (for trusted same-class fleets) process transitions run as
-    # whole-round batched passes.  It serves every round that carries at
-    # most one distinct payload and fires no churn event; every other
-    # round takes the pure-python reference stage (~2x on the E11
-    # round-throughput smoke at n=64, more at larger n — see
-    # BENCH_e11.json for the committed n-scaling curve).
+    # counts and the randomised adversaries' draws run as whole-round
+    # array passes.  It serves every round that carries at most one
+    # distinct payload and fires no churn event; every other round takes
+    # the pure-python reference stage (see BENCH_e11.json for the
+    # committed n-scaling curve).
     # The gating contract:
     #
     # * the capability probe (repro.core.environment.array_kernel_module)

@@ -9,40 +9,43 @@
   Section 8 lower-bound constructions.
 * Supporting structure: binary encodings, the Algorithm 3 value tree, and
   message markers.
+
+The package imports no submodule up front: each public name resolves on
+first access, importing only the submodule that defines it (PEP 562),
+so a campaign whose cells run Algorithm 2 never loads the others.
 """
 
-from .alg1 import Alg1Process, algorithm_1
-from .alg1 import termination_bound as alg1_termination_bound
-from .alg2 import Alg2Process, algorithm_2, cycle_length
-from .alg2 import termination_bound as alg2_termination_bound
-from .alg3 import Alg3Process, algorithm_3
-from .alg3 import termination_bound as alg3_termination_bound
-from .counting import ANNOUNCE, CountingProcess, counting_algorithm
-from .baselines import (
-    EagerDecider,
-    NaiveMinConsensus,
-    eager_decider,
-    naive_min_consensus,
-)
-from .encoding import BinaryEncoding, bit_width, canonical_order
-from .markers import VETO, VOTE, Marker
-from .nonanonymous import (
-    LeaderElectProcess,
-    non_anonymous_algorithm,
-)
-from .nonanonymous import termination_bound as nonanon_termination_bound
-from .valuetree import TreeNode, ValueTree
+from .._lazy import lazy_exports
 
-__all__ = [
-    "algorithm_1", "Alg1Process", "alg1_termination_bound",
-    "algorithm_2", "Alg2Process", "alg2_termination_bound", "cycle_length",
-    "algorithm_3", "Alg3Process", "alg3_termination_bound",
-    "non_anonymous_algorithm", "LeaderElectProcess",
-    "nonanon_termination_bound",
-    "eager_decider", "naive_min_consensus",
-    "counting_algorithm", "CountingProcess", "ANNOUNCE",
-    "EagerDecider", "NaiveMinConsensus",
-    "BinaryEncoding", "bit_width", "canonical_order",
-    "ValueTree", "TreeNode",
-    "Marker", "VETO", "VOTE",
-]
+#: Public name -> the submodule that defines it.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in (
+        ("alg1", ("algorithm_1", "Alg1Process", "alg1_termination_bound")),
+        ("alg2", ("algorithm_2", "Alg2Process", "alg2_termination_bound",
+                  "cycle_length")),
+        ("alg3", ("algorithm_3", "Alg3Process", "alg3_termination_bound")),
+        ("nonanonymous", ("non_anonymous_algorithm", "LeaderElectProcess",
+                          "nonanon_termination_bound")),
+        ("baselines", ("eager_decider", "naive_min_consensus",
+                       "EagerDecider", "NaiveMinConsensus")),
+        ("counting", ("counting_algorithm", "CountingProcess", "ANNOUNCE")),
+        ("encoding", ("BinaryEncoding", "bit_width", "canonical_order")),
+        ("valuetree", ("ValueTree", "TreeNode")),
+        ("markers", ("Marker", "VETO", "VOTE")),
+    )
+    for name in names
+}
+
+#: Public names that differ from the name their submodule gives them.
+_ALIASES = {
+    "alg1_termination_bound": "termination_bound",
+    "alg2_termination_bound": "termination_bound",
+    "alg3_termination_bound": "termination_bound",
+    "nonanon_termination_bound": "termination_bound",
+}
+
+__all__ = list(_SUBMODULE_OF)
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULE_OF, _ALIASES)
+

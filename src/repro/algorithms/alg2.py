@@ -106,56 +106,6 @@ class Alg2Process(Process):
                 self.halt()
             self.phase = PREPARE
 
-    @classmethod
-    def transition_array(cls, processes, received, cd_advice, cm_advice):
-        # The batched form of ``transition``, inlined.  Each process
-        # follows its own phase: a churn rejoin restarts one process at
-        # prepare while the rest of the fleet is mid-cycle.  The engine
-        # hands receivers with equal receive sets one shared multiset,
-        # so a prepare round reads each multiset's estimates once.
-        decided = None
-        lowest = {}
-        for i, proc in enumerate(processes):
-            ms = received[i]
-            cd = cd_advice[i]
-            phase = proc.phase
-            if phase == PREPARE:
-                if cd is not COLLISION:
-                    key = id(ms)
-                    if key in lowest:
-                        low = lowest[key]
-                    else:
-                        estimates = [
-                            m for m in ms.support() if isinstance(m, str)
-                        ]
-                        low = lowest[key] = (
-                            min(estimates) if estimates else None
-                        )
-                    if low is not None:
-                        proc.estimate = low
-                proc.decide_flag = True
-                proc.bit = 1
-                proc.phase = PROPOSE
-            elif phase == PROPOSE:
-                bit = proc.bit
-                if ((len(ms) or cd is COLLISION)
-                        and proc.estimate[bit - 1] == "0"):
-                    proc.decide_flag = False
-                proc.bit = bit + 1
-                if bit >= proc.size:
-                    proc.phase = ACCEPT
-            else:
-                if not len(ms) and cd is not COLLISION:
-                    proc.decide(proc.encoding.decode(proc.estimate))
-                    proc.halt()
-                    if decided is None:
-                        decided = [i]
-                    else:
-                        decided.append(i)
-                proc.phase = PREPARE
-            proc._round += 1
-        return decided
-
 
 def algorithm_2(values: Iterable[Value]) -> ConsensusAlgorithm:
     """The anonymous (E(0-OAC, WS), V, ECF)-consensus algorithm over ``V``.

@@ -16,10 +16,10 @@ The engine relies on these conventions:
   (practical managers may listen to the channel; the paper notes this is
   how real implementations work even though the formal definition is a
   trace set);
-* a returned advice dict is *frozen once returned*: the engine may cache
-  derived views keyed by the dict's identity, so a manager must hand back
-  a fresh dict whenever the advice changes (returning one long-lived,
-  never-mutated dict — NoContentionManager does — is fine and cheap).
+* a returned advice dict is *frozen once returned*: the engine reads it
+  within the round and never mutates it (a FULL record keeps a padded
+  copy), so returning one long-lived, never-mutated dict —
+  NoContentionManager does — is fine and cheap.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ This module also hosts the *array-kernel capability probe*
 (:func:`array_kernel_module`): the single place the execution engine
 asks whether the vectorised round kernel may run.  The probe delegates
 to :mod:`repro.core.arrays` — numpy importable and ``REPRO_PURE_PYTHON``
-unset — so the engine, the batched loss adversaries, and the array
-detector advice all gate on one answer and an execution can never mix
-backends mid-run.
+unset — so the engine, the batched loss adversaries, and the multihop
+layer's array advice all gate on one answer and an execution can never
+mix backends mid-run.
 """
 
 from __future__ import annotations

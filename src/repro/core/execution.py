@@ -31,19 +31,20 @@ order:
    the round is recorded according to the engine's
    :class:`~repro.core.records.RecordPolicy`.
 
-Each stage has one scalar implementation and at most one array
-implementation: the receive stage's array kernel
+Each stage has one scalar implementation, and the receive stage alone
+has an array one: the counts-only kernel
 (:meth:`ExecutionEngine._receive_array`, reference
-:meth:`ExecutionEngine._receive_scalar`) and, on kernel rounds only,
-the batched ``transition_array`` call in
-:meth:`ExecutionEngine._transitions` (reference: its per-process
-``transition`` loop).  A round is a kernel round when numpy is on, no
-churn event fires and it carries at most one distinct payload
-(:meth:`ExecutionEngine.step`); every other round takes the reference
-implementations.  The pure-python path is the reference: both paths
-produce indistinguishable executions under every record policy,
-including crash and halting rounds (``tests/test_array_kernel.py``),
-and both match the paper-literal round spec in ``tests/spec_round.py``.
+:meth:`ExecutionEngine._receive_scalar`).  A round is a kernel round
+when numpy is on, no churn event fires and it carries at most one
+distinct payload (:meth:`ExecutionEngine.step`); every other round
+takes the reference.  Every round asks the detector through its dict
+``advise`` (kernel rounds through the round trip of
+:meth:`~repro.detectors.detector.CollisionDetector.advise_array`) and
+steps every process through its own ``transition``.  The pure-python
+path is the reference: both paths produce indistinguishable executions
+under every record policy, including crash and halting rounds
+(``tests/test_array_kernel.py``), and both match the paper-literal
+round spec in ``tests/spec_round.py``.
 
 The engine validates constraints 4 and 5 as it goes and raises
 :class:`~repro.core.errors.ModelViolation` on any breach, so a buggy
@@ -76,7 +77,7 @@ from ..core.errors import ConfigurationError, ModelViolation
 from .algorithm import Algorithm, ConsensusAlgorithm
 from .environment import Environment, array_kernel_module
 from .multiset import Multiset
-from .process import Process, _UNDECIDED, _trusted_transition_array
+from .process import Process, _UNDECIDED
 from .records import ExecutionResult, RecordPolicy, RoundRecord, RoundSummary
 from .types import ContentionAdvice, Message, ProcessId, Value
 
@@ -105,9 +106,8 @@ class ExecutionEngine:
     policies for the same seeded environment.
 
     ``use_array_kernel`` gates the vectorised round kernel (the receive
-    stage on int arrays, array detector advice, batched transitions),
-    which serves the rounds :meth:`step` routes to it: ``None`` (default)
-    enables it exactly when
+    stage on int arrays), which serves the rounds :meth:`step` routes
+    to it: ``None`` (default) enables it exactly when
     :func:`~repro.core.environment.array_kernel_module` finds numpy;
     ``False`` forces the pure-python reference path; ``True`` insists on
     the kernel and raises :class:`~repro.core.errors.ConfigurationError`
@@ -172,19 +172,6 @@ class ExecutionEngine:
         # so an execution-wide cache is safe and every kernel round
         # reuses the buckets earlier rounds built.
         self._ms_buckets: Dict[Optional[Message], Dict[int, Multiset]] = {}
-        # Contention-advice list cache for batched transitions, keyed by
-        # the advice dict's identity: managers that return a stable,
-        # unmutated dict (NoContentionManager) pay the index-aligned
-        # list build once instead of every round.
-        self._cm_list_key: Optional[dict] = None
-        self._cm_list: Optional[list] = None
-        # Transition cache: the index-aligned process list and the one
-        # class every process shares when its ``transition_array`` is
-        # trusted (else None -> per-process loop).  Invalidated whenever
-        # a process instance is replaced (churn rejoin) and rebuilt
-        # lazily on the next round.
-        self._procs_list: Optional[List[Process]] = None
-        self._batch_cls: Optional[type] = None
         # -- dynamic membership (the churn extension) -------------------
         # ``_departed`` maps pid -> round it left (0 = absent from round
         # 1); rejoining clears the entry and, for pids that already
@@ -236,10 +223,9 @@ class ExecutionEngine:
         """Execute one synchronous round and return its artifact.
 
         Runs the module docstring's stages in order.  With the kernel
-        on, the round takes :meth:`_receive_array` and the batched
-        transitions when no churn event fires this round and it carries
-        at most one distinct payload; every other round takes
-        :meth:`_receive_scalar` and the per-process ``transition`` loop.
+        on, the round takes :meth:`_receive_array` when no churn event
+        fires this round and it carries at most one distinct payload;
+        every other round takes :meth:`_receive_scalar`.
         """
         self._round += 1
         r = self._round
@@ -268,7 +254,7 @@ class ExecutionEngine:
                 r, lost, sent, base_counts, _EMPTY if full else inactive
             )
         decided = self._transitions(
-            received, cd_advice, cm_advice, inactive, halted, kernel
+            received, cd_advice, cm_advice, inactive, halted
         )
         # The shared empty set keeps crash-free rounds' artifacts from
         # each holding (and the collector from tracking) one of their own.
@@ -366,8 +352,8 @@ class ExecutionEngine:
         multiset depends on the keep count alone, so each keep count
         maps to a multiset cached for the whole execution and the drop
         sets are never touched.  The detector gets the counts *array*
-        through ``advise_array``, whose default round-trips through dict
-        ``advise``, so third-party detectors keep working.  Returns the
+        through ``advise_array``, which round-trips through dict
+        ``advise`` for every single-hop detector.  Returns the
         same index-aligned lists as :meth:`_receive_scalar`, with a
         multiset for every receiver.
         """
@@ -506,61 +492,27 @@ class ExecutionEngine:
         return received, list(map(advice.__getitem__, indices))
 
     def _transitions(self, received, cd_advice, cm_advice: Mapping,
-                     inactive, halted, batch: bool) -> Dict[ProcessId, Value]:
+                     inactive, halted) -> Dict[ProcessId, Value]:
         """``trans_A`` for every process still in the round.
 
         ``received`` and ``cd_advice`` are aligned with the index tuple;
         pids in ``inactive`` do not transition, and the ``halted`` ones
-        only advance their round counter.  On a kernel round (``batch``)
-        where every process shares one class whose ``transition_array``
-        is trusted (the MRO guard and fallback contract of
-        ``advise_array`` — see
-        :func:`~repro.core.process._trusted_transition_array`), the round
-        is one batched call over position-aligned lists.  Every other
-        round — the pure-python reference, churn-event and multi-payload
-        rounds, heterogeneous fleets and untrusted classes — takes the
-        per-process ``transition`` loop, so the kernel-on vs kernel-off
-        suites hold the batched call to it.  Returns the round's new
+        only advance their round counter.  Returns the round's new
         decisions in index order.
         """
-        indices = self.environment.indices
         processes = self.processes
         for pid in halted:
             processes[pid]._advance_round()
-        procs = self._procs_list
-        if procs is None:
-            procs = self._refresh_batch_cache()
         decided: Dict[ProcessId, Value] = {}
-        batch_cls = self._batch_cls if batch else None
-        if batch_cls is None:
-            for k, pid in enumerate(indices):
-                if inactive and pid in inactive:
-                    continue
-                proc = procs[k]
-                already_decided = proc._decision is not _UNDECIDED
-                proc.transition(received[k], cd_advice[k], cm_advice[pid])
-                proc._advance_round()
-                if not already_decided and proc._decision is not _UNDECIDED:
-                    decided[pid] = proc._decision
-            return decided
-        if inactive:
-            ks = [k for k, pid in enumerate(indices) if pid not in inactive]
-            procs = [procs[k] for k in ks]
-            received = [received[k] for k in ks]
-            cd_advice = [cd_advice[k] for k in ks]
-            cm_list = [cm_advice[indices[k]] for k in ks]
-        else:
-            ks = None
-            if self._cm_list_key is cm_advice:
-                cm_list = self._cm_list
-            else:
-                cm_list = list(map(cm_advice.__getitem__, indices))
-                self._cm_list_key = cm_advice
-                self._cm_list = cm_list
-        newly = batch_cls.transition_array(procs, received, cd_advice, cm_list)
-        for i in newly or ():
-            pid = indices[i if ks is None else ks[i]]
-            decided[pid] = processes[pid]._decision
+        for k, pid in enumerate(self.environment.indices):
+            if inactive and pid in inactive:
+                continue
+            proc = processes[pid]
+            already_decided = proc._decision is not _UNDECIDED
+            proc.transition(received[k], cd_advice[k], cm_advice[pid])
+            proc._advance_round()
+            if not already_decided and proc._decision is not _UNDECIDED:
+                decided[pid] = proc._decision
         return decided
 
     def _commit(self, r: int, crashing, leaving) -> None:
@@ -616,31 +568,6 @@ class ExecutionEngine:
             self._summaries.append(summary)
         return summary
 
-    def _refresh_batch_cache(self) -> List[Process]:
-        """Rebuild the index-aligned process list and the batch class.
-
-        ``_batch_cls`` is the one class every process shares when its
-        ``transition_array`` may stand in for per-process ``transition``
-        calls (:func:`~repro.core.process._trusted_transition_array`);
-        ``None`` routes the round through the per-process loop.  Crashed
-        processes stay in the list — the ``inactive`` filter excludes
-        them per round — so the cache only invalidates when an instance
-        is *replaced* (churn rejoin).
-        """
-        processes = self.processes
-        procs = [processes[pid] for pid in self.environment.indices]
-        self._procs_list = procs
-        cls: Optional[type] = type(procs[0]) if procs else None
-        if cls is not None:
-            for p in procs:
-                if type(p) is not cls:
-                    cls = None
-                    break
-        if cls is not None and not _trusted_transition_array(cls):
-            cls = None
-        self._batch_cls = cls
-        return procs
-
     def _apply_churn(self, r: int):
         """Apply round ``r``'s membership events.
 
@@ -691,9 +618,6 @@ class ExecutionEngine:
                             "ExecutionEngine)"
                         )
                     processes[pid] = self._process_factory(pid)
-                    # The transition cache holds the old instance;
-                    # rebuild it on the next round.
-                    self._procs_list = None
                 # left_round == 0: the initial instance never stepped, so
                 # it already is fresh state — no factory needed.
                 del departed[pid]

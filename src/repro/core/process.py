@@ -21,55 +21,13 @@ crash).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Optional
 
 from .errors import ModelViolation
 from .multiset import Multiset
 from .types import CollisionAdvice, ContentionAdvice, Message, Value
 
 _UNDECIDED = object()
-
-#: process class -> may its ``transition_array`` stand in for per-process
-#: ``transition`` calls?  See :func:`_trusted_transition_array`.
-_TTA_TRUSTED: Dict[type, bool] = {}
-
-
-def _trusted_transition_array(process_cls: type) -> bool:
-    """May ``process_cls.transition_array`` answer for ``transition``?
-
-    ``transition_array`` is an optional batched ``trans_A``, with no base
-    default: a classmethod ``transition_array(processes, received,
-    cd_advice, cm_advice)`` over position-aligned sequences that
-    transitions ``processes[i]`` on ``(received[i], cd_advice[i],
-    cm_advice[i])``, advances each round counter itself, and returns the
-    positions of processes that *newly* decided, ascending, or ``None``
-    when none did.  The engine's kernel rounds call it once instead of
-    the per-process loop, on the class the whole fleet shares, only when
-    this guard vouches for that class.
-
-    The same MRO-guard contract as the detector layer's
-    ``_trusted_free_choice_array``: walking the MRO, the first class that
-    defines either ``transition`` or ``transition_array`` decides, and it
-    is trusted exactly when it defines the array form itself — so a
-    subclass that overrides ``transition`` while inheriting an ancestor's
-    ``transition_array`` is never silently bypassed.  A class that
-    overrides ``_advance_round`` is untrusted too: the batch
-    implementations advance the round counter inline.
-    """
-    cached = _TTA_TRUSTED.get(process_cls)
-    if cached is None:
-        cached = False
-        for klass in process_cls.__mro__:
-            owns_array = "transition_array" in klass.__dict__
-            if owns_array or "transition" in klass.__dict__:
-                cached = owns_array
-                break
-        if cached and (
-            process_cls._advance_round is not Process._advance_round
-        ):
-            cached = False
-        _TTA_TRUSTED[process_cls] = cached
-    return cached
 
 
 class Process(abc.ABC):
@@ -217,14 +175,3 @@ class ScriptedProcess(Process):
         cm_advice: ContentionAdvice,
     ) -> None:
         self.observations.append((received, cd_advice, cm_advice))
-
-    @classmethod
-    def transition_array(
-        cls, processes, received, cd_advice, cm_advice
-    ) -> Optional[List[int]]:
-        # One zip loop instead of 2n method calls: scripted processes
-        # only record what they saw and never decide.
-        for proc, ms, cd, cm in zip(processes, received, cd_advice, cm_advice):
-            proc.observations.append((ms, cd, cm))
-            proc._round += 1
-        return None

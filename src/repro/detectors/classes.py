@@ -16,12 +16,10 @@ classes, e.g. Lemma 1: ``NoCD ⊆ NoACC``), and factory helpers to build a
 concrete :class:`ParametricCollisionDetector` inside a class.
 
 Every detector built through :meth:`DetectorClass.make` is a
-:class:`ParametricCollisionDetector`, whose ``advise_array`` answers the
-completeness/accuracy obligations in whole-array passes on the engine's
-kernel rounds (numpy on, no churn event, at most one distinct payload)
-and is elementwise identical to the dict ``advise`` the other rounds
-take, so picking a lattice class never trades fidelity for throughput
-(see :mod:`repro.detectors.detector`).
+:class:`ParametricCollisionDetector`, which states the
+completeness/accuracy obligations once, in its dict ``advise``; the
+engine's kernel rounds reach it through the base ``advise_array`` round
+trip (see :mod:`repro.detectors.detector`).
 """
 
 from __future__ import annotations

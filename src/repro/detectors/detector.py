@@ -17,7 +17,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError, ModelViolation
 from ..core.types import CollisionAdvice, ProcessId
 from .policy import BenignPolicy, DetectorPolicy, NoisyPolicy
@@ -25,43 +24,9 @@ from .properties import (
     AccuracyMode,
     Completeness,
     accuracy_active,
-    collision_obligation_array,
     must_report_collision,
     must_report_null,
 )
-
-#: Optional acceleration for array advice; same gate as every other
-#: vectorised path (numpy importable, ``REPRO_PURE_PYTHON`` unset).
-_np = numpy_or_none()
-
-#: Advice by obligation truth value: ``lut[bool]``.
-_ADVICE_LUT = (CollisionAdvice.NULL, CollisionAdvice.COLLISION)
-
-#: policy class -> may its ``free_choice_array`` stand in for
-#: ``free_choice``?  See :func:`_trusted_free_choice_array`.
-_FCA_TRUSTED: Dict[type, bool] = {}
-
-
-def _trusted_free_choice_array(policy_cls: type) -> bool:
-    """May ``policy_cls.free_choice_array`` answer for ``free_choice``?
-
-    Only when the *same* class (walking the MRO) provides both: a
-    subclass that overrides ``free_choice`` while inheriting an
-    ancestor's ``free_choice_array`` must not have its override silently
-    bypassed by the array path, so the first class that defines either
-    method decides — it is trusted exactly when it defines the array
-    form itself.
-    """
-    cached = _FCA_TRUSTED.get(policy_cls)
-    if cached is None:
-        cached = False
-        for klass in policy_cls.__mro__:
-            owns_array = "free_choice_array" in klass.__dict__
-            if owns_array or "free_choice" in klass.__dict__:
-                cached = owns_array
-                break
-        _FCA_TRUSTED[policy_cls] = cached
-    return cached
 
 
 class CollisionDetector(abc.ABC):
@@ -93,15 +58,12 @@ class CollisionDetector(abc.ABC):
         ``counts`` is an int array of per-process receive counts aligned
         with ``indices`` (the paper's ``T`` as one array instead of a
         mapping); the return value is the advice list in the same
-        alignment.  The default implementation round-trips through the
-        dict :meth:`advise`, so third-party detectors written against
-        the mapping interface keep working under the array kernel — they
-        see the exact calls (same counts, same iteration order) the
-        pure-python engine path would have made.  Two detectors override
-        it with vectorised obligation resolution:
-        :class:`ParametricCollisionDetector` (every Figure 1 class) and
-        :class:`~repro.substrate.multihop.MultihopLayer`; every other
-        detector, the phased ones included, takes this round trip.
+        alignment.  It round-trips through the dict :meth:`advise`, so
+        every detector states its obligations once and sees the exact
+        calls (same counts, same iteration order) the pure-python engine
+        path would have made.  Only
+        :class:`~repro.substrate.multihop.MultihopLayer` overrides it,
+        resolving its per-neighbourhood obligations on the counts array.
         """
         received_counts = dict(zip(indices, counts.tolist()))
         advice = self.advise(round_index, broadcasters, received_counts)
@@ -198,73 +160,6 @@ class ParametricCollisionDetector(CollisionDetector):
                 else free_choice(round_index, pid, c, t)
             )
         return advice
-
-    def advise_array(
-        self,
-        round_index: int,
-        broadcasters: int,
-        counts,
-        indices: Sequence[ProcessId],
-    ) -> List[CollisionAdvice]:
-        """Vectorised advice: obligations in whole-array passes.
-
-        Elementwise identical to :meth:`advise` — completeness and
-        accuracy resolve as array predicates (Properties 4-9 over the
-        counts array); free choices go to the policy exactly as the dict
-        path would call it: through ``free_choice_array`` when the
-        policy's own class vouches for it, once per distinct ``t`` for
-        pid-independent policies, and once per unconstrained process
-        *in index order* otherwise, so seeded policies consume their
-        streams identically on both paths.  Subclasses that override
-        :meth:`advise` are routed through the dict fallback, so their
-        customisation is never silently bypassed.
-        """
-        if _np is None or type(self).advise is not ParametricCollisionDetector.advise:
-            return CollisionDetector.advise_array(
-                self, round_index, broadcasters, counts, indices
-            )
-        c = broadcasters
-        if len(counts) and counts.max() > c:
-            k = int((counts > c).argmax())
-            raise ModelViolation(
-                f"process {indices[k]} received {int(counts[k])} messages "
-                f"but only {c} were broadcast"
-            )
-        obliged = collision_obligation_array(self.completeness, c, counts)
-        accurate = accuracy_active(self.accuracy, round_index, self.r_acc)
-        policy = self.policy
-        if _trusted_free_choice_array(type(policy)):
-            # A trusted array choice is a pure function of the counts, so
-            # it is asked unconditionally: obliged cells stay COLLISION
-            # and, when accuracy holds, a receiver that heard all c
-            # messages is NULL.
-            chosen = policy.free_choice_array(round_index, c, counts)
-            if chosen is not None:
-                if accurate:
-                    chosen = chosen & (counts != c)
-                return [_ADVICE_LUT[v] for v in (obliged | chosen).tolist()]
-        if accurate:
-            free = ~(obliged | (counts == c))
-        else:
-            free = ~obliged
-        if free.any():
-            free_choice = policy.free_choice
-            if policy.pid_independent:
-                for t in _np.unique(counts[free]).tolist():
-                    mask = free & (counts == t)
-                    first = int(mask.argmax())
-                    choice = free_choice(round_index, indices[first], c, t)
-                    if choice is CollisionAdvice.COLLISION:
-                        obliged = obliged | mask
-            else:
-                counts_list = counts.tolist()
-                for k in _np.flatnonzero(free).tolist():
-                    choice = free_choice(
-                        round_index, indices[k], c, counts_list[k]
-                    )
-                    if choice is CollisionAdvice.COLLISION:
-                        obliged[k] = True
-        return [_ADVICE_LUT[v] for v in obliged.tolist()]
 
     def reset(self) -> None:
         self.policy.reset()

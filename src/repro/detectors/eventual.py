@@ -47,7 +47,8 @@ class PhasedCompletenessDetector(CollisionDetector):
     Parameters mirror :class:`ParametricCollisionDetector`; the policy
     decides everything neither phase's obligations pin down.  Kernel
     rounds reach :meth:`advise` through the base ``advise_array`` round
-    trip, so both engine paths make the same policy calls.
+    trip, as they reach every single-hop detector, so both engine paths
+    make the same policy calls.
     """
 
     def __init__(

@@ -39,20 +39,6 @@ class DetectorPolicy(abc.ABC):
     ) -> CollisionAdvice:
         """Return the advice for an unconstrained (round, process) pair."""
 
-    def free_choice_array(self, round_index: int, c: int, counts):
-        """Whole-round free choices over a receive-count array, or ``None``.
-
-        The array-advice hot path calls this with the round's counts
-        array (numpy, aligned with the engine's index order); a policy
-        that can answer in one vectorised pass returns a boolean array —
-        ``True`` where it chooses ``COLLISION`` — that must agree
-        elementwise with :meth:`free_choice`.  Returning ``None`` (the
-        default, and the only legal answer for pid-dependent or stateful
-        policies) sends the detector back to per-choice evaluation, so
-        third-party policies never change behaviour by omitting this.
-        """
-        return None
-
     def reset(self) -> None:
         """Forget internal state before a fresh execution (default: none)."""
 
@@ -71,9 +57,6 @@ class BenignPolicy(DetectorPolicy):
     ) -> CollisionAdvice:
         return CollisionAdvice.COLLISION if t < c else CollisionAdvice.NULL
 
-    def free_choice_array(self, round_index: int, c: int, counts):
-        return counts < c
-
 
 class SilentPolicy(DetectorPolicy):
     """Stay silent whenever allowed — the *minimal* detector in its class.
@@ -90,9 +73,6 @@ class SilentPolicy(DetectorPolicy):
     ) -> CollisionAdvice:
         return CollisionAdvice.NULL
 
-    def free_choice_array(self, round_index: int, c: int, counts):
-        return counts < 0  # all-False of the right shape
-
 
 class NoisyPolicy(DetectorPolicy):
     """Report a collision whenever allowed — the *maximal* false-positive
@@ -105,9 +85,6 @@ class NoisyPolicy(DetectorPolicy):
         self, round_index: int, pid: ProcessId, c: int, t: int
     ) -> CollisionAdvice:
         return CollisionAdvice.COLLISION
-
-    def free_choice_array(self, round_index: int, c: int, counts):
-        return counts >= 0  # all-True of the right shape
 
 
 class SpuriousUntilPolicy(DetectorPolicy):
@@ -130,11 +107,6 @@ class SpuriousUntilPolicy(DetectorPolicy):
         if round_index < self.quiet_round:
             return CollisionAdvice.COLLISION
         return self._benign.free_choice(round_index, pid, c, t)
-
-    def free_choice_array(self, round_index: int, c: int, counts):
-        if round_index < self.quiet_round:
-            return counts >= 0  # all-True of the right shape
-        return counts < c
 
 
 class SeededRandomPolicy(DetectorPolicy):

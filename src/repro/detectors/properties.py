@@ -86,29 +86,6 @@ def must_report_collision(level: Completeness, c: int, t: int) -> bool:
     return False
 
 
-def collision_obligation_array(level: Completeness, c: int, counts):
-    """Vectorised :func:`must_report_collision` over a receive-count array.
-
-    ``counts`` is an int array of per-process ``t`` values for one round
-    (the engine's array kernel hands the detector exactly this).  Returns
-    a boolean array: ``True`` where the detector is obliged to report a
-    collision.  Callers validate ``t <= c`` first — this helper encodes
-    only the Properties 4-7 predicates, elementwise identical to the
-    scalar function.
-    """
-    if c < 0:
-        raise ValueError(f"invalid transmission data c={c}")
-    if level is Completeness.FULL:
-        return counts < c
-    if level is Completeness.MAJORITY:
-        return (2 * counts <= c) if c > 0 else counts < 0
-    if level is Completeness.HALF:
-        return (2 * counts < c) if c > 0 else counts < 0
-    if level is Completeness.ZERO:
-        return (counts == 0) if c > 0 else counts < 0
-    return counts < 0  # NONE: all-False of the right shape
-
-
 def accuracy_active(
     mode: AccuracyMode, round_index: int, r_acc: Optional[int]
 ) -> bool:

@@ -16,7 +16,7 @@ A campaign process that runs E18 cells therefore never loads the other
 experiments, E19's churn and multihop stack included.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
 #: Public name -> the submodule that defines it.
 _SUBMODULE_OF = {
@@ -58,18 +58,4 @@ _SUBMODULE_OF = {
 
 __all__ = list(_SUBMODULE_OF)
 
-
-def __getattr__(name):
-    try:
-        module = _SUBMODULE_OF[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULE_OF)

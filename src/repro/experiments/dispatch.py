@@ -410,16 +410,6 @@ class CampaignDispatcher:
     idle_hook:
         Callback invoked with no arguments after each completed cell —
         the seam for serving live queries while a campaign runs.
-    term_grace:
-        Grace period before terminate escalates to kill.
-    max_spawn_deaths:
-        Consecutive fresh-spawn deaths (a worker dying before delivering
-        any result) tolerated before the loop raises
-        :class:`WorkerPoolError` instead of respawning forever.  Each
-        doomed respawn is preceded by an exponentially growing backoff
-        (base ``respawn_backoff`` seconds); any delivered result resets
-        the streak, and an *established* worker's death never counts —
-        only a spawn storm trips the breaker.
     fault_plan:
         Optional :class:`~repro.testing.faultline.FaultPlan` consulted
         at the dispatcher's injection sites.  ``None`` falls back to
@@ -438,6 +428,17 @@ class CampaignDispatcher:
         *slowness* — a slow cell that keeps heartbeating is never
         touched by the watchdog.
 
+    A worker that must stop gets ``term_grace`` seconds before terminate
+    escalates to kill.  After ``max_spawn_deaths`` consecutive fresh-spawn
+    deaths (a worker dying before delivering any result) the loop raises
+    :class:`WorkerPoolError` instead of respawning forever.  Each doomed
+    respawn is preceded by an exponentially growing backoff (base
+    ``respawn_backoff`` seconds); any delivered result resets the
+    streak, and an *established* worker's death never counts — only a
+    spawn storm trips the breaker.  The three attributes start at
+    :data:`TERM_GRACE`, :data:`MAX_SPAWN_DEATHS` and
+    :data:`RESPAWN_BACKOFF`.
+
     The pool is *persistent across* :meth:`run` *calls*: workers spawned
     by one pass park on their pipes and are reused by the next, so a
     resume loop does not pay a pool spin-up per pass.  :meth:`close`
@@ -452,9 +453,6 @@ class CampaignDispatcher:
         cell_timeout: Optional[float] = None,
         in_process: bool = False,
         idle_hook: Optional[Callable[[], None]] = None,
-        term_grace: float = TERM_GRACE,
-        max_spawn_deaths: int = MAX_SPAWN_DEATHS,
-        respawn_backoff: float = RESPAWN_BACKOFF,
         fault_plan: Optional["faultline.FaultPlan"] = None,
         stall_timeout: Optional[float] = None,
     ) -> None:
@@ -467,9 +465,9 @@ class CampaignDispatcher:
         self.width = width
         self.cell_timeout = cell_timeout
         self.idle_hook = idle_hook
-        self.term_grace = term_grace
-        self.max_spawn_deaths = max(1, int(max_spawn_deaths))
-        self.respawn_backoff = float(respawn_backoff)
+        self.term_grace = TERM_GRACE
+        self.max_spawn_deaths = MAX_SPAWN_DEATHS
+        self.respawn_backoff = RESPAWN_BACKOFF
         self.fault_plan = faultline.resolve(fault_plan)
         self._worker_fault_spec = (
             None if self.fault_plan is None else self.fault_plan.to_spec()

@@ -16,32 +16,34 @@ rounds, majority completeness in over 90%" claim (Section 1.3).
   resynchronisation, validating the synchronous-round abstraction.
 * :mod:`repro.substrate.device` — glue: run a paper algorithm over the
   simulated physical layer end to end.
+* :mod:`repro.substrate.multihop` — the multihop extension: graphs,
+  neighbourhood-local losses and detection, and flooding.
+
+The package imports no submodule up front: each public name resolves on
+first access, importing only the submodule that defines it (PEP 562),
+so a campaign whose cells run on a multihop ring never loads the radio
+stack.
 """
 
-from .carrier_sense import (
-    CarrierSenseDetector,
-    DetectorQualityStats,
-    measure_detector_quality,
-)
-from .clock import ClockModel, DriftingClock, ReferenceBroadcastSync
-from .device import Testbed, TestbedResult
-from .multihop import FloodResult, MultihopLayer, MultihopNetwork, flood
-from .radio import RadioChannel, RadioConfig, TransmissionOutcome
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RadioChannel",
-    "RadioConfig",
-    "TransmissionOutcome",
-    "CarrierSenseDetector",
-    "DetectorQualityStats",
-    "measure_detector_quality",
-    "ClockModel",
-    "DriftingClock",
-    "ReferenceBroadcastSync",
-    "Testbed",
-    "TestbedResult",
-    "MultihopNetwork",
-    "MultihopLayer",
-    "FloodResult",
-    "flood",
-]
+#: Public name -> the submodule that defines it.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in (
+        ("radio", ("RadioChannel", "RadioConfig", "TransmissionOutcome")),
+        ("carrier_sense", ("CarrierSenseDetector", "DetectorQualityStats",
+                           "measure_detector_quality")),
+        ("clock", ("ClockModel", "DriftingClock",
+                   "ReferenceBroadcastSync")),
+        ("device", ("Testbed", "TestbedResult")),
+        ("multihop", ("MultihopNetwork", "MultihopLayer", "FloodResult",
+                      "flood")),
+    )
+    for name in names
+}
+
+__all__ = list(_SUBMODULE_OF)
+
+__getattr__, __dir__ = lazy_exports(__name__, _SUBMODULE_OF)
+

@@ -15,13 +15,13 @@ has to catch their bugs.  Covered here:
   including runs with crashes, halting, decisions, and a seeded-RNG
   detector policy (whose stream order the array path must preserve);
 * a third-party detector without ``advise_array`` rides the dict
-  fallback under the kernel and sees the exact same calls either way;
-* a subclass overriding ``advise`` on a built-in detector is never
-  silently bypassed by the vectorised override (same for policies
-  overriding ``free_choice`` without ``free_choice_array``);
+  round trip under the kernel and sees the exact same calls either way,
+  and one that omits a pid from its advice is rejected on both receive
+  paths;
+* a subclass overriding ``advise`` on a built-in detector, or
+  ``free_choice`` on a built-in policy, is never silently bypassed;
 * detector-level ``advise_array`` == ``advise`` elementwise for every
-  lattice class, and policy-level ``free_choice_array`` ==
-  ``free_choice`` for every built-in policy;
+  lattice class;
 * :class:`RoundLosses` keeps its counts and its lazily materialised
   sets consistent, behaves as a Mapping, and the engine rejects
   resolutions that breach the drop-count budget;
@@ -88,8 +88,6 @@ from repro.detectors.detector import (
 from repro.detectors.eventual import PhasedCompletenessDetector
 from repro.detectors.policy import (
     BenignPolicy,
-    DetectorPolicy,
-    NoisyPolicy,
     SeededRandomPolicy,
     SilentPolicy,
     SpuriousUntilPolicy,
@@ -298,6 +296,36 @@ def test_third_party_detector_rides_the_dict_fallback(loss_name):
     assert len(vec_calls) == ROUNDS
 
 
+class OmitsPidFour(CollisionDetector):
+    """A third-party detector whose advice leaves out pid 4."""
+
+    def advise(self, round_index, broadcasters, received_counts):
+        return {
+            pid: CollisionAdvice.NULL
+            for pid in received_counts if pid != 4
+        }
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(True, marks=needs_numpy), False,
+], ids=["kernel-on", "kernel-off"])
+def test_omitted_detector_advice_raises_on_both_receive_paths(kernel):
+    env = Environment(
+        indices=tuple(range(N)), detector=OmitsPidFour(),
+        contention=NoContentionManager(),
+    )
+    engine = ExecutionEngine(
+        env, mixed_algorithm().spawn_all(env.indices),
+        use_array_kernel=kernel,
+    )
+    with pytest.raises(ModelViolation,
+                       match=r"collision detector omitted advice for \[4\]"):
+        engine.step()
+    # Round 1 sends one payload: with the kernel on it asked the detector
+    # through ``advise_array``, with it off through ``_receive_scalar``.
+    assert engine.kernel_rounds == (1 if kernel else 0)
+
+
 def test_detector_subclass_override_is_not_bypassed():
     seen = []
 
@@ -317,8 +345,7 @@ def test_detector_subclass_override_is_not_bypassed():
 
 def test_policy_free_choice_override_is_not_bypassed():
     class ContraryBenign(BenignPolicy):
-        """Overrides free_choice only — the inherited free_choice_array
-        must NOT answer for it."""
+        """Inverts every free choice: both engine paths must ask it."""
 
         def free_choice(self, round_index, pid, c, t):
             choice = super().free_choice(round_index, pid, c, t)
@@ -337,7 +364,7 @@ def test_policy_free_choice_override_is_not_bypassed():
 
 
 # ----------------------------------------------------------------------
-# Detector- and policy-level elementwise equivalence
+# Detector-level elementwise equivalence
 # ----------------------------------------------------------------------
 @needs_numpy
 @pytest.mark.parametrize("detector_name", sorted(detector_matrix()))
@@ -363,33 +390,6 @@ def test_advise_array_matches_dict_advise_elementwise(detector_name):
             assert got == [expected[pid] for pid in indices], (
                 detector_name, round_index, c, counts,
             )
-
-
-@needs_numpy
-@pytest.mark.parametrize("policy_factory", [
-    BenignPolicy, SilentPolicy, NoisyPolicy,
-    lambda: SpuriousUntilPolicy(quiet_round=3),
-])
-def test_free_choice_array_matches_free_choice(policy_factory):
-    policy = policy_factory()
-    for c in (0, 1, 4, 9):
-        counts = _np.arange(c + 1, dtype=_np.int64)
-        for round_index in (1, 3, 5):
-            arr = policy.free_choice_array(round_index, c, counts)
-            assert arr is not None
-            for t in range(c + 1):
-                scalar = policy.free_choice(round_index, 0, c, t)
-                assert bool(arr[t]) == (
-                    scalar is CollisionAdvice.COLLISION
-                ), (type(policy).__name__, round_index, c, t)
-
-
-def test_default_free_choice_array_opts_out():
-    class CustomPolicy(DetectorPolicy):
-        def free_choice(self, round_index, pid, c, t):
-            return CollisionAdvice.NULL
-
-    assert CustomPolicy().free_choice_array(1, 3, None) is None
 
 
 # ----------------------------------------------------------------------

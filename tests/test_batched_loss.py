@@ -11,7 +11,7 @@ Covers the contract-level guarantees:
   crash/churn schedules (crash events naming absent and out-of-range
   pids among them, and crashes emptying the live set) x process fleets
   (one shared class, mixed classes, an ``_advance_round`` override,
-  counting, and Algorithm 2's trusted ``transition_array`` batch) x
+  counting, and Algorithm 2 across a churn rejoin) x
   record policies, and exhaustively over every drop pattern of two
   rounds at n = 3.  With the kernel on, rounds with several distinct
   payloads take the scalar receive stage, so for them the spec is the
@@ -59,9 +59,8 @@ from repro.adversary.loss import (
     ScriptedLoss,
     SilenceLoss,
 )
-from repro.algorithms.alg2 import Alg2Process, algorithm_2
+from repro.algorithms.alg2 import algorithm_2
 from repro.algorithms.counting import CountingProcess
-from repro.applications.aggregation import MaxConsensusProcess
 from repro.contention.services import (
     KWakeUpService,
     NoContentionManager,
@@ -71,11 +70,7 @@ from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError, ModelViolation
 from repro.core.execution import ExecutionEngine, run_algorithm
 from repro.core.algorithm import Algorithm
-from repro.core.process import (
-    Process,
-    ScriptedProcess,
-    _trusted_transition_array,
-)
+from repro.core.process import Process, ScriptedProcess
 from repro.core.records import RecordPolicy
 from repro.core.types import CollisionAdvice
 from repro.detectors.classes import MAJ_OAC
@@ -146,9 +141,8 @@ class Gossip(Process):
 
 class Ticking(ScriptedProcess):
     """Tags each broadcast with the round advances it has seen, through
-    its own ``_advance_round``: the trust guard must keep this class on
-    the per-process loop, since a batched ``transition_array`` advances
-    rounds inline."""
+    its own ``_advance_round``, so record equality sees whether every
+    path advances rounds through the process's own hook."""
 
     def __init__(self, script):
         super().__init__(script)
@@ -404,7 +398,7 @@ _ALGORITHMS = {
         lambda pid: Gossip(pid, decide_at=ROUNDS_GEN - 1 - pid % 2),
         anonymous=False,
     ),
-    # No class shared by the whole fleet: the per-process loop.
+    # No class shared by the whole fleet.
     "mixed": lambda: Algorithm(
         lambda pid: ScriptedProcess(varied_script(pid, ROUNDS_GEN))
         if pid % 2 == 0 else Gossip(pid, decide_at=ROUNDS_GEN - 1),
@@ -416,19 +410,12 @@ _ALGORITHMS = {
     ),
     # Counting through its per-process ``transition``.
     "counting": lambda: Algorithm.anonymous(ReportingCounter),
-    # Algorithm 2's trusted batch; after a churn rejoin one batch holds
-    # a fresh process at prepare beside a fleet mid-cycle.
+    # Algorithm 2; after a churn rejoin one round holds a fresh
+    # process at prepare beside a fleet mid-cycle.
     "alg2": lambda: algorithm_2(range(4)).with_fixed_values(
         {pid: (3 * pid) % 4 for pid in range(N_GEN)}
     ),
 }
-
-
-def test_only_classes_owning_both_forms_batch_their_transitions():
-    """Algorithm 2 batches; max-merge consensus overrides only
-    ``transition`` and must stay on the per-process loop."""
-    assert _trusted_transition_array(Alg2Process)
-    assert not _trusted_transition_array(MaxConsensusProcess)
 
 
 def _crash_factory(crash):

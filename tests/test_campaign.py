@@ -1294,10 +1294,9 @@ def test_spawn_death_storm_aborts_loudly():
 
     cells = list(iter_cells(0, trial=list(range(10))))
     delivered = []
-    with CampaignDispatcher(
-        _exit_cell, processes=1, max_spawn_deaths=3,
-        respawn_backoff=0.001,
-    ) as dispatcher:
+    with CampaignDispatcher(_exit_cell, processes=1) as dispatcher:
+        dispatcher.max_spawn_deaths = 3
+        dispatcher.respawn_backoff = 0.001
         with pytest.raises(WorkerPoolError, match="3 freshly-spawned"):
             dispatcher.run(
                 iter(cells), lambda cell, res: delivered.append(res)
@@ -1315,9 +1314,10 @@ def test_established_worker_death_does_not_trip_breaker():
     cells = list(iter_cells(0, trial=[0, 1, 2, 3, 4]))
     results = {}
     with CampaignDispatcher(
-        _exit_on_odd_trial_cell, processes=1, max_spawn_deaths=1,
-        respawn_backoff=0.0,
+        _exit_on_odd_trial_cell, processes=1
     ) as dispatcher:
+        dispatcher.max_spawn_deaths = 1
+        dispatcher.respawn_backoff = 0.0
         count = dispatcher.run(
             iter(cells),
             lambda cell, res: results.__setitem__(
@@ -1344,9 +1344,10 @@ def test_delivered_result_resets_spawn_death_streak():
     cells = list(iter_cells(0, trial=[1, 0, 3, 2]))
     results = {}
     with CampaignDispatcher(
-        _exit_on_odd_trial_cell, processes=1, max_spawn_deaths=2,
-        respawn_backoff=0.0,
+        _exit_on_odd_trial_cell, processes=1
     ) as dispatcher:
+        dispatcher.max_spawn_deaths = 2
+        dispatcher.respawn_backoff = 0.0
         count = dispatcher.run(
             iter(cells),
             lambda cell, res: results.__setitem__(

@@ -2,9 +2,11 @@
 
 Pool workers are forks of the campaign parent and start with the
 modules it had already loaded, so a cell module imports everything its
-cells run, and ``repro.experiments`` imports nothing up front: an E18
-campaign never loads the other experiments, nor E1's lower-bound
-witnesses.  No module needs a third-party package: the whole package
+cells run, and ``repro.experiments``, ``repro.algorithms`` and
+``repro.substrate`` import nothing up front: an E18 campaign never
+loads the other experiments, E1's lower-bound witnesses or any
+algorithm but Algorithm 2, and an E19 campaign never loads the radio
+stack.  No module needs a third-party package: the whole package
 imports and runs with networkx unimportable.  Every check runs in a
 fresh interpreter, so modules this test session already imported
 cannot hide a leak.
@@ -19,7 +21,9 @@ import sys
 import pytest
 
 import repro
+import repro.algorithms
 import repro.experiments
+import repro.substrate
 from repro.experiments.campaign import FAMILY_INDEX, load_family
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -42,6 +46,28 @@ print(json.dumps({
                           if m.startswith("repro.experiments")),
     "numpy": "numpy" in sys.modules,
 }))
+"""
+
+#: Algorithm modules no campaign cell runs: E18 and E19 cells run
+#: Algorithm 2 only.
+OTHER_ALGORITHMS = [
+    f"repro.algorithms.{m}" for m in
+    ("alg1", "alg3", "valuetree", "counting", "baselines", "nonanonymous")
+]
+
+#: The physical-layer modules; an E19 ring needs only the multihop one.
+RADIO_STACK = [
+    f"repro.substrate.{m}" for m in
+    ("radio", "carrier_sense", "clock", "device")
+]
+
+# The campaign layer plus one cell module, as a campaign parent loads
+# them before it forks its workers.
+IMPORT_CELL_MODULE = """
+import importlib, json, sys
+import repro.experiments.campaign
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
 """
 
 # A cell run the way a pool worker runs it, after the campaign parent
@@ -128,6 +154,21 @@ def test_a_forced_pure_python_process_never_loads_numpy():
     assert not loaded["numpy"]
 
 
+@pytest.mark.parametrize("module, needed, unused", [
+    ("repro.experiments.harness", ["repro.algorithms.alg2"],
+     OTHER_ALGORITHMS),
+    ("repro.experiments.churn",
+     ["repro.algorithms.alg2", "repro.substrate.multihop"],
+     OTHER_ALGORITHMS + RADIO_STACK),
+], ids=["e18", "e19"])
+def test_a_campaign_loads_only_its_own_algorithm_and_substrate(
+    module, needed, unused
+):
+    loaded = run_fresh(IMPORT_CELL_MODULE, module)
+    assert set(needed) <= set(loaded)
+    assert sorted(set(unused) & set(loaded)) == []
+
+
 @pytest.mark.parametrize("module, name, params", [
     ("repro.experiments.harness", "consensus_sweep_cell", {}),
     ("repro.experiments.churn", "churn_sweep_cell", {"topology": "clique"}),
@@ -158,11 +199,24 @@ def test_the_whole_package_runs_without_networkx(tmp_path):
 
 
 def test_every_public_name_resolves():
-    for name in repro.experiments.__all__:
-        assert getattr(repro.experiments, name) is not None, name
-    assert set(repro.experiments.__all__) <= set(dir(repro.experiments))
-    with pytest.raises(AttributeError, match="no attribute 'E20'"):
-        repro.experiments.E20
+    for package in (repro.experiments, repro.algorithms, repro.substrate):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, name
+        assert set(package.__all__) <= set(dir(package))
+        with pytest.raises(AttributeError, match="no attribute 'E20'"):
+            package.E20
+
+
+def test_aliased_termination_bounds_resolve_to_their_modules():
+    from repro.algorithms import alg1, alg2, alg3, nonanonymous
+
+    for alias, module in (
+        ("alg1_termination_bound", alg1),
+        ("alg2_termination_bound", alg2),
+        ("alg3_termination_bound", alg3),
+        ("nonanon_termination_bound", nonanonymous),
+    ):
+        assert getattr(repro.algorithms, alias) is module.termination_bound
 
 
 def test_the_family_index_is_the_registry_s_records():
