@@ -2,11 +2,11 @@
 
 The reproduction runs everywhere Python runs: numpy is an *optional*
 accelerator, never a dependency.  Every vectorised branch in the code
-base — ``IIDLoss``/``CaptureEffectLoss`` whole-round resolution, the
-engine's counts-only receive kernel (rounds with at most one distinct
-payload) and the multihop layer's array advice — gates on the probe
-defined here, the module's only export, so "is the fast path active?"
-has exactly one answer per process:
+base — ``IIDLoss``/``CaptureEffectLoss`` whole-round resolution and
+the engine's counts-only receive kernel (rounds with at most one
+distinct payload) — gates on the probe defined here, the module's only
+export, so "is the fast path active?" has exactly one answer per
+process:
 
 * numpy importable and ``REPRO_PURE_PYTHON`` unset (or ``0``/``false``)
   → the probe returns the numpy module and every fast path is eligible;

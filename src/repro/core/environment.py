@@ -16,9 +16,8 @@ This module also hosts the *array-kernel capability probe*
 (:func:`array_kernel_module`): the single place the execution engine
 asks whether the vectorised round kernel may run.  The probe delegates
 to :mod:`repro.core.arrays` — numpy importable and ``REPRO_PURE_PYTHON``
-unset — so the engine, the batched loss adversaries, and the multihop
-layer's array advice all gate on one answer and an execution can never
-mix backends mid-run.
+unset — so the engine and the batched loss adversaries gate on one
+answer and an execution can never mix backends mid-run.
 """
 
 from __future__ import annotations
@@ -96,7 +95,8 @@ class Environment:
 
 
 def _detector_r_acc(detector: CollisionDetector) -> Optional[int]:
-    """The round from which the detector is accurate, if it ever is."""
+    """The round from which the detector is accurate, if it ever is
+    (the phased detectors are parametric ones, so they count too)."""
     if isinstance(detector, ParametricCollisionDetector):
         from ..detectors.properties import AccuracyMode
 
@@ -105,5 +105,4 @@ def _detector_r_acc(detector: CollisionDetector) -> Optional[int]:
         if detector.accuracy is AccuracyMode.EVENTUAL:
             return detector.r_acc
         return None
-    r_acc = getattr(detector, "r_acc", None)
-    return r_acc
+    return getattr(detector, "r_acc", None)

@@ -74,6 +74,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 from ..adversary.churn import NoChurn
 from ..adversary.loss import resolve_round
 from ..core.errors import ConfigurationError, ModelViolation
+from ..detectors.detector import aligned_advice
 from .algorithm import Algorithm, ConsensusAlgorithm
 from .environment import Environment, array_kernel_module
 from .multiset import Multiset
@@ -353,7 +354,7 @@ class ExecutionEngine:
         maps to a multiset cached for the whole execution and the drop
         sets are never touched.  The detector gets the counts *array*
         through ``advise_array``, which round-trips through dict
-        ``advise`` for every single-hop detector.  Returns the
+        ``advise`` for every built-in detector.  Returns the
         same index-aligned lists as :meth:`_receive_scalar`, with a
         multiset for every receiver.
         """
@@ -483,13 +484,9 @@ class ExecutionEngine:
                         del cnt[m]
                 ms = Multiset._from_counts_unchecked(cnt, kept)
             received.append(ms)
-        advice = self.environment.detector.advise(r, total, counts)
-        if not self._indices_set <= advice.keys():
-            missing = self._indices_set - advice.keys()
-            raise ModelViolation(
-                f"collision detector omitted advice for {sorted(missing)}"
-            )
-        return received, list(map(advice.__getitem__, indices))
+        return received, aligned_advice(
+            self.environment.detector.advise(r, total, counts), indices
+        )
 
     def _transitions(self, received, cd_advice, cm_advice: Mapping,
                      inactive, halted) -> Dict[ProcessId, Value]:

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from .detector import ParametricCollisionDetector, no_cd_detector
-from .policy import BenignPolicy, DetectorPolicy
+from .policy import DetectorPolicy
 from .properties import AccuracyMode, Completeness
 
 
@@ -103,17 +103,13 @@ class DetectorClass:
                 raise ConfigurationError("NoCD admits exactly one detector")
             return no_cd_detector()
         if self.accuracy is AccuracyMode.EVENTUAL:
-            r = 1 if r_acc is None else r_acc
-            return ParametricCollisionDetector(
-                self.completeness, self.accuracy, r_acc=r,
-                policy=policy or BenignPolicy(),
-            )
-        if r_acc is not None:
+            r_acc = 1 if r_acc is None else r_acc
+        elif r_acc is not None:
             raise ConfigurationError(
                 f"class {self.name} does not take an r_acc"
             )
         return ParametricCollisionDetector(
-            self.completeness, self.accuracy, policy=policy or BenignPolicy()
+            self.completeness, self.accuracy, r_acc=r_acc, policy=policy
         )
 
     def __str__(self) -> str:

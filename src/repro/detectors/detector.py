@@ -23,7 +23,6 @@ from .policy import BenignPolicy, DetectorPolicy, NoisyPolicy
 from .properties import (
     AccuracyMode,
     Completeness,
-    accuracy_active,
     must_report_collision,
     must_report_null,
 )
@@ -61,21 +60,34 @@ class CollisionDetector(abc.ABC):
         alignment.  It round-trips through the dict :meth:`advise`, so
         every detector states its obligations once and sees the exact
         calls (same counts, same iteration order) the pure-python engine
-        path would have made.  Only
-        :class:`~repro.substrate.multihop.MultihopLayer` overrides it,
-        resolving its per-neighbourhood obligations on the counts array.
+        path would have made.  No built-in detector overrides it.
         """
         received_counts = dict(zip(indices, counts.tolist()))
-        advice = self.advise(round_index, broadcasters, received_counts)
-        if not set(indices) <= advice.keys():
-            missing = set(indices) - advice.keys()
-            raise ModelViolation(
-                f"collision detector omitted advice for {sorted(missing)}"
-            )
-        return [advice[pid] for pid in indices]
+        return aligned_advice(
+            self.advise(round_index, broadcasters, received_counts), indices
+        )
 
     def reset(self) -> None:
         """Prepare for a fresh execution (default: stateless)."""
+
+
+def aligned_advice(
+    advice: Mapping[ProcessId, CollisionAdvice],
+    indices: Sequence[ProcessId],
+) -> List[CollisionAdvice]:
+    """A detector's ``advice`` as a list aligned with ``indices``.
+
+    Both engine receive paths read advice through here.  A detector that
+    left a pid out is a :class:`~repro.core.errors.ModelViolation`; the
+    missing pids are worked out only once a lookup has failed.
+    """
+    try:
+        return list(map(advice.__getitem__, indices))
+    except KeyError:
+        missing = [pid for pid in indices if pid not in advice]
+        raise ModelViolation(
+            f"collision detector omitted advice for {sorted(missing)}"
+        ) from None
 
 
 class ParametricCollisionDetector(CollisionDetector):
@@ -97,7 +109,9 @@ class ParametricCollisionDetector(CollisionDetector):
 
     The detector *checks its own output*: if the policy ever returns advice
     that violates an obligation, the obligation wins, so a parametric
-    detector is legal for its class by construction.
+    detector is legal for its class by construction.  :meth:`advise` is
+    the only code that applies Properties 4-9; a detector whose
+    completeness changes over time overrides :meth:`completeness_at`.
     """
 
     def __init__(
@@ -122,6 +136,11 @@ class ParametricCollisionDetector(CollisionDetector):
         self.policy = policy if policy is not None else BenignPolicy()
 
     # ------------------------------------------------------------------
+    def completeness_at(self, round_index: int) -> Completeness:
+        """The completeness obligation in force at ``round_index``: the
+        fixed ``completeness`` for every Figure 1 class."""
+        return self.completeness
+
     def advise(
         self,
         round_index: int,
@@ -130,6 +149,7 @@ class ParametricCollisionDetector(CollisionDetector):
     ) -> Dict[ProcessId, CollisionAdvice]:
         advice: Dict[ProcessId, CollisionAdvice] = {}
         c = broadcasters
+        level = self.completeness_at(round_index)
         # The completeness/accuracy obligations depend only on (c, t), and
         # c is fixed for the round: resolve each distinct t once.  Free
         # choices stay per-process unless the policy declares itself
@@ -145,7 +165,7 @@ class ParametricCollisionDetector(CollisionDetector):
                 )
             if t in obligation:
                 obliged = obligation[t]
-            elif must_report_collision(self.completeness, c, t):
+            elif must_report_collision(level, c, t):
                 obliged = obligation[t] = CollisionAdvice.COLLISION
             elif must_report_null(
                 self.accuracy, round_index, self.r_acc, c, t
@@ -163,11 +183,6 @@ class ParametricCollisionDetector(CollisionDetector):
 
     def reset(self) -> None:
         self.policy.reset()
-
-    # ------------------------------------------------------------------
-    def accuracy_active_at(self, round_index: int) -> bool:
-        """Is the accuracy obligation in force at ``round_index``?"""
-        return accuracy_active(self.accuracy, round_index, self.r_acc)
 
     def __repr__(self) -> str:
         acc = self.accuracy.name

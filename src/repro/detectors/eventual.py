@@ -27,28 +27,23 @@ matter:
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Optional
 
-from ..core.errors import ConfigurationError, ModelViolation
-from ..core.types import CollisionAdvice, ProcessId
-from .detector import CollisionDetector
-from .policy import BenignPolicy, DetectorPolicy
-from .properties import (
-    AccuracyMode,
-    Completeness,
-    must_report_collision,
-    must_report_null,
-)
+from ..core.errors import ConfigurationError
+from .detector import ParametricCollisionDetector
+from .policy import DetectorPolicy
+from .properties import AccuracyMode, Completeness
 
 
-class PhasedCompletenessDetector(CollisionDetector):
+class PhasedCompletenessDetector(ParametricCollisionDetector):
     """Weak completeness before ``r_comp``, strong completeness after.
 
     Parameters mirror :class:`ParametricCollisionDetector`; the policy
-    decides everything neither phase's obligations pin down.  Kernel
-    rounds reach :meth:`advise` through the base ``advise_array`` round
-    trip, as they reach every single-hop detector, so both engine paths
-    make the same policy calls.
+    decides everything neither phase's obligations pin down.  Its
+    ``completeness`` is the level it honours in every round (``weak``);
+    only :meth:`completeness_at` differs from the parent's, so the
+    inherited ``advise`` and the environment's CST (``r_acc = 1`` when
+    always accurate) treat it as they treat a Figure 1 class.
     """
 
     def __init__(
@@ -66,50 +61,14 @@ class PhasedCompletenessDetector(CollisionDetector):
             )
         if r_comp < 1:
             raise ConfigurationError("r_comp must be >= 1")
-        if accuracy is AccuracyMode.EVENTUAL and (r_acc is None or r_acc < 1):
-            raise ConfigurationError("EVENTUAL accuracy requires r_acc >= 1")
-        if accuracy is not AccuracyMode.EVENTUAL and r_acc is not None:
-            raise ConfigurationError(
-                "r_acc is only meaningful with EVENTUAL accuracy"
-            )
+        super().__init__(weak, accuracy, r_acc=r_acc, policy=policy)
         self.weak = weak
         self.strong = strong
         self.r_comp = r_comp
-        self.accuracy = accuracy
-        self.r_acc = r_acc
-        self.policy = policy if policy is not None else BenignPolicy()
 
     def completeness_at(self, round_index: int) -> Completeness:
         """The completeness obligation in force at ``round_index``."""
         return self.strong if round_index >= self.r_comp else self.weak
-
-    def advise(
-        self,
-        round_index: int,
-        broadcasters: int,
-        received_counts: Mapping[ProcessId, int],
-    ) -> Dict[ProcessId, CollisionAdvice]:
-        level = self.completeness_at(round_index)
-        advice: Dict[ProcessId, CollisionAdvice] = {}
-        for pid, t in received_counts.items():
-            if t > broadcasters:
-                raise ModelViolation(
-                    f"process {pid} received {t} of {broadcasters} messages"
-                )
-            if must_report_collision(level, broadcasters, t):
-                advice[pid] = CollisionAdvice.COLLISION
-            elif must_report_null(
-                self.accuracy, round_index, self.r_acc, broadcasters, t
-            ):
-                advice[pid] = CollisionAdvice.NULL
-            else:
-                advice[pid] = self.policy.free_choice(
-                    round_index, pid, broadcasters, t
-                )
-        return advice
-
-    def reset(self) -> None:
-        self.policy.reset()
 
     def __repr__(self) -> str:
         return (

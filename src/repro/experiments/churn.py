@@ -15,7 +15,10 @@ Topologies:
 * ``ring``    — a Chord-style successor/finger overlay
   (:meth:`~repro.substrate.multihop.MultihopNetwork.ring`) behind a
   :class:`~repro.substrate.multihop.MultihopLayer`, the natural home of
-  churn in the dynamic-network literature.
+  churn in the dynamic-network literature.  The layer asks the same
+  class member the clique runs
+  (:func:`~repro.experiments.scenarios.ecf_detector`) per
+  neighbourhood.
 
 The sweep is the :data:`E19` campaign family: it runs through
 :class:`~repro.experiments.campaign.CampaignRunner` under the
@@ -41,8 +44,6 @@ from ..core.environment import Environment
 from ..core.errors import ConfigurationError
 from ..core.records import RecordPolicy, SqliteSink
 from ..detectors.classes import get_class
-from ..detectors.policy import SpuriousUntilPolicy
-from ..detectors.properties import AccuracyMode
 from ..substrate.multihop import MultihopLayer, MultihopNetwork
 from . import scenarios
 from .campaign import CampaignFamily, group_mean
@@ -108,18 +109,10 @@ def churn_sweep_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             churn=churn,
         )
     else:
-        spurious = SpuriousUntilPolicy(cst) if cst > 1 else None
         layer = MultihopLayer(
             MultihopNetwork.ring(n, successors=successors, fingers=True),
             inner=IIDLoss(loss_rate, seed=seed),
-            completeness=detector_class.completeness,
-            accuracy=detector_class.accuracy,
-            r_acc=(
-                cst
-                if detector_class.accuracy is AccuracyMode.EVENTUAL
-                else None
-            ),
-            policy=spurious,
+            detector=scenarios.ecf_detector(detector_class, cst),
         )
         # One object, both roles: the detector needs the loss path's
         # per-round sender sets to compute neighbourhood counts.

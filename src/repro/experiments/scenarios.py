@@ -22,7 +22,29 @@ from ..contention.services import NoContentionManager, WakeUpService
 from ..core.environment import Environment
 from ..core.types import ProcessId
 from ..detectors.classes import DetectorClass, MAJ_OAC, ZERO_AC, ZERO_OAC
+from ..detectors.detector import ParametricCollisionDetector
 from ..detectors.policy import DetectorPolicy, SpuriousUntilPolicy
+from ..detectors.properties import AccuracyMode
+
+
+def ecf_detector(
+    detector_class: DetectorClass,
+    cst: int = 1,
+    policy: Optional[DetectorPolicy] = None,
+) -> ParametricCollisionDetector:
+    """The member of ``detector_class`` that :func:`ecf_environment` runs.
+
+    An eventually-accurate class is accurate from ``cst``; without a
+    ``policy``, every free choice before ``cst`` is a spurious collision
+    (:class:`SpuriousUntilPolicy`).  Both E19 topologies build their
+    detector here, so a class that admits no such member (NoCD, whose
+    one detector takes no policy) is refused alike on each.
+    """
+    if policy is None and cst > 1:
+        policy = SpuriousUntilPolicy(cst)
+    if detector_class.accuracy is AccuracyMode.EVENTUAL:
+        return detector_class.make(r_acc=cst, policy=policy)
+    return detector_class.make(policy=policy)
 
 
 def ecf_environment(
@@ -44,16 +66,9 @@ def ecf_environment(
     classes), and the wake-up service lets everyone talk at once.
     """
     idx = tuple(indices) if indices is not None else tuple(range(n))
-    policy = detector_policy
-    if policy is None and cst > 1:
-        policy = SpuriousUntilPolicy(cst)
-    if detector_class.accuracy.name == "EVENTUAL":
-        detector = detector_class.make(r_acc=cst, policy=policy)
-    else:
-        detector = detector_class.make(policy=policy)
     return Environment(
         indices=idx,
-        detector=detector,
+        detector=ecf_detector(detector_class, cst, detector_policy),
         contention=WakeUpService(stabilization_round=cst),
         loss=EventualCollisionFreedom(
             IIDLoss(loss_rate, seed=seed), r_cf=cst

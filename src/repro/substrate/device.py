@@ -19,13 +19,14 @@ detection quality, and the resilience experiment (E10) verifies that.
 from __future__ import annotations
 
 import dataclasses
-from typing import AbstractSet, Dict, Mapping, Optional, Sequence
+from typing import AbstractSet, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..adversary.crash import CrashAdversary, NoCrashes
 from ..adversary.loss import LossAdversary, RoundLosses
 from ..contention.backoff import BackoffContentionManager
 from ..core.algorithm import ConsensusAlgorithm
 from ..core.environment import Environment
+from ..core.errors import ConfigurationError
 from ..core.execution import ExecutionEngine
 from ..core.records import ExecutionResult
 from ..core.types import CollisionAdvice, ProcessId, Value
@@ -39,8 +40,11 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
 
     The engine asks the loss adversary and the collision detector
     separately, but physically both answers come from the *same* round of
-    radio arbitration.  The layer resolves each round once (memoised by
-    round index) and serves both interfaces from the cached outcome.
+    radio arbitration.  The layer resolves each round once, keeps only
+    the round it last resolved, and serves both interfaces from that
+    outcome; asked to advise on any other round it raises
+    :class:`~repro.core.errors.ConfigurationError`, so it must be
+    installed as the environment's loss adversary too.
     """
 
     def __init__(
@@ -52,17 +56,18 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         self.indices = tuple(indices)
         self.channel = RadioChannel(config, seed=seed)
         self.sensor = CarrierSenseDetector(self.channel.config)
-        self._round_cache: Dict[int, Dict[ProcessId, TransmissionOutcome]] = {}
+        # The last resolved round and its radio outcomes.
+        self._resolved: Tuple[Optional[int], Dict] = (None, {})
 
     # -- shared round resolution ---------------------------------------
     def _outcomes(
         self, round_index: int, senders: Sequence[ProcessId]
     ) -> Dict[ProcessId, TransmissionOutcome]:
-        if round_index not in self._round_cache:
-            self._round_cache[round_index] = self.channel.resolve_round(
-                senders, self.indices
-            )
-        return self._round_cache[round_index]
+        resolved_round, outcomes = self._resolved
+        if resolved_round != round_index:
+            outcomes = self.channel.resolve_round(senders, self.indices)
+            self._resolved = (round_index, outcomes)
+        return outcomes
 
     # -- LossAdversary interface ----------------------------------------
     def losses_for_round(
@@ -71,8 +76,8 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
     ) -> RoundLosses:
-        # One radio arbitration per round (memoised for the detector's
-        # benefit); the drop sets derive from the cached outcomes, so
+        # One radio arbitration per round (kept for the detector's
+        # benefit); the drop sets derive from the kept outcomes, so
         # building them consumes no randomness.
         outcomes = self._outcomes(round_index, senders)
         receivers_t = (
@@ -93,12 +98,13 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         broadcasters: int,
         received_counts: Mapping[ProcessId, int],
     ) -> Dict[ProcessId, CollisionAdvice]:
-        outcomes = self._round_cache.get(round_index)
-        if outcomes is None:
-            # No broadcast resolution happened (nobody sent): silent round.
-            return {
-                pid: CollisionAdvice.NULL for pid in received_counts
-            }
+        resolved_round, outcomes = self._resolved
+        if resolved_round != round_index:
+            raise ConfigurationError(
+                f"PhysicalLayer holds no radio outcome for round "
+                f"{round_index}: install the same layer as the "
+                "environment's loss adversary"
+            )
         return {
             pid: self.sensor.advise_from_outcome(outcomes[pid])
             for pid in received_counts
@@ -106,7 +112,7 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
 
     def reset(self) -> None:
         self.channel.reset()
-        self._round_cache = {}
+        self._resolved = (None, {})
 
     @property
     def r_cf(self) -> Optional[int]:

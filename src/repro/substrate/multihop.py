@@ -11,10 +11,12 @@ extension as a substrate:
 * :class:`MultihopLayer` — one object serving both engine roles, like
   the physical layer: as a loss adversary it drops every message from a
   non-neighbour (plus an optional inner adversary within the
-  neighbourhood); as a collision detector it applies the completeness /
-  accuracy obligations *per neighbourhood* — ``c_i`` is the number of
+  neighbourhood); as a collision detector it asks one
+  :class:`~repro.detectors.detector.ParametricCollisionDetector` for
+  its obligations *per neighbourhood* — ``c_i`` is the number of
   broadcasting neighbours of ``i`` (self included), which is the natural
-  multihop reading of Definition 6;
+  multihop reading of Definition 6.  Both engine receive paths reach
+  that detector through the layer's dict ``advise``;
 * :func:`flood` — the broadcast problem (Bar-Yehuda et al. [7], the
   paper's flagship related problem): a source floods a message; we
   measure rounds until full coverage under two relay strategies, showing
@@ -40,20 +42,13 @@ from typing import (
 )
 
 from ..adversary.loss import LossAdversary, RoundLosses, grouped_losses
-from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError
 from ..core.types import CollisionAdvice, ProcessId
-from ..detectors.detector import CollisionDetector
-from ..detectors.policy import BenignPolicy, DetectorPolicy
-from ..detectors.properties import (
-    AccuracyMode,
-    Completeness,
-    accuracy_active,
-    must_report_collision,
-    must_report_null,
+from ..detectors.detector import (
+    CollisionDetector,
+    ParametricCollisionDetector,
+    perfect_detector,
 )
-
-_np = numpy_or_none()
 
 
 class MultihopNetwork:
@@ -170,32 +165,32 @@ class MultihopLayer(LossAdversary, CollisionDetector):
     """Topology-aware loss plus neighbourhood-local collision detection.
 
     The same object must be installed as both the environment's loss
-    adversary and its detector: the detector needs this round's sender
-    set (recorded by the loss path) to compute per-neighbourhood counts.
+    adversary and its detector: the detector needs the senders of the
+    round the loss path last resolved (the only round it keeps), and it
+    raises :class:`~repro.core.errors.ConfigurationError` for any other.
+
+    ``detector`` (default: complete, always accurate, benign) states the
+    obligations; :meth:`advise` asks it once per distinct local
+    broadcaster count.  So a receive count above its local ``c`` is the
+    detector's :class:`~repro.core.errors.ModelViolation`, and a seeded
+    policy is asked in group order (groups ordered by their first
+    receiver), not in index order.
     """
 
     def __init__(
         self,
         network: MultihopNetwork,
         inner: Optional[LossAdversary] = None,
-        completeness: Completeness = Completeness.FULL,
-        accuracy: AccuracyMode = AccuracyMode.ALWAYS,
-        r_acc: Optional[int] = None,
-        policy: Optional[DetectorPolicy] = None,
+        detector: Optional[ParametricCollisionDetector] = None,
     ) -> None:
         self.network = network
         self.inner = inner
-        self.completeness = completeness
-        self.accuracy = accuracy
-        self.r_acc = r_acc
-        self.policy = policy or BenignPolicy()
-        self._senders_by_round: Dict[int, Sequence[ProcessId]] = {}
-        # Per execution (``reset()`` drops both): each pid's closed
-        # neighbourhood, read from the graph on first use, and the
-        # closed-neighbourhood incidence matrix + index positions, built
-        # lazily per index tuple for the array advice path.
+        self.detector = detector or perfect_detector()
+        # The last resolved round and its senders; ``reset()`` drops
+        # them, and with them each pid's closed neighbourhood, read from
+        # the graph on first use in an execution.
+        self._resolved: Tuple[Optional[int], FrozenSet] = (None, frozenset())
         self._closed: Dict[ProcessId, FrozenSet[ProcessId]] = {}
-        self._nbhd_cache: Optional[tuple] = None
 
     def _closed_neighborhood(self, pid: ProcessId) -> FrozenSet[ProcessId]:
         """``pid``'s closed neighbourhood, read from the graph once per
@@ -223,7 +218,7 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         topologies (cliques, dense grids) a round is a handful of group
         resolutions.
         """
-        self._senders_by_round[round_index] = list(senders)
+        self._resolved = (round_index, frozenset(senders))
         closed = self._closed_neighborhood
         groups: Dict[tuple, List[ProcessId]] = {}
         for pid in receivers:
@@ -242,120 +237,33 @@ class MultihopLayer(LossAdversary, CollisionDetector):
         broadcasters: int,
         received_counts: Mapping[ProcessId, int],
     ) -> Dict[ProcessId, CollisionAdvice]:
-        senders = self._senders_by_round.get(round_index, [])
-        advice: Dict[ProcessId, CollisionAdvice] = {}
+        resolved_round, senders = self._resolved
+        if resolved_round != round_index:
+            raise ConfigurationError(
+                f"MultihopLayer has not resolved round {round_index}: "
+                "install the same layer as the environment's loss "
+                "adversary"
+            )
+        closed = self._closed_neighborhood
+        by_c: Dict[int, Dict[ProcessId, int]] = {}
         for pid, t in received_counts.items():
-            neighborhood = self._closed_neighborhood(pid)
-            c_local = sum(1 for s in senders if s in neighborhood)
-            if must_report_collision(self.completeness, c_local, t):
-                advice[pid] = CollisionAdvice.COLLISION
-            elif must_report_null(
-                self.accuracy, round_index, self.r_acc, c_local, t
-            ):
-                advice[pid] = CollisionAdvice.NULL
-            else:
-                advice[pid] = self.policy.free_choice(
-                    round_index, pid, c_local, t
-                )
+            by_c.setdefault(len(senders & closed(pid)), {})[pid] = t
+        advice: Dict[ProcessId, CollisionAdvice] = {}
+        for c_local, counts in by_c.items():
+            advice.update(self.detector.advise(round_index, c_local, counts))
         return advice
 
-    def _neighborhood_arrays(self, indices: Sequence[ProcessId]):
-        """Closed-neighbourhood incidence matrix + positions for ``indices``.
-
-        Cached per index tuple (the engine passes the same tuple every
-        round), so the graph is scanned once per execution.
-        """
-        cached = self._nbhd_cache
-        if cached is not None and cached[0] is indices:
-            return cached[1], cached[2]
-        pos = {pid: k for k, pid in enumerate(indices)}
-        mat = _np.zeros((len(indices), len(indices)), dtype=_np.int64)
-        for k, pid in enumerate(indices):
-            for s in self._closed_neighborhood(pid):
-                j = pos.get(s)
-                if j is not None:
-                    mat[k, j] = 1
-        self._nbhd_cache = (indices, mat, pos)
-        return mat, pos
-
-    def advise_array(
-        self,
-        round_index: int,
-        broadcasters: int,
-        counts,
-        indices: Sequence[ProcessId],
-    ) -> List[CollisionAdvice]:
-        """Vectorised neighbourhood-local advice for the array kernel.
-
-        The per-receiver local broadcaster counts ``c_i`` are one
-        incidence-matrix product; the Properties 4-9 obligations then
-        resolve elementwise with *per-element* ``c`` (unlike the
-        single-hop detectors, every receiver has its own broadcaster
-        count).  Free choices go to the policy per unconstrained process
-        in index order — exactly the calls dict :meth:`advise` makes —
-        so seeded policies consume their streams identically on both
-        paths.
-        """
-        if _np is None:  # pragma: no cover - engine gates on numpy first
-            return super().advise_array(
-                round_index, broadcasters, counts, indices
-            )
-        senders = self._senders_by_round.get(round_index, [])
-        mat, pos = self._neighborhood_arrays(indices)
-        sender_mask = _np.zeros(len(indices), dtype=_np.int64)
-        for s in senders:
-            k = pos.get(s)
-            if k is not None:
-                sender_mask[k] = 1
-        c_local = mat @ sender_mask
-        over = counts > c_local
-        if over.any():
-            k = int(over.argmax())
-            # Mirror must_report_collision's own validation, first
-            # offender in index order like the dict path.
-            raise ValueError(
-                f"invalid transmission data c={int(c_local[k])}, "
-                f"t={int(counts[k])}"
-            )
-        level = self.completeness
-        if level is Completeness.FULL:
-            obliged = counts < c_local
-        elif level is Completeness.MAJORITY:
-            obliged = (c_local > 0) & (2 * counts <= c_local)
-        elif level is Completeness.HALF:
-            obliged = (c_local > 0) & (2 * counts < c_local)
-        elif level is Completeness.ZERO:
-            obliged = (c_local > 0) & (counts == 0)
-        else:
-            obliged = _np.zeros(len(indices), dtype=bool)
-        # An obliged report wins over accuracy below, so the null list
-        # needs no mask of its own.
-        if accuracy_active(self.accuracy, round_index, self.r_acc):
-            null_list = (counts == c_local).tolist()
-        else:
-            null_list = [False] * len(indices)
-        free_choice = self.policy.free_choice
-        ob_list = obliged.tolist()
-        c_list = c_local.tolist()
-        t_list = counts.tolist()
-        out: List[CollisionAdvice] = []
-        append = out.append
-        for k, pid in enumerate(indices):
-            if ob_list[k]:
-                append(CollisionAdvice.COLLISION)
-            elif null_list[k]:
-                append(CollisionAdvice.NULL)
-            else:
-                append(free_choice(round_index, pid, c_list[k], t_list[k]))
-        return out
+    # Kernel rounds take the base round trip through ``advise`` above;
+    # the name stays bound here because perfbench/spans.py times the
+    # layer's kernel-round advice through ``MultihopLayer.advise_array``.
+    advise_array = CollisionDetector.advise_array
 
     def reset(self) -> None:
-        self._senders_by_round = {}
+        self._resolved = (None, frozenset())
         self._closed = {}
-        self._nbhd_cache = None
         if self.inner is not None:
             self.inner.reset()
-        self.policy.reset()
+        self.detector.reset()
 
 
 # ----------------------------------------------------------------------

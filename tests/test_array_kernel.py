@@ -41,9 +41,12 @@ has to catch their bugs.  Covered here:
   equal to the exact number of rounds that carry at most one distinct
   payload (read from the FULL run's records) under every record policy
   — including a multihop inner script that names senders outside the
-  neighbourhood it was handed — and
-  ``MultihopLayer.advise_array`` == dict ``advise`` elementwise for
-  every completeness level (overflow validation included).
+  neighbourhood it was handed;
+* both multihop runs give legal advice to every receiver, checked
+  against a local ``c`` counted from the graph and each record's
+  senders (both paths reach the same dict ``advise``, so this is the
+  independent check), and a receive count above its local ``c`` is a
+  ``ModelViolation`` on both receive paths.
 
 On the no-numpy CI leg the kernel-on and kernel-off runs collapse onto
 the same reference path, so the equivalence assertions hold trivially
@@ -92,7 +95,11 @@ from repro.detectors.policy import (
     SilentPolicy,
     SpuriousUntilPolicy,
 )
-from repro.detectors.properties import AccuracyMode, Completeness
+from repro.detectors.properties import (
+    AccuracyMode,
+    Completeness,
+    advice_legal,
+)
 from repro.substrate.device import PhysicalLayer
 from repro.substrate.multihop import MultihopLayer, MultihopNetwork
 from repro.substrate.radio import RadioConfig
@@ -869,10 +876,10 @@ MULTIHOP_INNERS = {
 
 
 def run_multihop(topology_name, inner_name, record_policy,
-                 use_array_kernel, **layer_kwargs):
+                 use_array_kernel, detector):
     net = MULTIHOP_TOPOLOGIES[topology_name]()
     layer = MultihopLayer(
-        net, inner=MULTIHOP_INNERS[inner_name](), **layer_kwargs
+        net, inner=MULTIHOP_INNERS[inner_name](), detector=detector
     )
     env = Environment(
         indices=tuple(net.indices),
@@ -889,112 +896,90 @@ def run_multihop(topology_name, inner_name, record_policy,
     return result, engine.kernel_rounds
 
 
+def assert_multihop_advice_legal(result, net, detector):
+    """Every FULL record's advice is legal per receiver, with the local
+    ``c`` counted here from the graph and the record's senders — not by
+    the layer under test."""
+    for rec in result.records:
+        senders = set(rec.broadcasters)
+        for pid, advice in rec.cd_advice.items():
+            c_local = len(senders & net.closed_neighborhood(pid))
+            assert advice_legal(
+                detector.completeness_at(rec.round), detector.accuracy,
+                rec.round, detector.r_acc, c_local, len(rec.received[pid]),
+                advice is CollisionAdvice.COLLISION,
+            ), (rec.round, pid, c_local, advice)
+
+
 @pytest.mark.parametrize("topology_name", sorted(MULTIHOP_TOPOLOGIES))
 @pytest.mark.parametrize("inner_name", sorted(MULTIHOP_INNERS))
 def test_multihop_layer_kernel_identity(topology_name, inner_name):
-    kwargs = dict(
-        completeness=Completeness.MAJORITY,
-        accuracy=AccuracyMode.EVENTUAL, r_acc=4,
-    )
+    def detector():
+        return ParametricCollisionDetector(
+            Completeness.MAJORITY, AccuracyMode.EVENTUAL, r_acc=4,
+        )
+
     assert POLICIES[0] is RecordPolicy.FULL  # the count comes from it
     for record_policy in POLICIES:
         vec, vec_kernel = run_multihop(
-            topology_name, inner_name, record_policy, None, **kwargs
+            topology_name, inner_name, record_policy, None, detector()
         )
         ref, ref_kernel = run_multihop(
-            topology_name, inner_name, record_policy, False, **kwargs
+            topology_name, inner_name, record_policy, False, detector()
         )
         assert_identical(vec, ref, record_policy)
         assert ref_kernel == 0
         if record_policy is RecordPolicy.FULL:
             single = single_payload_rounds(vec)
             assert 0 < single < vec.rounds
+            net = MULTIHOP_TOPOLOGIES[topology_name]()
+            for run in (vec, ref):
+                assert_multihop_advice_legal(run, net, detector())
         if _np is not None:
             assert vec_kernel == single
 
 
 def test_multihop_seeded_policy_stream_identity():
-    """Free choices drawn per process in index order on the array path
-    — a seeded policy's stream must come out identical either way."""
-    kwargs = dict(
-        completeness=Completeness.ZERO,
-        accuracy=AccuracyMode.EVENTUAL, r_acc=6,
-    )
-    vec, _ = run_multihop(
-        "grid", "iid", RecordPolicy.FULL, None,
-        policy=SeededRandomPolicy(p_collision=0.4, seed=17), **kwargs
-    )
-    ref, _ = run_multihop(
-        "grid", "iid", RecordPolicy.FULL, False,
-        policy=SeededRandomPolicy(p_collision=0.4, seed=17), **kwargs
-    )
+    """Both receive paths ask the layer's detector through the same dict
+    ``advise``, one call per local broadcaster count — a seeded policy's
+    stream must come out identical either way."""
+    def detector():
+        return ParametricCollisionDetector(
+            Completeness.ZERO, AccuracyMode.EVENTUAL, r_acc=6,
+            policy=SeededRandomPolicy(p_collision=0.4, seed=17),
+        )
+
+    vec, _ = run_multihop("grid", "iid", RecordPolicy.FULL, None, detector())
+    ref, _ = run_multihop("grid", "iid", RecordPolicy.FULL, False, detector())
     assert_identical(vec, ref, RecordPolicy.FULL)
 
 
-@needs_numpy
-@pytest.mark.parametrize("completeness", list(Completeness))
-def test_multihop_advise_array_matches_dict_advise(completeness):
-    for accuracy, r_acc in (
-        (AccuracyMode.ALWAYS, None),
-        (AccuracyMode.EVENTUAL, 3),
-    ):
-        net = MultihopNetwork.grid(3, 2)
-        dict_layer = MultihopLayer(
-            net, completeness=completeness, accuracy=accuracy, r_acc=r_acc
-        )
-        array_layer = MultihopLayer(
-            net, completeness=completeness, accuracy=accuracy, r_acc=r_acc
-        )
-        indices = tuple(net.indices)
-        senders = [0, 2, 3]
-        for round_index in (1, 2, 5):
-            lost_d = dict_layer.losses_for_round(
-                round_index, senders, indices
-            )
-            lost_a = array_layer.losses_for_round(
-                round_index, senders, indices
-            )
-            # t_i = c - |lost_i|: own message always arrives, the rest
-            # is whatever the topology lets through (no inner loss here,
-            # so both layers see the same deterministic counts).
-            counts = {
-                pid: len(senders) - len(lost_d[pid]) for pid in indices
-            }
-            assert counts == {
-                pid: len(senders) - len(lost_a[pid]) for pid in indices
-            }
-            expected = dict_layer.advise(
-                round_index, len(senders), counts
-            )
-            got = array_layer.advise_array(
-                round_index, len(senders),
-                _np.asarray(
-                    [counts[pid] for pid in indices], dtype=_np.int64
-                ),
-                indices,
-            )
-            assert got == [expected[pid] for pid in indices], (
-                completeness, accuracy, round_index,
-            )
+class HearsEveryone(MultihopLayer):
+    """Records the round's senders, then delivers every message to every
+    receiver, neighbours or not."""
+
+    def losses_for_round(self, round_index, senders, receivers):
+        super().losses_for_round(round_index, senders, receivers)
+        return RoundLosses.lossless(senders, receivers)
 
 
-@needs_numpy
 def test_multihop_advise_array_validates_counts():
-    """``t > c_local`` fails loudly on both paths with the same message
-    (a grid node cannot hear all three senders from one corner)."""
-    net = MultihopNetwork.grid(3, 2)
-    layer = MultihopLayer(net, completeness=Completeness.FULL)
-    indices = tuple(net.indices)
-    senders = [0, 2, 3]
-    layer.losses_for_round(1, senders, indices)
-    over = {pid: len(senders) for pid in indices}
-    with pytest.raises(ValueError, match="invalid transmission data"):
-        layer.advise(1, len(senders), over)
-    with pytest.raises(ValueError, match="invalid transmission data"):
-        layer.advise_array(
-            1, len(senders),
-            _np.asarray(
-                [over[pid] for pid in indices], dtype=_np.int64
-            ),
-            indices,
+    """``t > c_local`` is the layer detector's ModelViolation on both
+    receive paths: on a line, the far end cannot hear both senders."""
+    net = MultihopNetwork.line(3)
+    for kernel in (False, True) if _np is not None else (False,):
+        layer = HearsEveryone(net)
+        env = Environment(
+            indices=tuple(net.indices), detector=layer,
+            contention=NoContentionManager(), loss=layer,
         )
+        env.reset()
+        spawn = Algorithm(lambda i: ScriptedProcess(["m"]), anonymous=False)
+        engine = ExecutionEngine(
+            env, spawn.spawn_all(env.indices), use_array_kernel=kernel,
+        )
+        with pytest.raises(ModelViolation,
+                           match=r"process 0 received 3 messages but only 2"):
+            engine.step()
+        # One payload: the kernel asked through ``advise_array``.
+        assert engine.kernel_rounds == (1 if kernel else 0)

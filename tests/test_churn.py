@@ -44,7 +44,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.execution import ExecutionEngine, run_algorithm, run_consensus
 from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy
-from repro.detectors.classes import ZERO_OAC
+from repro.detectors.classes import ALL_CLASSES, ZERO_OAC
 from repro.experiments.campaign import CampaignRunner
 from repro.experiments.churn import churn_sweep_cell
 from repro.substrate.multihop import MultihopNetwork, flood
@@ -481,6 +481,26 @@ def test_churn_sweep_cell_payload_shape():
 def test_churn_sweep_cell_rejects_unknown_topology():
     with pytest.raises(ConfigurationError):
         churn_sweep_cell({"topology": "torus"}, 0)
+
+
+@pytest.mark.parametrize("detector_class", ALL_CLASSES, ids=str)
+def test_ring_cell_refuses_a_class_exactly_when_the_clique_cell_does(
+    detector_class,
+):
+    """Both topologies build the class's detector the same way, so a
+    class that admits no spurious-until member (NoCD) is refused alike
+    on each, with the same message."""
+    outcome = {}
+    for topology in ("clique", "ring"):
+        params = {"n": 4, "detector": detector_class.name,
+                  "topology": topology, "churn_rate": 0.0}
+        try:
+            churn_sweep_cell(params, 5)
+        except ConfigurationError as exc:
+            outcome[topology] = str(exc)
+        else:
+            outcome[topology] = None
+    assert outcome["ring"] == outcome["clique"]
 
 
 def test_static_churn_cell_matches_paper_model():

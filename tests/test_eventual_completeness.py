@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.adversary.loss import EventualCollisionFreedom, IIDLoss
 from repro.algorithms.alg1 import algorithm_1
 from repro.algorithms.alg2 import algorithm_2
 from repro.algorithms.baselines import naive_min_consensus
+from repro.contention.services import WakeUpService
+from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError
 from repro.core.types import COLLISION, NULL
+from repro.detectors.classes import AC, ZERO_AC
 from repro.detectors.eventual import (
     PhasedCompletenessDetector,
     eventually_complete_detector,
@@ -68,6 +72,28 @@ def test_validation():
             Completeness.ZERO, Completeness.FULL, r_comp=1,
             accuracy=AccuracyMode.EVENTUAL,
         )
+
+
+def test_always_accurate_phased_detector_counts_as_r_acc_1():
+    """E13's Algorithm 2 environment stabilises at its CST of 3, as it
+    does with an AC detector in the phased detector's place."""
+    def environment(detector):
+        return Environment(
+            indices=tuple(range(4)),
+            detector=detector,
+            contention=WakeUpService(stabilization_round=3),
+            loss=EventualCollisionFreedom(IIDLoss(0.3, seed=4), r_cf=3),
+        )
+
+    phased = environment(usually_perfect_detector(r_comp=25))
+    assert phased.communication_stabilization_time() == 3
+    assert environment(AC.make()).communication_stabilization_time() == 3
+
+
+def test_phased_detector_is_a_member_of_its_weak_class():
+    det = usually_perfect_detector(r_comp=25)
+    assert ZERO_AC.contains(det)
+    assert not AC.contains(det)
 
 
 def test_repr():

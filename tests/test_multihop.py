@@ -12,7 +12,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.execution import run_algorithm, run_consensus
 from repro.core.process import ScriptedProcess
 from repro.core.types import COLLISION, NULL
-from repro.detectors.properties import AccuracyMode, Completeness
+from repro.detectors.classes import ZERO_AC
 from repro.substrate.multihop import (
     MultihopLayer,
     MultihopNetwork,
@@ -115,6 +115,33 @@ def test_layer_detector_uses_neighborhood_counts():
     assert advice[0] is NULL
 
 
+def test_layer_refuses_rounds_it_never_resolved():
+    """The layer keeps only the round it last resolved.  Installed only
+    as the detector, it never sees a round's senders, so it refuses to
+    advise instead of answering as if nobody had sent."""
+    net = MultihopNetwork.line(3)
+    layer = MultihopLayer(net)
+    layer.losses_for_round(1, [0], net.indices)
+    layer.losses_for_round(2, [1], net.indices)
+    assert layer.advise(2, 1, {0: 1, 1: 1, 2: 1}) == {
+        0: NULL, 1: NULL, 2: NULL,
+    }
+    with pytest.raises(ConfigurationError, match="round 1"):
+        layer.advise(1, 1, {0: 1, 1: 0, 2: 0})
+    env = Environment(
+        indices=range(4),
+        detector=MultihopLayer(MultihopNetwork.ring(4)),
+        loss=IIDLoss(0.6, seed=2),
+        contention=WakeUpService(stabilization_round=2),
+    )
+    values = list(range(8))
+    with pytest.raises(ConfigurationError, match="loss adversary"):
+        run_consensus(
+            env, algorithm_2(values), {i: values[i] for i in range(4)},
+            max_rounds=40,
+        )
+
+
 def test_layer_inner_adversary_composes():
     net = MultihopNetwork.line(3)
     layer = MultihopLayer(net, inner=IIDLoss(1.0, seed=0))
@@ -124,10 +151,9 @@ def test_layer_inner_adversary_composes():
 
 @pytest.mark.parametrize("kernel", [False, None], ids=["scalar", "auto"])
 def test_layer_rereads_the_topology_between_executions(kernel):
-    """Closed neighbourhoods (and the advice path's incidence matrix)
-    are cached for one execution: an edge added to the adjacency map
-    between two runs shapes the second run exactly as a fresh layer
-    would."""
+    """Closed neighbourhoods are cached for one execution: an edge added
+    to the adjacency map between two runs shapes the second run exactly
+    as a fresh layer would."""
     net = MultihopNetwork.line(4)
     algorithm = Algorithm(
         lambda i: ScriptedProcess([f"m{i}"] * 3), anonymous=False
@@ -158,10 +184,7 @@ def test_consensus_inside_one_clique_of_a_multihop_network():
     while the rest of the network stays silent."""
     net = MultihopNetwork.clique_chain(2, 4)   # nodes 0-3 and 3-6
     clique = (0, 1, 2, 3)
-    layer = MultihopLayer(
-        net, completeness=Completeness.ZERO,
-        accuracy=AccuracyMode.ALWAYS,
-    )
+    layer = MultihopLayer(net, detector=ZERO_AC.make())
     env = Environment(
         indices=clique,
         detector=layer,

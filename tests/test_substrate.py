@@ -3,10 +3,14 @@
 import pytest
 
 from repro.adversary.crash import ScheduledCrashes
+from repro.adversary.loss import IIDLoss
 from repro.algorithms.alg1 import algorithm_1
 from repro.algorithms.alg2 import algorithm_2
+from repro.contention.services import WakeUpService
 from repro.core.consensus import evaluate
+from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError
+from repro.core.execution import run_consensus
 from repro.core.types import COLLISION, NULL
 from repro.substrate.carrier_sense import (
     CarrierSenseDetector,
@@ -165,6 +169,30 @@ def test_physical_layer_serves_both_interfaces_consistently():
     advice = layer.advise(1, 2, {0: 1, 1: 1, 2: 0})
     assert set(advice) == {0, 1, 2}
     assert losses <= {0, 1}
+
+
+def test_physical_layer_refuses_rounds_it_never_resolved():
+    """The layer keeps only the round it last resolved.  Installed only
+    as the detector, it holds no radio outcome for any round, so it
+    refuses to advise instead of answering null."""
+    layer = PhysicalLayer((0, 1, 2), seed=0)
+    layer.losses_for_round(1, [0, 1], (0, 1, 2))
+    layer.losses_for_round(2, [2], (0, 1, 2))
+    assert set(layer.advise(2, 1, {0: 0, 1: 0, 2: 1})) == {0, 1, 2}
+    with pytest.raises(ConfigurationError, match="round 1"):
+        layer.advise(1, 2, {0: 1, 1: 1, 2: 0})
+    env = Environment(
+        indices=range(4),
+        detector=PhysicalLayer(tuple(range(4)), seed=3),
+        loss=IIDLoss(0.6, seed=2),
+        contention=WakeUpService(stabilization_round=2),
+    )
+    values = list(range(8))
+    with pytest.raises(ConfigurationError, match="loss adversary"):
+        run_consensus(
+            env, algorithm_2(values), {i: values[i] for i in range(4)},
+            max_rounds=40,
+        )
 
 
 def test_testbed_runs_alg2_to_agreement():
