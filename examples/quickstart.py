@@ -67,31 +67,12 @@ def main() -> None:
     #
     #   python -m repro campaign report --table --db campaign.db
     #
-    # Speed: the engine has a vectorised *array round kernel* — receive
-    # counts and the randomised adversaries' draws run as whole-round
-    # array passes.  It serves every round that carries at most one
-    # distinct payload and fires no churn event; every other round takes
-    # the pure-python reference stage (see BENCH_e11.json for the
-    # committed n-scaling curve).
-    # The gating contract:
-    #
-    # * the capability probe (repro.core.environment.array_kernel_module)
-    #   picks the kernel automatically when numpy is importable; no flag
-    #   needed, and without numpy everything runs pure python;
-    # * export REPRO_PURE_PYTHON=1 (before starting Python), or pass
-    #   use_array_kernel=False to ExecutionEngine/run_algorithm/
-    #   run_consensus, to force the pure-python reference path — e.g. to
-    #   reproduce the no-numpy CI leg locally;
-    # * both paths produce *indistinguishable executions* for the same
-    #   seeds, under every record policy (asserted by the equivalence
-    #   suite in tests/test_array_kernel.py);
-    # * determinism of the randomised adversaries is per backend:
-    #   executions replay bit-for-bit given (seed, backend).  In
-    #   particular CaptureEffectLoss's batched numpy path draws one
-    #   substream block per (seed, round, senders, receivers) — same
-    #   capture law as its per-receiver substreams, so statistics
-    #   agree across backends even though the concrete loss patterns
-    #   differ.
+    # Speed: the engine is pure python with no third-party dependency;
+    # every round takes one receive stage, and executions replay
+    # bit-for-bit given the seeds, under every record policy.  Campaign
+    # stores are stamped with the random stream family they were filled
+    # with (rng_backend "pure"); a store from the retired numpy backend
+    # is refused by name rather than silently resumed.
     # Dynamic membership: every scenario above has a fixed process set,
     # but the environment also takes a *churn adversary* — processes
     # leave mid-execution and (re)join with fresh state, forgetting
@@ -104,11 +85,9 @@ def main() -> None:
     #   env = ecf_environment(n=6, loss_rate=0.2, seed=1,
     #                         churn=SeededChurn(0.2, seed=102, deadline=6))
     #
-    # Rounds where a leave or join actually fires take the pure-python
-    # reference path (every other round — mere absences included — still
-    # rides the array kernel), and kernel-on vs kernel-off executions
-    # stay byte-identical either way.  There is
-    # also a ring overlay for multihop scenarios — successor lists plus
+    # The loss adversary is consulted over the full index set every
+    # round, absent pids included, so churn never shifts its randomness.
+    # There is also a ring overlay for multihop scenarios — successor lists plus
     # Chord-style finger tables:
     #
     #   from repro.substrate.multihop import MultihopNetwork

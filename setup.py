@@ -17,6 +17,5 @@ setup(
     packages=find_packages(os.path.join(HERE, "src")),
     extras_require={
         "test": ["pytest", "hypothesis"],
-        "fast": ["numpy"],
     },
 )

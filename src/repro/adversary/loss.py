@@ -4,7 +4,7 @@ The model allows any process to lose any subset of the messages broadcast
 by *other* processes in any round (broadcasters always receive their own
 message — constraint 5).  A loss adversary makes that choice once per
 round: :meth:`LossAdversary.losses_for_round` is its only method, and it
-answers with a :class:`RoundLosses` on every backend.
+answers with a :class:`RoundLosses`.
 
 The contract
 ------------
@@ -14,18 +14,14 @@ only this round's senders and never ``i`` itself, so its size is the
 number of messages ``i`` loses.  It offers two views of the same drops:
 
 * ``drop_counts`` — per-receiver drop counts aligned with ``receivers``
-  (an int array on the numpy backend, a list otherwise), ready at once,
-  which is all the engine's array kernel reads: it runs only rounds
-  with at most one distinct payload, where a receive multiset depends
-  on the keep count alone;
+  (a list of ints from every built-in), ready at once;
 * the drop sets, through the ``Mapping`` interface, built lazily on first
-  access, which the engine's reference receive stage subtracts from the
-  round's broadcast multiset (Definition 11).
+  access, which the engine's receive stage subtracts from the round's
+  broadcast multiset (Definition 11).
 
-The engine checks the sets against the counts on its scalar path and
-the counts against each receiver's droppable budget on its kernel path;
-any disagreement, a drop set naming a non-sender or its own receiver, an
-omitted receiver, or any return type but :class:`RoundLosses` raises
+The engine checks every drop set against its count; any disagreement, a
+drop set naming a non-sender or its own receiver, an omitted receiver,
+or any return type but :class:`RoundLosses` raises
 :class:`~repro.core.errors.ModelViolation`.
 
 A per-receiver law ``fn(round_index, senders, receiver)`` — a third-party
@@ -40,10 +36,9 @@ the same two broadcasters may receive different messages.
 Determinism guarantees: the same seed and the same call sequence replay
 the same execution (the engine always enumerates receivers in index
 order, so engine-driven runs are reproducible end to end).
-:class:`IIDLoss` and :class:`CaptureEffectLoss` draw one stream on the
-numpy backend and another on pure python — the same law, different
-patterns — so executions are byte-identical only within one backend;
-:func:`rng_backend` names the active one, and campaign stores record it.
+:class:`IIDLoss` and :class:`CaptureEffectLoss` draw from the standard
+library's ``random``; :data:`RNG_BACKEND` names that stream family, and
+campaign stores record it.
 
 :class:`EventualCollisionFreedom` is the Property 1 wrapper: it delegates
 to an inner adversary until ``r_cf`` and thereafter forces delivery in
@@ -54,7 +49,6 @@ adversary's mercy — ECF promises nothing about them).
 from __future__ import annotations
 
 import abc
-import hashlib
 import math
 import random
 from collections.abc import Mapping as _MappingABC
@@ -72,63 +66,21 @@ from typing import (
     Tuple,
 )
 
-from ..core.arrays import numpy_or_none
 from ..core.errors import ConfigurationError, ModelViolation
 from ..core.types import ProcessId
-
-#: Optional acceleration for whole-round loss resolution.  Shared gating
-#: via :func:`repro.core.arrays.numpy_or_none` (numpy importable and
-#: ``REPRO_PURE_PYTHON`` unset); tests monkeypatch this binding to pin
-#: one backend.
-_np = numpy_or_none()
 
 #: The empty drop set, shared to avoid churn in the hot path.
 _NO_LOSS: FrozenSet[ProcessId] = frozenset()
 
-#: One-slot pid -> row cache: ``(receivers tuple, positions dict)``.
-_RposCache = Optional[Tuple[tuple, Dict[ProcessId, int]]]
-
-
-def rng_backend() -> str:
-    """The stream family the randomised adversaries draw from.
-
-    ``"numpy"`` when the gated numpy legs are active, ``"pure"``
-    otherwise.  Executions replay byte for byte only within one backend,
-    which is why campaign stores are stamped with this value.
-    """
-    return "pure" if _np is None else "numpy"
+#: The stream family :class:`IIDLoss` and :class:`CaptureEffectLoss` draw
+#: from.  Campaign stores are stamped with it; a store stamped ``"numpy"``
+#: was filled by the retired numpy backend, whose streams differ, and is
+#: refused (:mod:`repro.experiments.campaign`).
+RNG_BACKEND = "pure"
 
 
 def _as_tuple(receivers: Sequence[ProcessId]) -> Tuple[ProcessId, ...]:
     return receivers if type(receivers) is tuple else tuple(receivers)
-
-
-def _as_list(values) -> List[int]:
-    """An int array or list as a list."""
-    return values if type(values) is list else values.tolist()
-
-
-def _counts(values: List[int]):
-    """Per-receiver drop counts in the active backend's representation."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    return values
-
-
-def _cached_receiver_positions(
-    receivers: Tuple[ProcessId, ...], cache: _RposCache
-) -> Tuple[Dict[ProcessId, int], _RposCache]:
-    """``(positions, new cache)`` keyed by receiver-tuple *identity*.
-
-    The engine passes the same indices tuple every round, so the pid ->
-    row map is built once per execution, not once per round; holding the
-    tuple inside the cache keeps the identity stable.  Shared by every
-    array-backed adversary.
-    """
-    if cache is not None and cache[0] is receivers:
-        return cache[1], cache
-    rpos = {pid: k for k, pid in enumerate(receivers)}
-    return rpos, (receivers, rpos)
 
 
 class RoundLosses(_MappingABC):
@@ -139,8 +91,7 @@ class RoundLosses(_MappingABC):
     ``receivers[k]`` loses.  ``materialise`` builds the receiver -> drop
     set dict on first mapping access, once: it must describe exactly the
     drops the counts describe, and must not consume randomness any later
-    draw depends on (the randomised built-ins reserve the tail of a
-    per-round substream for it).  Every drop set is a subset of
+    draw depends on.  Every drop set is a subset of
     ``senders`` that excludes its receiver — the normalization the
     module docstring states.
     """
@@ -153,7 +104,7 @@ class RoundLosses(_MappingABC):
         self,
         senders: Sequence[ProcessId],
         receivers: Tuple[ProcessId, ...],
-        drop_counts,
+        drop_counts: Sequence[int],
         materialise: Optional[
             Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]]
         ],
@@ -173,8 +124,7 @@ class RoundLosses(_MappingABC):
     ) -> "RoundLosses":
         """Wrap eagerly built, normalized drop sets (one per receiver)."""
         out = cls(
-            senders, receivers, _counts([len(sets[pid]) for pid in receivers]),
-            None,
+            senders, receivers, [len(sets[pid]) for pid in receivers], None,
         )
         out._sets = sets
         return out
@@ -185,12 +135,8 @@ class RoundLosses(_MappingABC):
     ) -> "RoundLosses":
         """Every receiver gets every message."""
         receivers = _as_tuple(receivers)
-        n = len(receivers)
-        counts = (
-            _np.zeros(n, dtype=_np.int64) if _np is not None else [0] * n
-        )
         return cls(
-            senders, receivers, counts,
+            senders, receivers, [0] * len(receivers),
             lambda: dict.fromkeys(receivers, _NO_LOSS),
         )
 
@@ -211,7 +157,7 @@ class RoundLosses(_MappingABC):
             }
 
         return cls(
-            senders, receivers, _counts([n_senders - own for own in sent]),
+            senders, receivers, [n_senders - own for own in sent],
             materialise,
         )
 
@@ -306,7 +252,7 @@ def grouped_losses(
                 counts[rpos[pid]] = cross
         else:
             inner_map = resolve_round(inner, round_index, local, members)
-            for pid, extra in zip(members, _as_list(inner_map.drop_counts)):
+            for pid, extra in zip(members, inner_map.drop_counts):
                 counts[rpos[pid]] = cross + extra
         resolved.append((local, members, inner_map))
 
@@ -320,7 +266,7 @@ def grouped_losses(
                 out[pid] = cross | extra if extra else cross
         return out
 
-    return RoundLosses(senders, receivers_t, _counts(counts), materialise)
+    return RoundLosses(senders, receivers_t, counts, materialise)
 
 
 class LossAdversary(abc.ABC):
@@ -391,9 +337,9 @@ class IIDLoss(LossAdversary):
     Models the 20-50% loss regime the empirical studies in Section 1.1
     report.  Fully seeded: the same seed replays the same loss pattern.
     The whole round is one pass over the (receiver x sender) grid in
-    receiver-major order — vectorised when numpy is available, geometric
-    gap-skipping otherwise (one draw per *loss* instead of one per pair)
-    — with the exact Bernoulli(p) law per non-self pair on both.
+    receiver-major order with geometric gap-skipping (one draw per *loss*
+    instead of one per pair), which keeps the exact Bernoulli(p) law per
+    non-self pair.
     """
 
     def __init__(self, p: float, seed: int = 0) -> None:
@@ -401,15 +347,8 @@ class IIDLoss(LossAdversary):
             raise ConfigurationError(f"loss probability must be in [0,1]: {p}")
         self.p = p
         self.seed = seed
-        # Lazily created streams: PCG64 on the numpy backend, a
-        # dedicated stdlib stream otherwise.
-        self._np_gen = None
+        # The dedicated stream, created on the first lossy round.
         self._batch_rng: Optional[random.Random] = None
-        self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
-        # [receivers tuple, senders list, flat self cells, their index
-        # array once the pair repeats]: revalidated per call by identity
-        # + list equality.
-        self._self_cache: Optional[list] = None
 
     def losses_for_round(
         self,
@@ -423,8 +362,6 @@ class IIDLoss(LossAdversary):
             return RoundLosses.lossless(senders, receivers)
         if p >= 1.0:
             return RoundLosses.silence(senders, receivers)
-        if _np is not None:
-            return self._losses_for_round_np(senders, receivers)
         log_q = math.log1p(-p)
         if log_q == 0.0:
             # log1p underflows to -0.0 only for p below ~1e-16, where the
@@ -484,83 +421,8 @@ class IIDLoss(LossAdversary):
                 out[pid] = _NO_LOSS
         return RoundLosses.from_sets(senders, receivers_t, out)
 
-    def _losses_for_round_np(
-        self,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-    ) -> RoundLosses:
-        """Vectorised whole-round resolution (numpy available).
-
-        Draws the full (receiver x sender) Bernoulli grid in one C call
-        from a dedicated PCG64 stream — the exact stream the pre-array
-        implementation consumed, so executions replay across versions —
-        then clears the self-pair cells in place (self-delivery is
-        unconditional, so a self hit is never a drop) and reduces the
-        grid to per-receiver drop *counts* with one row sum.  The engine's
-        array kernel reads only the counts; any consumer that needs the
-        actual drop sets materialises all of them lazily from the same
-        cleared grid.
-        """
-        gen = self._np_gen
-        if gen is None:
-            self._np_gen = gen = _np.random.Generator(
-                _np.random.PCG64(self.seed)
-            )
-        receivers_t = _as_tuple(receivers)
-        n_receivers = len(receivers_t)
-        n_senders = len(senders)
-        # Row-major (receivers x senders): the same draws, in the same
-        # order, as one flat grid of n_receivers * n_senders.
-        hits = gen.random((n_receivers, n_senders)) < self.p
-        # The self cells (flat grid positions) depend only on the
-        # (senders, receivers) pair.  A pair that repeats the previous
-        # call's (a steady execution) clears them with one store through
-        # an index array built on that repeat; any other call clears its
-        # few cells one by one, which is cheaper than building the array,
-        # and remembers them.
-        cached = self._self_cache
-        if (cached is not None and cached[0] is receivers_t
-                and cached[1] == senders):
-            if cached[2]:
-                if cached[3] is None:
-                    cached[3] = _np.asarray(cached[2], dtype=_np.intp)
-                hits.ravel()[cached[3]] = False
-        else:
-            rpos, self._rpos_cache = _cached_receiver_positions(
-                receivers_t, self._rpos_cache
-            )
-            cells = []
-            for j, s in enumerate(senders):
-                k = rpos.get(s)
-                if k is not None:
-                    hits[k, j] = False
-                    cells.append(k * n_senders + j)
-            self._self_cache = [receivers_t, list(senders), cells, None]
-        drop_counts = hits.sum(axis=1, dtype=_np.int64)
-
-        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            # The dropped senders in row-major order, split by each
-            # receiver's count.  Fancy-indexing the sender sequence keeps
-            # arbitrary hashable ProcessIds intact (object dtype
-            # round-trips through tolist).
-            lost = _np.asarray(senders)[_np.nonzero(hits)[1]].tolist()
-            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            end = 0
-            for pid, dropped in zip(receivers_t, drop_counts.tolist()):
-                if dropped:
-                    start = end
-                    end += dropped
-                    out[pid] = set(lost[start:end])
-                else:
-                    out[pid] = _NO_LOSS
-            return out
-
-        return RoundLosses(senders, receivers_t, drop_counts, materialise)
-
     def reset(self) -> None:
-        self._np_gen = None
         self._batch_rng = None
-        self._self_cache = None
 
 
 class CaptureEffectLoss(LossAdversary):
@@ -580,30 +442,13 @@ class CaptureEffectLoss(LossAdversary):
     All randomness is a pure function of ``(seed, round_index)`` plus the
     receiver — never of hidden stream state — so the same seed always
     replays the same execution and ``reset()`` has nothing to forget.
-    Concretely there are two equal-law draw schemes, chosen by backend:
-
-    * **Per-receiver substreams** (pure python): a fresh stdlib stream
-      seeded from ``(seed, round_index, receiver)`` per pair, so the
-      pattern is independent of the order in which callers enumerate
-      receivers.
-    * **One vectorised substream block per round** (numpy): a fresh
-      PCG64 substream seeded from ``(seed, round_index, senders,
-      receivers)`` serves the whole call — first the per-receiver
-      capture-count draws (one vectorised call), then, lazily, the
-      capture-subset permutations.  The block is a pure function of
-      those four inputs, so engine executions (which always enumerate
-      receivers in index order) are deterministic end to end, and
-      distinct delegated calls within one round — partition groups,
-      multihop neighbourhoods — draw *independent* blocks rather than
-      replaying a shared one.
-
-    Both schemes sample the same law — capture counts uniform on
-    ``{0..min(capture_limit, |others|)}`` and capture subsets uniform
-    without replacement — but their concrete patterns differ, exactly as
-    :class:`IIDLoss`'s two streams do.  Within one backend, executions
-    replay bit-for-bit; the equivalence suite asserts the engine's array
-    kernel and its pure-python path see identical patterns because both
-    consume this same resolution.
+    Each receiver draws from a fresh stdlib stream seeded from ``(seed,
+    round_index, receiver)``, so the pattern is independent of the order
+    in which callers enumerate receivers, and delegated calls for
+    disjoint receiver groups within one round (partition groups, multihop
+    neighbourhoods) draw independent streams.  Capture counts are uniform
+    on ``{0..min(capture_limit, |others|)}`` and capture subsets uniform
+    without replacement.
     """
 
     def __init__(
@@ -619,42 +464,11 @@ class CaptureEffectLoss(LossAdversary):
         self.capture_limit = capture_limit
         self.p_single_loss = p_single_loss
         self.seed = seed
-        self._rpos_cache: Optional[Tuple[tuple, Dict[ProcessId, int]]] = None
 
     def _pair_rng(self, round_index: int, receiver: ProcessId) -> random.Random:
         # String seeding hashes with SHA-512 internally: deterministic
         # across runs and platforms, independent of PYTHONHASHSEED.
         return random.Random(f"{self.seed}|{round_index}|{receiver!r}")
-
-    def _round_gen(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-    ):
-        """One PCG64 substream per (round, call context), platform-independent.
-
-        Seeded through SHA-512 of the seed, the round, *and* the sender/
-        receiver lists (the same string-hash idiom as :meth:`_pair_rng`),
-        so the substream is independent of ``PYTHONHASHSEED``, identical
-        across platforms, and — crucially — *distinct for distinct
-        delegated calls within one round*: a group-delegating wrapper
-        (``PartitionLoss`` intra resolution, ``MultihopLayer``
-        neighbourhoods) resolves each group against its own block
-        instead of replaying one shared block into correlated losses.
-        """
-        # C-level container reprs: one pass each, no per-element Python.
-        # The engine always hands the same container shapes per call
-        # site (senders list, receivers tuple), so the context string is
-        # stable wherever determinism is observable.
-        context = (
-            f"{self.seed}|{round_index}|{senders!r}|{receivers!r}|block"
-        )
-        digest = hashlib.sha512(context.encode()).digest()
-        entropy = int.from_bytes(digest[:32], "little")
-        return _np.random.Generator(
-            _np.random.PCG64(_np.random.SeedSequence(entropy))
-        )
 
     def losses_for_round(
         self,
@@ -664,8 +478,6 @@ class CaptureEffectLoss(LossAdversary):
     ) -> RoundLosses:
         if not senders:
             return RoundLosses.lossless(senders, receivers)
-        if _np is not None:
-            return self._losses_for_round_np(round_index, senders, receivers)
         receivers_t = _as_tuple(receivers)
         single = len(senders) == 1
         out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
@@ -685,93 +497,6 @@ class CaptureEffectLoss(LossAdversary):
             captured = set(rng.sample(others, captured_count))
             out[pid] = {s for s in others if s not in captured}
         return RoundLosses.from_sets(senders, receivers_t, out)
-
-    def _losses_for_round_np(
-        self,
-        round_index: int,
-        senders: Sequence[ProcessId],
-        receivers: Sequence[ProcessId],
-    ) -> RoundLosses:
-        """Whole-round resolution from one vectorised substream block.
-
-        The round's substream (:meth:`_round_gen`) is consumed in a
-        fixed order: the per-receiver capture counts first — which is
-        all the drop-count array needs — then, only if some consumer
-        materialises the drop sets, one uniform matrix whose per-row
-        argsort yields each receiver's random capture permutation
-        (receiving ``k`` of ``m`` competitors = keeping a uniform
-        ``k``-subset, so taking the first ``k`` of a uniform permutation
-        reproduces ``rng.sample``'s law exactly).  Laziness is safe
-        because nothing else ever draws from the round's substream.
-        """
-        receivers_t = _as_tuple(receivers)
-        n_receivers = len(receivers_t)
-        n_senders = len(senders)
-        rpos, self._rpos_cache = _cached_receiver_positions(
-            receivers_t, self._rpos_cache
-        )
-        gen = self._round_gen(round_index, senders, receivers_t)
-        if n_senders == 1:
-            (sole,) = tuple(senders)
-            lose = gen.random(n_receivers) < self.p_single_loss
-            k = rpos.get(sole)
-            if k is not None:
-                lose[k] = False  # self-delivery: the sender keeps its own
-            drop_counts = lose.astype(_np.int64)
-
-            def materialise_single() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-                only = frozenset((sole,))
-                return {
-                    pid: (only if flag else _NO_LOSS)
-                    for pid, flag in zip(receivers_t, lose.tolist())
-                }
-
-            return RoundLosses(
-                senders, receivers_t, drop_counts, materialise_single
-            )
-        own = _np.zeros(n_receivers, dtype=bool)
-        self_rows: List[int] = []
-        self_cols: List[int] = []
-        for j, s in enumerate(senders):
-            k = rpos.get(s)
-            if k is not None:
-                own[k] = True
-                self_rows.append(k)
-                self_cols.append(j)
-        # m = |others| per receiver; capture counts uniform on
-        # {0..min(capture_limit, m)}; everything not captured is lost.
-        m = n_senders - own.astype(_np.int64)
-        capped = _np.minimum(self.capture_limit, m)
-        captured_counts = gen.integers(capped + 1)
-        drop_counts = m - captured_counts
-
-        def materialise_multi() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            # The capture permutations, the round substream's second and
-            # last draw: uniform keys per (receiver, sender), each
-            # receiver's own column pushed past every finite key so the
-            # first m entries of the row's argsort are a uniform
-            # permutation of its m competitors.
-            keys = gen.random((n_receivers, n_senders))
-            if self_rows:
-                keys[self_rows, self_cols] = _np.inf
-            order = _np.argsort(keys, axis=1)
-            sender_arr = _np.asarray(senders)
-            out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-            m_list = m.tolist()
-            k_list = captured_counts.tolist()
-            for i, pid in enumerate(receivers_t):
-                mi = m_list[i]
-                ki = k_list[i]
-                if ki >= mi:
-                    out[pid] = _NO_LOSS
-                    continue
-                out[pid] = set(sender_arr[order[i, ki:mi]].tolist())
-            return out
-
-        return RoundLosses(
-            senders, receivers_t, drop_counts, materialise_multi
-        )
-
 
 class PartitionLoss(LossAdversary):
     """Split the index set into groups; messages never cross groups.

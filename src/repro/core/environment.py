@@ -11,41 +11,27 @@ The *communication stabilization time* ``CST = max(r_cf, r_acc, r_wake)``
 (Definition 20) is computed here from the components' declared
 stabilization rounds; all round-complexity bounds in the paper are stated
 relative to it.
-
-This module also hosts the *array-kernel capability probe*
-(:func:`array_kernel_module`): the single place the execution engine
-asks whether the vectorised round kernel may run.  The probe delegates
-to :mod:`repro.core.arrays` — numpy importable and ``REPRO_PURE_PYTHON``
-unset — so the engine and the batched loss adversaries gate on one
-answer and an execution can never mix backends mid-run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..adversary.churn import ChurnAdversary, NoChurn
 from ..adversary.crash import CrashAdversary, NoCrashes
 from ..adversary.loss import LossAdversary, ReliableDelivery
 from ..contention.manager import ContentionManager
 from ..detectors.detector import CollisionDetector, ParametricCollisionDetector
-from .arrays import numpy_or_none
 from .errors import ConfigurationError
 from .types import ProcessId
 
 
+# Inert compatibility: perfbench/workloads.py (``backend()``) reads this
+# probe to pick its pinned digests; ``None`` selects the pure-python pins.
 def array_kernel_module():
-    """The numpy module the array round kernel runs on, or ``None``.
-
-    ``None`` means the engine must take its pure-python reference path:
-    numpy is not importable, or the operator forced the pure backend by
-    exporting ``REPRO_PURE_PYTHON=1`` before the interpreter started.
-    The two paths produce indistinguishable executions (asserted by the
-    equivalence suite in ``tests/test_array_kernel.py``); only the
-    throughput differs.
-    """
-    return numpy_or_none()
+    """Always ``None``: the engine has one receive stage, in pure python."""
+    return None
 
 
 @dataclasses.dataclass

@@ -31,20 +31,12 @@ order:
    the round is recorded according to the engine's
    :class:`~repro.core.records.RecordPolicy`.
 
-Each stage has one scalar implementation, and the receive stage alone
-has an array one: the counts-only kernel
-(:meth:`ExecutionEngine._receive_array`, reference
-:meth:`ExecutionEngine._receive_scalar`).  A round is a kernel round
-when numpy is on, no churn event fires and it carries at most one
-distinct payload (:meth:`ExecutionEngine.step`); every other round
-takes the reference.  Every round asks the detector through its dict
-``advise`` (kernel rounds through the round trip of
-:meth:`~repro.detectors.detector.CollisionDetector.advise_array`) and
-steps every process through its own ``transition``.  The pure-python
-path is the reference: both paths produce indistinguishable executions
-under every record policy, including crash and halting rounds
-(``tests/test_array_kernel.py``), and both match the paper-literal
-round spec in ``tests/spec_round.py``.
+Each stage has exactly one implementation, in pure python: every round
+takes the one receive stage (:meth:`ExecutionEngine._receive_scalar`),
+asks the detector through its dict ``advise`` and steps every process
+through its own ``transition``.  Executions match the paper-literal
+round spec in ``tests/spec_round.py`` under every record policy,
+including crash, churn and halting rounds.
 
 The engine validates constraints 4 and 5 as it goes and raises
 :class:`~repro.core.errors.ModelViolation` on any breach, so a buggy
@@ -76,7 +68,7 @@ from ..adversary.loss import resolve_round
 from ..core.errors import ConfigurationError, ModelViolation
 from ..detectors.detector import aligned_advice
 from .algorithm import Algorithm, ConsensusAlgorithm
-from .environment import Environment, array_kernel_module
+from .environment import Environment
 from .multiset import Multiset
 from .process import Process, _UNDECIDED
 from .records import ExecutionResult, RecordPolicy, RoundRecord, RoundSummary
@@ -105,17 +97,6 @@ class ExecutionEngine:
     ``record_policy`` selects how much per-round state is retained; see
     the module docstring.  The executed rounds are identical across
     policies for the same seeded environment.
-
-    ``use_array_kernel`` gates the vectorised round kernel (the receive
-    stage on int arrays), which serves the rounds :meth:`step` routes
-    to it: ``None`` (default) enables it exactly when
-    :func:`~repro.core.environment.array_kernel_module` finds numpy;
-    ``False`` forces the pure-python reference path; ``True`` insists on
-    the kernel and raises :class:`~repro.core.errors.ConfigurationError`
-    when numpy is unavailable rather than silently running the slow
-    path.  The two paths produce indistinguishable executions under
-    every record policy (the ``tests/test_array_kernel.py`` equivalence
-    suite).
     """
 
     def __init__(
@@ -124,7 +105,6 @@ class ExecutionEngine:
         processes: Mapping[ProcessId, Process],
         initial_values: Optional[Mapping[ProcessId, Value]] = None,
         record_policy: RecordPolicy = RecordPolicy.FULL,
-        use_array_kernel: Optional[bool] = None,
         process_factory: Optional[Callable[[ProcessId], Process]] = None,
     ) -> None:
         if set(processes) != set(environment.indices):
@@ -145,21 +125,8 @@ class ExecutionEngine:
         self._live: List[ProcessId] = list(environment.indices)
         self._live_set: frozenset = frozenset(environment.indices)
         self._indices_set: frozenset = frozenset(environment.indices)
-        np_mod = array_kernel_module()
-        if use_array_kernel is None:
-            self._np = np_mod
-        elif use_array_kernel:
-            if np_mod is None:
-                raise ConfigurationError(
-                    "use_array_kernel=True requires numpy (and "
-                    "REPRO_PURE_PYTHON unset); install numpy or pass "
-                    "use_array_kernel=None for automatic gating"
-                )
-            self._np = np_mod
-        else:
-            self._np = None
-        # pid -> position in the index tuple; the array kernel's advice
-        # list and counts array are aligned to this ordering.
+        # pid -> position in the index tuple: departures commit in index
+        # order.
         self._pid_pos: Dict[ProcessId, int] = {
             pid: k for k, pid in enumerate(environment.indices)
         }
@@ -168,11 +135,6 @@ class ExecutionEngine:
         self._no_messages: Dict[ProcessId, None] = dict.fromkeys(
             environment.indices
         )
-        # Kernel-round multiset buckets, shared across rounds: message
-        # payload -> {keep count -> Multiset}.  Multisets are immutable,
-        # so an execution-wide cache is safe and every kernel round
-        # reuses the buckets earlier rounds built.
-        self._ms_buckets: Dict[Optional[Message], Dict[int, Multiset]] = {}
         # -- dynamic membership (the churn extension) -------------------
         # ``_departed`` maps pid -> round it left (0 = absent from round
         # 1); rejoining clears the entry and, for pids that already
@@ -185,11 +147,8 @@ class ExecutionEngine:
         self._departed: Dict[ProcessId, int] = {}
         self._rejoins: Dict[ProcessId, int] = {}
         self._departed_decisions: List[Tuple[ProcessId, Value, int]] = []
-        #: Rounds this execution resolved through the array kernel: with
-        #: numpy on, exactly the rounds in which no churn event (a leave
-        #: or join) fires and at most one distinct payload is sent
-        #: (:meth:`step`); pids merely absent after an earlier leave do
-        #: not keep a round off the kernel.
+        # Inert compatibility, always 0: perfbench/spans.py adds it to
+        # its ``engine.kernel_rounds`` counter after every traced run.
         self.kernel_rounds: int = 0
         if self._has_churn:
             absent = frozenset(churn.initially_absent(environment.indices))
@@ -223,37 +182,25 @@ class ExecutionEngine:
     def step(self) -> RoundArtifact:
         """Execute one synchronous round and return its artifact.
 
-        Runs the module docstring's stages in order.  With the kernel
-        on, the round takes :meth:`_receive_array` when no churn event
-        fires this round and it carries at most one distinct payload;
-        every other round takes :meth:`_receive_scalar`.
+        Runs the module docstring's stages in order.
         """
         self._round += 1
         r = self._round
         env = self.environment
         full = self.record_policy is RecordPolicy.FULL
         if self._has_churn:
-            leave_after, leave_before, event_round = self._apply_churn(r)
+            leave_after, leave_before = self._apply_churn(r)
         else:
             leave_after = leave_before = _EMPTY
-            event_round = False
         crash_after, crash_before = self._crashes(r)
         cm_advice = self._contention(r, full)
         sent, base_counts, inactive, halted = self._messages(
             cm_advice, crash_before | leave_before, crash_after | leave_after
         )
         lost = resolve_round(env.loss, r, list(sent), env.indices)
-        kernel = (
-            self._np is not None and not event_round and len(base_counts) <= 1
+        received, cd_advice = self._receive_scalar(
+            r, lost, sent, base_counts, _EMPTY if full else inactive
         )
-        if kernel:
-            received, cd_advice = self._receive_array(
-                r, lost, sent, base_counts
-            )
-        else:
-            received, cd_advice = self._receive_scalar(
-                r, lost, sent, base_counts, _EMPTY if full else inactive
-            )
         decided = self._transitions(
             received, cd_advice, cm_advice, inactive, halted
         )
@@ -340,84 +287,13 @@ class ExecutionEngine:
             inactive = self._indices_set.difference(live).union(gone, halted)
         return sent, base_counts, inactive, halted
 
-    def _receive_array(self, r: int, lost, sent, base_counts):
-        """The receive stage on int arrays: counts, multisets, advice.
-
-        Runs when :func:`~repro.core.environment.array_kernel_module`
-        finds numpy (``REPRO_PURE_PYTHON`` unset), the engine's
-        ``use_array_kernel`` knob allows it, no churn event fires this
-        round and the round carries at most one distinct payload (the
-        routing rule in :meth:`step`).  Receive counts are one array
-        subtraction from the round's drop counts, held to each
-        receiver's droppable budget.  With one payload a receive
-        multiset depends on the keep count alone, so each keep count
-        maps to a multiset cached for the whole execution and the drop
-        sets are never touched.  The detector gets the counts *array*
-        through ``advise_array``, which round-trips through dict
-        ``advise`` for every built-in detector.  Returns the
-        same index-aligned lists as :meth:`_receive_scalar`, with a
-        multiset for every receiver.
-        """
-        np_mod = self._np
-        indices = self.environment.indices
-        total = len(sent)
-        counts_arr = total - np_mod.asarray(
-            lost.drop_counts, dtype=np_mod.int64
-        )
-        counts_list = counts_arr.tolist()
-        # Every receiver keeps between none and all ``total`` messages,
-        # and a sender at least its own (constraint 5).
-        low = min(counts_list, default=0)
-        pid_pos = self._pid_pos
-        if (low < 0 or max(counts_list, default=0) > total
-                or (low == 0 and any(
-                    counts_list[pid_pos[s]] == 0 for s in sent
-                ))):
-            own = {pid_pos[s] for s in sent}
-            k = next(
-                k for k, kept in enumerate(counts_list)
-                if kept < (k in own) or kept > total
-            )
-            raise ModelViolation(
-                f"loss resolution claims {total - counts_list[k]} "
-                f"drops at {indices[k]}, outside its droppable budget "
-                f"of {total - (k in own)}"
-            )
-        # The buckets persist across rounds: in the steady state every
-        # keep count has been seen before and the round is one C-level
-        # map over the cache.
-        key = next(iter(base_counts), None)
-        buckets = self._ms_buckets.get(key)
-        if buckets is None:
-            buckets = self._ms_buckets[key] = {}
-        try:
-            received = list(map(buckets.__getitem__, counts_list))
-        except KeyError:
-            buckets.update(Multiset.singleton_buckets(
-                key, set(counts_list) - buckets.keys()
-            ))
-            buckets[total] = Multiset._from_counts_unchecked(
-                base_counts, total
-            )
-            received = list(map(buckets.__getitem__, counts_list))
-        self.kernel_rounds += 1
-        return received, self.environment.detector.advise_array(
-            r, total, counts_arr, indices
-        )
-
     def _receive_scalar(self, r: int, lost, sent, base_counts, skip):
-        """The reference receive stage: per-receiver drop sets, dict advice.
+        """The receive stage: per-receiver drop sets, dict advice.
 
         Definition 11's receive step: each receiver's drop set comes off
-        the round's broadcast multiset.  The pure-python path, and with
-        the kernel on the path of every round in which a churn event
-        fires or several distinct payloads are sent.  It reads the same
-        ``RoundLosses`` through its drop sets, so no adversary
-        randomness shifts between the paths; rounds where pids are
-        merely absent after an earlier leave ride the kernel, because
-        the loss adversary is consulted over the full index set on both
-        paths (``tests/test_churn.py`` asserts the churn gate via
-        ``kernel_rounds``).
+        the round's broadcast multiset.  The loss adversary is consulted
+        over the full index set every round, pids absent after a leave
+        included, so absence never shifts its randomness.
         Each drop set is held to the contract before a count is derived
         from it: other senders only, exactly as many as the drop count
         says.  In a single-message round a receive multiset depends on
@@ -432,16 +308,13 @@ class ExecutionEngine:
             next(iter(base_counts)) if len(base_counts) == 1 else None
         )
         sender_set = frozenset(sent)
-        drops = lost.drop_counts
-        if type(drops) is not list:
-            drops = drops.tolist()
         counts: Dict[ProcessId, int] = {}
         received: List[Optional[Multiset]] = []
         by_kept: Dict[int, Multiset] = {}
         # The drop-set map itself: one lookup per receiver, not a
         # ``lost[pid]`` call through the Mapping interface each.
         drop_sets = lost._ensure()
-        for pid, dropped in zip(indices, drops):
+        for pid, dropped in zip(indices, lost.drop_counts):
             dropped_from = drop_sets[pid]
             if dropped_from:
                 if pid in dropped_from:
@@ -575,7 +448,7 @@ class ExecutionEngine:
         ``after_send`` deciding whether the final broadcast goes out —
         the same two legal timings as crashes; :meth:`_commit` applies
         them after transitions.  Returns ``(leave_after_send,
-        leave_before_send, any_events)``.
+        leave_before_send)``.
         """
         env = self.environment
         processes = self.processes
@@ -586,7 +459,7 @@ class ExecutionEngine:
         )
         events = env.churn.events(r, self._live, departed, decided)
         if not events:
-            return _EMPTY, _EMPTY, False
+            return _EMPTY, _EMPTY
         leave_after: set = set()
         leave_before: set = set()
         joined: List[ProcessId] = []
@@ -629,7 +502,7 @@ class ExecutionEngine:
             self._live = [
                 i for i in env.indices if i in self._live_set
             ]
-        return leave_after, leave_before, True
+        return leave_after, leave_before
 
     # ------------------------------------------------------------------
     def run(
@@ -718,20 +591,17 @@ def run_algorithm(
     until_all_decided: bool = True,
     record_policy: RecordPolicy = RecordPolicy.FULL,
     observer: Optional[RoundObserver] = None,
-    use_array_kernel: Optional[bool] = None,
 ) -> ExecutionResult:
     """Instantiate ``algorithm`` over the environment's indices and run.
 
     ``observer`` (e.g. a :class:`~repro.core.records.SqliteSink`) receives
     each round's artifact as it is produced — the streaming companion to
-    ``RecordPolicy.SUMMARY``/``NONE``.  ``use_array_kernel`` passes
-    through to :class:`ExecutionEngine` (``None`` = automatic gating).
+    ``RecordPolicy.SUMMARY``/``NONE``.
     """
     environment.reset()
     processes = algorithm.spawn_all(environment.indices)
     engine = ExecutionEngine(
         environment, processes, record_policy=record_policy,
-        use_array_kernel=use_array_kernel,
         process_factory=algorithm.spawn,
     )
     return engine.run(
@@ -747,7 +617,6 @@ def run_consensus(
     until_all_decided: bool = True,
     record_policy: RecordPolicy = RecordPolicy.FULL,
     observer: Optional[RoundObserver] = None,
-    use_array_kernel: Optional[bool] = None,
 ) -> ExecutionResult:
     """Run a consensus algorithm with the given initial-value assignment."""
     if set(initial_values) != set(environment.indices):
@@ -758,7 +627,6 @@ def run_consensus(
     processes = algorithm.instantiate(initial_values)
     engine = ExecutionEngine(
         environment, processes, initial_values, record_policy=record_policy,
-        use_array_kernel=use_array_kernel,
         # A rejoining process restarts from its initial value — fresh
         # state per the churn model (its pre-leave progress, decisions
         # included, is forgotten).

@@ -83,26 +83,6 @@ class Multiset:
         return ms
 
     @classmethod
-    def singleton_buckets(
-        cls, value: Any, sizes: Iterable[int]
-    ) -> Dict[int, "Multiset"]:
-        """One ``{value: k}`` multiset per distinct ``k`` in ``sizes``.
-
-        The engine's array round kernel resolves a round of at most one
-        distinct message into an int array of per-receiver keep counts;
-        this builds the receive multisets for all of its distinct
-        buckets in one pass (``k = 0`` maps to the empty multiset), so n
-        receivers share at most ``|distinct counts|`` multiset
-        constructions.  Callers
-        guarantee non-negative int sizes — this is the bulk companion of
-        :meth:`_from_counts_unchecked`, not a validating constructor.
-        """
-        return {
-            k: cls._from_counts_unchecked({value: k} if k else {}, k)
-            for k in sizes
-        }
-
-    @classmethod
     def from_set(cls, values: Iterable[Any]) -> "Multiset":
         """The paper's ``MS(S)``: one instance of each element of ``S``."""
         return cls(set(values))

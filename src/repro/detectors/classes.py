@@ -17,9 +17,8 @@ concrete :class:`ParametricCollisionDetector` inside a class.
 
 Every detector built through :meth:`DetectorClass.make` is a
 :class:`ParametricCollisionDetector`, which states the
-completeness/accuracy obligations once, in its dict ``advise``; the
-engine's kernel rounds reach it through the base ``advise_array`` round
-trip (see :mod:`repro.detectors.detector`).
+completeness/accuracy obligations once, in its dict ``advise``, which
+the engine calls every round (see :mod:`repro.detectors.detector`).
 """
 
 from __future__ import annotations

@@ -45,26 +45,23 @@ class CollisionDetector(abc.ABC):
         engine deliberately passes only counts.
         """
 
+    # Inert compatibility: the engine never calls this, but
+    # perfbench/spans.py wraps it and perfbench/selftest.py calls it.
     def advise_array(
         self,
         round_index: int,
         broadcasters: int,
-        counts,
+        counts: Sequence[int],
         indices: Sequence[ProcessId],
     ) -> List[CollisionAdvice]:
-        """Array advice for the engine's vectorised round kernel.
+        """:meth:`advise` over receive ``counts`` aligned with ``indices``.
 
-        ``counts`` is an int array of per-process receive counts aligned
-        with ``indices`` (the paper's ``T`` as one array instead of a
-        mapping); the return value is the advice list in the same
-        alignment.  It round-trips through the dict :meth:`advise`, so
-        every detector states its obligations once and sees the exact
-        calls (same counts, same iteration order) the pure-python engine
-        path would have made.  No built-in detector overrides it.
+        Returns the advice list in the same alignment, through one call
+        of the dict :meth:`advise`.
         """
-        received_counts = dict(zip(indices, counts.tolist()))
         return aligned_advice(
-            self.advise(round_index, broadcasters, received_counts), indices
+            self.advise(round_index, broadcasters, dict(zip(indices, counts))),
+            indices,
         )
 
     def reset(self) -> None:
@@ -77,7 +74,7 @@ def aligned_advice(
 ) -> List[CollisionAdvice]:
     """A detector's ``advice`` as a list aligned with ``indices``.
 
-    Both engine receive paths read advice through here.  A detector that
+    The engine's receive stage reads advice through here.  A detector that
     left a pid out is a :class:`~repro.core.errors.ModelViolation`; the
     missing pids are worked out only once a lookup has failed.
     """

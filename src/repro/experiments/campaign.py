@@ -129,7 +129,7 @@ from typing import (
     Tuple,
 )
 
-from ..adversary.loss import rng_backend
+from ..adversary.loss import RNG_BACKEND
 from ..core.errors import ConfigurationError
 from ..core.records import SqliteSink
 from ..testing import faultline
@@ -304,8 +304,8 @@ class CampaignRunner:
         adds no fourth code path.  The store is stamped with the shard
         spec (and ``base_seed`` and the RNG backend) on first use and
         every reopen validates it, so a shard database can never
-        silently absorb another shard's — or an unsharded run's, or
-        another backend's — cells.
+        silently absorb another shard's — or an unsharded run's — cells,
+        and a store the retired numpy backend filled is refused by name.
     """
 
     def __init__(
@@ -470,11 +470,11 @@ class CampaignRunner:
         match exactly on every later open — a shard store can never
         silently absorb another shard's cells, an unsharded resume can
         never backfill a shard store into a corrupt "almost full" grid,
-        and a host whose loss adversaries draw the other backend's
-        streams can never add cells from a different execution.  Stores
-        that predate a stamp (or were produced by
-        :func:`merge_campaign_stores`, which stamps shard 0/1) are
-        stamped with the current value in place.
+        and a store filled by the retired numpy backend, whose loss
+        streams differ, can never be resumed or reported
+        (:func:`check_rng_backend`).  Stores that predate a stamp (or
+        were produced by :func:`merge_campaign_stores`, which stamps
+        shard 0/1) are stamped with the current value in place.
         """
         stored_seed = store.get_meta("base_seed")
         if stored_seed is not None and stored_seed != self.base_seed:
@@ -495,23 +495,14 @@ class CampaignRunner:
                 "merge_campaign_stores to combine shards instead of "
                 "resuming across specs"
             )
-        backend = rng_backend()
         stored_backend = store.get_meta("rng_backend")
-        if stored_backend is not None and stored_backend != backend:
-            raise ConfigurationError(
-                f"campaign db {self.db_path!r} was filled on the "
-                f"{stored_backend!r} RNG backend, but this process draws "
-                f"from the {backend!r} one — IIDLoss and CaptureEffectLoss "
-                "streams differ between the two, so its cells would come "
-                "from a different execution; reopen it where numpy "
-                "availability and REPRO_PURE_PYTHON match the store"
-            )
+        check_rng_backend(self.db_path, stored_backend)
         if stored_seed is None:
             store.set_meta("base_seed", self.base_seed)
         if stored_shard is None:
             store.set_meta("shard", mine)
         if stored_backend is None:
-            store.set_meta("rng_backend", backend)
+            store.set_meta("rng_backend", RNG_BACKEND)
 
     # ------------------------------------------------------------------
     def _checkpoint(
@@ -1000,6 +991,32 @@ def load_family(name: str) -> CampaignFamily:
     return getattr(importlib.import_module(f".{module}", __package__), record)
 
 
+def check_rng_backend(path: str, stamp: Optional[str]) -> None:
+    """Refuse a store whose ``rng_backend`` stamp is not this version's.
+
+    ``None`` (a store from before the stamp) and :data:`RNG_BACKEND`
+    pass.  ``"numpy"`` marks a store filled by the retired numpy backend:
+    its ``IIDLoss`` and ``CaptureEffectLoss`` cells were drawn from
+    streams this version no longer has, so resuming, reporting or
+    merging it would mix two executions of the same grid.
+    """
+    if stamp is None or stamp == RNG_BACKEND:
+        return
+    if stamp == "numpy":
+        raise ConfigurationError(
+            f"campaign db {path!r} was filled by the retired numpy "
+            "backend: its IIDLoss and CaptureEffectLoss cells come from "
+            "streams this version no longer draws, so it cannot be "
+            "resumed, reported or merged — run the campaign again into a "
+            "new store"
+        )
+    raise ConfigurationError(
+        f"campaign db {path!r} carries the unknown rng_backend stamp "
+        f"{stamp!r}; this version draws the {RNG_BACKEND!r} streams "
+        "(`python -m repro campaign verify` flags the stamp)"
+    )
+
+
 # ----------------------------------------------------------------------
 # Shard merging: K shard stores -> one single-host-equivalent store
 # ----------------------------------------------------------------------
@@ -1018,9 +1035,10 @@ def merge_campaign_stores(
       shard spec in ``campaign_meta``);
     * all shards must share one ``base_seed`` (different seeds are
       different campaigns whose cells merely look alike) and one
-      ``rng_backend`` (numpy and pure-python shards hold different
-      executions of the same cells; an unstamped legacy shard counts as
-      its own backend until a resume stamps it);
+      ``rng_backend`` (an unstamped legacy shard counts as its own
+      backend until a resume stamps it), and no shard may carry the
+      retired numpy backend's stamp, even when every shard agrees on it
+      (:func:`check_rng_backend`);
     * all shards must share one shard count K, carry indices inside
       ``[0, K)``, and cover **exactly** the set ``{0, …, K-1}`` — a
       duplicated index is an overlapping shard, an absent one a missing
@@ -1086,6 +1104,7 @@ def merge_campaign_stores(
             shard = store.get_meta("shard")
             backend = store.get_meta("rng_backend")
             cells = store.cell_count()
+        check_rng_backend(path, backend)
         if base_seed is None or shard is None:
             raise ConfigurationError(
                 f"{path!r} carries no campaign identity metadata — it "
@@ -1107,11 +1126,9 @@ def merge_campaign_stores(
     backends = sorted({info["rng_backend"] for info in infos}, key=repr)
     if len(backends) > 1:
         raise ConfigurationError(
-            f"shard stores disagree on rng_backend ({backends}) — shards "
-            "filled on the numpy and the pure-python backend hold "
-            "different executions of the same cells and must not be "
-            "merged (None marks a store from before the stamp: resume it "
-            "once on the host that filled it)"
+            f"shard stores disagree on rng_backend ({backends}) — None "
+            "marks a store from before the stamp: resume it once so it "
+            "is stamped, then merge"
         )
     counts = sorted({info["count"] for info in infos})
     if len(counts) > 1:

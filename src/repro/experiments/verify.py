@@ -11,7 +11,8 @@ the clean reference bytes:
 * schema validation — the three campaign tables with the exact column
   sets the current code writes;
 * metadata validation — the ``base_seed`` stamp, the shard spec shape
-  and the ``rng_backend`` stamp;
+  and the ``rng_backend`` stamp (a store stamped ``"numpy"`` was filled
+  by the retired numpy backend and is flagged, report-only);
 * per-cell validation — a legal status, a parseable payload for every
   ``done`` cell, a sane attempts count, and **re-derived identity**:
   the row's coordinate tag and seed are recomputed from its stored
@@ -50,6 +51,7 @@ import os
 import sqlite3
 from typing import Any, Dict, List, Optional
 
+from ..adversary.loss import RNG_BACKEND
 from ..core.errors import ConfigurationError
 from . import harness
 
@@ -184,7 +186,16 @@ def verify_campaign_store(
                 "action": "report-only",
             })
         backend = _read_meta(conn, "rng_backend")
-        if backend is not None and backend not in ("numpy", "pure"):
+        if backend == "numpy":
+            findings.append({
+                "kind": "meta",
+                "detail": (
+                    "rng_backend 'numpy': filled by the retired numpy "
+                    "backend, so resume, report and merge refuse it"
+                ),
+                "action": "report-only",
+            })
+        elif backend is not None and backend != RNG_BACKEND:
             findings.append({
                 "kind": "meta",
                 "detail": f"malformed rng_backend stamp {backend!r}",

@@ -253,9 +253,8 @@ class MultihopLayer(LossAdversary, CollisionDetector):
             advice.update(self.detector.advise(round_index, c_local, counts))
         return advice
 
-    # Kernel rounds take the base round trip through ``advise`` above;
-    # the name stays bound here because perfbench/spans.py times the
-    # layer's kernel-round advice through ``MultihopLayer.advise_array``.
+    # Inert compatibility: the engine never calls it, but
+    # perfbench/spans.py wraps ``MultihopLayer.__dict__["advise_array"]``.
     advise_array = CollisionDetector.advise_array
 
     def reset(self) -> None:

@@ -1,10 +1,11 @@
 """A paper-literal executable spec of the synchronous round.
 
-The engine has two optimised implementations of a round — the array
-kernel and the scalar path — and comparing them with each other cannot
-catch a bug they share upstream.  :func:`run_spec` restates Definition 11
-as plainly as possible, with no caches and nothing shared with
-``repro.core.execution``, so the tests can hold both paths to it:
+The engine's round is optimised (shared multisets, lazily built drop
+sets, cached live sets), and no comparison of the engine with itself can
+catch a bug in those.  :func:`run_spec` restates Definition 11 as plainly
+as possible, with no caches and nothing shared with
+``repro.core.execution``, so the tests can hold the engine to it
+(:func:`assert_matches`):
 
 * each receiver gets the round's broadcast multiset minus its drop set,
   with its own message restored (constraint 5);
@@ -16,9 +17,12 @@ as plainly as possible, with no caches and nothing shared with
 Losses come from *laws*: plain per-receiver functions
 ``law(round_index, senders, receiver) -> drop set``, written from the
 paper's definitions of the deterministic built-in adversaries (plus the
-pure-python capture law) rather than from ``src/``.  A law may name
-non-senders or the receiver itself; the round ignores both, as the model
-does.
+capture law) rather than from ``src/``.  For the adversaries with no law
+here (``IIDLoss`` and the substrate layers), :func:`resolved` reads the
+drop sets off the adversary itself: the loss law then comes from
+``src/``, but the round around it is still this module's.  A law may
+name non-senders or the receiver itself; the round ignores both, as the
+model does.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.multiset import Multiset
-from repro.core.records import RoundRecord, RoundSummary
+from repro.core.records import RecordPolicy, RoundRecord, RoundSummary
 from repro.core.types import ContentionAdvice
 
 Law = Callable[[int, Sequence[Any], Any], Set[Any]]
@@ -88,8 +92,8 @@ def composed(components: Sequence[Law]) -> Law:
 
 def capture(capture_limit: int = 1, p_single_loss: float = 0.0,
             seed: int = 0) -> Law:
-    """The capture law of the pure-python backend: one stdlib stream per
-    (seed, round, receiver) decides how many competitors it decodes."""
+    """The capture law: one stdlib stream per (seed, round, receiver)
+    decides how many competitors it decodes."""
 
     def law(r, senders, receiver):
         others = [s for s in senders if s != receiver]
@@ -102,6 +106,22 @@ def capture(capture_limit: int = 1, p_single_loss: float = 0.0,
             others, rng.randint(0, min(capture_limit, len(others)))
         )
         return set(others) - set(kept)
+
+    return law
+
+
+def resolved(adversary, receivers: Sequence[Any]) -> Law:
+    """The drop sets a fresh loss ``adversary`` answers when it resolves
+    each round whole over ``receivers``, in index order, as the engine
+    asks it (one resolution per round, however many receivers ask)."""
+    receivers = tuple(receivers)
+    last: List[Any] = [None, None]
+
+    def law(r, senders, receiver):
+        if last[0] != r:
+            last[0] = r
+            last[1] = adversary.losses_for_round(r, list(senders), receivers)
+        return set(last[1][receiver])
 
     return law
 
@@ -263,3 +283,19 @@ def run_spec(indices, spawn, detector, contention, law: Law, rounds: int,
         rejoin_counts=rejoins,
         departed_decisions=tuple(ghosts),
     )
+
+
+def assert_matches(result, reference: SpecExecution, record_policy) -> None:
+    """An engine ``result`` executed the spec's ``reference`` run: the
+    same outcome under every policy, and the same retained rounds."""
+    assert result.rounds == len(reference.records)
+    assert result.decisions == reference.decisions
+    assert result.decision_rounds == reference.decision_rounds
+    assert result.crash_rounds == reference.crash_rounds
+    assert result.leave_rounds == reference.leave_rounds
+    assert result.rejoin_counts == reference.rejoin_counts
+    assert result.departed_decisions == reference.departed_decisions
+    if record_policy is RecordPolicy.FULL:
+        assert result.records == reference.records  # full per-round equality
+    elif record_policy is RecordPolicy.SUMMARY:
+        assert result.summaries == reference.summaries

@@ -1,61 +1,43 @@
-"""Equivalence suite for the array round kernel.
+"""The engine's one receive stage, held to the paper-literal round.
 
-The pure-python engine path is the reference; every vectorised branch
-must be observationally invisible.  A round rides the kernel only when
-numpy is on, no churn event fires and the round carries at most one
-distinct payload; every other round takes the reference receive stage
-and the per-process transitions, so on those rounds the kernel-on vs
-kernel-off comparison holds the reference against itself and the
-paper-literal spec in ``tests/test_batched_loss.py`` is the oracle that
-has to catch their bugs.  Covered here:
+This module once held the array round kernel to the reference receive
+stage.  The kernel and its array backend are retired; the tests keep
+their names and now hold the engine to ``tests/spec_round.py`` over the
+widest system matrix in the suite:
 
-* byte-identical vectorised-vs-fallback executions for every built-in
-  detector class (the full Figure 1 lattice plus the phased detectors)
-  x {reliable, iid, capture, partition} x {FULL, SUMMARY, NONE},
-  including runs with crashes, halting, decisions, and a seeded-RNG
-  detector policy (whose stream order the array path must preserve);
-* a third-party detector without ``advise_array`` rides the dict
-  round trip under the kernel and sees the exact same calls either way,
-  and one that omits a pid from its advice is rejected on both receive
-  paths;
+* every built-in detector class (the full Figure 1 lattice plus the
+  phased detectors) and seeded, silent and spurious policies x
+  {reliable, iid, capture, partition} x {FULL, SUMMARY, NONE}, with
+  crashes, halting and decisions;
+* a third-party detector is asked exactly the spec's Definition 6
+  calls, and one that omits a pid from its advice is rejected, by the
+  engine and by the ``advise_array`` round trip kept for compatibility;
 * a subclass overriding ``advise`` on a built-in detector, or
-  ``free_choice`` on a built-in policy, is never silently bypassed;
-* detector-level ``advise_array`` == ``advise`` elementwise for every
-  lattice class;
-* :class:`RoundLosses` keeps its counts and its lazily materialised
-  sets consistent, behaves as a Mapping, and the engine rejects
-  resolutions that breach the drop-count budget;
-* the reworked ``CaptureEffectLoss`` block draw is deterministic per
-  ``(seed, round)`` and samples the documented capture law;
-* ``use_array_kernel=True`` without numpy fails loudly instead of
-  silently running the slow path;
-* the routing rule, round by round: a round with two distinct payloads
-  leaves ``kernel_rounds`` unchanged and records exactly as the
-  kernel-off run does, while single-payload and silent rounds count;
-* the paper's real algorithms (Algorithms 1-3 and anonymous counting)
-  run byte-identically kernel-on vs kernel-off under {reliable, iid,
-  capture} x every record policy — their proposal rounds carry several
-  distinct payloads at once, which take the reference stage;
-* every built-in adversary and both substrate layers run
-  byte-identically kernel-on vs kernel-off, with ``kernel_rounds``
-  equal to the exact number of rounds that carry at most one distinct
-  payload (read from the FULL run's records) under every record policy
-  — including a multihop inner script that names senders outside the
-  neighbourhood it was handed;
-* both multihop runs give legal advice to every receiver, checked
-  against a local ``c`` counted from the graph and each record's
-  senders (both paths reach the same dict ``advise``, so this is the
-  independent check), and a receive count above its local ``c`` is a
-  ``ModelViolation`` on both receive paths.
+  ``free_choice`` on a built-in policy, is never bypassed;
+* ``CollisionDetector.advise_array`` == ``advise`` elementwise for every
+  class;
+* :class:`RoundLosses` keeps its counts and its sets consistent, behaves
+  as a Mapping, and the engine rejects resolutions that breach the
+  contract;
+* ``CaptureEffectLoss`` is deterministic per ``(seed, round)``, draws
+  independent streams for disjoint receiver groups in one round, and
+  samples the documented capture law;
+* round by round, a round with two distinct payloads records exactly
+  what the spec records;
+* the paper's algorithms (Algorithms 1-3 and anonymous counting) and
+  both substrate layers execute the spec's round under every record
+  policy; multihop advice is legal for every receiver, checked against a
+  local ``c`` counted from the graph and each record's senders, and a
+  receive count above its local ``c`` is a ``ModelViolation``.
 
-On the no-numpy CI leg the kernel-on and kernel-off runs collapse onto
-the same reference path, so the equivalence assertions hold trivially
-there and substantively on the numpy leg — both backends run this file.
+Where the spec has no loss law of its own (``IIDLoss`` and the substrate
+layers), :func:`spec_round.resolved` reads the drop sets off a fresh
+instance of the adversary; the round around them is still the spec's.
 """
 
 import pytest
 
-import repro.core.execution as execution_mod
+import spec_round as spec
 from repro.adversary.crash import NoCrashes, ScheduledCrashes
 from repro.adversary.loss import (
     CaptureEffectLoss,
@@ -76,10 +58,9 @@ from repro.contention.services import (
     WakeUpService,
 )
 from repro.core.algorithm import Algorithm
-from repro.core.environment import Environment, array_kernel_module
-from repro.core.errors import ConfigurationError, ModelViolation
+from repro.core.environment import Environment
+from repro.core.errors import ModelViolation
 from repro.core.execution import ExecutionEngine, run_algorithm
-from repro.core.multiset import Multiset
 from repro.core.process import ScriptedProcess
 from repro.core.records import RecordPolicy
 from repro.core.types import CollisionAdvice
@@ -104,13 +85,9 @@ from repro.substrate.device import PhysicalLayer
 from repro.substrate.multihop import MultihopLayer, MultihopNetwork
 from repro.substrate.radio import RadioConfig
 
-_np = array_kernel_module()
-needs_numpy = pytest.mark.skipif(
-    _np is None, reason="array kernel requires numpy"
-)
-
 N = 6
 ROUNDS = 14
+INDICES = tuple(range(N))
 
 
 class DecideThenHalt(ScriptedProcess):
@@ -180,51 +157,55 @@ def detector_matrix():
     return matrix
 
 
+_HALVES = [(0, 1, 2), (3, 4, 5)]
+
 LOSSES = {
     "reliable": lambda: ReliableDelivery(),
     "iid": lambda: IIDLoss(0.35, seed=5),
     "capture": lambda: CaptureEffectLoss(capture_limit=1, seed=2),
-    "partition": lambda: PartitionLoss([(0, 1, 2), (3, 4, 5)]),
+    "partition": lambda: PartitionLoss(_HALVES),
+}
+
+#: The spec's law for each of :data:`LOSSES`, over :data:`INDICES`.
+LAWS = {
+    "reliable": spec.reliable,
+    "iid": lambda: spec.resolved(LOSSES["iid"](), INDICES),
+    "capture": lambda: spec.capture(capture_limit=1, seed=2),
+    "partition": lambda: spec.partition(_HALVES),
 }
 
 POLICIES = (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 
 
-def run_once(detector_factory, loss_factory, record_policy,
-             use_array_kernel, crash=None, algorithm=None):
+def run_once(detector_factory, loss_factory, record_policy, crash=None):
     env = Environment(
-        indices=tuple(range(N)),
+        indices=INDICES,
         detector=detector_factory(),
         contention=NoContentionManager(),
         loss=loss_factory(),
         crash=crash() if crash else NoCrashes(),
     )
     return run_algorithm(
-        env, algorithm or mixed_algorithm(), max_rounds=ROUNDS,
+        env, mixed_algorithm(), max_rounds=ROUNDS,
         until_all_decided=False, record_policy=record_policy,
-        use_array_kernel=use_array_kernel,
     )
 
 
-def single_payload_rounds(result):
-    """How many rounds of a FULL ``result`` carry at most one distinct
-    payload: in a churn-free execution with numpy on, exactly the rounds
-    the array kernel serves."""
+def spec_once(detector_factory, loss_name, crash=None):
+    """The spec's run of :func:`run_once`'s system, from fresh parts."""
+    return spec.run_spec(
+        INDICES, mixed_algorithm().spawn, detector_factory(),
+        NoContentionManager(), LAWS[loss_name](), ROUNDS,
+        crash=crash() if crash else None,
+    )
+
+
+def single_payload_rounds(records):
+    """How many of ``records`` carry at most one distinct payload."""
     return sum(
         len({m for m in rec.messages.values() if m is not None}) <= 1
-        for rec in result.records
+        for rec in records
     )
-
-
-def assert_identical(vec, ref, record_policy):
-    assert vec.decisions == ref.decisions
-    assert vec.decision_rounds == ref.decision_rounds
-    assert vec.crash_rounds == ref.crash_rounds
-    assert vec.rounds == ref.rounds
-    if record_policy is RecordPolicy.FULL:
-        assert vec.records == ref.records  # full per-round equality
-    elif record_policy is RecordPolicy.SUMMARY:
-        assert vec.summaries == ref.summaries
 
 
 # ----------------------------------------------------------------------
@@ -236,11 +217,10 @@ def test_kernel_and_fallback_executions_are_identical(
     detector_name, loss_name
 ):
     detector_factory = detector_matrix()[detector_name]
-    loss_factory = LOSSES[loss_name]
+    reference = spec_once(detector_factory, loss_name)
     for record_policy in POLICIES:
-        vec = run_once(detector_factory, loss_factory, record_policy, None)
-        ref = run_once(detector_factory, loss_factory, record_policy, False)
-        assert_identical(vec, ref, record_policy)
+        result = run_once(detector_factory, LOSSES[loss_name], record_policy)
+        spec.assert_matches(result, reference, record_policy)
 
 
 @pytest.mark.parametrize("loss_name", sorted(LOSSES))
@@ -249,16 +229,13 @@ def test_kernel_equivalence_under_crashes(loss_name, record_policy):
     crash = lambda: ScheduledCrashes.at(
         {3: [1], 5: [4]}, after_send=True
     )
-    vec = run_once(
-        detector_matrix()["AC"], LOSSES[loss_name], record_policy, None,
-        crash=crash,
+    detector_factory = detector_matrix()["AC"]
+    result = run_once(
+        detector_factory, LOSSES[loss_name], record_policy, crash=crash,
     )
-    ref = run_once(
-        detector_matrix()["AC"], LOSSES[loss_name], record_policy, False,
-        crash=crash,
-    )
-    assert_identical(vec, ref, record_policy)
-    assert vec.crash_rounds[1] == 3 and vec.crash_rounds[4] == 5
+    reference = spec_once(detector_factory, loss_name, crash=crash)
+    spec.assert_matches(result, reference, record_policy)
+    assert result.crash_rounds[1] == 3 and result.crash_rounds[4] == 5
 
 
 # ----------------------------------------------------------------------
@@ -286,21 +263,16 @@ class RecordingThirdPartyDetector(CollisionDetector):
 
 @pytest.mark.parametrize("loss_name", sorted(LOSSES))
 def test_third_party_detector_rides_the_dict_fallback(loss_name):
-    runs = {}
-    for kernel in (None, False):
-        detector = RecordingThirdPartyDetector()
-        runs[kernel] = (
-            run_once(lambda: detector, LOSSES[loss_name],
-                     RecordPolicy.FULL, kernel),
-            detector.calls,
-        )
-    vec, vec_calls = runs[None]
-    ref, ref_calls = runs[False]
-    assert_identical(vec, ref, RecordPolicy.FULL)
-    # The fallback hook reconstructs the exact dict calls: same rounds,
-    # same counts, same iteration order.
-    assert vec_calls == ref_calls
-    assert len(vec_calls) == ROUNDS
+    engine_detector = RecordingThirdPartyDetector()
+    spec_detector = RecordingThirdPartyDetector()
+    result = run_once(lambda: engine_detector, LOSSES[loss_name],
+                      RecordPolicy.FULL)
+    reference = spec_once(lambda: spec_detector, loss_name)
+    spec.assert_matches(result, reference, RecordPolicy.FULL)
+    # The engine makes exactly the spec's Definition 6 calls: same
+    # rounds, same counts, same iteration order.
+    assert engine_detector.calls == spec_detector.calls
+    assert len(engine_detector.calls) == ROUNDS
 
 
 class OmitsPidFour(CollisionDetector):
@@ -313,24 +285,24 @@ class OmitsPidFour(CollisionDetector):
         }
 
 
-@pytest.mark.parametrize("kernel", [
-    pytest.param(True, marks=needs_numpy), False,
-], ids=["kernel-on", "kernel-off"])
+@pytest.mark.parametrize("kernel", [True, False],
+                         ids=["kernel-on", "kernel-off"])
 def test_omitted_detector_advice_raises_on_both_receive_paths(kernel):
+    """The engine's receive stage ("kernel-off") and the ``advise_array``
+    round trip kept for compatibility ("kernel-on", where the retired
+    kernel asked the detector) both reject the omission."""
+    omitted = r"collision detector omitted advice for \[4\]"
+    if kernel:
+        with pytest.raises(ModelViolation, match=omitted):
+            OmitsPidFour().advise_array(1, 2, [2] * N, INDICES)
+        return
     env = Environment(
-        indices=tuple(range(N)), detector=OmitsPidFour(),
+        indices=INDICES, detector=OmitsPidFour(),
         contention=NoContentionManager(),
     )
-    engine = ExecutionEngine(
-        env, mixed_algorithm().spawn_all(env.indices),
-        use_array_kernel=kernel,
-    )
-    with pytest.raises(ModelViolation,
-                       match=r"collision detector omitted advice for \[4\]"):
+    engine = ExecutionEngine(env, mixed_algorithm().spawn_all(env.indices))
+    with pytest.raises(ModelViolation, match=omitted):
         engine.step()
-    # Round 1 sends one payload: with the kernel on it asked the detector
-    # through ``advise_array``, with it off through ``_receive_scalar``.
-    assert engine.kernel_rounds == (1 if kernel else 0)
 
 
 def test_detector_subclass_override_is_not_bypassed():
@@ -345,16 +317,19 @@ def test_detector_subclass_override_is_not_bypassed():
 
     run_once(
         lambda: SpyDetector(Completeness.FULL, AccuracyMode.ALWAYS),
-        LOSSES["iid"], RecordPolicy.NONE, None,
+        LOSSES["iid"], RecordPolicy.NONE,
     )
     assert seen == list(range(1, ROUNDS + 1))
 
 
 def test_policy_free_choice_override_is_not_bypassed():
+    asked = []
+
     class ContraryBenign(BenignPolicy):
-        """Inverts every free choice: both engine paths must ask it."""
+        """Inverts every free choice: the engine must ask it."""
 
         def free_choice(self, round_index, pid, c, t):
+            asked.append(round_index)
             choice = super().free_choice(round_index, pid, c, t)
             return (
                 CollisionAdvice.NULL
@@ -365,15 +340,14 @@ def test_policy_free_choice_override_is_not_bypassed():
     factory = lambda: ParametricCollisionDetector(
         Completeness.ZERO, AccuracyMode.ALWAYS, policy=ContraryBenign()
     )
-    vec = run_once(factory, LOSSES["iid"], RecordPolicy.FULL, None)
-    ref = run_once(factory, LOSSES["iid"], RecordPolicy.FULL, False)
-    assert_identical(vec, ref, RecordPolicy.FULL)
+    result = run_once(factory, LOSSES["iid"], RecordPolicy.FULL)
+    assert asked
+    spec.assert_matches(result, spec_once(factory, "iid"), RecordPolicy.FULL)
 
 
 # ----------------------------------------------------------------------
-# Detector-level elementwise equivalence
+# Detector-level elementwise equivalence of the compatibility name
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("detector_name", sorted(detector_matrix()))
 def test_advise_array_matches_dict_advise_elementwise(detector_name):
     indices = tuple(range(8))
@@ -391,8 +365,7 @@ def test_advise_array_matches_dict_advise_elementwise(detector_name):
                 round_index, c, dict(zip(indices, counts))
             )
             got = array_detector.advise_array(
-                round_index, c,
-                _np.asarray(counts, dtype=_np.int64), indices,
+                round_index, c, counts, indices
             )
             assert got == [expected[pid] for pid in indices], (
                 detector_name, round_index, c, counts,
@@ -402,7 +375,6 @@ def test_advise_array_matches_dict_advise_elementwise(detector_name):
 # ----------------------------------------------------------------------
 # RoundLosses: counts/sets consistency and Mapping behaviour
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("adversary_factory, senders", [
     (lambda: IIDLoss(0.4, seed=9), list(range(6))),
     (lambda: CaptureEffectLoss(capture_limit=2, seed=9), list(range(6))),
@@ -417,7 +389,7 @@ def test_array_losses_counts_match_materialised_sets(
     for r in (1, 2, 7):
         lost_map = adversary.losses_for_round(r, senders, receivers)
         assert isinstance(lost_map, RoundLosses)
-        counts = lost_map.drop_counts.tolist()
+        counts = list(lost_map.drop_counts)
         assert len(lost_map) == len(receivers)
         assert list(lost_map) == list(receivers)
         for k, pid in enumerate(receivers):
@@ -428,7 +400,6 @@ def test_array_losses_counts_match_materialised_sets(
         assert lost_map.get("nope", "default") == "default"
 
 
-@needs_numpy
 def test_array_losses_mapping_interface():
     lost_map = IIDLoss(0.5, seed=3).losses_for_round(
         1, list(range(5)), tuple(range(5))
@@ -441,37 +412,37 @@ def test_array_losses_mapping_interface():
     assert len(list(lost_map.items())) == 5
 
 
-@needs_numpy
 def test_engine_rejects_breaching_array_resolution():
-    class BreachingArrayLoss(LossAdversary):
+    class BreachingCountsLoss(LossAdversary):
+        """Counts that no normalized drop set can have."""
+
         def __init__(self, mode):
             self.mode = mode
 
         def losses_for_round(self, round_index, senders, receivers):
             receivers = tuple(receivers)
             if self.mode == "overdrop":
-                drops = _np.full(len(receivers), len(senders) + 1,
-                                 dtype=_np.int64)
+                drops = [len(senders) + 1] * len(receivers)
             elif self.mode == "negative":
-                drops = _np.full(len(receivers), -1, dtype=_np.int64)
+                drops = [-1] * len(receivers)
             else:  # omit a receiver
                 receivers = receivers[:-1]
-                drops = _np.zeros(len(receivers), dtype=_np.int64)
+                drops = [0] * len(receivers)
             return RoundLosses(
                 senders, receivers, drops,
                 lambda: {pid: frozenset() for pid in receivers},
             )
 
     for mode, match in (
-        ("overdrop", "droppable budget"),
-        ("negative", "droppable budget"),
+        ("overdrop", "claims 5 drops at 0, but its drop set names 0"),
+        ("negative", "claims -1 drops at 0, but its drop set names 0"),
         ("omit", "omitted receiver"),
     ):
         env = Environment(
             indices=tuple(range(4)),
             detector=detector_matrix()["AC"](),
             contention=NoContentionManager(),
-            loss=BreachingArrayLoss(mode),
+            loss=BreachingCountsLoss(mode),
         )
         env.reset()
         engine = ExecutionEngine(
@@ -486,9 +457,8 @@ def test_engine_rejects_breaching_array_resolution():
 
 
 # ----------------------------------------------------------------------
-# CaptureEffectLoss: block-substream determinism and law
+# CaptureEffectLoss: per-receiver substreams, determinism and law
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_capture_block_draw_is_deterministic_per_seed_and_round():
     senders = list(range(5))
     receivers = tuple(range(5))
@@ -497,23 +467,21 @@ def test_capture_block_draw_is_deterministic_per_seed_and_round():
     for r in (1, 2, 9):
         left = a.losses_for_round(r, senders, receivers)
         right = b.losses_for_round(r, senders, receivers)
-        assert left.drop_counts.tolist() == right.drop_counts.tolist()
+        assert list(left.drop_counts) == list(right.drop_counts)
         assert dict(left) == dict(right)
-    # Different rounds (and different seeds) draw different blocks.
+    # Different rounds (and different seeds) draw different patterns.
     patterns = {
         tuple(CaptureEffectLoss(capture_limit=1, seed=21)
-              .losses_for_round(r, senders, receivers)
-              .drop_counts.tolist())
+              .losses_for_round(r, senders, receivers).drop_counts)
         for r in range(1, 30)
     }
     assert len(patterns) > 1
 
 
-@needs_numpy
 def test_capture_blocks_are_independent_across_same_round_calls():
     """Group-delegating wrappers (PartitionLoss intra, multihop
     neighbourhoods) resolve each group with its own call in the same
-    round; those calls must draw independent blocks, not replay one."""
+    round; disjoint groups must draw independent patterns."""
     adv = CaptureEffectLoss(capture_limit=1, seed=7)
     group_a = [0, 1, 2]
     group_b = [3, 4, 5]
@@ -522,9 +490,7 @@ def test_capture_blocks_are_independent_across_same_round_calls():
     for r in range(1, rounds + 1):
         left = adv.losses_for_round(r, group_a, tuple(group_a))
         right = adv.losses_for_round(r, group_b, tuple(group_b))
-        identical += (
-            left.drop_counts.tolist() == right.drop_counts.tolist()
-        )
+        identical += list(left.drop_counts) == list(right.drop_counts)
     # Two independent 3-vectors over {1, 2} collide sometimes (1/8 by
     # chance), but nowhere near always.
     assert identical < rounds // 2, identical
@@ -543,24 +509,22 @@ def test_capture_blocks_are_independent_across_same_round_calls():
         }  # cross-group is always lost; intra handled by capture
 
 
-@needs_numpy
 def test_capture_block_draw_counts_are_lazy_but_committed():
-    """Counts read before and after set materialisation agree — the set
-    draw is reserved tail randomness, never a re-draw."""
+    """Counts agree with the sets they count, and a second resolution
+    of the same round replays both."""
     adv = CaptureEffectLoss(capture_limit=2, seed=4)
     senders = list(range(6))
-    untouched = adv.losses_for_round(3, senders, tuple(range(6)))
-    counts_before = untouched.drop_counts.tolist()
-    materialised = adv.losses_for_round(3, senders, tuple(range(6)))
-    sets = {pid: set(materialised[pid]) for pid in range(6)}
-    assert materialised.drop_counts.tolist() == counts_before
-    assert untouched.drop_counts.tolist() == counts_before
+    first = adv.losses_for_round(3, senders, tuple(range(6)))
+    counts_before = list(first.drop_counts)
+    again = adv.losses_for_round(3, senders, tuple(range(6)))
+    sets = {pid: set(again[pid]) for pid in range(6)}
+    assert list(again.drop_counts) == counts_before
+    assert {pid: set(first[pid]) for pid in range(6)} == sets
     assert {pid: len(s) for pid, s in sets.items()} == {
         pid: counts_before[k] for k, pid in enumerate(range(6))
     }
 
 
-@needs_numpy
 def test_capture_block_draw_samples_the_capture_law():
     # capture_limit=1 under full contention: every receiver keeps at
     # most one competitor, so drop counts are m or m-1 (m = n-1 here).
@@ -570,7 +534,7 @@ def test_capture_block_draw_samples_the_capture_law():
     rounds = 300
     for r in range(1, rounds + 1):
         lost_map = adv.losses_for_round(r, senders, tuple(range(8)))
-        for k, drop in enumerate(lost_map.drop_counts.tolist()):
+        for drop in lost_map.drop_counts:
             assert drop in (6, 7)
             kept_any += drop == 6
     # Capture counts are uniform on {0, 1}: about half the
@@ -579,20 +543,18 @@ def test_capture_block_draw_samples_the_capture_law():
     assert 0.42 < share < 0.58
 
 
-@needs_numpy
 def test_capture_single_sender_ambient_loss_law():
     adv = CaptureEffectLoss(p_single_loss=0.3, seed=8)
     receivers = tuple(range(10))
     losses = 0
     rounds = 200
     for r in range(1, rounds + 1):
-        lost_map = adv.losses_for_round(r, [0], receivers)
-        drops = lost_map.drop_counts.tolist()
+        drops = list(adv.losses_for_round(r, [0], receivers).drop_counts)
         assert drops[0] == 0  # the sender always keeps its own message
         losses += sum(drops[1:])
     rate = losses / (rounds * 9)
     assert abs(rate - 0.3) < 0.05
-    # And the sets agree with the flags.
+    # And the sets agree with the counts.
     lost_map = adv.losses_for_round(1, [0], receivers)
     for pid in receivers[1:]:
         assert (lost_map[pid] == frozenset({0})) == bool(
@@ -600,100 +562,54 @@ def test_capture_single_sender_ambient_loss_law():
         )
 
 
-def test_capture_pure_python_batched_path_unchanged(monkeypatch):
-    import repro.adversary.loss as loss_mod
-    import spec_round
-
-    monkeypatch.setattr(loss_mod, "_np", None)
+def test_capture_pure_python_batched_path_unchanged():
     adv = CaptureEffectLoss(capture_limit=2, seed=11)
     senders = [0, 1, 2, 3]
     batched = adv.losses_for_round(7, senders, [0, 1, 2, 3, 4])
     assert isinstance(batched, RoundLosses)
-    law = spec_round.capture(capture_limit=2, seed=11)
+    law = spec.capture(capture_limit=2, seed=11)
     for pid in [0, 1, 2, 3, 4]:
         assert set(batched[pid]) == law(7, senders, pid)
 
 
 # ----------------------------------------------------------------------
-# Gating and supporting pieces
+# Round by round
 # ----------------------------------------------------------------------
-def test_forcing_the_kernel_without_numpy_fails_loudly(monkeypatch):
-    monkeypatch.setattr(
-        execution_mod, "array_kernel_module", lambda: None
-    )
-    env = Environment(
-        indices=(0, 1),
-        detector=detector_matrix()["AC"](),
-        contention=NoContentionManager(),
-    )
-    with pytest.raises(ConfigurationError, match="requires numpy"):
-        ExecutionEngine(
-            env,
-            Algorithm(
-                lambda i: ScriptedProcess(["a"]), anonymous=False
-            ).spawn_all(env.indices),
-            use_array_kernel=True,
-        )
-    # use_array_kernel=None degrades gracefully to the reference path.
-    engine = ExecutionEngine(
-        env,
-        Algorithm(
-            lambda i: ScriptedProcess(["a"]), anonymous=False
-        ).spawn_all(env.indices),
-        use_array_kernel=None,
-    )
-    assert engine._np is None
-
-
-@needs_numpy
 def test_multi_payload_round_takes_the_reference_stage():
-    """The routing rule, round by round.  Round 2 sends two distinct
-    payloads: it must leave ``kernel_rounds`` unchanged and record
-    exactly what the kernel-off run records.  The single-payload rounds
-    1 and 3 and the silent round 4 still count."""
+    """Round 2 sends two distinct payloads; rounds 1 and 3 one, round 4
+    none.  Every round's record is the spec's."""
     scripts = {
         0: ["a", "a", "x", None],
         1: ["a", "b", "x", None],
         2: ["a", "a", "x", None],
     }
-
-    def engine(use_array_kernel):
-        env = Environment(
-            indices=(0, 1, 2),
-            detector=detector_matrix()["AC+seeded"](),
-            contention=NoContentionManager(),
-            loss=IIDLoss(0.5, seed=3),
-        )
-        env.reset()
-        return ExecutionEngine(
-            env, {pid: ScriptedProcess(s) for pid, s in scripts.items()},
-            use_array_kernel=use_array_kernel,
-        )
-
-    on, off = engine(None), engine(False)
-    for expected_kernel_rounds in (1, 1, 2, 3):
-        assert on.step() == off.step()
-        assert on.kernel_rounds == expected_kernel_rounds
-    assert off.kernel_rounds == 0
-    second = on.result().records[1]
-    assert set(second.messages.values()) == {"a", "b"}
-
-
-def test_multiset_singleton_buckets():
-    buckets = Multiset.singleton_buckets("m", {0, 2, 5})
-    assert set(buckets) == {0, 2, 5}
-    assert buckets[0] == Multiset()
-    assert buckets[2] == Multiset(["m", "m"])
-    assert len(buckets[5]) == 5 and buckets[5].count("m") == 5
+    detector = detector_matrix()["AC+seeded"]
+    env = Environment(
+        indices=(0, 1, 2),
+        detector=detector(),
+        contention=NoContentionManager(),
+        loss=IIDLoss(0.5, seed=3),
+    )
+    env.reset()
+    engine = ExecutionEngine(
+        env, {pid: ScriptedProcess(s) for pid, s in scripts.items()},
+    )
+    reference = spec.run_spec(
+        (0, 1, 2), lambda pid: ScriptedProcess(scripts[pid]), detector(),
+        NoContentionManager(),
+        spec.resolved(IIDLoss(0.5, seed=3), (0, 1, 2)), 4,
+    )
+    for record in reference.records:
+        assert engine.step() == record
+    assert set(reference.records[1].messages.values()) == {"a", "b"}
 
 
 # ----------------------------------------------------------------------
-# The paper's algorithms: multi-payload rounds take the reference stage
+# The paper's algorithms
 # ----------------------------------------------------------------------
 # Before the wake-up service stabilizes, every process is active and
 # broadcasts its own estimate, so proposal rounds carry several distinct
-# payloads at once; those rounds take the reference receive stage and
-# the per-process transitions, and only the rest ride the kernel.
+# payloads at once.
 ALG_SUITE = {
     "alg1": lambda: (
         algorithm_1(),
@@ -712,16 +628,15 @@ ALG_SUITE = {
     ),
 }
 
-#: The ISSUE's algorithm-suite loss trio (partition stays covered by the
+#: The algorithm suite's loss trio (partition stays covered by the
 #: headline matrix above).
 ALG_LOSSES = ("capture", "iid", "reliable")
 
 
-def run_real_algorithm(alg_name, loss_name, record_policy,
-                       use_array_kernel):
+def run_real_algorithm(alg_name, loss_name, record_policy):
     algorithm, detector_factory, cm_factory = ALG_SUITE[alg_name]()
     env = Environment(
-        indices=tuple(range(N)),
+        indices=INDICES,
         detector=detector_factory(),
         contention=cm_factory(),
         loss=LOSSES[loss_name](),
@@ -730,75 +645,62 @@ def run_real_algorithm(alg_name, loss_name, record_policy,
     initials = {i: i % 3 for i in range(N)}
     engine = ExecutionEngine(
         env, algorithm.instantiate(initials), initials,
-        record_policy=record_policy, use_array_kernel=use_array_kernel,
+        record_policy=record_policy,
     )
-    result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    return engine.run(ROUNDS, until_all_decided=False)
 
 
 @pytest.mark.parametrize("alg_name", sorted(ALG_SUITE))
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
 def test_real_algorithm_kernel_identity(alg_name, loss_name):
-    assert POLICIES[0] is RecordPolicy.FULL  # the count comes from it
+    algorithm, detector_factory, cm_factory = ALG_SUITE[alg_name]()
+    initials = {i: i % 3 for i in range(N)}
+    reference = spec.run_spec(
+        INDICES, lambda pid: algorithm.spawn(pid, initials[pid]),
+        detector_factory(), cm_factory(), LAWS[loss_name](), ROUNDS,
+    )
     for record_policy in POLICIES:
-        vec, vec_kernel = run_real_algorithm(
-            alg_name, loss_name, record_policy, None
-        )
-        ref, ref_kernel = run_real_algorithm(
-            alg_name, loss_name, record_policy, False
-        )
-        assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
-        if record_policy is RecordPolicy.FULL:
-            single = single_payload_rounds(vec)
-            # Pre-stabilization everyone proposes its own estimate, so
-            # the value-carrying algorithms genuinely produce
-            # multi-payload rounds (Algorithm 3 votes with one fixed
-            # marker — its rounds stay single-payload by design).
-            if alg_name in ("alg1", "alg2"):
-                assert 0 < single < vec.rounds
-            else:
-                assert single == vec.rounds
-        if _np is not None:
-            # Exactly the rounds with at most one distinct payload,
-            # silent and loss-free ones included, ride the kernel under
-            # every policy.
-            assert vec_kernel == single
+        result = run_real_algorithm(alg_name, loss_name, record_policy)
+        spec.assert_matches(result, reference, record_policy)
+    single = single_payload_rounds(reference.records)
+    # Pre-stabilization everyone proposes its own estimate, so the
+    # value-carrying algorithms genuinely produce multi-payload rounds
+    # (Algorithm 3 votes with one fixed marker — its rounds stay
+    # single-payload by design).
+    if alg_name in ("alg1", "alg2"):
+        assert 0 < single < ROUNDS
+    else:
+        assert single == ROUNDS
 
 
 @pytest.mark.parametrize("loss_name", ALG_LOSSES)
 def test_counting_kernel_identity(loss_name):
-    """Anonymous counting announces one fixed marker, so every round
-    rides the kernel; ``CountingProcess`` has no batched form, so its
-    kernel rounds run the per-process ``transition`` loop."""
-
-    def run(record_policy, use_array_kernel):
+    """Anonymous counting announces one fixed marker; every process
+    steps through ``CountingProcess.transition``."""
+    detector = detector_matrix()["AC"]
+    contention = lambda: KWakeUpService(k=2, stabilization_round=4)
+    reference = spec.run_spec(
+        INDICES, counting_algorithm().spawn, detector(), contention(),
+        LAWS[loss_name](), ROUNDS,
+    )
+    for record_policy in POLICIES:
         env = Environment(
-            indices=tuple(range(N)),
-            detector=detector_matrix()["AC"](),
-            contention=KWakeUpService(k=2, stabilization_round=4),
+            indices=INDICES,
+            detector=detector(),
+            contention=contention(),
             loss=LOSSES[loss_name](),
         )
         env.reset()
         engine = ExecutionEngine(
             env, counting_algorithm().spawn_all(env.indices),
             record_policy=record_policy,
-            use_array_kernel=use_array_kernel,
         )
         result = engine.run(ROUNDS, until_all_decided=False)
-        return result, engine.kernel_rounds
-
-    for record_policy in POLICIES:
-        vec, vec_kernel = run(record_policy, None)
-        ref, ref_kernel = run(record_policy, False)
-        assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
-        if _np is not None:
-            assert vec_kernel == vec.rounds
+        spec.assert_matches(result, reference, record_policy)
 
 
 # ----------------------------------------------------------------------
-# PhysicalLayer: radio arbitration under both engine paths
+# PhysicalLayer: radio arbitration as both loss and detector
 # ----------------------------------------------------------------------
 RADIO_CONFIGS = {
     "default": lambda: None,
@@ -808,10 +710,10 @@ RADIO_CONFIGS = {
 }
 
 
-def run_physical(record_policy, use_array_kernel, config=None, seed=3):
-    layer = PhysicalLayer(tuple(range(N)), config, seed=seed)
+def run_physical(record_policy, config=None, seed=3):
+    layer = PhysicalLayer(INDICES, config, seed=seed)
     env = Environment(
-        indices=tuple(range(N)),
+        indices=INDICES,
         detector=layer,
         contention=NoContentionManager(),
         loss=layer,
@@ -819,35 +721,32 @@ def run_physical(record_policy, use_array_kernel, config=None, seed=3):
     env.reset()
     engine = ExecutionEngine(
         env, mixed_algorithm().spawn_all(env.indices),
-        record_policy=record_policy, use_array_kernel=use_array_kernel,
+        record_policy=record_policy,
     )
-    result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    return engine.run(ROUNDS, until_all_decided=False)
 
 
 @pytest.mark.parametrize("config_name", sorted(RADIO_CONFIGS))
 @pytest.mark.parametrize("record_policy", POLICIES)
 def test_physical_layer_kernel_identity(config_name, record_policy):
     config = RADIO_CONFIGS[config_name]
-    vec, vec_kernel = run_physical(record_policy, None, config=config())
-    ref, ref_kernel = run_physical(record_policy, False, config=config())
-    assert_identical(vec, ref, record_policy)
-    assert ref_kernel == 0
-    full, _ = run_physical(RecordPolicy.FULL, False, config=config())
-    single = single_payload_rounds(full)
-    assert 0 < single < full.rounds
-    if _np is not None:
-        assert vec_kernel == single
+    layer = PhysicalLayer(INDICES, config(), seed=3)
+    reference = spec.run_spec(
+        INDICES, mixed_algorithm().spawn, layer, NoContentionManager(),
+        spec.resolved(layer, INDICES), ROUNDS,
+    )
+    result = run_physical(record_policy, config=config())
+    spec.assert_matches(result, reference, record_policy)
+    assert 0 < single_payload_rounds(reference.records) < ROUNDS
 
 
-@needs_numpy
 def test_physical_layer_losses_are_arrays_and_consistent():
-    layer = PhysicalLayer(tuple(range(N)), seed=9)
+    layer = PhysicalLayer(INDICES, seed=9)
     senders = [0, 2, 3, 5]
-    lost_map = layer.losses_for_round(4, senders, tuple(range(N)))
+    lost_map = layer.losses_for_round(4, senders, INDICES)
     assert isinstance(lost_map, RoundLosses)
-    counts = lost_map.drop_counts.tolist()
-    for k, pid in enumerate(range(N)):
+    counts = list(lost_map.drop_counts)
+    for k, pid in enumerate(INDICES):
         lost = lost_map[pid]
         assert len(lost) == counts[k]
         assert pid not in lost
@@ -855,7 +754,7 @@ def test_physical_layer_losses_are_arrays_and_consistent():
 
 
 # ----------------------------------------------------------------------
-# MultihopLayer: per-neighbourhood delegation under both engine paths
+# MultihopLayer: per-neighbourhood delegation
 # ----------------------------------------------------------------------
 MULTIHOP_TOPOLOGIES = {
     "line": lambda: MultihopNetwork.line(N),
@@ -875,14 +774,17 @@ MULTIHOP_INNERS = {
 }
 
 
-def run_multihop(topology_name, inner_name, record_policy,
-                 use_array_kernel, detector):
+def multihop_layer(topology_name, inner_name, detector):
     net = MULTIHOP_TOPOLOGIES[topology_name]()
-    layer = MultihopLayer(
+    return MultihopLayer(
         net, inner=MULTIHOP_INNERS[inner_name](), detector=detector
     )
+
+
+def run_multihop(topology_name, inner_name, record_policy, detector):
+    layer = multihop_layer(topology_name, inner_name, detector)
     env = Environment(
-        indices=tuple(net.indices),
+        indices=tuple(layer.network.indices),
         detector=layer,
         contention=NoContentionManager(),
         loss=layer,
@@ -890,10 +792,18 @@ def run_multihop(topology_name, inner_name, record_policy,
     env.reset()
     engine = ExecutionEngine(
         env, mixed_algorithm().spawn_all(env.indices),
-        record_policy=record_policy, use_array_kernel=use_array_kernel,
+        record_policy=record_policy,
     )
-    result = engine.run(ROUNDS, until_all_decided=False)
-    return result, engine.kernel_rounds
+    return engine.run(ROUNDS, until_all_decided=False)
+
+
+def spec_multihop(topology_name, inner_name, detector):
+    layer = multihop_layer(topology_name, inner_name, detector)
+    indices = tuple(layer.network.indices)
+    return spec.run_spec(
+        indices, mixed_algorithm().spawn, layer, NoContentionManager(),
+        spec.resolved(layer, indices), ROUNDS,
+    )
 
 
 def assert_multihop_advice_legal(result, net, detector):
@@ -919,39 +829,31 @@ def test_multihop_layer_kernel_identity(topology_name, inner_name):
             Completeness.MAJORITY, AccuracyMode.EVENTUAL, r_acc=4,
         )
 
-    assert POLICIES[0] is RecordPolicy.FULL  # the count comes from it
+    reference = spec_multihop(topology_name, inner_name, detector())
     for record_policy in POLICIES:
-        vec, vec_kernel = run_multihop(
-            topology_name, inner_name, record_policy, None, detector()
+        result = run_multihop(
+            topology_name, inner_name, record_policy, detector()
         )
-        ref, ref_kernel = run_multihop(
-            topology_name, inner_name, record_policy, False, detector()
-        )
-        assert_identical(vec, ref, record_policy)
-        assert ref_kernel == 0
+        spec.assert_matches(result, reference, record_policy)
         if record_policy is RecordPolicy.FULL:
-            single = single_payload_rounds(vec)
-            assert 0 < single < vec.rounds
             net = MULTIHOP_TOPOLOGIES[topology_name]()
-            for run in (vec, ref):
-                assert_multihop_advice_legal(run, net, detector())
-        if _np is not None:
-            assert vec_kernel == single
+            assert_multihop_advice_legal(result, net, detector())
+    assert 0 < single_payload_rounds(reference.records) < ROUNDS
 
 
 def test_multihop_seeded_policy_stream_identity():
-    """Both receive paths ask the layer's detector through the same dict
-    ``advise``, one call per local broadcaster count — a seeded policy's
-    stream must come out identical either way."""
+    """The layer asks its detector through dict ``advise``, one call per
+    local broadcaster count: a seeded policy's stream comes out as the
+    spec round's."""
     def detector():
         return ParametricCollisionDetector(
             Completeness.ZERO, AccuracyMode.EVENTUAL, r_acc=6,
             policy=SeededRandomPolicy(p_collision=0.4, seed=17),
         )
 
-    vec, _ = run_multihop("grid", "iid", RecordPolicy.FULL, None, detector())
-    ref, _ = run_multihop("grid", "iid", RecordPolicy.FULL, False, detector())
-    assert_identical(vec, ref, RecordPolicy.FULL)
+    result = run_multihop("grid", "iid", RecordPolicy.FULL, detector())
+    reference = spec_multihop("grid", "iid", detector())
+    spec.assert_matches(result, reference, RecordPolicy.FULL)
 
 
 class HearsEveryone(MultihopLayer):
@@ -964,22 +866,21 @@ class HearsEveryone(MultihopLayer):
 
 
 def test_multihop_advise_array_validates_counts():
-    """``t > c_local`` is the layer detector's ModelViolation on both
-    receive paths: on a line, the far end cannot hear both senders."""
+    """``t > c_local`` is the layer detector's ModelViolation, in the
+    engine and through the ``advise_array`` round trip kept for
+    compatibility: on a line, the far end cannot hear both senders."""
     net = MultihopNetwork.line(3)
-    for kernel in (False, True) if _np is not None else (False,):
-        layer = HearsEveryone(net)
-        env = Environment(
-            indices=tuple(net.indices), detector=layer,
-            contention=NoContentionManager(), loss=layer,
-        )
-        env.reset()
-        spawn = Algorithm(lambda i: ScriptedProcess(["m"]), anonymous=False)
-        engine = ExecutionEngine(
-            env, spawn.spawn_all(env.indices), use_array_kernel=kernel,
-        )
-        with pytest.raises(ModelViolation,
-                           match=r"process 0 received 3 messages but only 2"):
-            engine.step()
-        # One payload: the kernel asked through ``advise_array``.
-        assert engine.kernel_rounds == (1 if kernel else 0)
+    too_many = r"process 0 received 3 messages but only 2"
+    layer = HearsEveryone(net)
+    env = Environment(
+        indices=tuple(net.indices), detector=layer,
+        contention=NoContentionManager(), loss=layer,
+    )
+    env.reset()
+    spawn = Algorithm(lambda i: ScriptedProcess(["m"]), anonymous=False)
+    engine = ExecutionEngine(env, spawn.spawn_all(env.indices))
+    with pytest.raises(ModelViolation, match=too_many):
+        engine.step()
+    # The layer resolved round 1 before its detector refused.
+    with pytest.raises(ModelViolation, match=too_many):
+        layer.advise_array(1, 3, [3, 3, 3], tuple(net.indices))

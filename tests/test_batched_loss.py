@@ -2,21 +2,18 @@
 
 Covers the contract-level guarantees:
 
-* every deterministic built-in adversary (and the pure-python capture
-  law) executes identically on the paper-literal round spec
-  (``tests/spec_round.py``), on the engine's scalar path and with the
-  array kernel on, with full per-round record equality, crashes
+* every deterministic built-in adversary (and the capture law) executes
+  identically on the paper-literal round spec (``tests/spec_round.py``)
+  and on the engine, with full per-round record equality, crashes
   included;
-* the same three-way equality over generated adversary compositions x
-  crash/churn schedules (crash events naming absent and out-of-range
-  pids among them, and crashes emptying the live set) x process fleets
-  (one shared class, mixed classes, an ``_advance_round`` override,
-  counting, and Algorithm 2 across a churn rejoin) x
-  record policies, and exhaustively over every drop pattern of two
-  rounds at n = 3.  With the kernel on, rounds with several distinct
-  payloads take the scalar receive stage, so for them the spec is the
-  only independent oracle;
-* ``IIDLoss``'s whole-round law and determinism on both backends;
+* the same spec == engine equality over generated adversary
+  compositions x crash/churn schedules (crash events naming absent and
+  out-of-range pids among them, and crashes emptying the live set) x
+  process fleets (one shared class, mixed classes, an
+  ``_advance_round`` override, counting, and Algorithm 2 across a churn
+  rejoin) x record policies, and exhaustively over every drop pattern of
+  two rounds at n = 3;
+* ``IIDLoss``'s whole-round law and determinism;
 * one round's two views (drop counts, drop sets) agree whether the
   lazy sets are built at once or only after later rounds resolved, for
   ``IIDLoss`` (engine-shaped rounds and the one-receiver groups a
@@ -28,6 +25,10 @@ Covers the contract-level guarantees:
   omitted receiver, an answer that is not a ``RoundLosses``;
 * the lower-bound searches accept ``SUMMARY`` results wherever they only
   consult broadcast-count sequences.
+
+Test names that mention a kernel or a scalar path, and the ``backend``
+parameter, date from the retired array backend and its kernel:
+one stream family and one engine path remain.
 """
 
 import random
@@ -35,7 +36,6 @@ from itertools import combinations, product
 
 import pytest
 
-import repro.adversary.loss as loss_mod
 import spec_round as spec
 from maybe_hypothesis import HealthCheck, given, settings, strategies as st
 from repro.adversary.churn import NoChurn, SeededChurn
@@ -191,47 +191,32 @@ def run_against_spec(loss_factory, law, algorithm, rounds, n=6,
                      detector=perfect_detector,
                      contention=NoContentionManager,
                      crash=None, churn=None, policies=(RecordPolicy.FULL,)):
-    """The spec run, then the engine under each policy with the kernel
-    off and on; every engine run must match the spec."""
+    """The spec run, then the engine under each policy; every engine run
+    must match the spec."""
     indices = tuple(range(n))
     reference = spec.run_spec(
         indices, algorithm.spawn, detector(), contention(), law, rounds,
         crash=crash() if crash else None, churn=churn() if churn else None,
     )
     for record_policy in policies:
-        for kernel in (False, None):
-            env = Environment(
-                indices=indices,
-                detector=detector(),
-                contention=contention(),
-                loss=loss_factory(),
-                crash=crash() if crash else NoCrashes(),
-                churn=churn() if churn else NoChurn(),
-            )
-            result = run_algorithm(
-                env, algorithm, max_rounds=rounds, until_all_decided=False,
-                record_policy=record_policy, use_array_kernel=kernel,
-            )
-            assert_matches_spec(result, reference, record_policy)
+        env = Environment(
+            indices=indices,
+            detector=detector(),
+            contention=contention(),
+            loss=loss_factory(),
+            crash=crash() if crash else NoCrashes(),
+            churn=churn() if churn else NoChurn(),
+        )
+        result = run_algorithm(
+            env, algorithm, max_rounds=rounds, until_all_decided=False,
+            record_policy=record_policy,
+        )
+        spec.assert_matches(result, reference, record_policy)
     return reference
 
 
-def assert_matches_spec(result, reference, record_policy):
-    assert result.rounds == len(reference.records)
-    assert result.decisions == reference.decisions
-    assert result.decision_rounds == reference.decision_rounds
-    assert result.crash_rounds == reference.crash_rounds
-    assert result.leave_rounds == reference.leave_rounds
-    assert result.rejoin_counts == reference.rejoin_counts
-    assert result.departed_decisions == reference.departed_decisions
-    if record_policy is RecordPolicy.FULL:
-        assert result.records == reference.records  # full per-round equality
-    elif record_policy is RecordPolicy.SUMMARY:
-        assert result.summaries == reference.summaries
-
-
 # ----------------------------------------------------------------------
-# Every deterministic built-in: spec == scalar path == array kernel
+# Every deterministic built-in: spec == engine
 # ----------------------------------------------------------------------
 def _scripted_rule(r, s, recv):
     return {x for x in s if (x + r) % 3 == 0}
@@ -274,14 +259,10 @@ DETERMINISTIC_ADVERSARIES = {
 
 
 @pytest.mark.parametrize("name", sorted(DETERMINISTIC_ADVERSARIES))
-def test_batched_and_fallback_executions_are_identical(name, monkeypatch):
-    """The array kernel (batched) and the scalar fallback both execute
-    the spec's round, record for record."""
-    if name == "capture":
-        # The spec states the pure-python capture law; the numpy leg
-        # draws one substream block per round instead (same law,
-        # different pattern — tests/test_array_kernel.py covers it).
-        monkeypatch.setattr(loss_mod, "_np", None)
+def test_batched_and_fallback_executions_are_identical(name):
+    """The engine, reading the adversary's whole-round (batched)
+    resolution, executes the spec's round, which asks the law one
+    receiver at a time, record for record."""
     factory, law = DETERMINISTIC_ADVERSARIES[name]
     run_against_spec(factory, law, varied_algorithm(6, 12), rounds=12)
 
@@ -500,10 +481,8 @@ def _loss_rate_over_rounds(adv, n, rounds):
     return pairs, losses
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_iid_batched_matches_bernoulli_marginal(backend, monkeypatch):
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
+@pytest.mark.parametrize("backend", ["python"])
+def test_iid_batched_matches_bernoulli_marginal(backend):
     p = 0.3
     adv = IIDLoss(p, seed=42)
     # 40 x 40 grid over 10 rounds: 15600 non-self pairs, std ~ 0.004.
@@ -513,10 +492,8 @@ def test_iid_batched_matches_bernoulli_marginal(backend, monkeypatch):
     assert abs(rate - p) < 0.02
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_iid_batched_is_seed_deterministic(backend, monkeypatch):
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
+@pytest.mark.parametrize("backend", ["python"])
+def test_iid_batched_is_seed_deterministic(backend):
     senders = list(range(10))
     a = IIDLoss(0.4, seed=7)
     b = IIDLoss(0.4, seed=7)
@@ -530,11 +507,9 @@ def test_iid_batched_is_seed_deterministic(backend, monkeypatch):
     assert maps_again == maps_a
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("backend", ["python"])
 @pytest.mark.parametrize("p", [0.0, 1e-300, 1.0])
-def test_iid_batched_edge_probabilities(backend, p, monkeypatch):
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
+def test_iid_batched_edge_probabilities(backend, p):
     senders = list(range(8))
     lost_map = IIDLoss(p, seed=0).losses_for_round(1, senders, senders)
     if p >= 1.0:
@@ -544,10 +519,8 @@ def test_iid_batched_edge_probabilities(backend, p, monkeypatch):
         assert all(not lost_map[pid] for pid in senders)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_iid_batched_handles_empty_receivers(backend, monkeypatch):
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
+@pytest.mark.parametrize("backend", ["python"])
+def test_iid_batched_handles_empty_receivers(backend):
     assert IIDLoss(0.3, seed=0).losses_for_round(1, [0, 1, 2], []) == {}
 
 
@@ -602,15 +575,12 @@ _IID_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("backend", ["python"])
 @pytest.mark.parametrize("shape", sorted(_IID_SHAPES))
-def test_iid_views_agree_in_either_access_order(shape, backend, monkeypatch):
-    """Clearing the self cells of the Bernoulli grid in place keeps the
-    counts and the sets of one round consistent, whether the lazy sets
-    are built at once or only after later rounds drew, and no set ever
-    names its receiver."""
-    if backend == "python":
-        monkeypatch.setattr(loss_mod, "_np", None)
+def test_iid_views_agree_in_either_access_order(shape, backend):
+    """The counts and the sets of one round stay consistent, whether the
+    sets are read at once or only after later rounds drew, and no set
+    ever names its receiver."""
     senders, receivers = _IID_SHAPES[shape]
     a = IIDLoss(0.6, seed=11)
     b = IIDLoss(0.6, seed=11)
@@ -675,10 +645,9 @@ def test_grouped_views_agree_in_either_access_order(name):
 
 
 # ----------------------------------------------------------------------
-# CaptureEffectLoss: the pure-python per-receiver substreams
+# CaptureEffectLoss: per-receiver substreams
 # ----------------------------------------------------------------------
-def test_capture_effect_is_receiver_order_independent(monkeypatch):
-    monkeypatch.setattr(loss_mod, "_np", None)
+def test_capture_effect_is_receiver_order_independent():
     senders = [0, 1, 2, 3]
     forward = CaptureEffectLoss(capture_limit=1, seed=9).losses_for_round(
         1, senders, [0, 1, 2, 3, 4]
@@ -691,12 +660,8 @@ def test_capture_effect_is_receiver_order_independent(monkeypatch):
     }
 
 
-def test_capture_effect_batched_equals_per_receiver(monkeypatch):
-    # Pure backend: the whole-round resolution is the spec's per-receiver
-    # capture law.  (The numpy leg draws a per-round substream block
-    # instead — same law, different pattern; covered by
-    # tests/test_array_kernel.py.)
-    monkeypatch.setattr(loss_mod, "_np", None)
+def test_capture_effect_batched_equals_per_receiver():
+    # The whole-round resolution is the spec's per-receiver capture law.
     senders = [0, 1, 2, 3]
     receivers = [0, 1, 2, 3, 4, 5]
     law = spec.capture(capture_limit=2, seed=11)
@@ -708,7 +673,7 @@ def test_capture_effect_batched_equals_per_receiver(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# ModelViolation on contract breaches, on both engine paths
+# ModelViolation on contract breaches
 # ----------------------------------------------------------------------
 class BreachingAdversary(LossAdversary):
     """Answers with a RoundLosses that breaks the contract on demand."""
@@ -740,26 +705,22 @@ class BreachingAdversary(LossAdversary):
 
 
 def assert_breach_raises(breach, match):
-    """Both engine paths reject the breach; two distinct messages make
-    the kernel read the drop pairs."""
-    for kernel in (False, None):
-        env = Environment(
-            indices=(0, 1, 2),
-            detector=perfect_detector(),
-            contention=NoContentionManager(),
-            loss=BreachingAdversary(breach),
-            crash=NoCrashes(),
-        )
-        env.reset()
-        scripts = {0: ["a"], 1: ["b"]}
-        algo = Algorithm(
-            lambda i: ScriptedProcess(scripts.get(i, [])), anonymous=False
-        )
-        engine = ExecutionEngine(
-            env, algo.spawn_all(env.indices), use_array_kernel=kernel
-        )
-        with pytest.raises(ModelViolation, match=match):
-            engine.step()
+    """The engine rejects the breach in the round it is answered."""
+    env = Environment(
+        indices=(0, 1, 2),
+        detector=perfect_detector(),
+        contention=NoContentionManager(),
+        loss=BreachingAdversary(breach),
+        crash=NoCrashes(),
+    )
+    env.reset()
+    scripts = {0: ["a"], 1: ["b"]}
+    algo = Algorithm(
+        lambda i: ScriptedProcess(scripts.get(i, [])), anonymous=False
+    )
+    engine = ExecutionEngine(env, algo.spawn_all(env.indices))
+    with pytest.raises(ModelViolation, match=match):
+        engine.step()
 
 
 def test_self_delivery_breach_raises_through_batched_path():

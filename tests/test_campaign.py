@@ -42,6 +42,7 @@ import collections
 import json
 import multiprocessing
 import os
+import re
 import signal
 import sqlite3
 import sys
@@ -49,6 +50,7 @@ import time
 
 import pytest
 
+from repro.adversary.loss import RNG_BACKEND
 from repro.core.errors import ConfigurationError
 from repro.core.records import RoundSummary, SqliteSink
 from repro.experiments.campaign import CampaignRunner, cell_tag, run_family
@@ -419,15 +421,11 @@ def test_store_with_different_base_seed_is_rejected(tmp_path):
         _serial_runner(db, base_seed=4).outcomes(**AXES)
 
 
-def test_store_filled_on_another_rng_backend_is_rejected(
-    tmp_path, monkeypatch
-):
-    import repro.adversary.loss as loss_mod
-
+def test_store_filled_on_another_rng_backend_is_rejected(tmp_path):
     db = str(tmp_path / "campaign.db")
     _serial_runner(db).resume(max_cells=2, **AXES)
     with SqliteSink(db) as store:
-        assert store.get_meta("rng_backend") == loss_mod.rng_backend()
+        assert store.get_meta("rng_backend") == RNG_BACKEND == "pure"
         # A store from before the stamp gets stamped in place.
         store._connect().execute(
             "DELETE FROM campaign_meta WHERE key = 'rng_backend'"
@@ -435,15 +433,20 @@ def test_store_filled_on_another_rng_backend_is_rejected(
         store._connect().commit()
     _serial_runner(db).resume(max_cells=1, **AXES)
     with SqliteSink(db) as store:
-        assert store.get_meta("rng_backend") == loss_mod.rng_backend()
-    # Flip the loss adversaries' gate to the other backend.  Nothing may
-    # draw from it afterwards: on a pure-python host the stand-in is not
-    # numpy.
-    monkeypatch.setattr(
-        loss_mod, "_np", None if loss_mod._np is not None else object()
-    )
-    with pytest.raises(ConfigurationError, match="RNG backend"):
-        _serial_runner(db).resume(**AXES)
+        assert store.get_meta("rng_backend") == RNG_BACKEND
+        # As if the retired numpy backend had filled it.
+        store.set_meta("rng_backend", "numpy")
+    runner = _serial_runner(db)
+    legacy = re.escape(f"campaign db {db!r} was filled by the retired numpy")
+    for read in (runner.resume, runner.report, runner.report_table,
+                 runner.outcomes):
+        with pytest.raises(ConfigurationError, match=legacy):
+            read(**AXES)
+    with SqliteSink(db) as store:
+        assert store.get_meta("rng_backend") == "numpy"
+        store.set_meta("rng_backend", "gpu")
+    with pytest.raises(ConfigurationError, match="unknown rng_backend"):
+        runner.resume(**AXES)
 
 
 def test_rerun_clears_stale_rounds_from_a_dead_attempt(tmp_path):

@@ -12,10 +12,10 @@ Covers the dynamic-membership extension end to end:
   late, a same-round crash beats a leave, and an execution with an
   empty live set but pending rejoiners keeps running;
 * determinism — same seed and schedule replay byte-identical
-  executions, and churned executions are byte-identical with the array
-  kernel on and off (the churn gate: event-free rounds of a
-  single-payload fleet still run the kernel, rounds with a churn event
-  take the scalar reference path);
+  executions, churned Algorithm 2 executions match the paper-literal
+  round (``tests/spec_round.py``) under every record policy, and the
+  loss adversary is consulted over the full index set in every round,
+  absent pids included;
 * the ring overlay — successor/finger neighbourhood shapes, diameter,
   validation, and the flood helpers' hops/stabilization metrics;
 * E19 — the churn sweep cell's payload and the campaign's
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import pytest
 
+import spec_round as spec
 from repro.adversary.churn import (
     BurstChurn,
     ChurnEvent,
@@ -39,7 +40,7 @@ from repro.adversary.loss import IIDLoss, ReliableDelivery
 from repro.algorithms.alg2 import algorithm_2
 from repro.contention.services import NoContentionManager, WakeUpService
 from repro.core.algorithm import Algorithm
-from repro.core.environment import Environment, array_kernel_module
+from repro.core.environment import Environment
 from repro.core.errors import ConfigurationError
 from repro.core.execution import ExecutionEngine, run_algorithm, run_consensus
 from repro.core.process import ScriptedProcess
@@ -48,11 +49,6 @@ from repro.detectors.classes import ALL_CLASSES, ZERO_OAC
 from repro.experiments.campaign import CampaignRunner
 from repro.experiments.churn import churn_sweep_cell
 from repro.substrate.multihop import MultihopNetwork, flood
-
-_np = array_kernel_module()
-needs_numpy = pytest.mark.skipif(
-    _np is None, reason="array kernel requires numpy"
-)
 
 N = 6
 ROUNDS = 14
@@ -176,8 +172,7 @@ def _senders(result):
 
 
 def _run_with_churn(churn, *, algorithm=None, loss=None, crash=None,
-                    max_rounds=ROUNDS, policy=RecordPolicy.FULL,
-                    use_array_kernel=None):
+                    max_rounds=ROUNDS, policy=RecordPolicy.FULL):
     env = Environment(
         indices=tuple(range(N)),
         detector=ZERO_OAC.make(),
@@ -189,7 +184,6 @@ def _run_with_churn(churn, *, algorithm=None, loss=None, crash=None,
     return run_algorithm(
         env, algorithm or _counting_algorithm(), max_rounds=max_rounds,
         until_all_decided=False, record_policy=policy,
-        use_array_kernel=use_array_kernel,
     )
 
 
@@ -308,22 +302,30 @@ def test_execution_survives_an_empty_live_set_until_rejoin():
 
 
 # ----------------------------------------------------------------------
-# Determinism and the kernel fallback gate
+# Determinism
 # ----------------------------------------------------------------------
-def _consensus_under_churn(use_array_kernel=None, seed=5,
-                           policy=RecordPolicy.FULL):
-    values = list(range(8))
-    env = Environment(
+_VALUES = list(range(8))
+
+
+def _churned_environment(seed):
+    return Environment(
         indices=tuple(range(N)),
         detector=ZERO_OAC.make(),
         contention=WakeUpService(stabilization_round=2),
         loss=IIDLoss(0.3, seed=seed),
         churn=SeededChurn(0.25, seed=seed + 101, deadline=5),
     )
-    assignment = {i: values[(i * 3) % len(values)] for i in env.indices}
+
+
+def _assignment(indices):
+    return {i: _VALUES[(i * 3) % len(_VALUES)] for i in indices}
+
+
+def _consensus_under_churn(seed=5, policy=RecordPolicy.FULL):
+    env = _churned_environment(seed)
     return run_consensus(
-        env, algorithm_2(values), assignment, max_rounds=30,
-        record_policy=policy, use_array_kernel=use_array_kernel,
+        env, algorithm_2(_VALUES), _assignment(env.indices), max_rounds=30,
+        record_policy=policy,
     )
 
 
@@ -349,58 +351,58 @@ def test_same_seed_and_schedule_replay_byte_identical_executions():
     "policy", (RecordPolicy.FULL, RecordPolicy.SUMMARY, RecordPolicy.NONE)
 )
 def test_churned_executions_identical_kernel_on_and_off(policy):
-    vec = _consensus_under_churn(None, policy=policy)
-    ref = _consensus_under_churn(False, policy=policy)
-    _identical(vec, ref, policy)
-    assert vec.churned and ref.churned
+    """A churned Algorithm 2 execution is the paper-literal round's
+    (named for the retired array kernel, which this once compared with
+    the reference stage)."""
+    result = _consensus_under_churn(policy=policy)
+    assert result.churned
+    env = _churned_environment(5)
+    assignment = _assignment(env.indices)
+    algorithm = algorithm_2(_VALUES)
+    reference = spec.run_spec(
+        env.indices, lambda pid: algorithm.spawn(pid, assignment[pid]),
+        env.detector, env.contention, spec.resolved(env.loss, env.indices),
+        result.rounds, churn=env.churn,
+    )
+    spec.assert_matches(result, reference, policy)
 
 
-@needs_numpy
 def test_kernel_runs_on_churn_free_prefix_only():
-    """The churn gate: only rounds with a pending membership event (a
-    leave or join firing) take the scalar reference path; rounds where
-    pids are merely absent after an earlier leave ride the kernel — the
-    loss adversary is consulted over the full index set on both paths,
-    so absence never shifts its randomness.  Every process sends the
-    same payload every round, so the payload rule never reroutes a
-    round and the counts pin the churn gate alone."""
+    """Churn never shifts the loss adversary's randomness: every round,
+    churn-event rounds and rounds with a pid merely absent after an
+    earlier leave alike, resolves losses over the full index set (named
+    for the retired array kernel's churn gate)."""
 
-    def engine_for(churn):
+    class Recording(IIDLoss):
+        def losses_for_round(self, round_index, senders, receivers):
+            self.calls.append((round_index, tuple(receivers)))
+            return super().losses_for_round(round_index, senders, receivers)
+
+    for churn in (
+        NoChurn(),
+        ScheduledChurn.at(leaves={4: [0]}),
+        ScheduledChurn.at(leaves={3: [0]}, joins={5: [0]}),
+    ):
+        loss = Recording(0.3, seed=4)
+        loss.calls = []
         env = Environment(
             indices=tuple(range(N)),
             detector=ZERO_OAC.make(),
             contention=NoContentionManager(),
-            loss=IIDLoss(0.3, seed=4),
+            loss=loss,
             churn=churn,
         )
         env.reset()
         algorithm = Algorithm(
             lambda i: ScriptedProcess(["beat"] * ROUNDS), anonymous=False
         )
-        return ExecutionEngine(
+        engine = ExecutionEngine(
             env, algorithm.spawn_all(env.indices),
             record_policy=RecordPolicy.NONE,
             process_factory=algorithm.spawn,
         )
-
-    # Static membership: every round runs the kernel.
-    engine = engine_for(NoChurn())
-    engine.run(8, until_all_decided=False)
-    assert engine.kernel_rounds == 8
-
-    # A departure at round 4 (never rejoined): only the event round
-    # falls back — rounds with the pid absent still vectorise.
-    engine = engine_for(ScheduledChurn.at(leaves={4: [0]}))
-    engine.run(8, until_all_decided=False)
-    assert engine.kernel_rounds == 7  # all but round 4
-
-    # Leave then rejoin: both event rounds fall back, the absent-pid
-    # round in between rides the kernel.
-    engine = engine_for(
-        ScheduledChurn.at(leaves={3: [0]}, joins={5: [0]})
-    )
-    engine.run(8, until_all_decided=False)
-    assert engine.kernel_rounds == 2 + 1 + 3  # rounds 1-2, 4, and 6-8
+        engine.run(8, until_all_decided=False)
+        assert loss.calls == [(r, tuple(range(N))) for r in range(1, 9)]
 
 
 # ----------------------------------------------------------------------

@@ -263,3 +263,35 @@ def test_until_all_decided_stops_early():
     result = engine.run(100, until_all_decided=True)
     assert result.rounds == 1
     assert result.all_correct_decided()
+
+
+def test_benchmark_compatibility_names_stay_inert():
+    """Four names the engine no longer uses stay for perfbench/, inert:
+    ``workloads.backend()`` reads the probe, ``spans.install`` reads
+    ``kernel_rounds`` and wraps ``advise_array`` (``MultihopLayer``'s
+    own binding included), and ``selftest.py`` calls ``advise_array``."""
+    import array
+
+    from repro.core.environment import array_kernel_module
+    from repro.detectors.detector import CollisionDetector
+    from repro.substrate.multihop import MultihopLayer
+
+    assert array_kernel_module() is None
+    env = make_env(3, loss=IIDLoss(0.3, seed=1))
+    engine = ExecutionEngine(
+        env, scripted_algorithm({i: ["m"] * 4 for i in range(3)})
+        .spawn_all(env.indices),
+    )
+    engine.run(4, until_all_decided=False)
+    assert engine.round == 4 and engine.kernel_rounds == 0
+    assert "advise_array" in MultihopLayer.__dict__
+    assert MultihopLayer.advise_array is CollisionDetector.advise_array
+    det = ParametricCollisionDetector(
+        Completeness.MAJORITY, AccuracyMode.ALWAYS
+    )
+    counts = {0: 3, 1: 2, 2: 1}
+    expected = det.advise(2, 3, counts)
+    for form in (list(counts.values()), array.array("l", counts.values())):
+        assert det.advise_array(2, 3, form, (0, 1, 2)) == [
+            expected[pid] for pid in (0, 1, 2)
+        ]

@@ -4,8 +4,8 @@ Each experiment must (a) run, (b) produce the table schema its module
 promises, (c) satisfy the headline invariant it exists to check —
 "within bound" columns all true, violation columns as expected, and the
 calibration numbers inside the paper's bands — and (d) render exactly
-the bytes pinned below for the active random stream family, so any
-change to any experiment's output fails here until its pin moves.
+the bytes pinned below, so any change to any experiment's output fails
+here until its pin moves.
 
 Every experiment runs once per session (:func:`tables`); the invariant
 tests and the digest pins share that run.  E15 takes 10-15 s of it and
@@ -18,38 +18,13 @@ import hashlib
 
 import pytest
 
-from repro.adversary.loss import rng_backend
 from repro.experiments.harness import Experiment, ExperimentRegistry, Table
 from repro.experiments.registry import REGISTRY
 
-#: SHA-256 of each experiment's ``Experiment.render()`` text per random
-#: stream family (:func:`~repro.adversary.loss.rng_backend`): one digest
-#: per experiment per backend.  A change that means to move an output
-#: updates its pin and names the experiment and the reason in
-#: CHANGES.md.
-_NUMPY_SHA256 = {
-    "E1": "c166b006c60adda808428de64e7afaab10efd904646fadac72535ced0053df6e",
-    "E10": "7b420d2f26a9633f9117759ef2cf8c183ce982724954397d5861bb5b9979356f",
-    "E12": "25bb8ffe83f716086f9514215c1494ad15e621e75123966d853283a40c89df22",
-    "E13": "3629a7218a8bb3c649af7057efdae48619324ef2184f06ccfdeb1c8dc34b31be",
-    "E14": "ebc56a555d1bf93d0535493b8f184e476c1c3ade65e3fa4f15e7b67308ece774",
-    "E15": "a762cbf5c7b8f174a02b1062e61ebbdb9f2269a7a75e6c4241811776ff720949",
-    "E16": "e3b3f700b747a8e6bf4bac2b98ea569a2a3140dd9e802ca64bc6ceb13e51e4ba",
-    "E17": "061c923dba81f0fd188e58f597ef3563a83d4eaf8b70909021a73a34ce569481",
-    "E18": "0c85d47159a4a49fae180040167ec08534b1afb3025b29ba81362126ce752c05",
-    "E19": "d9de0f0ac8ea6df8e09fa32edf91d2a4081f47ca8588ccacc773ee5f5949bb19",
-    "E2": "35af48207583acc7928ef386f323fba1764825d82178a56ff68de472e231bac6",
-    "E3": "368831b6d2a939883a64ed14c402515542e3ec9fd6dd0d3893864a5a47dba88f",
-    "E4": "fe8ee961c3dc28fe0537ac39c6b5a11cbfffd14e0b478efea3001237e84581a9",
-    "E5": "9b2cc26d254b57a329588e478e0fd50567721f711162e7a8ad27e5d9c19df860",
-    "E6": "5886da8c31d42becdbd64db38c0fae806859fa18e07d01d1a8630983d11193ce",
-    "E7": "68a08efe73a5d8770cc053b5053536f69df9cfddff5acb7166eb8183e1e72753",
-    "E8": "3b49f7b4a6c60513922ec027e32ff6dfcca64be30241cde5f3c42763774f72c5",
-    "E9a": "e3b3cde4cfc9fbac2792399024a6f9c87f0c60dfd2608c5003806772e6e7b34c",
-    "E9b": "b2b16aa282115460754fe5352fb8c6cd82599832d25b85043aae90ec8ed05cc1",
-    "E9c": "aab6b0ead86da1614ec284595623c2ac50ffaa1dc16f383aaf138be78456f087",
-}
-_PURE_SHA256 = {
+#: SHA-256 of each experiment's ``Experiment.render()`` text, one
+#: digest per experiment.  A change that means to move an output updates
+#: its pin and names the experiment and the reason in CHANGES.md.
+RENDER_SHA256 = {
     "E1": "c166b006c60adda808428de64e7afaab10efd904646fadac72535ced0053df6e",
     "E10": "7b420d2f26a9633f9117759ef2cf8c183ce982724954397d5861bb5b9979356f",
     "E12": "25bb8ffe83f716086f9514215c1494ad15e621e75123966d853283a40c89df22",
@@ -71,7 +46,6 @@ _PURE_SHA256 = {
     "E9b": "b2b16aa282115460754fe5352fb8c6cd82599832d25b85043aae90ec8ed05cc1",
     "E9c": "aab6b0ead86da1614ec284595623c2ac50ffaa1dc16f383aaf138be78456f087",
 }
-RENDER_SHA256 = {"numpy": _NUMPY_SHA256, "pure": _PURE_SHA256}
 
 
 @functools.lru_cache(maxsize=None)
@@ -302,24 +276,14 @@ def test_e16_grid_blind_flood_deadlocks_until_backoff_or_capture():
 # ----------------------------------------------------------------------
 # Output pins
 # ----------------------------------------------------------------------
-def test_every_experiment_is_pinned_on_both_backends():
-    for pins in RENDER_SHA256.values():
-        assert sorted(pins) == sorted(REGISTRY.ids())
-
-
-def test_only_e19_output_depends_on_the_backend():
-    """E19 draws IID losses, whose stream differs by backend; every
-    other experiment renders the same bytes on both."""
-    numpy_pins, pure_pins = RENDER_SHA256["numpy"], RENDER_SHA256["pure"]
-    assert [k for k in numpy_pins if numpy_pins[k] != pure_pins[k]] == [
-        "E19"
-    ]
+def test_every_experiment_is_pinned():
+    assert sorted(RENDER_SHA256) == sorted(REGISTRY.ids())
 
 
 @pytest.mark.parametrize("exp_id", sorted(REGISTRY.ids()))
 def test_render_matches_pinned_digest(exp_id):
     digest = hashlib.sha256(rendered(exp_id).encode()).hexdigest()
-    assert digest == RENDER_SHA256[rng_backend()][exp_id], exp_id
+    assert digest == RENDER_SHA256[exp_id], exp_id
 
 
 def test_experiment_render_includes_banner():

@@ -566,6 +566,21 @@ def test_verify_flags_a_malformed_rng_backend_stamp(tmp_path):
     ]
 
 
+def test_verify_flags_a_store_from_the_retired_numpy_backend(tmp_path):
+    db = str(tmp_path / "c.db")
+    with SqliteSink(db) as store:
+        store.set_meta("base_seed", 3)
+        store.set_meta("rng_backend", "numpy")
+    summary = verify_campaign_store(db)
+    assert not summary["ok"]
+    assert summary["findings"] == [{
+        "kind": "meta",
+        "detail": "rng_backend 'numpy': filled by the retired numpy "
+                  "backend, so resume, report and merge refuse it",
+        "action": "report-only",
+    }]
+
+
 def test_verify_rejects_a_non_database_file(tmp_path):
     path = tmp_path / "c.db"
     path.write_bytes(b"definitely not sqlite" * 100)

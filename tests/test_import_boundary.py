@@ -7,9 +7,10 @@ cells run, and ``repro.experiments``, ``repro.algorithms`` and
 loads the other experiments, E1's lower-bound witnesses or any
 algorithm but Algorithm 2, and an E19 campaign never loads the radio
 stack.  No module needs a third-party package: the whole package
-imports and runs with networkx unimportable.  Every check runs in a
-fresh interpreter, so modules this test session already imported
-cannot hide a leak.
+imports and runs with networkx unimportable, and a campaign process or
+a cell run loads no ``numpy*`` module even where numpy is installed.
+Every check runs in a fresh interpreter, so modules this test session
+already imported cannot hide a leak.
 """
 
 import hashlib
@@ -44,7 +45,7 @@ from repro.experiments.harness import consensus_sweep_cell
 print(json.dumps({
     "experiments": sorted(m for m in sys.modules
                           if m.startswith("repro.experiments")),
-    "numpy": "numpy" in sys.modules,
+    "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
 }))
 """
 
@@ -71,21 +72,21 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
 """
 
 # A cell run the way a pool worker runs it, after the campaign parent
-# imported the campaign layer and the cell's module.  numpy loads its
-# ``random`` package lazily, on the first draw; that is the one import
-# a cell may add, so it is loaded first and everything else is a leak.
+# imported the campaign layer and the cell's module: any module the run
+# adds is a leak.
 RUN_ONE_CELL = """
 import importlib, json, sys
 from repro.experiments import dispatch
 module, name, params, db = sys.argv[1:]
 cell = getattr(importlib.import_module(module), name)
-if "numpy" in sys.modules:
-    import numpy.random
 before = set(sys.modules)
 status = dispatch.execute_cell_job(
     cell, json.loads(params), 5, {"sqlite_db": db}, db)[0]
-print(json.dumps({"status": status,
-                  "new": sorted(set(sys.modules) - before)}))
+print(json.dumps({
+    "status": status,
+    "new": sorted(set(sys.modules) - before),
+    "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy"),
+}))
 """
 
 RUN_E18_CAMPAIGN = """
@@ -148,10 +149,8 @@ def test_the_e18_campaign_stack_loads_no_other_experiment():
     assert loaded["experiments"] == CAMPAIGN_STACK
 
 
-def test_a_forced_pure_python_process_never_loads_numpy():
-    loaded = run_fresh(IMPORT_CAMPAIGN, REPRO_PURE_PYTHON="1")
-    assert loaded["experiments"] == CAMPAIGN_STACK
-    assert not loaded["numpy"]
+def test_a_campaign_process_never_loads_numpy():
+    assert run_fresh(IMPORT_CAMPAIGN)["numpy"] == []
 
 
 @pytest.mark.parametrize("module, needed, unused", [
@@ -179,7 +178,7 @@ def test_running_a_cell_imports_nothing_its_module_did_not(
 ):
     ran = run_fresh(RUN_ONE_CELL, module, name, json.dumps(params),
                     str(tmp_path / "c.db"))
-    assert ran == {"status": "done", "new": []}
+    assert ran == {"status": "done", "new": [], "numpy": []}
 
 
 def test_an_e18_cli_campaign_loads_neither_the_registry_nor_the_witnesses(

@@ -149,8 +149,7 @@ def test_layer_inner_adversary_composes():
     assert layer.losses_for_round(1, [1], net.indices)[0] == {1}
 
 
-@pytest.mark.parametrize("kernel", [False, None], ids=["scalar", "auto"])
-def test_layer_rereads_the_topology_between_executions(kernel):
+def test_layer_rereads_the_topology_between_executions():
     """Closed neighbourhoods are cached for one execution: an edge added
     to the adjacency map between two runs shapes the second run exactly
     as a fresh layer would."""
@@ -166,7 +165,6 @@ def test_layer_rereads_the_topology_between_executions(kernel):
         )
         return run_algorithm(
             env, algorithm, max_rounds=3, until_all_decided=False,
-            use_array_kernel=kernel,
         )
 
     layer = MultihopLayer(net)

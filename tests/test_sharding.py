@@ -35,7 +35,7 @@ import re
 import pytest
 from maybe_hypothesis import given, settings, strategies as st
 
-from repro.adversary.loss import rng_backend
+from repro.adversary.loss import RNG_BACKEND
 from repro.core.errors import ConfigurationError
 from repro.core.records import SqliteSink
 from repro.experiments.campaign import (
@@ -230,7 +230,7 @@ def test_merged_report_is_byte_identical(tmp_path, k, single_host):
     assert summary["shards"] == k
     assert summary["cells"] == 8
     with SqliteSink(merged) as store:
-        assert store.get_meta("rng_backend") == rng_backend()
+        assert store.get_meta("rng_backend") == RNG_BACKEND
     runner = _runner(merged)
     assert runner.report(**AXES) == ref_report
     assert runner.report_table(**AXES) == ref_table
@@ -308,14 +308,26 @@ def test_merge_rejects_shards_from_another_rng_backend(
 
     paths = _run_shards(tmp_path, 2)
     with SqliteSink(paths[0]) as store:
-        mine = store.get_meta("rng_backend")
-        # As if shard 0 had been filled on a host with the other backend.
-        store.set_meta("rng_backend", "pure" if mine == "numpy" else "numpy")
-    with pytest.raises(ConfigurationError, match="rng_backend"):
+        # As if the retired numpy backend had filled shard 0.
+        store.set_meta("rng_backend", "numpy")
+    legacy = re.escape(
+        f"campaign db {paths[0]!r} was filled by the retired numpy"
+    )
+    with pytest.raises(ConfigurationError, match=legacy):
         merge_campaign_stores(str(tmp_path / "m.db"), paths)
     monkeypatch.chdir(tmp_path)
     assert main(["campaign", "merge", "--out", "m.db"] + paths) == 2
     assert "merge rejected" in capsys.readouterr().err
+    assert not (tmp_path / "m.db").exists()
+
+
+def test_merge_rejects_numpy_shards_even_when_they_all_agree(tmp_path):
+    paths = _run_shards(tmp_path, 2)
+    for path in paths:
+        with SqliteSink(path) as store:
+            store.set_meta("rng_backend", "numpy")
+    with pytest.raises(ConfigurationError, match="retired numpy backend"):
+        merge_campaign_stores(str(tmp_path / "m.db"), paths)
     assert not (tmp_path / "m.db").exists()
 
 
