@@ -162,6 +162,30 @@ _INSERT_ROUNDS = (
     "(cell_seed, round, broadcast_count, crashed_during, decided_during) "
     "VALUES (?, ?, ?, ?, ?)"
 )
+_DELETE_ROUNDS = "DELETE FROM round_summaries WHERE cell_seed = ?"
+_INSERT_CELL = (
+    "INSERT OR REPLACE INTO cells "
+    "(cell_tag, cell_seed, cell_index, params, status, payload, "
+    "error, elapsed, attempts) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+_INSERT_META = (
+    "INSERT OR REPLACE INTO campaign_meta (key, value) VALUES (?, ?)"
+)
+
+#: A checkpoint batch is flushed as soon as the cells queued in it ran
+#: this long in total (their summed ``elapsed``, seconds).  Between
+#: flushes the queue holds less finished work than this, which is what
+#: a killed campaign parent can lose beside its cells in flight; a cell
+#: that alone runs this long commits on its own.
+CHECKPOINT_BATCH_SECONDS: float = 0.1
+
+#: ... or once it holds this many cells, so cells that finish in no
+#: time (instant failures) cannot grow a batch without limit.
+CHECKPOINT_BATCH_CELLS: int = 256
+
+#: One queued store write: its Faultline operation key and the
+#: ``(sql, rows)`` statements it runs, in order.
+_QueuedWrite = Tuple[str, Tuple[Tuple[str, Sequence[tuple]], ...]]
 
 #: ``(absolute store path, row list)`` while a campaign cell runs, else
 #: ``None``; see :func:`round_outbox`.
@@ -178,7 +202,7 @@ def round_outbox(store_path: Optional[str]) -> Iterator[List[RoundRow]]:
     (:func:`~repro.experiments.dispatch.execute_cell_job`), on a pool
     worker and in-process alike, and hands the rows back with the
     cell's result; the campaign parent inserts them together with the
-    cell's checkpoint row in one transaction
+    cell's checkpoint row, in the same transaction
     (:meth:`SqliteSink.record_cell`).  Sinks pointed at another path,
     and every sink when ``store_path`` is ``None``, write directly.
     Cell functions build their own sinks, so the outbox reaches them
@@ -223,28 +247,43 @@ class SqliteSink:
     rows back (:func:`round_outbox`) and open no connection, so two
     writers never contend for one ``campaign.db``.
 
-    Durability: observed rounds are buffered in memory and flushed by
-    :meth:`flush` (which :meth:`close` calls).  Inside a campaign cell
-    the flush hands them to the cell's outbox, and the parent inserts
-    them with the cell's checkpoint row in one transaction
-    (:meth:`record_cell`), so a killed cell or parent leaves both a
-    cell's rows and its checkpoint, or neither.  Outside one, the flush
-    writes them as one ``executemany`` in one transaction on the sink's
-    own connection.  Every other write commits immediately.
+    Durability — write-behind: every write (:meth:`record_cell`,
+    :meth:`clear_rounds`, :meth:`set_meta`, and the rounds this sink
+    observes) joins an in-memory queue, and :meth:`flush` applies the
+    whole queue, in the order it was issued, in one transaction.  The
+    queue is flushed before every read, so the sink reads its own
+    writes; by :meth:`close`; and by :meth:`record_cell` once the
+    queued cells' summed ``elapsed`` reaches
+    :data:`CHECKPOINT_BATCH_SECONDS` or their count
+    :data:`CHECKPOINT_BATCH_CELLS`.  A cell's round rows and its
+    checkpoint row always land in the same batch, so a killed parent
+    leaves both or neither; it loses the cells in flight plus the
+    unflushed batch — under :data:`CHECKPOINT_BATCH_SECONDS` of finished
+    work, plus the cell that was filling it — which a resume re-runs.
+    Another connection reading the store sees only flushed batches.
+    The store runs WAL with ``synchronous=NORMAL``: a flushed batch
+    survives a killed process, but power loss or an operating-system
+    crash can roll back the last flushed batches.  Inside a campaign
+    cell this sink's observed rounds go to the cell's outbox instead of
+    the queue.
 
-    Resilience: every store write runs inside a guarded retry loop —
-    a *transient* ``OperationalError`` (``database is locked``/``busy``,
-    ``disk is full``) is retried with seeded exponential backoff and
-    jitter, and only after the budget is exhausted does the sink raise
-    a :class:`~repro.core.errors.ConfigurationError` explaining the
-    likely cause (two hosts pointed at one store path) instead of a raw
-    sqlite traceback.  The retry delays are derived from
-    ``SHA-256(path | operation | attempt)``, so a replayed campaign
-    backs off identically.  When a
+    Resilience: every flush runs inside a guarded retry loop — a
+    *transient* ``OperationalError`` (``database is locked``/``busy``,
+    ``disk is full``) rolls the whole batch back and retries it with
+    seeded exponential backoff and jitter, and only after the budget is
+    exhausted does the sink raise a
+    :class:`~repro.core.errors.ConfigurationError` explaining the likely
+    cause (two hosts pointed at one store path) instead of a raw sqlite
+    traceback.  The retry delays are derived from
+    ``SHA-256(path | operation | attempt)`` (the batch's first
+    operation), so a replayed campaign backs off identically.  When a
     :class:`~repro.testing.faultline.FaultPlan` is active (``fault_plan=``
     kwarg, the process-installed plan, or ``REPRO_FAULTLINE``) its
-    ``sqlite`` site fires inside the retried closure, so injected
-    transient errors exercise exactly the production retry machinery.
+    ``sqlite`` site is consulted once per queued operation, under the
+    operation's own key (``record-cell``, ``clear-rounds``,
+    ``set-meta``, ``write-round``), on every attempt, inside the retried
+    closure, so injected transient errors exercise exactly the
+    production retry machinery.
 
     The connection opens lazily on first use, so an execution that
     raises before round 1 leaves no rows behind, and the sink is a
@@ -272,7 +311,10 @@ class SqliteSink:
         self.busy_timeout = busy_timeout
         self._conn: Optional[sqlite3.Connection] = None
         self._closed = False
-        self._pending: List[Tuple[int, int, int, str, str]] = []
+        self._pending: List[RoundRow] = []
+        self._queue: List[_QueuedWrite] = []
+        self._queued_elapsed = 0.0
+        self._queued_cells = 0
         self.rounds_written = 0
         self._fault_plan = fault_plan
         self._plan_cache: Optional[Any] = None
@@ -306,11 +348,13 @@ class SqliteSink:
         jitter = 0.5 + int.from_bytes(digest[:8], "big") / 2 ** 64
         return min(self.SQLITE_BACKOFF * (2 ** (attempt - 1)), 1.0) * jitter
 
-    def _guarded(self, op: str, fn: Any) -> Any:
-        """Run one store operation under the transient-error retry loop.
+    def _guarded(self, ops: Sequence[str], fn: Any) -> Any:
+        """Run one store transaction under the transient-error retry loop.
 
-        ``fn`` must be a closure over the *whole* operation (connect
-        included — a lock can bite the opening PRAGMAs too).  A
+        ``fn`` must be a closure over the *whole* transaction (connect
+        included — a lock can bite the opening PRAGMAs too); ``ops`` are
+        the Faultline keys of the operations it carries, each consulted
+        once per attempt, and the first one keys the backoff.  A
         non-transient ``OperationalError`` propagates untouched; a
         transient one is retried ``MAX_SQLITE_ATTEMPTS`` times and then
         converted to a :class:`ConfigurationError` naming the usual
@@ -325,7 +369,8 @@ class SqliteSink:
         for attempt in range(1, self.MAX_SQLITE_ATTEMPTS + 1):
             try:
                 if plan is not None:
-                    plan.sqlite_check(op)
+                    for op in ops:
+                        plan.sqlite_check(op)
                 return fn()
             except sqlite3.OperationalError as exc:
                 self._rollback()
@@ -333,7 +378,7 @@ class SqliteSink:
                     raise
                 last_exc = exc
                 if attempt < self.MAX_SQLITE_ATTEMPTS:
-                    time.sleep(self._backoff_delay(op, attempt))
+                    time.sleep(self._backoff_delay(ops[0], attempt))
             except BaseException:
                 self._rollback()
                 raise
@@ -367,34 +412,59 @@ class SqliteSink:
         must never cross a fork — the child's inherited descriptor can
         release the parent's POSIX locks and corrupt WAL recovery.  The
         campaign runner disconnects its store before every fan-out.
+        Queued writes stay queued; the next flush reconnects.
         """
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
-    def flush(self) -> None:
-        """Flush the buffered round rows: to the cell's outbox inside a
-        campaign cell bound for this store (:func:`round_outbox`), else
-        to the store in one transaction.
+    def _enqueue(self, op: str, *statements: Tuple[str, Sequence[tuple]]
+                 ) -> None:
+        """Queue one write: ``op`` is its Faultline key, ``statements``
+        the ``(sql, rows)`` pairs it runs, in order."""
+        if self._closed:
+            raise ConfigurationError(
+                f"SqliteSink({self.path!r}) is closed; cannot touch the store"
+            )
+        self._queue.append((op, statements))
 
-        The rows leave the buffer before the write: if it fails even
-        after the retry budget, the error propagates and a later flush
-        or :meth:`close` does not retry them.
-        """
+    def _queue_observed_rounds(self) -> None:
+        """Hand the observed rounds on: to the cell's outbox inside a
+        campaign cell bound for this store (:func:`round_outbox`), else
+        to the write queue."""
         if not self._pending:
             return
         rows, self._pending = self._pending, []
         outbox = _OUTBOX
         if outbox is not None and outbox[0] == os.path.abspath(self.path):
             outbox[1].extend(rows)
+        else:
+            self._enqueue("write-round", (_INSERT_ROUNDS, rows))
+
+    def flush(self) -> None:
+        """Apply every queued write, in issue order, in one transaction.
+
+        The observed rounds join the queue first (inside a campaign
+        cell they go to the cell's outbox instead).  The writes leave
+        the queue before the transaction: if it fails even after the
+        retry budget, the error propagates, none of the batch is in the
+        store, and a later flush or :meth:`close` does not retry it.
+        """
+        self._queue_observed_rounds()
+        if not self._queue:
             return
+        batch, self._queue = self._queue, []
+        self._queued_elapsed = 0.0
+        self._queued_cells = 0
 
         def write() -> None:
             conn = self._connect()
-            conn.executemany(_INSERT_ROUNDS, rows)
+            for _op, statements in batch:
+                for sql, rows in statements:
+                    conn.executemany(sql, rows)
             conn.commit()
 
-        self._guarded("write-round", write)
+        self._guarded([op for op, _statements in batch], write)
 
     def close(self) -> None:
         try:
@@ -441,28 +511,14 @@ class SqliteSink:
     def clear_rounds(self, cell_seed: int) -> None:
         """Drop every round summary filed under ``cell_seed``.
 
-        The campaign runner calls this before (re-)running a cell, so
-        rounds of an earlier run of the cell can never linger past the
-        new attempt's final round.  Rows this sink still buffers are
-        flushed first, so they are cleared too.  The delete runs only
-        when a row exists, so clearing a cell without rows takes no
-        write lock.
+        The campaign runner calls this as it hands a cell out, so rounds
+        of an earlier run of the cell can never linger past the new
+        attempt's final round.  The delete is queued (see
+        :meth:`flush`) behind the rounds this sink has observed so far,
+        so it clears them too, and ahead of the cell's own checkpoint.
         """
-        self.flush()
-
-        def write() -> None:
-            conn = self._connect()
-            key = (int(cell_seed),)
-            if conn.execute(
-                "SELECT 1 FROM round_summaries WHERE cell_seed = ? LIMIT 1",
-                key,
-            ).fetchone() is None:
-                return
-            conn.execute("DELETE FROM round_summaries WHERE cell_seed = ?",
-                         key)
-            conn.commit()
-
-        self._guarded("clear-rounds", write)
+        self._queue_observed_rounds()
+        self._enqueue("clear-rounds", (_DELETE_ROUNDS, ((int(cell_seed),),)))
 
     def read_summaries(
         self, cell_seed: Optional[int] = None
@@ -470,7 +526,7 @@ class SqliteSink:
         """Round summaries for one cell, ordered by round.
 
         Values round-trip through JSON, so non-JSON message/value
-        payloads come back as their ``str`` forms.  Buffered rows are
+        payloads come back as their ``str`` forms.  Queued writes are
         flushed first, so outside a campaign cell a sink reads its own
         writes.
         """
@@ -507,7 +563,7 @@ class SqliteSink:
         cell that streamed at least one round into the store — the
         backbone of the campaign's table report, computed inside sqlite
         so a million-round store never materialises its rows in Python.
-        Buffered rows are flushed first, as in :meth:`read_summaries`.
+        Queued writes are flushed first, as in :meth:`read_summaries`.
         """
         self.flush()
         rows = self._connect().execute(
@@ -536,27 +592,30 @@ class SqliteSink:
         (first run included); the campaign's retry budget reads it back
         to decide whether a ``failed`` cell gets another pass.
         ``rounds`` are the round rows the cell handed back from its
-        :func:`round_outbox`; they commit in the same transaction as the
-        cell row, so the store holds both or neither.
+        :func:`round_outbox`; they are queued with the cell row as one
+        write, so the store holds both or neither.  The queue is flushed
+        here once its cells' summed ``elapsed`` (``None`` counts as 0)
+        reaches :data:`CHECKPOINT_BATCH_SECONDS` or it holds
+        :data:`CHECKPOINT_BATCH_CELLS` cells; until then the checkpoint
+        is in memory only (see :meth:`flush`).
         """
-        def write() -> None:
-            conn = self._connect()
-            if rounds:
-                conn.executemany(_INSERT_ROUNDS, rounds)
-            conn.execute(
-                "INSERT OR REPLACE INTO cells "
-                "(cell_tag, cell_seed, cell_index, params, status, payload, "
-                "error, elapsed, attempts) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (tag, int(seed), int(index), params_text, status,
-                 payload_text, error, elapsed, int(attempts)),
-            )
-            conn.commit()
-
-        self._guarded("record-cell", write)
+        self._enqueue(
+            "record-cell",
+            (_INSERT_ROUNDS, rounds),
+            (_INSERT_CELL, ((tag, int(seed), int(index), params_text, status,
+                             payload_text, error, elapsed, int(attempts)),)),
+        )
+        self._queued_elapsed += elapsed or 0.0
+        self._queued_cells += 1
+        if (self._queued_elapsed >= CHECKPOINT_BATCH_SECONDS
+                or self._queued_cells >= CHECKPOINT_BATCH_CELLS):
+            self.flush()
 
     def get_cells(self) -> Dict[str, Dict[str, Any]]:
         """All checkpointed cells as ``tag -> row`` (elapsed excluded —
-        wall-clock noise never leaks into resume decisions or reports)."""
+        wall-clock noise never leaks into resume decisions or reports).
+        Queued writes are flushed first."""
+        self.flush()
         rows = self._connect().execute(
             "SELECT cell_tag, cell_seed, cell_index, params, status, "
             "payload, error, attempts FROM cells"
@@ -576,7 +635,9 @@ class SqliteSink:
         }
 
     def cell_count(self) -> int:
-        """Number of checkpointed cells (one ``COUNT(*)``, no row fetch)."""
+        """Number of checkpointed cells (one ``COUNT(*)``, no row fetch).
+        Queued writes are flushed first."""
+        self.flush()
         return self._connect().execute(
             "SELECT COUNT(*) FROM cells"
         ).fetchone()[0]
@@ -588,21 +649,18 @@ class SqliteSink:
         The campaign layer stamps every store with its ``base_seed`` and
         shard spec on first use and validates them on every reopen, so
         two campaigns (or two shards of one campaign) can never silently
-        mix their rows in one database.
+        mix their rows in one database.  Queued until the next flush,
+        like every write.
         """
-        def write() -> None:
-            conn = self._connect()
-            conn.execute(
-                "INSERT OR REPLACE INTO campaign_meta (key, value) "
-                "VALUES (?, ?)",
-                (key, json.dumps(value, sort_keys=True)),
-            )
-            conn.commit()
-
-        self._guarded("set-meta", write)
+        self._enqueue(
+            "set-meta",
+            (_INSERT_META, ((key, json.dumps(value, sort_keys=True)),)),
+        )
 
     def get_meta(self, key: str, default: Any = None) -> Any:
-        """Read one store-level fact back (``default`` when unset)."""
+        """Read one store-level fact back (``default`` when unset).
+        Queued writes are flushed first."""
+        self.flush()
         row = self._connect().execute(
             "SELECT value FROM campaign_meta WHERE key = ?", (key,)
         ).fetchone()
@@ -615,7 +673,9 @@ class SqliteSink:
         no ``-wal``/``-shm`` sidecars carry live data — which is what
         lets :func:`~repro.experiments.campaign.merge_campaign_stores`
         publish a merged store with a single atomic ``os.replace``.
+        Queued writes are flushed first.
         """
+        self.flush()
         conn = self._connect()
         conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         conn.execute("PRAGMA journal_mode=DELETE")
@@ -636,8 +696,10 @@ class SqliteSink:
         a complete non-overlapping shard set) lives in
         :func:`repro.experiments.campaign.merge_campaign_stores`;
         ``campaign_meta`` rows are deliberately *not* copied — the
-        merged store's identity is stamped by the caller.
+        merged store's identity is stamped by the caller.  Queued writes
+        are flushed first.
         """
+        self.flush()
         conn = self._connect()
         conn.execute("ATTACH DATABASE ? AS shard_src", (source_path,))
         try:

@@ -6,14 +6,23 @@
 :class:`~repro.experiments.dispatch.CampaignDispatcher` pool, with
 durable, cell-granular checkpoints in a single ``campaign.db`` (see
 :class:`~repro.core.records.SqliteSink`), so a crash, timeout, or CI
-cancellation loses at most the cells in flight:
+cancellation loses the in-flight cells plus under 0.1 s of finished
+work:
 
-* **Checkpointing** — every finished cell is committed to the ``cells``
-  table the moment it completes (in completion order, not submission
+* **Checkpointing** — every finished cell is checkpointed into the
+  ``cells`` table as it completes (in completion order, not submission
   order, under the pooled paths), keyed on its canonical coordinate tag.
-  Killing the campaign at any point loses at most the cells still
-  in flight on the workers.  The runner is the store's only writer: a
-  cell's sinks hand their ``round_summaries`` rows back with its result
+  The store writes behind: checkpoints queue in memory and commit in
+  batches, one transaction each, as soon as the queued cells' summed
+  run time reaches :data:`~repro.core.records.CHECKPOINT_BATCH_SECONDS`
+  (0.1 s; or :data:`~repro.core.records.CHECKPOINT_BATCH_CELLS` cells),
+  at the end of every pass, and before any read of the store.  Killing
+  the campaign at any point loses the cells still in flight on the
+  workers plus the unflushed batch — under 0.1 s of finished work and
+  the cell that was filling it — and a resume re-runs exactly those.
+  A live reader on another connection sees only committed batches.
+  The runner is the store's only writer: a cell's sinks hand their
+  ``round_summaries`` rows back with its result
   (:func:`~repro.core.records.round_outbox`), and a ``done`` cell's
   rows commit in the same transaction as its checkpoint row.  A killed,
   timed-out or failed attempt never writes a row.
@@ -362,6 +371,10 @@ class CampaignRunner:
         #: (``None`` until a pass dispatches work).  Benchmarks publish
         #: this so a regression to spawn-per-cell is visible.
         self.last_dispatch_stats: Optional[Dict[str, Any]] = None
+        # Every grid this runner has derived, keyed on the repr of its
+        # axes: resume, report and report_table of one grid derive it
+        # once.
+        self._grids: Dict[str, List[SweepCell]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -399,12 +412,20 @@ class CampaignRunner:
         seeds always come from *full-grid* enumeration (the shard filter
         runs over the lazily streamed grid afterwards), so a cell's
         identity — tag, seed, index — is identical on every host
-        regardless of how many shards the grid is split into.
+        regardless of how many shards the grid is split into.  Each
+        grid is derived once per runner; every call returns a fresh
+        list.
         """
-        stream = iter_cells(self.base_seed, **axes)
-        if self.shard_count == 1:
-            return list(stream)
-        return list(shard_cells(stream, self.shard_index, self.shard_count))
+        grid = {name: list(values) for name, values in axes.items()}
+        key = repr(grid)
+        cells = self._grids.get(key)
+        if cells is None:
+            stream = iter_cells(self.base_seed, **grid)
+            if self.shard_count > 1:
+                stream = shard_cells(stream, self.shard_index,
+                                     self.shard_count)
+            cells = self._grids[key] = list(stream)
+        return list(cells)
 
     # ------------------------------------------------------------------
     def run(
@@ -512,9 +533,9 @@ class CampaignRunner:
         result: CellResult,
         attempts: int,
     ) -> None:
-        """Commit one finished cell: its row plus the round rows it
-        handed back (only a ``done`` cell hands any back), in one
-        transaction."""
+        """Checkpoint one finished cell: its row plus the round rows it
+        handed back (only a ``done`` cell hands any back), queued as
+        one write of the store's next batch."""
         done = result.status == "done"
         store.record_cell(
             tag=cell_tag(cell),
@@ -542,10 +563,13 @@ class CampaignRunner:
         ``store.disconnect``: the dispatcher invokes it immediately
         before *every* worker spawn (first fill and replacements alike),
         which is where the "never fork with a live sqlite connection"
-        invariant is enforced for the runner's store — checkpointing
-        between completions reopens it lazily.  ``store_path`` makes
-        every cell hand its round rows for this store back instead of
-        writing them, so this process is the store's only writer.
+        invariant is enforced for the runner's store — a batch commit
+        between completions reopens it lazily, and disconnecting keeps
+        the queued checkpoints.  ``store_path`` makes every cell hand
+        its round rows for this store back instead of writing them, so
+        this process is the store's only writer.  The pass ends by
+        committing the last batch, so every cell it ran is durable when
+        it returns.
         """
         attempts = {
             cell.index: prior_attempts.get(cell.index, 0) + 1
@@ -563,12 +587,10 @@ class CampaignRunner:
             # freed worker slot (the same seam the shard filter rides).
             # A pending cell may already hold rows (left by a killed
             # worker of a version that wrote them itself, or by a sink
-            # that named the store by another path); clear them as the
-            # cell is handed out, so stale rows never linger past the
-            # new attempt's final round.  (The dispatcher disconnects
-            # the store via pre_fork before every spawn, after this
-            # pull, so the lazily reopened connection never crosses a
-            # fork.)
+            # that named the store by another path); queue their delete
+            # as the cell is handed out, ahead of its checkpoint, so
+            # stale rows never linger past the new attempt's final
+            # round.
             for cell in pending:
                 store.clear_rounds(cell.seed)
                 yield cell
@@ -576,6 +598,7 @@ class CampaignRunner:
         self._dispatcher.run(feed(), checkpoint,
                              pre_fork=store.disconnect,
                              store_path=self.db_path)
+        store.flush()
         self.last_dispatch_stats = {
             "cells": len(pending),
             "distinct_worker_pids": len(pids),
@@ -583,6 +606,30 @@ class CampaignRunner:
         }
 
     # ------------------------------------------------------------------
+    def _stored(
+        self, store: SqliteSink, cells: Sequence[SweepCell]
+    ) -> List[Tuple[SweepCell, Dict[str, Any]]]:
+        """``(cell, row)`` for every cell of ``cells`` the store holds,
+        in grid order, with each row's seed checked against the grid."""
+        rows = store.get_cells()
+        stored = []
+        for cell in cells:
+            row = rows.get(cell_tag(cell))
+            if row is None:
+                continue  # interrupted before this cell ran
+            if row["cell_seed"] != cell.seed:
+                # Guard the read path too: a report over a store built
+                # under a different base_seed must never attribute its
+                # payloads to this grid's seeds.
+                raise ConfigurationError(
+                    f"campaign db {self.db_path!r} holds cell "
+                    f"{cell_tag(cell)!r} with seed {row['cell_seed']}, "
+                    f"but this grid derives seed {cell.seed} — the "
+                    "store belongs to a different base_seed/grid"
+                )
+            stored.append((cell, row))
+        return stored
+
     def _merge(
         self,
         store: SqliteSink,
@@ -601,22 +648,8 @@ class CampaignRunner:
         collect the offending cell indices and skip those cells (the
         ``report(allow_partial=True)`` path).
         """
-        rows = store.get_cells()
         merged = []
-        for cell in cells:
-            row = rows.get(cell_tag(cell))
-            if row is None:
-                continue  # interrupted before this cell ran
-            if row["cell_seed"] != cell.seed:
-                # Guard the read path too: a report over a store built
-                # under a different base_seed must never attribute its
-                # payloads to this grid's seeds.
-                raise ConfigurationError(
-                    f"campaign db {self.db_path!r} holds cell "
-                    f"{cell_tag(cell)!r} with seed {row['cell_seed']}, "
-                    f"but this grid derives seed {cell.seed} — the "
-                    "store belongs to a different base_seed/grid"
-                )
+        for cell, row in self._stored(store, cells):
             payload = None
             if row["payload"] is not None:
                 try:
@@ -724,20 +757,21 @@ class CampaignRunner:
         columns.  A footer below a closing rule totals the cell counts
         per status and the attempts spent, so a glance at the last line
         answers "how did the campaign go" without scanning the rows.
+        The table prints no payload, so it decodes none.
         """
         cells = self.cells(**axes)
         with SqliteSink(self.db_path, fault_plan=self.fault_plan) as store:
             self._check_store_identity(store)
-            merged = self._merge(store, cells)
+            stored = self._stored(store, cells)
             aggregates = store.round_aggregates()
         headers = ("cell", "status", "attempts", "rounds", "mean_bcast")
         rows = []
-        for outcome in merged:
-            agg = aggregates.get(outcome.cell.seed)
+        for cell, row in stored:
+            agg = aggregates.get(cell.seed)
             rows.append((
-                cell_tag(outcome.cell),
-                outcome.status,
-                str(outcome.attempts),
+                cell_tag(cell),
+                row["status"],
+                str(row["attempts"]),
                 str(agg[0]) if agg is not None else "-",
                 f"{agg[1]:.2f}" if agg is not None else "-",
             ))
@@ -760,14 +794,14 @@ class CampaignRunner:
         lines = [fmt(headers), fmt(tuple("-" * w for w in widths))]
         lines.extend(fmt(row) for row in rows)
         counts = {}
-        for outcome in merged:
-            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        for _cell, row in stored:
+            counts[row["status"]] = counts.get(row["status"], 0) + 1
         lines.append(fmt(tuple("-" * w for w in widths)))
         lines.append(
-            f"{len(merged)} cells: {counts.get('done', 0)} done, "
+            f"{len(stored)} cells: {counts.get('done', 0)} done, "
             f"{counts.get('failed', 0)} failed, "
             f"{counts.get('timed_out', 0)} timed_out; "
-            f"{sum(o.attempts for o in merged)} attempts"
+            f"{sum(row['attempts'] for _cell, row in stored)} attempts"
         )
         return "\n".join(lines)
 

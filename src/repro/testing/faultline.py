@@ -56,7 +56,8 @@ cell     ``cell:<index>`` (worker side) ``sleep`` (``seconds``)
 cell-reply ``cell:<index>`` (worker)    ``eof`` (exit without replying)
 sqlite   ``<operation>``                ``operational-error``
                                         (``flavor``: locked / busy /
-                                        disk-full)
+                                        disk-full), ``sigkill`` (kills
+                                        the calling process)
 merge    ``shard:<index>``              ``error``, ``sleep``
 ======== ============================== ===============================
 """
@@ -68,6 +69,7 @@ import fnmatch
 import hashlib
 import json
 import os
+import signal
 import sqlite3
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -292,14 +294,23 @@ class FaultPlan:
     # -- convenience raisers (keep the call sites one-liners) ----------
     def sqlite_check(self, operation: str) -> None:
         """Raise a transient :class:`sqlite3.OperationalError` if an
-        ``operational-error`` action fires for this operation."""
+        ``operational-error`` action fires for this operation.
+
+        A ``sigkill`` action SIGKILLs the calling process instead: a
+        crash at a store-statement boundary, before any statement of
+        the transaction being written runs.  Inside a campaign only the
+        parent writes the store, so that is the process it kills; use
+        it only where that process is a disposable child.
+        """
         action = self.fire("sqlite", operation)
         if action is None:
             return
+        if action["kind"] == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
         if action["kind"] != "operational-error":
             raise ConfigurationError(
-                f"sqlite fault site only honours 'operational-error', "
-                f"got {action!r}"
+                f"sqlite fault site only honours 'operational-error' and "
+                f"'sigkill', got {action!r}"
             )
         flavor = action.get("flavor", "locked")
         try:
