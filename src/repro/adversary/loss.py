@@ -9,18 +9,15 @@ answers with a :class:`RoundLosses`.
 The contract
 ------------
 
-A :class:`RoundLosses` is *normalized*: receiver ``i``'s drop set names
-only this round's senders and never ``i`` itself, so its size is the
-number of messages ``i`` loses.  It offers two views of the same drops:
+A :class:`RoundLosses` is *normalized*: a read-only mapping from each
+receiver, in the order the engine asked, to the set of this round's
+senders whose messages it loses.  A drop set never names a non-sender or
+its own receiver, so its size is the number of messages the receiver
+loses — the receive count ``T`` the detector sees (Definition 6) follows
+from it.  The engine's receive stage subtracts each drop set from the
+round's broadcast multiset (Definition 11).
 
-* ``drop_counts`` — per-receiver drop counts aligned with ``receivers``
-  (a list of ints from every built-in), ready at once;
-* the drop sets, through the ``Mapping`` interface, built lazily on first
-  access, which the engine's receive stage subtracts from the round's
-  broadcast multiset (Definition 11).
-
-The engine checks every drop set against its count; any disagreement, a
-drop set naming a non-sender or its own receiver, an omitted receiver,
+A drop set naming a non-sender or its own receiver, an omitted receiver,
 or any return type but :class:`RoundLosses` raises
 :class:`~repro.core.errors.ModelViolation`.
 
@@ -86,90 +83,42 @@ def _as_tuple(receivers: Sequence[ProcessId]) -> Tuple[ProcessId, ...]:
 class RoundLosses(_MappingABC):
     """One round's losses: the only thing a loss adversary returns.
 
-    ``senders`` is the round's sender sequence and ``receivers`` the
-    receiver tuple; ``drop_counts[k]`` is how many messages
-    ``receivers[k]`` loses.  ``materialise`` builds the receiver -> drop
-    set dict on first mapping access, once: it must describe exactly the
-    drops the counts describe, and must not consume randomness any later
-    draw depends on.  Every drop set is a subset of
-    ``senders`` that excludes its receiver — the normalization the
-    module docstring states.
+    A read-only mapping over ``receivers`` (a tuple, in the order the
+    adversary was asked): ``sets[pid]`` is the set of senders whose
+    messages ``pid`` loses, normalized as the module docstring states, so
+    ``len(sets[pid])`` is its drop count.
     """
 
-    __slots__ = (
-        "senders", "receivers", "drop_counts", "_sets", "_materialise",
-    )
+    __slots__ = ("receivers", "sets")
 
     def __init__(
         self,
-        senders: Sequence[ProcessId],
-        receivers: Tuple[ProcessId, ...],
-        drop_counts: Sequence[int],
-        materialise: Optional[
-            Callable[[], Dict[ProcessId, AbstractSet[ProcessId]]]
-        ],
-    ) -> None:
-        self.senders = senders
-        self.receivers = receivers
-        self.drop_counts = drop_counts
-        self._sets: Optional[Dict[ProcessId, AbstractSet[ProcessId]]] = None
-        self._materialise = materialise
-
-    @classmethod
-    def from_sets(
-        cls,
-        senders: Sequence[ProcessId],
-        receivers: Tuple[ProcessId, ...],
+        receivers: Sequence[ProcessId],
         sets: Dict[ProcessId, AbstractSet[ProcessId]],
-    ) -> "RoundLosses":
-        """Wrap eagerly built, normalized drop sets (one per receiver)."""
-        out = cls(
-            senders, receivers, [len(sets[pid]) for pid in receivers], None,
-        )
-        out._sets = sets
-        return out
+    ) -> None:
+        self.receivers = _as_tuple(receivers)
+        self.sets = sets
 
     @classmethod
     def lossless(
         cls, senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
     ) -> "RoundLosses":
         """Every receiver gets every message."""
-        receivers = _as_tuple(receivers)
-        return cls(
-            senders, receivers, [0] * len(receivers),
-            lambda: dict.fromkeys(receivers, _NO_LOSS),
-        )
+        return cls(receivers, dict.fromkeys(receivers, _NO_LOSS))
 
     @classmethod
     def silence(
         cls, senders: Sequence[ProcessId], receivers: Sequence[ProcessId]
     ) -> "RoundLosses":
         """Every receiver loses every message but its own."""
-        receivers = _as_tuple(receivers)
         everyone = frozenset(senders)
-        n_senders = len(senders)
-        sent = [pid in everyone for pid in receivers]
-
-        def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-            return {
-                pid: everyone - {pid} if own else everyone
-                for pid, own in zip(receivers, sent)
-            }
-
-        return cls(
-            senders, receivers, [n_senders - own for own in sent],
-            materialise,
-        )
-
-    def _ensure(self) -> Dict[ProcessId, AbstractSet[ProcessId]]:
-        sets = self._sets
-        if sets is None:
-            sets = self._sets = self._materialise()
-            self._materialise = None
-        return sets
+        return cls(receivers, {
+            pid: everyone - {pid} if pid in everyone else everyone
+            for pid in receivers
+        })
 
     def __getitem__(self, pid: ProcessId) -> AbstractSet[ProcessId]:
-        return self._ensure()[pid]
+        return self.sets[pid]
 
     def __iter__(self):
         return iter(self.receivers)
@@ -177,15 +126,8 @@ class RoundLosses(_MappingABC):
     def __len__(self) -> int:
         return len(self.receivers)
 
-    def __contains__(self, pid: object) -> bool:
-        return pid in self._ensure()
-
-    def get(self, pid: ProcessId, default=None):
-        return self._ensure().get(pid, default)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "materialised" if self._sets is not None else "lazy"
-        return f"RoundLosses({len(self.receivers)} receivers, {state})"
+        return f"RoundLosses({len(self.receivers)} receivers)"
 
 
 def resolve_round(
@@ -234,39 +176,21 @@ def grouped_losses(
     ``local`` (a list holding the member itself whenever it sent) and
     loses every other sender's message.  Within ``local`` it loses what
     ``inner`` says (nothing when ``inner`` is ``None``) — one inner
-    resolution per group, in group order, so the inner adversary's
-    randomness is consumed identically whichever view a consumer reads.
-    Counts are each group's cross-group size plus the inner counts; the
-    sets (cross-group set union inner set) resolve lazily.
+    resolution per group, in group order.  Each member's drop set is the
+    group's cross-group senders united with its inner drop set.
     """
-    receivers_t = _as_tuple(receivers)
-    rpos = {pid: k for k, pid in enumerate(receivers_t)}
-    n_senders = len(senders)
-    counts = [0] * len(receivers_t)
-    resolved = []
+    everyone = frozenset(senders)
+    sets: Dict[ProcessId, AbstractSet[ProcessId]] = {}
     for local, members in groups:
-        cross = n_senders - len(local)
+        cross = everyone.difference(local)
         if inner is None:
-            inner_map = None
-            for pid in members:
-                counts[rpos[pid]] = cross
-        else:
-            inner_map = resolve_round(inner, round_index, local, members)
-            for pid, extra in zip(members, inner_map.drop_counts):
-                counts[rpos[pid]] = cross + extra
-        resolved.append((local, members, inner_map))
-
-    def materialise() -> Dict[ProcessId, AbstractSet[ProcessId]]:
-        everyone = frozenset(senders)
-        out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for local, members, inner_map in resolved:
-            cross = everyone.difference(local)
-            for pid in members:
-                extra = inner_map[pid] if inner_map is not None else None
-                out[pid] = cross | extra if extra else cross
-        return out
-
-    return RoundLosses(senders, receivers_t, counts, materialise)
+            sets.update(dict.fromkeys(members, cross))
+            continue
+        inner_sets = resolve_round(inner, round_index, local, members).sets
+        for pid in members:
+            extra = inner_sets[pid]
+            sets[pid] = cross | extra if extra else cross
+    return RoundLosses(receivers, sets)
 
 
 class LossAdversary(abc.ABC):
@@ -374,7 +298,7 @@ class IIDLoss(LossAdversary):
         total = n_senders * len(receivers_t)
         out: Dict[ProcessId, AbstractSet[ProcessId]] = {}
         if not receivers_t:
-            return RoundLosses.from_sets(senders, receivers_t, out)
+            return RoundLosses(receivers_t, out)
         if self._batch_rng is None:
             self._batch_rng = random.Random(f"{self.seed}|batched")
         rand = self._batch_rng.random
@@ -419,7 +343,7 @@ class IIDLoss(LossAdversary):
         for pid in receivers_t:
             if pid not in out:
                 out[pid] = _NO_LOSS
-        return RoundLosses.from_sets(senders, receivers_t, out)
+        return RoundLosses(receivers_t, out)
 
     def reset(self) -> None:
         self._batch_rng = None
@@ -496,7 +420,7 @@ class CaptureEffectLoss(LossAdversary):
             )
             captured = set(rng.sample(others, captured_count))
             out[pid] = {s for s in others if s not in captured}
-        return RoundLosses.from_sets(senders, receivers_t, out)
+        return RoundLosses(receivers_t, out)
 
 class PartitionLoss(LossAdversary):
     """Split the index set into groups; messages never cross groups.
@@ -592,34 +516,19 @@ class ScriptedLoss(LossAdversary):
     third-party per-receiver law.  Lower-bound constructions use it to
     realise exactly the receive behaviour their proofs prescribe.
 
-    ``round_fn(round_index, senders, receivers)``, if given instead,
-    returns the whole round's receiver -> drop set mapping in one call.
-    Exactly one of the two must be provided.  Either way the script's
-    drop sets are untrusted: each is intersected with ``senders`` and
-    loses its receiver, so a script may name non-senders or the receiver
-    itself (self-delivery is unconditional), but must answer for every
-    receiver.
+    The script's drop sets are untrusted: each is intersected with
+    ``senders`` and loses its receiver, so a script may name non-senders
+    or the receiver itself (self-delivery is unconditional).
     """
 
     def __init__(
         self,
-        fn: Optional[
-            Callable[[int, Sequence[ProcessId], ProcessId], AbstractSet[ProcessId]]
-        ] = None,
+        fn: Callable[
+            [int, Sequence[ProcessId], ProcessId], AbstractSet[ProcessId]
+        ],
         r_cf: Optional[int] = None,
-        round_fn: Optional[
-            Callable[
-                [int, Sequence[ProcessId], Sequence[ProcessId]],
-                Mapping[ProcessId, AbstractSet[ProcessId]],
-            ]
-        ] = None,
     ) -> None:
-        if (fn is None) == (round_fn is None):
-            raise ConfigurationError(
-                "ScriptedLoss needs exactly one of fn / round_fn"
-            )
         self._fn = fn
-        self._round_fn = round_fn
         self._r_cf = r_cf
 
     def losses_for_round(
@@ -628,28 +537,17 @@ class ScriptedLoss(LossAdversary):
         senders: Sequence[ProcessId],
         receivers: Sequence[ProcessId],
     ) -> RoundLosses:
-        receivers_t = _as_tuple(receivers)
-        if self._fn is not None:
-            fn = self._fn
-            script = {pid: fn(round_index, senders, pid) for pid in receivers_t}
-        else:
-            script = self._round_fn(round_index, senders, receivers)
-            for pid in receivers_t:
-                if pid not in script:
-                    raise ModelViolation(
-                        f"loss adversary omitted receiver {pid!r} from its "
-                        "round resolution"
-                    )
+        fn = self._fn
         everyone = frozenset(senders)
         sets: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for pid in receivers_t:
-            lost = script[pid]
+        for pid in receivers:
+            lost = fn(round_index, senders, pid)
             if lost:
                 lost = everyone.intersection(lost)
                 if pid in lost:
                     lost = lost - {pid}
             sets[pid] = lost or _NO_LOSS
-        return RoundLosses.from_sets(senders, receivers_t, sets)
+        return RoundLosses(receivers, sets)
 
     @property
     def r_cf(self) -> Optional[int]:
@@ -689,7 +587,7 @@ class ComposedLoss(LossAdversary):
                 if extra:
                     lost = lost | extra if lost else extra
             out[pid] = lost
-        return RoundLosses.from_sets(senders, receivers_t, out)
+        return RoundLosses(receivers_t, out)
 
     def reset(self) -> None:
         for component in self.components:

@@ -17,13 +17,13 @@ order:
    resolutions of constraint 2);
 4. receive — the loss adversary resolves the whole round in one
    ``losses_for_round`` call, answering with a normalized
-   :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop counts
-   and lazy drop sets that name only other senders — see
-   :mod:`repro.adversary.loss` for the contract); self-delivery is
-   unconditional (constraint 5), and every loss-free receiver shares the
-   round's full broadcast multiset; the collision detector, seeing only
-   the counts ``(c, T)`` exactly as Definition 6 prescribes, then issues
-   per-process advice;
+   :class:`~repro.adversary.loss.RoundLosses` (per-receiver drop sets
+   that name only other senders, each set's size the receiver's drop
+   count — see :mod:`repro.adversary.loss` for the contract);
+   self-delivery is unconditional (constraint 5), and every loss-free
+   receiver shares the round's full broadcast multiset; the collision
+   detector, seeing only the counts ``(c, T)`` exactly as Definition 6
+   prescribes, then issues per-process advice;
 5. transitions — surviving processes transition on
    ``(N_r[i], D_r[i], W_r[i])``;
 6. commit — the round's crashes, then its departures, take effect;
@@ -294,10 +294,10 @@ class ExecutionEngine:
         the round's broadcast multiset.  The loss adversary is consulted
         over the full index set every round, pids absent after a leave
         included, so absence never shifts its randomness.
-        Each drop set is held to the contract before a count is derived
-        from it: other senders only, exactly as many as the drop count
-        says.  In a single-message round a receive multiset depends on
-        the keep count alone, so one is built per distinct count.
+        Each drop set is held to the contract (other senders only), and
+        its size is the receiver's drop count.  In a single-message round
+        a receive multiset depends on the keep count alone, so one is
+        built per distinct count.
         Returns ``(received, cd_advice)`` aligned with the index tuple,
         ``received`` holding ``None`` for the pids in ``skip``.
         """
@@ -313,10 +313,11 @@ class ExecutionEngine:
         by_kept: Dict[int, Multiset] = {}
         # The drop-set map itself: one lookup per receiver, not a
         # ``lost[pid]`` call through the Mapping interface each.
-        drop_sets = lost._ensure()
-        for pid, dropped in zip(indices, lost.drop_counts):
+        drop_sets = lost.sets
+        for pid in indices:
             dropped_from = drop_sets[pid]
-            if dropped_from:
+            dropped = len(dropped_from)
+            if dropped:
                 if pid in dropped_from:
                     raise ModelViolation(
                         f"loss adversary dropped {pid}'s own message at "
@@ -330,11 +331,6 @@ class ExecutionEngine:
                         f"drop set for {pid} contains non-senders "
                         f"{sorted(set(dropped_from) - sender_set, key=repr)}"
                     )
-            if len(dropped_from) != dropped:
-                raise ModelViolation(
-                    f"loss resolution claims {dropped} drops at {pid}, but "
-                    f"its drop set names {len(dropped_from)} senders"
-                )
             kept = counts[pid] = total - dropped
             if skip and pid in skip:
                 ms = None

@@ -286,10 +286,6 @@ class CampaignRunner:
     extra_params:
         Non-coordinate parameters merged into ``params`` at execution
         time only — excluded from seeding, cell identity, and reports.
-    idle_hook:
-        Optional callback invoked after every completed cell (passed
-        through to the dispatcher) — the seam for serving live queries
-        while a campaign runs.
     fault_plan:
         Optional :class:`~repro.testing.faultline.FaultPlan` threaded
         through the dispatcher and every store the runner opens.
@@ -327,7 +323,6 @@ class CampaignRunner:
         max_retries: int = 2,
         extra_params: Optional[Mapping[str, Any]] = None,
         in_process: bool = False,
-        idle_hook: Optional[Callable[[], None]] = None,
         shard_index: int = 0,
         shard_count: int = 1,
         fault_plan: Optional["faultline.FaultPlan"] = None,
@@ -358,7 +353,6 @@ class CampaignRunner:
             processes=processes,
             cell_timeout=cell_timeout,
             in_process=in_process,
-            idle_hook=idle_hook,
             fault_plan=fault_plan,
             stall_timeout=stall_timeout,
         )
@@ -428,16 +422,6 @@ class CampaignRunner:
         return list(cells)
 
     # ------------------------------------------------------------------
-    def run(
-        self, max_cells: Optional[int] = None, **axes: Iterable[Any]
-    ) -> List[CampaignOutcome]:
-        """Launch (or continue) the campaign — an alias of :meth:`resume`.
-
-        Launching and resuming are the same idempotent operation: run
-        whatever the store does not already hold.
-        """
-        return self.resume(max_cells=max_cells, **axes)
-
     def resume(
         self, max_cells: Optional[int] = None, **axes: Iterable[Any]
     ) -> List[CampaignOutcome]:

@@ -48,10 +48,6 @@ Contract highlights:
   ``width`` cells ahead of the results).  This is the seam for
   distributed sharding: a shard host is this loop fed by a shard
   iterator instead of a list.
-* **Idle hook** — a callback invoked after every completed cell, while
-  the loop is between completions.  This is the seam for a long-lived
-  analytics service: a campaign can answer live queries from the hook
-  without a second thread.
 * **Deterministic teardown** — :meth:`CampaignDispatcher.close` settles
   the pool synchronously: sentinel to every idle worker, pipes closed,
   ``join(grace)``, terminate->kill escalation for stragglers.  Workers
@@ -407,9 +403,6 @@ class CampaignDispatcher:
         Escape hatch: run every cell serially inside the calling
         process (no workers, no pickling, debugger-friendly).  Timeouts
         cannot be enforced in-process; a set ``cell_timeout`` warns.
-    idle_hook:
-        Callback invoked with no arguments after each completed cell —
-        the seam for serving live queries while a campaign runs.
     fault_plan:
         Optional :class:`~repro.testing.faultline.FaultPlan` consulted
         at the dispatcher's injection sites.  ``None`` falls back to
@@ -452,7 +445,6 @@ class CampaignDispatcher:
         processes: Optional[int] = None,
         cell_timeout: Optional[float] = None,
         in_process: bool = False,
-        idle_hook: Optional[Callable[[], None]] = None,
         fault_plan: Optional["faultline.FaultPlan"] = None,
         stall_timeout: Optional[float] = None,
     ) -> None:
@@ -464,7 +456,6 @@ class CampaignDispatcher:
             width = max(1, int(processes))
         self.width = width
         self.cell_timeout = cell_timeout
-        self.idle_hook = idle_hook
         self.term_grace = TERM_GRACE
         self.max_spawn_deaths = MAX_SPAWN_DEATHS
         self.respawn_backoff = RESPAWN_BACKOFF
@@ -615,8 +606,6 @@ class CampaignDispatcher:
                 index=cell.index, status=status, payload=payload,
                 error=error, elapsed=elapsed, worker_pid=None, rounds=rounds,
             ))
-            if self.idle_hook is not None:
-                self.idle_hook()
         return completed
 
     def _spawn(self) -> _Worker:
@@ -709,8 +698,6 @@ class CampaignDispatcher:
             nonlocal completed
             completed += 1
             on_result(cell, result)
-            if self.idle_hook is not None:
-                self.idle_hook()
 
         # worker -> (cell, started, deadline-or-None) for in-flight cells.
         busy: Dict[_Worker, Tuple[Any, float, Optional[float]]] = {}

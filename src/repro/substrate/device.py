@@ -80,16 +80,13 @@ class PhysicalLayer(LossAdversary, CollisionDetector):
         # benefit); the drop sets derive from the kept outcomes, so
         # building them consumes no randomness.
         outcomes = self._outcomes(round_index, senders)
-        receivers_t = (
-            receivers if type(receivers) is tuple else tuple(receivers)
-        )
         drops: Dict[ProcessId, AbstractSet[ProcessId]] = {}
-        for pid in receivers_t:
+        for pid in receivers:
             decoded = set(outcomes[pid].decoded)
             drops[pid] = {
                 s for s in senders if s != pid and s not in decoded
             }
-        return RoundLosses.from_sets(senders, receivers_t, drops)
+        return RoundLosses(receivers, drops)
 
     # -- CollisionDetector interface --------------------------------------
     def advise(

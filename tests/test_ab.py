@@ -5,12 +5,15 @@ at least nine tenths of the pairs and beat the parent's median by more
 than the parent's interquartile range.  Synthetic pairs pin a clear
 win, a win that is only the host drifting under both sides, and a loss;
 PR 27's recorded per-run ``cells_per_s`` reproduce its three verdicts;
-and every committed ``BENCH_ab_*.json`` must parse and carry the
-verdict and summary its own runs give.
+``repro all`` runs are correct only with the parent's output digest, and
+their ``wall_s`` verdict is lower-is-better; and every committed
+``BENCH_ab_*.json`` must parse and carry the verdict and summary its
+own runs give.
 """
 
 from __future__ import annotations
 
+import copy
 import glob
 import importlib.util
 import json
@@ -76,6 +79,50 @@ def test_a_failed_change_run_voids_the_claim(ab):
     assert not ab.verdict(runs, "cells_per_s", True)["met"]
 
 
+def _evaluation_runs(parent, change):
+    """``repro all`` runs that all exited 0 and printed the same bytes."""
+    runs = _runs(parent, change, "wall_s")
+    for run in runs:
+        run.update(returncode=0, stdout_sha256="a" * 64)
+    return runs
+
+
+WALL = [12.1, 11.8, 12.6, 12.0, 13.1]
+
+
+def test_a_digest_mismatch_makes_an_evaluation_run_incorrect(ab):
+    runs = _evaluation_runs(WALL, [w * 0.5 for w in WALL])
+    runs[3]["stdout_sha256"] = "b" * 64  # pair 1's change run
+    runs[4]["returncode"] = 1  # pair 2's parent run, right bytes
+    ab.check_digests(runs)
+    assert [run["correct"] for run in runs] == [
+        True, True, True, False, False, True, True, True, True, True,
+    ]
+    v = ab.verdict(runs, *ab.verdict_metric(ab.ALL, {}))
+    assert (v["pairs_won"], v["change_runs_correct"], v["met"]) \
+        == (5, False, False)
+    # The reference is the first parent run: when it is the odd one
+    # out, every other run is incorrect.
+    runs = _evaluation_runs(WALL, WALL)
+    runs[0]["stdout_sha256"] = "c" * 64
+    assert [run["correct"] for run in ab.check_digests(runs)] \
+        == [True] + [False] * 9
+
+
+def test_evaluation_wall_s_verdict_is_lower_is_better(ab):
+    metric, higher = ab.verdict_metric(ab.ALL, {})
+    assert (metric, higher) == ("wall_s", False)
+    faster = ab.check_digests(_evaluation_runs(
+        BASE, [b * 0.8 for b in BASE]))
+    v = ab.verdict(faster, metric, higher)
+    assert (v["pairs_won"], v["met"]) == (10, True)
+    slower = ab.check_digests(_evaluation_runs(
+        BASE, [b * 1.2 for b in BASE]))
+    v = ab.verdict(slower, metric, higher)
+    assert (v["pairs_won"], v["met"]) == (0, False)
+    assert v["median_gain"] < 0
+
+
 #: PR 27's recorded per-run ``cells_per_s`` (CHANGES.md), pairs 0-9,
 #: with the medians, parent quartiles and verdicts it reported.
 PR27 = {
@@ -123,7 +170,6 @@ def test_committed_ab_artifacts_match_their_runs(ab):
     assert paths, "no committed BENCH_ab_*.json"
     with open(REPO_ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     for path in paths:
         with open(path) as fh:
             doc = json.load(fh)
@@ -135,7 +181,11 @@ def test_committed_ab_artifacts_match_their_runs(ab):
         for run in runs:
             first = "parent" if run["pair"] % 2 == 0 else "change"
             assert (run["position"] == 0) == (run["side"] == first)
-        metric = doc["verdict"]["metric"]
-        assert (metric, doc["protocol"]["seed"]) == (ab.METRIC, ab.SEED)
-        assert doc["verdict"] == ab.verdict(runs, metric, better[metric])
+        metric, higher = ab.verdict_metric(doc["workload"], spec)
+        evaluation = doc["workload"] == ab.ALL
+        assert doc["verdict"]["metric"] == metric
+        assert doc["protocol"]["seed"] == (None if evaluation else ab.SEED)
+        if evaluation:
+            assert runs == ab.check_digests(copy.deepcopy(runs))
+        assert doc["verdict"] == ab.verdict(runs, metric, higher)
         assert doc["summary"] == ab.summarise(runs, spec)

@@ -14,15 +14,14 @@ Covers the contract-level guarantees:
   rejoin) x record policies, and exhaustively over every drop pattern of
   two rounds at n = 3;
 * ``IIDLoss``'s whole-round law and determinism;
-* one round's two views (drop counts, drop sets) agree whether the
-  lazy sets are built at once or only after later rounds resolved, for
-  ``IIDLoss`` (engine-shaped rounds and the one-receiver groups a
-  multihop layer hands it) and for grouped rounds (``PartitionLoss``,
-  ``MultihopLayer``);
+* one round's drop sets are the same whether read at once or only
+  after later rounds resolved, for ``IIDLoss`` (engine-shaped rounds and
+  the one-receiver groups a multihop layer hands it) and for grouped
+  rounds (``PartitionLoss``, ``MultihopLayer``);
 * ``CaptureEffectLoss`` is independent of receiver enumeration order;
 * ``ModelViolation`` on every contract breach: a drop set naming its
-  receiver or a non-sender, counts that disagree with the sets, an
-  omitted receiver, an answer that is not a ``RoundLosses``;
+  receiver or a non-sender, an omitted receiver, an answer that is not
+  a ``RoundLosses``;
 * the lower-bound searches accept ``SUMMARY`` results wherever they only
   consult broadcast-count sequences.
 
@@ -458,7 +457,7 @@ def test_spec_scalar_and_kernel_agree_on_every_two_round_drop_pattern():
     for first, second in product(patterns, patterns):
         script = {1: first, 2: second}
         run_against_spec(
-            lambda: ScriptedLoss(round_fn=lambda r, s, recvs: script[r]),
+            lambda: ScriptedLoss(lambda r, s, recv: script[r][recv]),
             lambda r, senders, receiver: script[r][receiver],
             algorithm, rounds=2, n=3, detector=detector,
         )
@@ -555,12 +554,9 @@ def test_iid_batched_never_drops_self():
         assert pid not in lost_map[pid]
 
 
-def _views(losses):
-    """A round's two views: the counts and the sets they count."""
-    return (
-        list(losses.drop_counts),
-        {pid: set(losses[pid]) for pid in losses.receivers},
-    )
+def _sets(losses):
+    """A round's drop sets, as plain sets keyed by receiver."""
+    return {pid: set(losses[pid]) for pid in losses.receivers}
 
 
 #: (senders, receivers) shapes: the engine's (every sender a receiver,
@@ -578,9 +574,8 @@ _IID_SHAPES = {
 @pytest.mark.parametrize("backend", ["python"])
 @pytest.mark.parametrize("shape", sorted(_IID_SHAPES))
 def test_iid_views_agree_in_either_access_order(shape, backend):
-    """The counts and the sets of one round stay consistent, whether the
-    sets are read at once or only after later rounds drew, and no set
-    ever names its receiver."""
+    """One round's drop sets are the same whether read at once or only
+    after later rounds drew, and no set ever names its receiver."""
     senders, receivers = _IID_SHAPES[shape]
     a = IIDLoss(0.6, seed=11)
     b = IIDLoss(0.6, seed=11)
@@ -588,13 +583,12 @@ def test_iid_views_agree_in_either_access_order(shape, backend):
     late = [b.losses_for_round(r, senders, receivers) for r in rounds]
     drops = 0
     for r, deferred in zip(rounds, late):
-        counts, sets = _views(a.losses_for_round(r, senders, receivers))
-        assert _views(deferred) == (counts, sets)
-        assert counts == [len(sets[pid]) for pid in receivers]
+        sets = _sets(a.losses_for_round(r, senders, receivers))
+        assert _sets(deferred) == sets
         for pid in receivers:
             assert pid not in sets[pid]
             assert sets[pid] <= set(senders)
-        drops += sum(counts)
+            drops += len(sets[pid])
     assert drops > 0
 
 
@@ -621,9 +615,9 @@ _GROUPED = {
 
 @pytest.mark.parametrize("name", sorted(_GROUPED))
 def test_grouped_views_agree_in_either_access_order(name):
-    """Grouped rounds count each group's cross-group senders plus the
-    inner counts; the lazy sets, built at once or only after later
-    rounds resolved, name exactly that many other senders."""
+    """A grouped round's drop sets (each group's cross-group senders
+    plus its inner drop set) are the same whether read at once or only
+    after later rounds resolved, and name only other senders."""
     a, b = _GROUPED[name](), _GROUPED[name]()
     rng = random.Random(name)
     receivers = tuple(range(7))
@@ -636,9 +630,8 @@ def test_grouped_views_agree_in_either_access_order(name):
         for r, senders in zip(rounds, sender_lists)
     ]
     for r, senders, deferred in zip(rounds, sender_lists, late):
-        counts, sets = _views(a.losses_for_round(r, senders, receivers))
-        assert _views(deferred) == (counts, sets)
-        assert counts == [len(sets[pid]) for pid in receivers]
+        sets = _sets(a.losses_for_round(r, senders, receivers))
+        assert _sets(deferred) == sets
         for pid in receivers:
             assert pid not in sets[pid]
             assert sets[pid] <= set(senders)
@@ -692,16 +685,9 @@ class BreachingAdversary(LossAdversary):
             sets[receivers[0]] = frozenset(non_senders[:1])
         elif self.breach == "omit":
             receivers = receivers[:-1]
-        elif self.breach == "miscount":
-            # Sets say nothing is lost; the counts claim one loss each
-            # at the receivers that have another sender to lose.
-            counts = [1 if set(senders) - {pid} else 0 for pid in receivers]
-            return RoundLosses(senders, receivers, counts, lambda: sets)
         elif self.breach == "dict":
             return dict(sets)
-        return RoundLosses.from_sets(
-            senders, receivers, {pid: sets[pid] for pid in receivers}
-        )
+        return RoundLosses(receivers, {pid: sets[pid] for pid in receivers})
 
 
 def assert_breach_raises(breach, match):
@@ -735,10 +721,6 @@ def test_omitted_receiver_raises_through_batched_path():
     assert_breach_raises("omit", "omitted receiver")
 
 
-def test_drop_counts_disagreeing_with_drop_sets_raise():
-    assert_breach_raises("miscount", "drop set names|disagree")
-
-
 def test_answer_that_is_not_round_losses_raises():
     assert_breach_raises("dict", "not RoundLosses")
 
@@ -751,41 +733,7 @@ def test_scripted_loss_normalizes_untrusted_drop_sets():
     assert {pid: set(lost_map[pid]) for pid in (0, 1, 2)} == {
         0: {1}, 1: {0}, 2: {0, 1},
     }
-    assert list(lost_map.drop_counts) == [1, 1, 2]
-
-
-def test_scripted_round_fn_constructor_validation():
-    with pytest.raises(ConfigurationError):
-        ScriptedLoss()
-    with pytest.raises(ConfigurationError):
-        ScriptedLoss(
-            lambda r, s, recv: set(),
-            round_fn=lambda r, s, recvs: {},
-        )
-
-
-def test_scripted_round_fn_drives_whole_round():
-    def round_fn(r, senders, receivers):
-        shared = frozenset(s for s in senders if s != 0)
-        return {pid: (shared if pid == 0 else frozenset()) for pid in receivers}
-
-    adv = ScriptedLoss(round_fn=round_fn)
-    env = Environment(
-        indices=(0, 1, 2),
-        detector=perfect_detector(),
-        contention=NoContentionManager(),
-        loss=adv,
-        crash=NoCrashes(),
-    )
-    result = run_algorithm(
-        env,
-        Algorithm(lambda i: ScriptedProcess(["x"]), anonymous=False),
-        max_rounds=1, until_all_decided=False,
-    )
-    rec = result.records[0]
-    assert len(rec.received[0]) == 1  # only its own message
-    assert len(rec.received[1]) == 3
-    assert adv.losses_for_round(1, [0, 1, 2], (0, 1, 2))[0] == {1, 2}
+    assert [len(lost_map[pid]) for pid in lost_map] == [1, 1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -942,24 +942,6 @@ def test_dispatcher_pulls_cell_source_lazily():
     assert pulled == list(range(6))  # pulled in grid order
 
 
-@pytest.mark.parametrize("in_process", [True, False],
-                         ids=["in-process", "pooled"])
-def test_idle_hook_fires_after_every_completion(
-    tmp_path, make_runner, in_process
-):
-    """The idle hook (the live-analytics seam) runs in the parent after
-    each completed cell, in every dispatch mode."""
-    ticks = []
-    runner = make_runner(
-        _trivial_cell, db_path=str(tmp_path / "c.db"), base_seed=0,
-        processes=1, in_process=in_process,
-        idle_hook=lambda: ticks.append(len(ticks)),
-    )
-    outcomes = runner.resume(trial=[0, 1, 2])
-    assert all(o.status == "done" for o in outcomes)
-    assert len(ticks) == 3
-
-
 @pytest.mark.parametrize("processes", [0, 4])
 def test_dead_attempts_leave_zero_round_rows(tmp_path, make_runner, processes):
     """A timed-out or failed attempt contributes nothing to
@@ -1227,7 +1209,7 @@ def test_report_table_aggregates_rounds_per_cell(tmp_path, make_runner):
         n=[3], detector=["0-OAC"], loss_rate=[0.1, 0.3], trial=[0],
         values=[8], record_policy=["summary"],
     )
-    outcomes = runner.run(**axes)
+    outcomes = runner.resume(**axes)
     table = runner.report_table(**axes)
     lines = table.splitlines()
     header, rule, *rows = lines[:-2]

@@ -5,6 +5,8 @@ Usage::
 
     python tools/ab.py --parent ../parent --change . \
         --workload e18-small --pairs 10 --seconds 20
+    python tools/ab.py --parent ../parent --change . --workload all \
+        --pairs 5
 
 Each pair runs ``perfbench/run.py --workload W --seed 0 --seconds T
 --trace 0`` once in each tree, each run a fresh process of this
@@ -30,11 +32,20 @@ parent's interquartile range, and no change run may fail.  Quartiles are
 linear interpolation over the sorted values (``statistics.quantiles``,
 inclusive).  Standard library only; the tool touches nothing but its
 own child processes.
+
+``--workload all`` times the whole evaluation instead: each run is
+``python -m repro all`` in the tree (its ``src`` on ``PYTHONPATH``;
+``--seconds`` does not apply), recorded with its wall and CPU seconds
+and the SHA-256 of what it printed.  A run is correct only if it exits
+0 and its digest equals the parent's, the digest of the first parent
+run (:func:`check_digests`).  The verdict is on ``wall_s``, lower is
+better, and the file is ``BENCH_ab_all.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -43,7 +54,7 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Share of the pairs the change must win for a gain to be claimed.
 WIN_SHARE = 0.9
@@ -56,6 +67,20 @@ SEED = 0
 
 #: The metric the verdict is on.
 METRIC = "cells_per_s"
+
+#: The ``--workload`` that runs ``python -m repro all``; its verdict is
+#: on :data:`ALL_METRIC`, lower is better.
+ALL = "all"
+ALL_METRIC = "wall_s"
+
+
+def verdict_metric(workload: str, spec: Dict[str, Any]) -> Tuple[str, bool]:
+    """The metric ``workload``'s verdict is on, and whether higher is
+    better (from ``spec``, ``BENCHMARK.json``, for perfbench metrics)."""
+    if workload == ALL:
+        return ALL_METRIC, False
+    better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    return METRIC, better[METRIC]
 
 
 def quartiles(values: Sequence[float]) -> Dict[str, float]:
@@ -124,17 +149,23 @@ def verdict(runs: Sequence[Dict[str, Any]], metric: str,
 
 def summarise(runs: Sequence[Dict[str, Any]],
               spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Every end-to-end metric of ``spec`` (``BENCHMARK.json``), plus
-    ``cells_per_cpu_s``, compared across the pairs.  A metric is
-    ``within_bound`` when the change's median is no worse than the
-    parent's by more than the metric's bound (a share of the parent's
-    median); ``cells_per_cpu_s``, a diagnostic (see the module
-    docstring), has no bound."""
+    """Every metric the runs carry, compared across the pairs: each
+    end-to-end metric of ``spec`` (``BENCHMARK.json``) and
+    ``cells_per_cpu_s`` for perfbench runs, ``wall_s`` and ``cpu_s`` for
+    ``repro all`` runs.  A metric is ``within_bound`` when the change's
+    median is no worse than the parent's by more than the metric's bound
+    (a share of the parent's median); ``cells_per_cpu_s``, a diagnostic
+    (see the module docstring), ``wall_s`` and ``cpu_s`` have no
+    bound."""
     out = {}
     declared = [(m["name"], m["better"] == "higher", m["bound"])
                 for m in spec["end_to_end"]]
-    declared.append(("cells_per_cpu_s", True, None))
+    declared += [("cells_per_cpu_s", True, None), (ALL_METRIC, False, None),
+                 ("cpu_s", False, None)]
+    present = {name for run in runs for name in run["metrics"]}
     for name, higher, bound in declared:
+        if name not in present:
+            continue
         cmp_ = compare(runs, name, higher)
         if not cmp_["pairs"]:
             continue
@@ -146,28 +177,61 @@ def summarise(runs: Sequence[Dict[str, Any]],
     return out
 
 
-def run_once(tree: str, workload: str, seconds: float) -> Dict[str, Any]:
-    """One perfbench run in ``tree``; its metrics, CPU and wall time."""
+def check_digests(runs: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Mark each ``repro all`` run correct when it exited 0 and printed
+    exactly what the first parent run printed; returns ``runs``."""
+    parent = [run for run in runs if run["side"] == "parent"]
+    reference = (min(parent, key=lambda run: run["pair"])["stdout_sha256"]
+                 if parent else None)
+    for run in runs:
+        run["correct"] = (run["returncode"] == 0 and reference is not None
+                          and run["stdout_sha256"] == reference)
+    return runs
+
+
+def _timed(tree: str, argv: List[str],
+           env: Optional[Dict[str, str]] = None
+           ) -> Tuple[subprocess.CompletedProcess, float, float]:
+    """Run ``argv`` in ``tree``: the finished process, its wall seconds
+    and the CPU seconds of its whole process tree."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, timeout=600,
-    )
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True,
+                          timeout=600)
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (
         after.ru_stime - before.ru_stime)
+    return proc, wall, cpu
+
+
+def run_evaluation(tree: str) -> Dict[str, Any]:
+    """One ``python -m repro all`` in ``tree``: wall and CPU seconds and
+    the SHA-256 of its stdout (:func:`check_digests` sets ``correct``)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc, wall, cpu = _timed(tree, [sys.executable, "-m", "repro", "all"],
+                             env)
+    return {
+        "returncode": proc.returncode, "wall_s": wall, "cpu_s": cpu,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "correct": False, "metrics": {ALL_METRIC: wall, "cpu_s": cpu},
+    }
+
+
+def run_once(tree: str, workload: str, seconds: float) -> Dict[str, Any]:
+    """One perfbench run in ``tree``; its metrics, CPU and wall time."""
+    proc, wall, cpu = _timed(tree, [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"])
     record: Dict[str, Any] = {
         "returncode": proc.returncode, "wall_s": wall, "cpu_s": cpu,
         "correct": False, "failed": None, "attempted": None, "metrics": {},
     }
-    lines = proc.stdout.strip().splitlines()
+    lines = proc.stdout.decode().strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        record["error"] = proc.stderr.strip()[-2000:]
+        record["error"] = proc.stderr.decode().strip()[-2000:]
         return record
     record.update(
         correct=bool(result["correct"]) and proc.returncode == 0,
@@ -191,28 +255,36 @@ def main(argv: Optional[List[str]] = None) -> int:
              "change": os.path.abspath(args.change)}
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    evaluation = args.workload == ALL
+    metric, higher = verdict_metric(args.workload, spec)
     runs: List[Dict[str, Any]] = []
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            record = run_once(trees[side], args.workload, args.seconds)
+            if evaluation:
+                record = run_evaluation(trees[side])
+            else:
+                record = run_once(trees[side], args.workload, args.seconds)
             record.update(pair=pair, side=side, position=position)
             runs.append(record)
-            value = record["metrics"].get(METRIC)
-            print(f"pair {pair} {side:6s} {METRIC}="
+            value = record["metrics"].get(metric)
+            print(f"pair {pair} {side:6s} {metric}="
                   f"{'FAILED' if value is None else f'{value:.1f}'} "
                   f"cpu_s={record['cpu_s']:.1f}", flush=True)
+    if evaluation:
+        check_digests(runs)
+        command = "-m repro all"
+    else:
+        command = (f"perfbench/run.py --workload {args.workload} --seed "
+                   f"{SEED} --seconds {args.seconds:g} --trace 0")
     doc = {
         "workload": args.workload,
         "protocol": {
-            "pairs": args.pairs, "seconds": args.seconds,
-            "seed": SEED,
+            "pairs": args.pairs,
+            "seconds": None if evaluation else args.seconds,
+            "seed": None if evaluation else SEED,
             "order": "parent first on even pairs, change first on odd",
-            "command": f"{os.path.basename(sys.executable)} "
-                       "perfbench/run.py --workload "
-                       f"{args.workload} --seed {SEED} "
-                       f"--seconds {args.seconds:g} --trace 0",
+            "command": f"{os.path.basename(sys.executable)} {command}",
             "python": sys.version.split()[0],
             "PYTHONDONTWRITEBYTECODE": os.environ.get(
                 "PYTHONDONTWRITEBYTECODE"),
@@ -220,13 +292,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         },
         "runs": runs,
         "summary": summarise(runs, spec),
-        "verdict": verdict(runs, METRIC, better[METRIC]),
+        "verdict": verdict(runs, metric, higher),
     }
     with open(f"BENCH_ab_{args.workload}.json", "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     v = doc["verdict"]
-    print(f"{METRIC}: won {v['pairs_won']}/{v['pairs']} pairs, median "
+    print(f"{metric}: won {v['pairs_won']}/{v['pairs']} pairs, median "
           f"gain {v['median_gain']:.3g} vs parent IQR "
           f"{v['parent_iqr']:.3g} -> {'met' if v['met'] else 'not met'}")
     return 0
